@@ -4,7 +4,7 @@
 //!
 //! * `session_stepping/<sessions>s/<threads>t` — a full tiny-dataset replay of N
 //!   independent sessions, each paired with its own *training* DDQN agent, driven by
-//!   `SessionBatch::run_all_parallel` on a `threads`-wide pool. Sessions are
+//!   `SessionBatch::run_all` on a `threads`-wide pool. Sessions are
 //!   embarrassingly parallel (each owns its environment, policy and RNG streams), so on
 //!   real multi-core hardware the 32-session row should scale to ≥ 2× at 8 threads; on a
 //!   single-core container every thread count collapses to roughly the serial time.
@@ -64,7 +64,7 @@ fn run_session_grid(dataset: &Dataset, n_sessions: usize, pool: ThreadPool) -> u
             },
         ));
     }
-    batch.run_all_parallel(&mut policies);
+    batch.run_all(&mut policies);
     batch
         .finish(&policies)
         .iter()

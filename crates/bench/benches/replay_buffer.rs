@@ -2,23 +2,12 @@
 //! replay; this bench shows its overhead is negligible next to the network update).
 
 use crowd_bench::{criterion_group, criterion_main, Criterion};
-use crowd_rl_kit::{PrioritizedReplay, ReplayBuffer};
+use crowd_rl_kit::PrioritizedReplay;
 use crowd_tensor::Rng;
 
 fn bench_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("replay_buffer");
     group.sample_size(30);
-
-    group.bench_function("uniform_push_sample_1000", |b| {
-        b.iter(|| {
-            let mut buf = ReplayBuffer::new(1000);
-            let mut rng = Rng::seed_from(0);
-            for i in 0..1000u32 {
-                buf.push(i);
-            }
-            buf.sample(64, &mut rng).len()
-        })
-    });
 
     group.bench_function("prioritized_push_sample_update_1000", |b| {
         b.iter(|| {

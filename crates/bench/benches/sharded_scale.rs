@@ -1,7 +1,7 @@
 //! Demand-scale sharded-platform benchmark: full replays of the `SimConfig::massive`
 //! tier (~1M workers, ~240k tasks — two orders of magnitude over the paper's
-//! CrowdSpring trace) through the unsharded `Platform` and through `ShardedEnv` at
-//! several shard counts, reporting arrivals/second and process peak RSS.
+//! CrowdSpring trace) through `Platform` at several shard counts (one shard is the
+//! default layout), reporting arrivals/second and process peak RSS.
 //!
 //! Two kinds of measurements:
 //!
@@ -9,8 +9,11 @@
 //!   end-to-end replay per configuration — the honest number for "how fast does a
 //!   demand-scale month replay", where per-shard event application fans out over the
 //!   worker pool.
-//! - **Timed windows** (`bench_function`): the first few thousand arrivals replayed
-//!   repeatedly, so the harness can report a median/min/max like every other group.
+//! - **Timed windows** (`bench_function`): consecutive stretches of a few thousand
+//!   arrivals, so the harness can report a median/min/max like every other group. Each
+//!   group builds its environment once, outside the timed closure, and every sample
+//!   continues the replay where the previous one stopped — the samples time the replay,
+//!   not dataset cloning or arena construction.
 //!
 //! Memory discipline: `VmHWM` (peak RSS) is monotonic for the process lifetime, so the
 //! compact (f16) phase runs **first** — its peak is recorded before any f32 arena has a
@@ -26,7 +29,7 @@ use std::time::Instant;
 use crowd_bench::{
     criterion_group, criterion_main, peak_rss_bytes, record_value, smoke_mode, Criterion,
 };
-use crowd_sim::{Dataset, Decision, Env, Platform, ShardSpec, ShardedEnv, SimConfig};
+use crowd_sim::{Dataset, Decision, Env, Platform, ShardSpec, SimConfig};
 use crowd_tensor::ThreadPool;
 
 /// Rank the first `SHOWN` pool tasks per arrival — a constant-work stand-in policy, so
@@ -54,7 +57,7 @@ fn replay<E: Env>(env: &mut E) -> (usize, usize) {
     (arrivals, completions)
 }
 
-/// A bounded replay window (first `limit` arrivals) for the repeatable timed samples.
+/// A bounded replay window (the next `limit` arrivals) for the repeatable timed samples.
 fn replay_window<E: Env>(env: &mut E, limit: usize) -> usize {
     let mut decision = Decision::new();
     let mut arrivals = 0usize;
@@ -71,9 +74,9 @@ fn replay_window<E: Env>(env: &mut E, limit: usize) -> usize {
     arrivals
 }
 
-fn sharded(dataset: &Dataset, spec: ShardSpec) -> ShardedEnv {
+fn sharded(dataset: &Dataset, spec: ShardSpec) -> Platform {
     let features = Platform::default_feature_space(dataset);
-    ShardedEnv::new(dataset.clone(), features, 1, spec)
+    Platform::sharded(dataset.clone(), features, 1, spec)
 }
 
 fn timed_replay(label: &str, env: &mut impl Env) {
@@ -155,12 +158,7 @@ fn bench_sharded_scale(c: &mut Criterion) {
     }
     record_peak("rss/peak_after_f16");
 
-    // Phase 2 — full-precision: the unsharded baseline, then the shard-count sweep.
-    {
-        let features = Platform::default_feature_space(&dataset);
-        let mut platform = Platform::new(dataset.clone(), features, 1);
-        timed_replay("platform_unsharded", &mut platform);
-    }
+    // Phase 2 — full-precision: the shard-count sweep (one shard is the default layout).
     for n_shards in [1usize, 2, 4, 8] {
         let mut env = sharded(&dataset, ShardSpec::new(n_shards).with_pool(pool));
         timed_replay(&format!("f32_shards{n_shards}"), &mut env);
@@ -175,31 +173,22 @@ fn bench_sharded_scale(c: &mut Criterion) {
     }
     record_peak("rss/peak_after_f32");
 
-    // Timed windows: bounded replays the harness can sample repeatedly.
-    let window = if smoke { 200 } else { 4_000 };
+    // Timed windows: consecutive stretches of one replay per group. The harness takes
+    // two warm-up windows plus the samples, so the window is sized for all of them to
+    // fit in the stream.
+    let samples = 10;
+    let window = (dataset.n_arrivals() / (samples + 2)).min(4_000);
     let mut group = c.benchmark_group("sharded_scale");
-    group.sample_size(10);
-    group.bench_function("window_platform", |b| {
-        b.iter(|| {
-            let features = Platform::default_feature_space(&dataset);
-            let mut platform = Platform::new(dataset.clone(), features, 1);
-            replay_window(&mut platform, window)
-        })
-    });
-    for n_shards in [1usize, 8] {
-        group.bench_function(format!("window_f32_shards{n_shards}"), |b| {
-            b.iter(|| {
-                let mut env = sharded(&dataset, ShardSpec::new(n_shards).with_pool(pool));
-                replay_window(&mut env, window)
-            })
-        });
+    group.sample_size(samples);
+    let specs = [
+        ("window_f32_shards1", ShardSpec::new(1)),
+        ("window_f32_shards8", ShardSpec::new(8)),
+        ("window_f16_shards8", ShardSpec::new(8).compact(true)),
+    ];
+    for (label, spec) in specs {
+        let mut env = sharded(&dataset, spec.with_pool(pool));
+        group.bench_function(label, |b| b.iter(|| replay_window(&mut env, window)));
     }
-    group.bench_function("window_f16_shards8", |b| {
-        b.iter(|| {
-            let mut env = sharded(&dataset, ShardSpec::new(8).compact(true).with_pool(pool));
-            replay_window(&mut env, window)
-        })
-    });
     group.finish();
 }
 

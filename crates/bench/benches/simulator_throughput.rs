@@ -1,105 +1,45 @@
 //! Platform event-replay throughput: how fast the simulator itself runs when a trivial
-//! policy is attached (shows the experiment harness is not the bottleneck), plus the
-//! head-to-head comparison between the owned (clone-per-arrival) compatibility path and
-//! the zero-copy `Env` path introduced by the borrowed-view redesign.
+//! full-pool policy is attached (shows the experiment harness is not the bottleneck).
+//! Every replay goes through the zero-copy `Env` path: borrowed views over the
+//! platform's arenas and one reusable `Decision` buffer.
 
 use crowd_bench::{criterion_group, criterion_main, Criterion};
-use crowd_sim::{Action, Decision, Env, Platform, SimConfig};
+use crowd_sim::{Dataset, Decision, Env, Platform, SimConfig};
+
+/// One full replay showing the whole pool at every arrival; returns the completions.
+fn replay_full_pool(dataset: &Dataset) -> usize {
+    let features = Platform::default_feature_space(dataset);
+    let mut platform = Platform::new(dataset.clone(), features, 1);
+    let mut decision = Decision::new();
+    let mut completions = 0usize;
+    while platform.next_arrival() {
+        let view = platform.arrival();
+        if view.is_empty() {
+            continue;
+        }
+        decision.clear();
+        decision.extend((0..view.n_tasks()).map(|i| view.task_id(i)));
+        platform.apply(&decision);
+        if platform.feedback().completed.is_some() {
+            completions += 1;
+        }
+    }
+    completions
+}
 
 fn bench_simulator(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator_throughput");
     group.sample_size(10);
 
-    // Owned path: every arrival materialises an ArrivalContext (cloning every task feature
-    // vector in the pool plus the worker feature) and every decision allocates an Action.
-    group.bench_function("replay_tiny_full_pool/owned", |b| {
-        let dataset = SimConfig::tiny().generate();
-        b.iter(|| {
-            let features = Platform::default_feature_space(&dataset);
-            let mut platform = Platform::new(dataset.clone(), features, 1);
-            let mut completions = 0usize;
-            while let Some(arrival) = platform.next_arrival_owned() {
-                let ctx = arrival.context;
-                if ctx.available.is_empty() {
-                    continue;
-                }
-                let action = Action::Rank(ctx.available.iter().map(|t| t.id).collect());
-                if platform.apply_owned(&ctx, &action).completed.is_some() {
-                    completions += 1;
-                }
-            }
-            completions
-        })
+    let tiny = SimConfig::tiny().generate();
+    group.bench_function("replay_tiny_full_pool", |b| {
+        b.iter(|| replay_full_pool(&tiny))
     });
 
-    // Zero-copy path: borrowed views over the platform's arenas and one reusable Decision
-    // buffer for the whole replay.
-    group.bench_function("replay_tiny_full_pool/zero_copy", |b| {
-        let dataset = SimConfig::tiny().generate();
-        b.iter(|| {
-            let features = Platform::default_feature_space(&dataset);
-            let mut platform = Platform::new(dataset.clone(), features, 1);
-            let mut decision = Decision::new();
-            let mut completions = 0usize;
-            while platform.next_arrival() {
-                let view = platform.arrival();
-                if view.is_empty() {
-                    continue;
-                }
-                decision.clear();
-                decision.extend((0..view.n_tasks()).map(|i| view.task_id(i)));
-                platform.apply(&decision);
-                if platform.feedback().completed.is_some() {
-                    completions += 1;
-                }
-            }
-            completions
-        })
-    });
-
-    // Same comparison on the larger dataset, where pools are deeper and the per-arrival
-    // clone volume of the owned path grows accordingly.
-    group.bench_function("replay_small_full_pool/owned", |b| {
-        let dataset = SimConfig::small().generate();
-        b.iter(|| {
-            let features = Platform::default_feature_space(&dataset);
-            let mut platform = Platform::new(dataset.clone(), features, 1);
-            let mut completions = 0usize;
-            while let Some(arrival) = platform.next_arrival_owned() {
-                let ctx = arrival.context;
-                if ctx.available.is_empty() {
-                    continue;
-                }
-                let action = Action::Rank(ctx.available.iter().map(|t| t.id).collect());
-                if platform.apply_owned(&ctx, &action).completed.is_some() {
-                    completions += 1;
-                }
-            }
-            completions
-        })
-    });
-
-    group.bench_function("replay_small_full_pool/zero_copy", |b| {
-        let dataset = SimConfig::small().generate();
-        b.iter(|| {
-            let features = Platform::default_feature_space(&dataset);
-            let mut platform = Platform::new(dataset.clone(), features, 1);
-            let mut decision = Decision::new();
-            let mut completions = 0usize;
-            while platform.next_arrival() {
-                let view = platform.arrival();
-                if view.is_empty() {
-                    continue;
-                }
-                decision.clear();
-                decision.extend((0..view.n_tasks()).map(|i| view.task_id(i)));
-                platform.apply(&decision);
-                if platform.feedback().completed.is_some() {
-                    completions += 1;
-                }
-            }
-            completions
-        })
+    // The larger dataset, where pools are deeper.
+    let small = SimConfig::small().generate();
+    group.bench_function("replay_small_full_pool", |b| {
+        b.iter(|| replay_full_pool(&small))
     });
 
     group.bench_function("generate_small_dataset", |b| {

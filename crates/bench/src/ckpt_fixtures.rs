@@ -7,7 +7,7 @@
 //! pure integer/IEEE-exact arithmetic — so its bytes are identical on every platform
 //! and toolchain. `tests/checkpoint_equivalence.rs::format_stability_golden_snapshot`
 //! asserts `golden_snapshot().to_bytes()` equals the committed
-//! `tests/fixtures/format_v1.ckpt` byte for byte: any change to what the writer emits
+//! `tests/fixtures/format_v2.ckpt` byte for byte: any change to what the writer emits
 //! (field added/reordered/re-encoded) fails CI until the format version is bumped and a
 //! new golden file is committed consciously.
 
@@ -16,7 +16,7 @@ use crowd_nn::{Adam, Optimizer, ParamStore};
 use crowd_rl_kit::{EpsilonGreedy, PrioritizedReplay, Schedule};
 use crowd_tensor::{Matrix, Rng};
 
-/// Builds the version-1 golden snapshot: one exemplar of every layer the format
+/// Builds the golden snapshot: one exemplar of every layer the format
 /// covers at the kit level — RNG, parameters, Adam moments, prioritized replay (with
 /// its sum tree), an exploration schedule — all from explicit values.
 pub fn golden_snapshot() -> Snapshot {

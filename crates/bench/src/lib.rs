@@ -13,7 +13,7 @@
 //! * `batched_training` — packed (one autograd graph per minibatch) vs sequential
 //!   (per-transition) DDQN learning step at `B ∈ {16, 32, 64}`;
 //! * `parallel_throughput` — full-replay session stepping across a sessions × threads
-//!   grid (`SessionBatch::run_all_parallel`) and the serial vs `par_join` two-learner
+//!   grid (`SessionBatch::run_all`) and the serial vs `par_join` two-learner
 //!   update round;
 //! * `serve_latency` — end-to-end decision latency (p50/p99/p999) and max sustained
 //!   throughput of the `crowd-serve` micro-batching service under Poisson and bursty
@@ -25,7 +25,7 @@
 //!   scalar references at every benchmarked shape (the speed half of the
 //!   `tests/kernel_equivalence.rs` fence: the blocked kernels must be strictly
 //!   faster), plus the serial-vs-persistent-pool dispatch edge on large products;
-//! * `sharded_scale` — `ShardedEnv` replay throughput (arrivals/sec) across shard
+//! * `sharded_scale` — `Platform` replay throughput (arrivals/sec) across shard
 //!   counts at ~100× the paper's dataset scale, plus peak RSS ([`rss::peak_rss_bytes`])
 //!   for the compact (f16) vs full-precision (f32) feature arenas.
 //!
@@ -46,7 +46,7 @@ pub use harness::{
     BenchmarkId, Criterion,
 };
 pub use latency::{format_latency, LatencyHistogram, LatencySummary};
-pub use rss::{current_rss_bytes, peak_rss_bytes};
+pub use rss::peak_rss_bytes;
 
 /// Builds a synthetic arrival context with `n_tasks` available tasks and `feature_dim`-wide
 /// features, used by several benches.

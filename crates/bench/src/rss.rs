@@ -1,22 +1,16 @@
-//! Process memory probes for the scale benches: peak and current resident set size,
-//! read from `/proc/self/status` (`VmHWM` / `VmRSS`).
+//! Process memory probe for the scale benches: peak resident set size, read from
+//! `/proc/self/status` (`VmHWM`).
 //!
 //! `VmHWM` is the kernel's high-water mark of the process's resident set — it only ever
 //! grows, so a bench comparing configurations must measure the *smaller* configuration
 //! first (the sharded scale bench runs its f16 phase before the f32 one for exactly this
-//! reason). On platforms without procfs both probes return `None` and the benches simply
+//! reason). On platforms without procfs the probe returns `None` and the benches simply
 //! omit the RSS lines.
 
 /// Peak resident set size of this process in bytes (`VmHWM`), or `None` when
 /// `/proc/self/status` is unavailable or unparseable.
 pub fn peak_rss_bytes() -> Option<u64> {
     proc_status_kib("VmHWM:").map(|kib| kib * 1024)
-}
-
-/// Current resident set size of this process in bytes (`VmRSS`), or `None` when
-/// `/proc/self/status` is unavailable or unparseable.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_kib("VmRSS:").map(|kib| kib * 1024)
 }
 
 /// Value of a `kB`-denominated `/proc/self/status` field, e.g. `VmHWM:    123456 kB`.
@@ -49,12 +43,17 @@ mod tests {
 
     #[test]
     fn live_probes_are_sane_on_linux() {
-        // On Linux procfs is always there; peak >= current > 0 and both are page-sized.
-        if let (Some(peak), Some(current)) = (peak_rss_bytes(), current_rss_bytes()) {
-            assert!(peak >= current);
-            assert!(current > 0);
-            assert_eq!(peak % 1024, 0);
-        }
+        // On Linux procfs is always there. Both fields come from ONE snapshot: the
+        // kernel guarantees VmHWM >= VmRSS within a read, while two separate reads race
+        // with allocations made by concurrently running tests.
+        let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+            return;
+        };
+        let peak = parse_status_kib(&status, "VmHWM:").expect("VmHWM in procfs status");
+        let current = parse_status_kib(&status, "VmRSS:").expect("VmRSS in procfs status");
+        assert!(peak >= current);
+        assert!(current > 0);
+        assert!(peak_rss_bytes().is_some_and(|bytes| bytes % 1024 == 0));
     }
 
     #[test]

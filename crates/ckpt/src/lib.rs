@@ -32,11 +32,12 @@
 //! other crate depends on it to implement the traits for its own types:
 //!
 //! * `crowd-tensor`: `Rng` word states, `Matrix` raw bits;
-//! * `crowd-nn`: `ParamStore`, `Adam` / `Sgd` moment buffers;
-//! * `crowd-rl-kit`: `SumTree` (full node array — see below), `ReplayBuffer`,
-//!   `PrioritizedReplay`, `EpsilonGreedy` / `GaussianQNoise` schedule positions;
-//! * `crowd-sim`: the `Platform` replay state (event cursor, quality/completion arrays,
-//!   behaviour RNG) and the `Policy` checkpoint hooks;
+//! * `crowd-nn`: `ParamStore`, `Adam` moment buffers;
+//! * `crowd-rl-kit`: `SumTree` (full node array — see below), `PrioritizedReplay`,
+//!   `EpsilonGreedy` / `GaussianQNoise` schedule positions;
+//! * `crowd-sim`: the `Platform` replay state (behaviour RNG, per-shard
+//!   quality/completion arrays and worker arenas, event cursor) and the `Policy`
+//!   checkpoint hooks;
 //! * `crowd-rl-core`: `DqnLearner`, `DdqnAgent`, `ArrivalStats`, stored transitions;
 //! * `crowd-metrics`: metric accumulators and timers;
 //! * `crowd-experiments`: `Session::checkpoint` / `Session::resume_from` and the

@@ -772,7 +772,7 @@ mod tests {
     #[test]
     fn agent_and_learner_are_send() {
         // The parallel split moves `&mut DqnLearner` (par_join) and boxed policies
-        // (step_all_parallel) across pool worker threads; this is the compile-time fence.
+        // (`SessionBatch::step_all`) across pool worker threads; this is the compile-time fence.
         fn assert_send<T: Send>() {}
         assert_send::<DdqnAgent>();
         assert_send::<crate::DqnLearner>();

@@ -25,16 +25,15 @@
 //! gradient.
 //!
 //! [`DqnLearner::learn_sequential`] retains the original per-transition loop (B separate
-//! graphs, per-branch single-state inference) as the frozen reference path — like the
-//! owned-compat `apply_owned` stepping path, it exists only for the equivalence suite
-//! (`tests/packed_learning_equivalence.rs`) and the training benchmark
-//! (`crates/bench/benches/batched_training.rs`). The equivalence contract: from identical
-//! learner state, both paths report bit-identical loss / TD errors and write bit-identical
-//! replay priorities (packed forward values equal per-state forward values bit for bit, and
-//! the loss is accumulated in the same f32 order); post-update *parameters* agree only to
-//! documented f32 tolerance, because the packed backward legitimately sums gradient
-//! contributions across the minibatch in a different association order than the
-//! per-transition accumulation loop.
+//! graphs, per-branch single-state inference) as the frozen reference path — it exists
+//! only for the equivalence suite (`tests/packed_learning_equivalence.rs`) and the
+//! training benchmark (`crates/bench/benches/batched_training.rs`). The equivalence
+//! contract: from identical learner state, both paths report bit-identical loss / TD
+//! errors and write bit-identical replay priorities (packed forward values equal
+//! per-state forward values bit for bit, and the loss is accumulated in the same f32
+//! order); post-update *parameters* agree only to documented f32 tolerance, because the
+//! packed backward legitimately sums gradient contributions across the minibatch in a
+//! different association order than the per-transition accumulation loop.
 
 use crate::config::DdqnConfig;
 use crate::memory::Transition;
@@ -349,11 +348,10 @@ impl DqnLearner {
     }
 
     /// The pre-packing per-transition update loop: `B` separate graphs per minibatch, one
-    /// forward + backward each, and per-branch single-state target inference. Retained —
-    /// like the owned-compat `Platform::apply_owned` path — **only** as the reference for
-    /// `tests/packed_learning_equivalence.rs` and the old-vs-new comparison in
-    /// `crates/bench/benches/batched_training.rs`; new code must call
-    /// [`DqnLearner::learn`]. Samples from the same owned RNG stream as `learn` (so a
+    /// forward + backward each, and per-branch single-state target inference. Retained
+    /// **only** as the reference for `tests/packed_learning_equivalence.rs` and the
+    /// old-vs-new comparison in `crates/bench/benches/batched_training.rs`; new code must
+    /// call [`DqnLearner::learn`]. Samples from the same owned RNG stream as `learn` (so a
     /// cloned learner running this path consumes the stream identically) and always runs
     /// serial kernels — it is the single-threaded reference.
     pub fn learn_sequential(&mut self) -> Result<Option<LearnReport>> {

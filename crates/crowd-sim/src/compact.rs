@@ -1,5 +1,5 @@
 //! Compact feature storage: IEEE 754 half-precision (binary16) conversion and the
-//! [`FeatureArena`] that backs the sharded platform's feature stores.
+//! [`FeatureArena`] that backs the platform's feature stores.
 //!
 //! The container has no external crates and stable Rust has no native `f16`, so the
 //! conversions are hand-rolled: [`f32_to_f16_bits`] rounds to nearest-even (the IEEE
@@ -15,7 +15,7 @@
 //!   error is bounded by 2⁻¹¹ per component (half's 11-bit significand); the error
 //!   compounds across commits by construction, which is why compact storage is an
 //!   explicit opt-in ([`crate::ShardSpec::compact_features`]) and the default f32 path
-//!   stays bit-identical to the unsharded [`Platform`](crate::Platform).
+//!   stays bit-identical at every shard count of the [`Platform`](crate::Platform).
 
 /// Converts an `f32` to IEEE 754 binary16 bits, rounding to nearest-even.
 ///

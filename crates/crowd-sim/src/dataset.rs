@@ -15,7 +15,7 @@ pub const MINUTES_PER_MONTH: u64 = 30 * MINUTES_PER_DAY;
 /// A dataset is what environments replay *and* what non-stationary scenarios transform:
 /// [`crate::dynamics::ScenarioSpec::apply`] compiles worker churn, demand surges and
 /// task-mix drift into a new `Dataset` before replay, so every downstream consumer —
-/// [`crate::Platform`], [`crate::ShardedEnv`], checkpoints — handles scenario runs
+/// [`crate::Platform`] at any shard count, checkpoints — handles scenario runs
 /// without knowing scenarios exist (see `docs/SCENARIOS.md`).
 #[derive(Debug, Clone)]
 pub struct Dataset {

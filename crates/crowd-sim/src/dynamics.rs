@@ -4,9 +4,9 @@
 //! workers join and retire mid-stream, demand surges and follows day/night cycles, and
 //! the task mix drifts over time. A [`ScenarioSpec`] describes those perturbations, and
 //! [`ScenarioSpec::apply`] compiles them into an ordinary [`Dataset`] **before** the
-//! replay starts. The hot loop is untouched: [`crate::Platform`] and
-//! [`crate::ShardedEnv`] replay the transformed dataset through the exact same zero-copy
-//! [`crate::Env`] path, so every bit-identity proof of the stationary replay (thread
+//! replay starts. The hot loop is untouched: [`crate::Platform`] replays the
+//! transformed dataset through the exact same zero-copy [`crate::Env`] path at any
+//! shard count, so every bit-identity proof of the stationary replay (thread
 //! counts, shard counts, checkpoint/resume) carries over to every scenario *by
 //! construction* rather than by re-proof.
 //!

@@ -7,8 +7,8 @@
 //! at scale. This module replaces that hot path:
 //!
 //! * [`ArrivalView`] borrows task features straight out of the platform's task-feature
-//!   arena (one flat `Vec<f32>`, filled once at construction) and the worker feature out of
-//!   the worker-feature arena — **no per-arrival clones**;
+//!   arenas (filled once at construction) and the worker feature out of the
+//!   worker-feature arena — **no per-arrival clones**;
 //! * [`Decision`] is a reusable ranking buffer the policy writes into — no allocation per
 //!   decision once its capacity has grown to the pool size;
 //! * [`FeedbackView`] borrows the shown list and worker features from the platform's
@@ -83,47 +83,28 @@ impl TaskSnapshot {
     }
 }
 
-/// Borrowed slices over the platform's internal SoA task storage.
+/// Borrowed view over the platform's per-shard committed state: the routed id list plus
+/// the shards that own the candidate rows, resolved through the platform's striping rule.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ArenaPool<'a> {
-    /// Ids of the available tasks, in pool order.
-    pub ids: &'a [TaskId],
-    /// Flat task-feature arena, indexed by `TaskId` row.
-    pub features: &'a [f32],
-    /// Width of one feature row.
-    pub feature_dim: usize,
-    /// Current task qualities, indexed by `TaskId`.
-    pub qualities: &'a [f32],
-    /// Completion counts, indexed by `TaskId`.
-    pub completions: &'a [u32],
-    /// Static task attributes, indexed by `TaskId`.
-    pub tasks: &'a [Task],
-}
-
-/// Borrowed view over a sharded platform's per-shard committed state: the routed id list
-/// plus the shards that own the candidate rows (entity `i` lives on shard `i mod S` at
-/// local row `i / S`). See [`crate::sharded`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardedPool<'a> {
+pub(crate) struct PlatformPool<'a> {
     /// Ids of the available tasks, in pool order (global creation order).
     pub ids: &'a [TaskId],
     /// The shards owning committed task state.
-    pub shards: &'a [crate::sharded::Shard],
-    /// Shard count.
-    pub n_shards: usize,
+    pub shards: &'a [crate::platform::Shard],
+    /// Entity → (shard, local row) mapping.
+    pub stripe: crate::platform::Stripe,
     /// Width of one task feature row.
     pub feature_dim: usize,
     /// Static task attributes, indexed by global `TaskId`.
     pub tasks: &'a [Task],
 }
 
-impl<'a> ShardedPool<'a> {
+impl<'a> PlatformPool<'a> {
     fn task(&self, index: usize) -> TaskRef<'a> {
         let id = self.ids[index];
-        let global = id.index();
-        let shard = &self.shards[global % self.n_shards];
-        let local = global / self.n_shards;
-        let task = &self.tasks[global];
+        let (s, local) = self.stripe.locate(id.index());
+        let shard = &self.shards[s];
+        let task = &self.tasks[id.index()];
         TaskRef {
             id,
             feature: shard.pooled_task_feature(local, self.feature_dim),
@@ -137,13 +118,11 @@ impl<'a> ShardedPool<'a> {
     }
 }
 
-/// How an [`ArrivalView`] resolves task rows: arena slices borrowed from a live platform,
-/// per-shard state borrowed from a sharded platform, or an owned snapshot list (record
-/// types, tests, synthetic harnesses).
+/// How an [`ArrivalView`] resolves task rows: state borrowed from a live platform, or an
+/// owned snapshot list (record types, tests, synthetic harnesses).
 #[derive(Debug, Clone, Copy)]
 enum PoolBacking<'a> {
-    Arena(ArenaPool<'a>),
-    Sharded(ShardedPool<'a>),
+    Platform(PlatformPool<'a>),
     Snapshots(&'a [TaskSnapshot]),
 }
 
@@ -169,13 +148,13 @@ pub struct ArrivalView<'a> {
 }
 
 impl<'a> ArrivalView<'a> {
-    pub(crate) fn from_arena(
+    pub(crate) fn from_platform(
         time: u64,
         worker_id: WorkerId,
         worker_feature: &'a [f32],
         worker_quality: f32,
         is_new_worker: bool,
-        pool: ArenaPool<'a>,
+        pool: PlatformPool<'a>,
     ) -> Self {
         ArrivalView {
             time,
@@ -183,33 +162,14 @@ impl<'a> ArrivalView<'a> {
             worker_feature,
             worker_quality,
             is_new_worker,
-            pool: PoolBacking::Arena(pool),
-        }
-    }
-
-    pub(crate) fn from_sharded(
-        time: u64,
-        worker_id: WorkerId,
-        worker_feature: &'a [f32],
-        worker_quality: f32,
-        is_new_worker: bool,
-        pool: ShardedPool<'a>,
-    ) -> Self {
-        ArrivalView {
-            time,
-            worker_id,
-            worker_feature,
-            worker_quality,
-            is_new_worker,
-            pool: PoolBacking::Sharded(pool),
+            pool: PoolBacking::Platform(pool),
         }
     }
 
     /// Number of available tasks.
     pub fn n_tasks(&self) -> usize {
         match self.pool {
-            PoolBacking::Arena(a) => a.ids.len(),
-            PoolBacking::Sharded(p) => p.ids.len(),
+            PoolBacking::Platform(p) => p.ids.len(),
             PoolBacking::Snapshots(s) => s.len(),
         }
     }
@@ -222,22 +182,7 @@ impl<'a> ArrivalView<'a> {
     /// The task at pool position `index`, borrowed.
     pub fn task(&self, index: usize) -> TaskRef<'a> {
         match self.pool {
-            PoolBacking::Arena(a) => {
-                let id = a.ids[index];
-                let row = id.index();
-                let task = &a.tasks[row];
-                TaskRef {
-                    id,
-                    feature: &a.features[row * a.feature_dim..(row + 1) * a.feature_dim],
-                    quality: a.qualities[row],
-                    award: task.award,
-                    category: task.category,
-                    domain: task.domain,
-                    deadline: task.deadline,
-                    completions: a.completions[row] as usize,
-                }
-            }
-            PoolBacking::Sharded(p) => p.task(index),
+            PoolBacking::Platform(p) => p.task(index),
             PoolBacking::Snapshots(s) => s[index].as_ref(),
         }
     }
@@ -245,8 +190,7 @@ impl<'a> ArrivalView<'a> {
     /// Id of the task at pool position `index`.
     pub fn task_id(&self, index: usize) -> TaskId {
         match self.pool {
-            PoolBacking::Arena(a) => a.ids[index],
-            PoolBacking::Sharded(p) => p.ids[index],
+            PoolBacking::Platform(p) => p.ids[index],
             PoolBacking::Snapshots(s) => s[index].id,
         }
     }
@@ -260,8 +204,7 @@ impl<'a> ArrivalView<'a> {
     /// Position of a task inside the pool, if present.
     pub fn position_of(&self, task: TaskId) -> Option<usize> {
         match self.pool {
-            PoolBacking::Arena(a) => a.ids.iter().position(|&t| t == task),
-            PoolBacking::Sharded(p) => p.ids.iter().position(|&t| t == task),
+            PoolBacking::Platform(p) => p.ids.iter().position(|&t| t == task),
             PoolBacking::Snapshots(s) => s.iter().position(|t| t.id == task),
         }
     }

@@ -69,11 +69,10 @@ impl SimConfig {
 
     /// A demand-scale synthetic tier far beyond the paper's crawl: ~590× its workers
     /// and ~100× its tasks over a 3-month horizon, with short (1–3 day) task lifetimes
-    /// so the live pool stays rankable. Built for the sharded platform
-    /// ([`crate::sharded::ShardedEnv`]) — the scale bench (`benches/sharded_scale.rs`)
-    /// replays it across shard counts, and `CROWD_SCALE=massive` drives it from the
-    /// experiment binaries. The flat single-arena [`Platform`](crate::Platform) still
-    /// replays it, just slower and at full-precision RSS.
+    /// so the live pool stays rankable. Built for a sharded
+    /// [`Platform`](crate::Platform) ([`crate::ShardSpec`]) — the scale bench
+    /// (`benches/sharded_scale.rs`) replays it across shard counts, and
+    /// `CROWD_SCALE=massive` drives it from the experiment binaries.
     pub fn massive() -> Self {
         SimConfig {
             months: 3,

@@ -21,9 +21,11 @@
 //! * the zero-copy environment layer in [`mod@env`]: the [`Env`] trait, borrowed
 //!   [`ArrivalView`] / [`FeedbackView`] / [`TaskRef`] views into platform storage, and the
 //!   reusable [`Decision`] buffer — the hot decision loop performs no per-arrival clones;
-//! * the [`Platform`] environment that replays the event stream over flat
-//!   struct-of-arrays state (task-feature arena, worker-feature arena, quality arrays)
-//!   and implements [`Env`];
+//! * the [`Platform`] environment that replays the event stream over struct-of-arrays
+//!   state (task-feature arenas, worker-feature arenas, quality arrays) and implements
+//!   [`Env`] — one flat shard by default, or partitioned across shards with parallel
+//!   per-shard advance and optional f16 arenas ([`ShardSpec`]), bit-identical in f32 at
+//!   every shard count;
 //! * the [`Policy`] trait implemented by the DDQN agent (`crowd-rl-core`) and all baselines
 //!   (`crowd-baselines`);
 //! * dataset statistics used to regenerate Fig. 5 and Fig. 6 in [`stats`].
@@ -71,7 +73,6 @@ pub mod generator;
 pub mod platform;
 pub mod policy;
 pub mod quality;
-pub mod sharded;
 pub mod stats;
 pub mod task;
 pub mod worker;
@@ -85,13 +86,12 @@ pub use env::{ArrivalView, Decision, Env, FeedbackView, TaskRef};
 pub use event::{Event, EventKind};
 pub use features::FeatureSpace;
 pub use generator::{perturb_worker_qualities, resample_arrivals, SimConfig};
-pub use platform::{Arrival, Platform};
+pub use platform::{Platform, ShardSpec};
 pub use policy::{
     Action, ArrivalContext, BatchedPolicy, BoxedBatchedPolicy, BoxedPolicy, LearnerBranchTiming,
     LearnerTiming, Policy, PolicyFeedback, TaskSnapshot,
 };
 pub use quality::{dixit_stiglitz, quality_gain};
-pub use sharded::{ShardSpec, ShardedEnv};
 pub use stats::{
     consecutive_arrival_gap_histogram, monthly_stats, same_worker_gap_histogram, GapHistogram,
     MonthStats,

@@ -181,9 +181,7 @@ impl Action {
 }
 
 /// Outcome of showing an action to the arriving worker (owned record; the hot loop uses
-/// [`FeedbackView`] instead). Produced by
-/// [`Platform::apply_owned`](crate::platform::Platform::apply_owned) and by
-/// [`FeedbackView::to_feedback`].
+/// [`FeedbackView`] instead). Produced by [`FeedbackView::to_feedback`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyFeedback {
     /// Arrival time of the decision this feedback refers to.
@@ -394,7 +392,7 @@ pub trait Policy {
 
 /// The canonical boxed policy used by session batches and the experiment line-ups.
 ///
-/// `Send` is part of the contract so `SessionBatch::step_all_parallel` can shard
+/// `Send` is part of the contract so `SessionBatch::step_all` can shard
 /// session/policy pairs across pool workers; every policy in the workspace is a plain
 /// data structure (matrices, replay buffers, deterministic RNGs), so the bound costs
 /// nothing.

@@ -246,28 +246,20 @@ fn main() {
         eprintln!("running {} ...", policy.name());
         policy.set_thread_pool(pool);
         let started = Instant::now();
-        let (outcome, checkpoint_fired, resumed_mid_replay) = if scale == Scale::Massive {
-            let spec = ShardSpec::new(shards).with_pool(pool);
-            run_method(
-                Session::for_dataset_sharded(&dataset, &cfg, spec),
-                &mut policy,
-                &opts,
-                index,
-                first_policy,
-                resume_file.as_ref(),
-                &rows,
-            )
+        let spec = if scale == Scale::Massive {
+            ShardSpec::new(shards).with_pool(pool)
         } else {
-            run_method(
-                Session::for_dataset(&dataset, &cfg),
-                &mut policy,
-                &opts,
-                index,
-                first_policy,
-                resume_file.as_ref(),
-                &rows,
-            )
+            ShardSpec::default()
         };
+        let (outcome, checkpoint_fired, resumed_mid_replay) = run_method(
+            Session::for_dataset_sharded(&dataset, &cfg, spec),
+            &mut policy,
+            &opts,
+            index,
+            first_policy,
+            resume_file.as_ref(),
+            &rows,
+        );
         let pooled_wall = started.elapsed();
 
         // The serial wall-clock twin for the speedup column, built lazily only once the

@@ -40,4 +40,4 @@ pub use scenarios::{
     named_scenarios, resume_scenario_session, scenario_checkpoint, scenario_dataset,
     scenario_session, scenario_session_sharded, NamedScenario,
 };
-pub use session::{run_policies_lockstep, run_policies_lockstep_with_pool, Session, SessionBatch};
+pub use session::{run_policies_lockstep, Session, SessionBatch};

@@ -186,7 +186,8 @@ mod tests {
             Box::new(RandomPolicy::new(ListMode::RankAll, 5)),
             Box::new(GreedyCosine::new(Benefit::Worker, ListMode::RankAll)),
         ];
-        let outcomes = run_policies_lockstep(&dataset, policies, &cfg);
+        let outcomes =
+            run_policies_lockstep(&dataset, policies, &cfg, crowd_tensor::ThreadPool::serial());
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].summary(), solo_random_out.summary());
         assert_eq!(outcomes[1].summary(), solo_cosine_out.summary());

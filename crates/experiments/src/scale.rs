@@ -14,8 +14,8 @@ pub enum Scale {
     /// The full CrowdSpring-replica scale of the paper (13 months, ~1700 workers).
     Replica,
     /// The demand-scale synthetic tier (~1M workers, ~240k tasks) served by the sharded
-    /// platform; see [`SimConfig::massive`]. Binaries wired for it replay through
-    /// [`crowd_sim::ShardedEnv`] with [`experiment_shards`] shards and skip the warm-up
+    /// platform; see [`SimConfig::massive`]. Binaries wired for it replay through a
+    /// [`crowd_sim::Platform`] with [`experiment_shards`] shards and skip the warm-up
     /// window (gathering owned warm-start history at this scale would dwarf the replay).
     Massive,
 }

@@ -17,8 +17,7 @@ use crate::runner::RunnerConfig;
 use crate::session::Session;
 use crowd_ckpt::{CkptError, Snapshot, SnapshotFile};
 use crowd_sim::{
-    Dataset, DayNightCycle, Env, Platform, Policy, ScenarioSpec, ShardSpec, ShardedEnv,
-    MINUTES_PER_MONTH,
+    Dataset, DayNightCycle, Env, Platform, Policy, ScenarioSpec, ShardSpec, MINUTES_PER_MONTH,
 };
 
 /// Name of the snapshot section holding the [`ScenarioSpec`] (prefixed like the session
@@ -127,17 +126,16 @@ pub fn scenario_session(
     Session::for_dataset(&scenario.spec.apply(dataset), config)
 }
 
-/// A [`ShardedEnv`] session replaying `scenario` over `dataset` — the sharded twin of
-/// [`scenario_session`]. Because the spec is applied to the dataset *before* either
-/// environment is built, both replay the identical event stream: bit-identity across
-/// shard counts is inherited from the stationary proof, and `scenario_equivalence`
-/// re-fences it per scenario.
+/// A sharded [`Platform`] session replaying `scenario` over `dataset`. Because the spec
+/// is applied to the dataset *before* the environment is built, every shard count
+/// replays the identical event stream: bit-identity across shard counts is inherited
+/// from the stationary proof, and `scenario_equivalence` re-fences it per scenario.
 pub fn scenario_session_sharded(
     dataset: &Dataset,
     scenario: &NamedScenario,
     config: &RunnerConfig,
     shards: ShardSpec,
-) -> Session<ShardedEnv> {
+) -> Session<Platform> {
     Session::for_dataset_sharded(&scenario.spec.apply(dataset), config, shards)
 }
 

@@ -23,15 +23,15 @@
 //!
 //! # Parallel stepping
 //!
-//! Give the batch a pool ([`SessionBatch::set_pool`]) and
-//! [`SessionBatch::step_all_parallel`] shards the session/policy *pairs* across pool
-//! workers: each pair owns everything its step touches (environment, metrics, timers,
-//! policy, RNG streams), so sharding is deterministic by construction and the outcomes
-//! are **bit-identical** to [`SessionBatch::step_all`] at any thread count
-//! (`tests/parallel_equivalence.rs`). [`SessionBatch::step_batched`] uses the same pool
-//! for its pack/unpack stages around the single shared `act_batch` call: environment
-//! `apply` + metric recording run per session in parallel, while the shared policy's
-//! `observe` calls stay sequential in session order (identical to the serial round).
+//! Give the batch a pool ([`SessionBatch::set_pool`]) and [`SessionBatch::step_all`]
+//! shards the session/policy *pairs* across pool workers: each pair owns everything its
+//! step touches (environment, metrics, timers, policy, RNG streams), so sharding is
+//! deterministic by construction and the outcomes are **bit-identical** to the serial
+//! pool's sequential loop at any thread count (`tests/parallel_equivalence.rs`).
+//! [`SessionBatch::step_batched`] uses the same pool for its pack/unpack stages around
+//! the single shared `act_batch` call: environment `apply` + metric recording run per
+//! session in parallel, while the shared policy's `observe` calls stay sequential in
+//! session order (identical to the serial round).
 //!
 //! # Checkpoint / resume
 //!
@@ -51,7 +51,7 @@ use crowd_ckpt::{CkptError, Snapshot, SnapshotFile, StateReader, StateWriter};
 use crowd_metrics::{MetricsAccumulator, UpdateTimer};
 use crowd_sim::{
     ArrivalContext, ArrivalView, BatchedPolicy, BoxedPolicy, Dataset, Decision, Env, Platform,
-    Policy, PolicyFeedback, ShardSpec, ShardedEnv, TaskId,
+    Policy, PolicyFeedback, ShardSpec, TaskId,
 };
 use crowd_tensor::{Rng, ThreadPool};
 use std::time::Instant;
@@ -92,23 +92,17 @@ pub struct Session<E: Env = Platform> {
 }
 
 impl Session<Platform> {
-    /// Builds a session over a [`Platform`] replay of `dataset` with the default feature
-    /// space — the standard experiment setup.
+    /// Builds a session over a one-shard [`Platform`] replay of `dataset` with the
+    /// default feature space — the standard experiment setup.
     pub fn for_dataset(dataset: &Dataset, config: &RunnerConfig) -> Self {
-        let features = Platform::default_feature_space(dataset);
-        let platform = Platform::new(dataset.clone(), features, config.platform_seed);
-        Session::new(platform, config)
+        Session::for_dataset_sharded(dataset, config, ShardSpec::default())
     }
-}
 
-impl Session<ShardedEnv> {
-    /// Builds a session over a [`ShardedEnv`] replay of `dataset` with the default
-    /// feature space — the sharded twin of [`Session::for_dataset`]. With a default
-    /// (f32) spec the replay is bit-identical to the `Platform` session at any shard
-    /// count (`tests/shard_equivalence.rs`).
+    /// [`Session::for_dataset`] over a platform with the layout `spec`. With an f32 spec
+    /// the replay is bit-identical at any shard count (`tests/shard_equivalence.rs`).
     pub fn for_dataset_sharded(dataset: &Dataset, config: &RunnerConfig, spec: ShardSpec) -> Self {
         let features = Platform::default_feature_space(dataset);
-        let env = ShardedEnv::new(dataset.clone(), features, config.platform_seed, spec);
+        let env = Platform::sharded(dataset.clone(), features, config.platform_seed, spec);
         Session::new(env, config)
     }
 }
@@ -479,7 +473,7 @@ pub struct SessionBatch<E: Env = Platform> {
     scratch_decisions: Vec<Decision>,
     /// Scratch list of the live sessions' indexes for the current batched round.
     live: Vec<usize>,
-    /// Pool used by [`SessionBatch::step_all_parallel`] and the pack/unpack stages of
+    /// Pool used by [`SessionBatch::step_all`] and the pack/unpack stages of
     /// [`SessionBatch::step_batched`]. Serial by default.
     pool: ThreadPool,
 }
@@ -534,38 +528,18 @@ impl<E: Env> SessionBatch<E> {
 
     /// Steps every live session once against its paired policy; returns how many sessions
     /// are still live. `policies` must align with the sessions by index.
-    pub fn step_all(&mut self, policies: &mut [BoxedPolicy]) -> usize {
-        assert_eq!(
-            self.sessions.len(),
-            policies.len(),
-            "one policy per session required"
-        );
-        let mut live = 0;
-        for (session, policy) in self.sessions.iter_mut().zip(policies.iter_mut()) {
-            if session.step(policy.as_mut()) {
-                live += 1;
-            }
-        }
-        live
-    }
-
-    /// Steps until every session is exhausted.
-    pub fn run_all(&mut self, policies: &mut [BoxedPolicy]) {
-        while self.step_all(policies) > 0 {}
-    }
-
-    /// [`SessionBatch::step_all`] with the session/policy pairs sharded across the
-    /// batch's pool ([`SessionBatch::set_pool`]): each pool worker steps a contiguous
-    /// shard of pairs, one arrival each. Returns how many sessions are still live.
     ///
-    /// A pair owns everything its step touches — the session's environment, decision
-    /// buffer, metrics, timers and warm-up RNG, plus the policy with its own model state
-    /// and RNG streams — so the shards share nothing and the outcomes (metrics,
-    /// completions, qualities, every policy's post-run state) are **bit-identical** to
-    /// sequential [`SessionBatch::step_all`] at any thread count, proven end to end by
-    /// `tests/parallel_equivalence.rs`. This is the replica-sweep hot path: `N`
-    /// simulations of the paper's protocol for ~`N/threads` the wall clock.
-    pub fn step_all_parallel(&mut self, policies: &mut [BoxedPolicy]) -> usize
+    /// The session/policy pairs are sharded across the batch's pool
+    /// ([`SessionBatch::set_pool`]): each pool worker steps a contiguous shard of pairs,
+    /// one arrival each, and a serial pool is the plain sequential loop. A pair owns
+    /// everything its step touches — the session's environment, decision buffer,
+    /// metrics, timers and warm-up RNG, plus the policy with its own model state and RNG
+    /// streams — so the shards share nothing and the outcomes (metrics, completions,
+    /// qualities, every policy's post-run state) are **bit-identical** at any thread
+    /// count, proven end to end by `tests/parallel_equivalence.rs`. This is the
+    /// replica-sweep hot path: `N` simulations of the paper's protocol for
+    /// ~`N/threads` the wall clock.
+    pub fn step_all(&mut self, policies: &mut [BoxedPolicy]) -> usize
     where
         E: Send,
     {
@@ -574,31 +548,28 @@ impl<E: Env> SessionBatch<E> {
             policies.len(),
             "one policy per session required"
         );
-        if self.pool.is_serial() {
-            return self.step_all(policies);
-        }
         let mut pairs: Vec<(&mut Session<E>, &mut BoxedPolicy)> =
             self.sessions.iter_mut().zip(policies.iter_mut()).collect();
-        let pool = self.pool;
-        pool.par_chunks(&mut pairs, 1, |_, shard| {
-            let mut live = 0usize;
-            for (session, policy) in shard.iter_mut() {
-                if session.step(policy.as_mut()) {
-                    live += 1;
+        self.pool
+            .par_chunks(&mut pairs, 1, |_, shard| {
+                let mut live = 0usize;
+                for (session, policy) in shard.iter_mut() {
+                    if session.step(policy.as_mut()) {
+                        live += 1;
+                    }
                 }
-            }
-            live
-        })
-        .into_iter()
-        .sum()
+                live
+            })
+            .into_iter()
+            .sum()
     }
 
-    /// Runs [`SessionBatch::step_all_parallel`] rounds until every session is exhausted.
-    pub fn run_all_parallel(&mut self, policies: &mut [BoxedPolicy])
+    /// Runs [`SessionBatch::step_all`] rounds until every session is exhausted.
+    pub fn run_all(&mut self, policies: &mut [BoxedPolicy])
     where
         E: Send,
     {
-        while self.step_all_parallel(policies) > 0 {}
+        while self.step_all(policies) > 0 {}
     }
 
     /// Steps every live session once against one **shared** policy, collecting all pending
@@ -870,18 +841,10 @@ impl<E: Env> SessionBatch<E> {
 }
 
 /// Runs several policies over the same dataset in lock-step (each against its own
-/// deterministic platform replay) and returns their outcomes in order.
-pub fn run_policies_lockstep(
-    dataset: &Dataset,
-    policies: Vec<BoxedPolicy>,
-    config: &RunnerConfig,
-) -> Vec<RunOutcome> {
-    run_policies_lockstep_with_pool(dataset, policies, config, ThreadPool::serial())
-}
-
-/// [`run_policies_lockstep`] with the per-policy replays sharded across `pool` — each
-/// policy owns its own platform replay, so the sweep parallelises over policies with
-/// bit-identical outcomes at any thread count.
+/// deterministic platform replay) and returns their outcomes in order. The per-policy
+/// replays are sharded across `pool` — each policy owns its own platform replay, so the
+/// sweep parallelises over policies with bit-identical outcomes at any thread count, and
+/// a serial pool is the sequential sweep.
 ///
 /// The pool is spent on the **outer** session sharding only; every policy keeps a serial
 /// internal pool. Nested `par_*` calls made from inside a pool shard run inline on that
@@ -890,7 +853,7 @@ pub fn run_policies_lockstep(
 /// better-scaling level, and giving the inner level a serial pool makes that explicit.
 /// (Nesting is still *correct* — results are bit-identical either way;
 /// `tests/parallel_equivalence.rs` deliberately exercises the nested shape.)
-pub fn run_policies_lockstep_with_pool(
+pub fn run_policies_lockstep(
     dataset: &Dataset,
     mut policies: Vec<BoxedPolicy>,
     config: &RunnerConfig,
@@ -900,6 +863,6 @@ pub fn run_policies_lockstep_with_pool(
     for _ in &policies {
         batch.push(Session::for_dataset(dataset, config));
     }
-    batch.run_all_parallel(&mut policies);
+    batch.run_all(&mut policies);
     batch.finish(&policies)
 }

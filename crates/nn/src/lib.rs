@@ -11,7 +11,7 @@
 //!   ([`MultiHeadSelfAttention::infer_packed`]) that runs attention for `N` sessions over
 //!   one `[Σ pool sizes, dim]` buffer with per-session [`PoolSegment`] offsets;
 //! * [`Mlp`] — the two-hidden-layer feed-forward regressor used by the Greedy+NN baseline;
-//! * [`Sgd`] and [`Adam`] optimizers with optional gradient clipping.
+//! * the [`Adam`] optimizer with optional gradient clipping.
 //!
 //! # One gradient step
 //!
@@ -76,7 +76,7 @@ pub mod param;
 pub use attention::{MultiHeadSelfAttention, PoolSegment};
 pub use linear::{Linear, RowwiseFF};
 pub use mlp::Mlp;
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::{Adam, Optimizer};
 pub use param::{GraphBinding, ParamId, ParamStore};
 
 /// Result alias shared with the numeric substrate.

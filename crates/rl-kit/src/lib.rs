@@ -2,7 +2,6 @@
 //!
 //! Contents:
 //!
-//! * [`ReplayBuffer`] — bounded FIFO memory of transitions sampled uniformly;
 //! * [`PrioritizedReplay`] — proportional prioritized experience replay (Schaul et al. 2015,
 //!   cited as \[25\] in the paper) backed by a [`SumTree`], with importance-sampling weights;
 //! * [`EpsilonGreedy`] — the ε schedule of Sec. VII-B1 (ε grows from 0.9 to 0.98 for
@@ -64,12 +63,10 @@
 
 pub mod explore;
 pub mod prioritized;
-pub mod replay;
 pub mod schedule;
 pub mod sum_tree;
 
 pub use explore::{greedy_rank, EpsilonGreedy, GaussianQNoise};
 pub use prioritized::{PrioritizedReplay, PrioritizedSample};
-pub use replay::ReplayBuffer;
 pub use schedule::Schedule;
 pub use sum_tree::SumTree;

@@ -368,8 +368,8 @@ impl Matrix {
     /// [`Matrix::matmul`]; `tests/kernel_equivalence.rs` holds the two to `to_bits`
     /// equality over adversarial shapes and values, and
     /// `benches/kernel_throughput.rs` uses it as the speed baseline the blocked kernel
-    /// must beat. Retained for those fences only (like `learn_sequential` and
-    /// `apply_owned`); production paths must call [`Matrix::matmul`].
+    /// must beat. Retained for those fences only (like `learn_sequential`); production
+    /// paths must call [`Matrix::matmul`].
     pub fn matmul_ref(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols() != rhs.rows() {
             return Err(TensorError::ShapeMismatch {

@@ -12,7 +12,7 @@
 
 use crowd_baselines::Benefit;
 use crowd_experiments::{
-    experiment_thread_pool, f3, policies_for_benefit, print_table, run_policies_lockstep_with_pool,
+    experiment_thread_pool, f3, policies_for_benefit, print_table, run_policies_lockstep,
     RunnerConfig, Scale,
 };
 
@@ -28,7 +28,7 @@ fn main() {
         policies.len(),
         pool.threads()
     );
-    let outcomes = run_policies_lockstep_with_pool(&dataset, policies, &cfg, pool);
+    let outcomes = run_policies_lockstep(&dataset, policies, &cfg, pool);
 
     let mut rows = Vec::new();
     for outcome in &outcomes {

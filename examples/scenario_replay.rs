@@ -35,7 +35,7 @@ fn main() {
         dataset.n_arrivals(),
     );
 
-    // Every registered scenario, replayed on a 2-shard `ShardedEnv` — the engine
+    // Every registered scenario, replayed on a 2-shard `Platform` — the engine
     // transforms the dataset up front, so the sharded and unsharded replays of a
     // scenario are bit-identical too (tests/scenario_equivalence.rs proves it at
     // shards {1, 2, 8}; here we just print the sharded run).

@@ -1,5 +1,5 @@
-//! Sharded replay: the same policy run on the unsharded `Platform` and on `ShardedEnv`
-//! at several shard counts, demonstrating the sharded platform's contract — **sharding is
+//! Sharded replay: the same policy run on a one-shard `Platform` and on sharded
+//! platforms at several shard counts, demonstrating the sharding contract — **sharding is
 //! a layout and parallelism decision, never a semantics decision**. Every run below
 //! produces bit-identical metrics, completions and final platform state (compare the
 //! canonical fingerprints it prints).
@@ -22,7 +22,7 @@ fn main() {
     let config = RunnerConfig::default();
     let make_policy = || LinUcb::new(Benefit::Worker, ListMode::RankAll, 0.5);
 
-    // 1. Reference: the unsharded platform.
+    // 1. Reference: the default one-shard platform.
     let mut reference = Session::for_dataset(&dataset, &config);
     reference.run(&mut make_policy());
     let summary = reference.metrics().summary();

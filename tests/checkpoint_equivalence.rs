@@ -17,7 +17,7 @@
 //! The suite also covers the loader's robustness guarantees (truncation, bit flips,
 //! wrong magic, future version — typed errors, never panics or half-loads) and the
 //! byte-level format stability against the committed golden snapshot
-//! (`tests/fixtures/format_v1.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
+//! (`tests/fixtures/format_v2.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
 //! after a deliberate format-version bump).
 
 use crowd_bench::ckpt_fixtures;
@@ -298,20 +298,26 @@ fn batch_lineup(dataset: &Dataset) -> Vec<BoxedPolicy> {
 /// Per-member `SessionBatch` snapshots: five replicas (two training agents, Random,
 /// and the Taskrec / Greedy NN supervised baselines) stepped in lock-step,
 /// checkpointed between rounds, resumed into a fresh batch with fresh policies —
-/// every member finishes bit-identically to the uninterrupted batch.
+/// every member finishes bit-identically to the uninterrupted batch. The uninterrupted
+/// batch steps on a serial pool, the checkpointed one on the `CROWD_THREADS` pool and
+/// the resumed one on a 4-wide pool, so the one `step_all` entry point is also compared
+/// across pool widths.
 #[test]
 fn session_batch_member_snapshots_resume_bit_identically() {
     let dataset = dataset();
     let cfg = RunnerConfig::default();
-    let pool = ThreadPool::from_env();
+    let batch_on = |policies: &mut [BoxedPolicy], pool: ThreadPool| {
+        let mut batch = SessionBatch::new().with_pool(pool);
+        for policy in policies.iter_mut() {
+            policy.set_thread_pool(pool);
+            batch.push(Session::for_dataset(&dataset, &cfg));
+        }
+        batch
+    };
 
     let mut baseline_policies = batch_lineup(&dataset);
-    let mut baseline = SessionBatch::new().with_pool(pool);
-    for policy in &mut baseline_policies {
-        policy.set_thread_pool(pool);
-        baseline.push(Session::for_dataset(&dataset, &cfg));
-    }
-    baseline.run_all_parallel(&mut baseline_policies);
+    let mut baseline = batch_on(&mut baseline_policies, ThreadPool::serial());
+    baseline.run_all(&mut baseline_policies);
     let baseline_outcomes: Vec<OutcomeBits> = baseline
         .finish(&baseline_policies)
         .iter()
@@ -320,26 +326,18 @@ fn session_batch_member_snapshots_resume_bit_identically() {
 
     let bytes = {
         let mut policies = batch_lineup(&dataset);
-        let mut batch = SessionBatch::new().with_pool(pool);
-        for policy in &mut policies {
-            policy.set_thread_pool(pool);
-            batch.push(Session::for_dataset(&dataset, &cfg));
-        }
+        let mut batch = batch_on(&mut policies, ThreadPool::from_env());
         for _ in 0..40 {
-            assert!(batch.step_all_parallel(&mut policies) > 0);
+            assert!(batch.step_all(&mut policies) > 0);
         }
         batch.checkpoint(&policies).unwrap().to_bytes()
     };
 
     let file = SnapshotFile::from_bytes(bytes).unwrap();
     let mut policies = batch_lineup(&dataset);
-    let mut batch = SessionBatch::new().with_pool(pool);
-    for policy in &mut policies {
-        policy.set_thread_pool(pool);
-        batch.push(Session::for_dataset(&dataset, &cfg));
-    }
+    let mut batch = batch_on(&mut policies, ThreadPool::new(4));
     batch.resume(&mut policies, &file).unwrap();
-    batch.run_all_parallel(&mut policies);
+    batch.run_all(&mut policies);
     let resumed_outcomes: Vec<OutcomeBits> = batch
         .finish(&policies)
         .iter()
@@ -446,10 +444,18 @@ fn damaged_snapshots_fail_with_typed_errors_never_panics() {
     ));
     // Future format version.
     assert!(matches!(
-        SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, 2)),
+        SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, 3)),
         Err(CkptError::UnsupportedVersion {
-            found: 2,
-            supported: 1
+            found: 3,
+            supported: 2
+        })
+    ));
+    // A version-1 file (flat single-arena platform layout) is refused, never misparsed.
+    assert!(matches!(
+        SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, 1)),
+        Err(CkptError::UnsupportedVersion {
+            found: 1,
+            supported: 2
         })
     ));
     // Truncations: every prefix in the header/table region, then sampled points across
@@ -560,10 +566,10 @@ fn mismatched_resume_targets_are_typed_errors() {
 }
 
 fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v1.ckpt")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v2.ckpt")
 }
 
-/// Format stability: the committed version-1 golden snapshot must equal what today's
+/// Format stability: the committed version-2 golden snapshot must equal what today's
 /// writer emits, byte for byte, and must load under today's reader and re-save to the
 /// same bytes. Any change to the wire format fails here until `FORMAT_VERSION` is
 /// bumped and a new golden file is committed deliberately (`UPDATE_GOLDEN=1 cargo test
@@ -588,7 +594,7 @@ fn format_stability_golden_snapshot() {
         "the writer's byte stream changed: bump FORMAT_VERSION and regenerate the golden file deliberately"
     );
 
-    // Save-under-v1 / load-under-v1: the committed file loads into live objects…
+    // Save-under-v2 / load-under-v2: the committed file loads into live objects…
     let file = SnapshotFile::from_bytes(committed).unwrap();
     let mut rng = crowd_tensor::Rng::seed_from(0);
     file.load_into("rng", &mut rng).unwrap();

@@ -7,7 +7,7 @@
 //! moving. This suite pins that order differentially: every kernel output is compared
 //! `to_bits`-for-`to_bits` against the retained scalar references
 //! [`Matrix::matmul_ref`] / [`Matrix::matmul_transpose_ref`] (kept precisely as
-//! oracles, like `learn_sequential` and `apply_owned`), over
+//! oracles, like `learn_sequential`), over
 //!
 //! * **seeded sweeps** of random shapes and values (xoshiro-seeded, reproducible);
 //! * **adversarial shapes**: 1×1, every lane-remainder width 1..=9 around the 8-wide

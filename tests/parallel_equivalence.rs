@@ -2,7 +2,7 @@
 //!
 //! The workspace's parallelism is **deterministic by construction**: work is sharded so
 //! every unit owns its inputs and outputs — a session owns its policy and RNG streams
-//! (`SessionBatch::step_all_parallel`), a matmul shard owns its output rows
+//! (`SessionBatch::step_all`), a matmul shard owns its output rows
 //! (`Matrix::matmul_par` and friends), a learner branch owns its replay memory, parameter
 //! stores and sampling RNG (`DdqnAgent`'s `par_join` dispatch). This suite proves the
 //! resulting contract end to end over full replays of the evaluation protocol:
@@ -14,7 +14,7 @@
 //!
 //! Three execution shapes are covered:
 //!
-//! * [`SessionBatch::step_all_parallel`] — N *training* DDQN agents (exploration and
+//! * [`SessionBatch::step_all`] — N *training* DDQN agents (exploration and
 //!   learning active, including a balanced agent whose two learner branches dispatch
 //!   concurrently) plus baselines, sharded across pool workers;
 //! * [`SessionBatch::step_batched`] — one shared frozen agent with the parallel
@@ -185,7 +185,7 @@ fn agent_for(dataset: &Dataset, config: DdqnConfig) -> DdqnAgent {
     DdqnAgent::new(config, features.task_dim(), features.worker_dim())
 }
 
-/// Full replay of N sessions through `step_all_parallel` on a `threads`-wide pool:
+/// Full replay of N sessions through `SessionBatch::run_all` on a `threads`-wide pool:
 /// three *training* DDQN agents (worker-only, requester-only, and a balanced one whose
 /// two learner branches run the concurrent `par_join` dispatch) plus a baseline.
 fn run_replay(dataset: &Dataset, pool: ThreadPool) -> (Vec<OutcomeBits>, Vec<AgentBits>) {
@@ -212,7 +212,7 @@ fn run_replay(dataset: &Dataset, pool: ThreadPool) -> (Vec<OutcomeBits>, Vec<Age
         policy.set_thread_pool(pool);
         batch.push(Session::for_dataset(dataset, &cfg));
     }
-    batch.run_all_parallel(&mut policies);
+    batch.run_all(&mut policies);
     let outcomes = batch.finish(&policies);
 
     let outcome_bits = outcomes.iter().map(OutcomeBits::of).collect();
@@ -339,6 +339,6 @@ fn replay_on_a_warm_persistent_pool_matches_serial() {
 #[test]
 fn empty_batch_parallel_stepping_is_a_noop() {
     let mut batch: SessionBatch = SessionBatch::new().with_pool(ThreadPool::new(8));
-    assert_eq!(batch.step_all_parallel(&mut []), 0);
+    assert_eq!(batch.step_all(&mut []), 0);
     assert_eq!(batch.pool().threads(), 8);
 }

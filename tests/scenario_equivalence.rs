@@ -9,7 +9,9 @@
 //!   (no RNG draws, no event churn);
 //! * every **named registry scenario replays bit-identically** across shard counts
 //!   {1, 2, 8} and the CI `CROWD_THREADS` {1, 4} matrix (the pool comes from
-//!   `ThreadPool::from_env`), and across mid-scenario checkpoint/resume — including the
+//!   `ThreadPool::from_env`) — for Random, LinUCB and DDQN, against replay probes frozen
+//!   from the original flat single-arena platform, so its behaviour stays pinned after
+//!   its deletion — and across mid-scenario checkpoint/resume, including the
 //!   scenario-section validation that refuses cross-scenario resumes;
 //! * the scenario **properties hold over seeded sweeps**: no decision ever shows an
 //!   offline worker a pool, and surge thinning preserves the arrival subsequence order;
@@ -22,9 +24,9 @@ use crowd_experiments::{
     named_scenarios, resume_scenario_session, scenario_checkpoint, scenario_session,
     scenario_session_sharded, RunnerConfig, Session,
 };
-use crowd_metrics::MetricsSummary;
+use crowd_rl_core::{DdqnAgent, DdqnConfig};
 use crowd_sim::{
-    Dataset, Env, Event, EventKind, Policy, ScenarioSpec, ShardSpec, SimConfig, WorkerId,
+    Dataset, Env, Event, EventKind, Platform, Policy, ScenarioSpec, ShardSpec, SimConfig, WorkerId,
     MINUTES_PER_MONTH,
 };
 use crowd_tensor::{Rng, ThreadPool};
@@ -32,12 +34,92 @@ use crowd_tensor::{Rng, ThreadPool};
 /// Everything one replay leaves behind, compared bitwise between environments.
 #[derive(Debug, PartialEq)]
 struct ReplayProbe {
-    summary: MetricsSummary,
+    /// `MetricsSummary` bits: cr, k_cr, ndcg_cr, qg, k_qg, ndcg_qg.
+    summary: [u32; 6],
     evaluated: usize,
     completions: usize,
+    /// Raw bits of the total-quality f32 reduction.
+    quality_bits: u32,
     fingerprint: u32,
     rng_probe: u64,
 }
+
+/// The policies the frozen probes were recorded with.
+#[derive(Debug, Clone, Copy)]
+enum Frozen {
+    Random,
+    LinUcb,
+    Ddqn,
+}
+
+impl Frozen {
+    fn policy(self, dataset: &Dataset) -> Box<dyn Policy> {
+        match self {
+            Frozen::Random => Box::new(RandomPolicy::new(ListMode::RankAll, 5)),
+            Frozen::LinUcb => Box::new(LinUcb::new(Benefit::Worker, ListMode::RankAll, 0.5)),
+            Frozen::Ddqn => {
+                let features = Platform::default_feature_space(dataset);
+                let config = DdqnConfig {
+                    hidden_dim: 16,
+                    num_heads: 2,
+                    batch_size: 8,
+                    learn_every: 4,
+                    max_tasks: 32,
+                    buffer_size: 128,
+                    ..DdqnConfig::default()
+                };
+                Box::new(DdqnAgent::new(
+                    config,
+                    features.task_dim(),
+                    features.worker_dim(),
+                ))
+            }
+        }
+    }
+}
+
+/// A probe from its fields in declaration order (keeps the frozen table one row per
+/// probe).
+const fn frozen(
+    summary: [u32; 6],
+    evaluated: usize,
+    completions: usize,
+    quality_bits: u32,
+    fingerprint: u32,
+    rng_probe: u64,
+) -> ReplayProbe {
+    ReplayProbe {
+        summary,
+        evaluated,
+        completions,
+        quality_bits,
+        fingerprint,
+        rng_probe,
+    }
+}
+
+/// Replay probes of the original flat single-arena `Platform` (the implementation the
+/// sharded layout replaced), recorded at `SimConfig::tiny()` with
+/// `RunnerConfig::default()` for every registry scenario × {Random, LinUCB, DDQN}.
+/// Every shard count must reproduce them exactly.
+#[rustfmt::skip]
+const FROZEN: [(&str, Frozen, ReplayProbe); 15] = [
+    ("stationary", Frozen::Random, frozen([0x3e989531, 0x3f0fdec0, 0x3f107958, 0x414c7eb9, 0x41c1643f, 0x41c1bb55], 151, 171, 0x4244eed8, 0xf9e70bae, 70776609)),
+    ("stationary", Frozen::LinUcb, frozen([0x3ebde17c, 0x3f15c54d, 0x3f179519, 0x4110950b, 0x419b52d5, 0x419f15ec], 151, 171, 0x423b4e6d, 0xf26c8796, 988543470)),
+    ("stationary", Frozen::Ddqn, frozen([0x3e9bf938, 0x3f0f5eaf, 0x3f11248e, 0x4138f7e8, 0x41b7a917, 0x41ba6e7b], 151, 172, 0x4245108a, 0xcdf6cebc, 1511688009)),
+    ("flash-crowd", Frozen::Random, frozen([0x3e8104c1, 0x3f0235d9, 0x3f03a961, 0x417fa20e, 0x420a0a8a, 0x420ba5d8], 377, 336, 0x42890838, 0x7e073c15, 1851723243)),
+    ("flash-crowd", Frozen::LinUcb, frozen([0x3ed94b60, 0x3f20b027, 0x3f2259a6, 0x418cd3c2, 0x4206f500, 0x420aadcc], 377, 363, 0x42874ebd, 0xfc30e514, 2501141289)),
+    ("flash-crowd", Frozen::Ddqn, frozen([0x3ea9c2e3, 0x3f0c7bd3, 0x3f0ee70b, 0x419a52dd, 0x420a41fd, 0x420ce7b5], 377, 341, 0x4283d195, 0xe3e39e23, 622294571)),
+    ("worker-exodus", Frozen::Random, frozen([0x3e8d0fac, 0x3eff5677, 0x3f062eb0, 0x40d52ef6, 0x416584a7, 0x4173598d], 98, 123, 0x421fd167, 0xf742de95, 1467683916)),
+    ("worker-exodus", Frozen::LinUcb, frozen([0x3ea1f58d, 0x3f037fc2, 0x3f062f23, 0x40aa1d1b, 0x413b2e1e, 0x4148c325], 98, 116, 0x4210c3e6, 0xeead3c37, 449966957)),
+    ("worker-exodus", Frozen::Ddqn, frozen([0x3e5b6db7, 0x3ef34f81, 0x3ef70856, 0x40ca6ac3, 0x4158779e, 0x415ebcb5], 98, 118, 0x42144c9f, 0x5ca52fcb, 3933153915)),
+    ("day-night", Frozen::Random, frozen([0x3ea71c72, 0x3f169574, 0x3f17d9ad, 0x4148e37a, 0x41b408f8, 0x41b6b6dd], 144, 173, 0x42423e94, 0x04822f45, 272931186)),
+    ("day-night", Frozen::LinUcb, frozen([0x3ece38e4, 0x3f224889, 0x3f242ee1, 0x4126a67b, 0x419cc88c, 0x41a2eeea], 144, 179, 0x423e1782, 0xb0a6c94e, 2052504033)),
+    ("day-night", Frozen::Ddqn, frozen([0x3ee00000, 0x3f237418, 0x3f2547e4, 0x414377a8, 0x41a86ba1, 0x41aba2d4], 144, 176, 0x423a30b2, 0x6c7da673, 106229565)),
+    ("category-drift", Frozen::Random, frozen([0x3e95312a, 0x3f0a0484, 0x3f0bd450, 0x413fc9ee, 0x41b5b7aa, 0x41b7de96], 151, 168, 0x4241675e, 0x4189bbb1, 2102053534)),
+    ("category-drift", Frozen::LinUcb, frozen([0x3ec80d90, 0x3f16f703, 0x3f18c6cf, 0x414bd976, 0x41a6693d, 0x41ab7d79], 151, 168, 0x4235d984, 0x05e92583, 299907695)),
+    ("category-drift", Frozen::Ddqn, frozen([0x3e9bf938, 0x3f0eac41, 0x3f107c0e, 0x4130a240, 0x41b33231, 0x41b676d9], 151, 172, 0x4245fe6a, 0x3a76ed12, 1760596868)),
+];
 
 fn config() -> RunnerConfig {
     RunnerConfig::default()
@@ -49,32 +131,22 @@ fn env_pool() -> ThreadPool {
 }
 
 fn probe_platform(dataset: &Dataset, policy: &mut dyn Policy) -> ReplayProbe {
-    let mut session = Session::for_dataset(dataset, &config());
-    session.run(policy);
-    let evaluated = session.evaluated_arrivals();
-    let summary = session.metrics().summary();
-    let env = session.env_mut();
-    env.flush();
-    ReplayProbe {
-        summary,
-        evaluated,
-        completions: env.total_completions(),
-        fingerprint: env.canonical_fingerprint(),
-        rng_probe: env.rng_probe(),
-    }
+    probe_sharded(dataset, policy, ShardSpec::default())
 }
 
 fn probe_sharded(dataset: &Dataset, policy: &mut dyn Policy, spec: ShardSpec) -> ReplayProbe {
     let mut session = Session::for_dataset_sharded(dataset, &config(), spec);
     session.run(policy);
     let evaluated = session.evaluated_arrivals();
-    let summary = session.metrics().summary();
+    let s = session.metrics().summary();
+    assert_eq!(s.timestamps, evaluated);
     let env = session.env_mut();
-    Env::flush(env);
+    env.flush();
     ReplayProbe {
-        summary,
+        summary: [s.cr, s.k_cr, s.ndcg_cr, s.qg, s.k_qg, s.ndcg_qg].map(f32::to_bits),
         evaluated,
         completions: env.total_completions(),
+        quality_bits: env.total_task_quality().to_bits(),
         fingerprint: env.canonical_fingerprint(),
         rng_probe: env.rng_probe(),
     }
@@ -130,21 +202,21 @@ fn noop_scenario_reproduces_the_baseline_canonical_fingerprint() {
 #[test]
 fn every_named_scenario_is_bit_identical_across_shard_counts() {
     let dataset = SimConfig::tiny().generate();
-    for scenario in named_scenarios(&dataset) {
+    let scenarios = named_scenarios(&dataset);
+    assert_eq!(FROZEN.len(), scenarios.len() * 3);
+    for (name, policy, expected) in &FROZEN {
+        let scenario = scenarios
+            .iter()
+            .find(|s| s.name == *name)
+            .unwrap_or_else(|| panic!("no registry scenario named {name}"));
         let perturbed = scenario.spec.apply(&dataset);
-        let reference = probe_platform(&perturbed, &mut RandomPolicy::new(ListMode::RankAll, 5));
         for n_shards in [1, 2, 8] {
             let spec = ShardSpec::new(n_shards).with_pool(env_pool());
-            let probe = probe_sharded(
-                &perturbed,
-                &mut RandomPolicy::new(ListMode::RankAll, 5),
-                spec,
-            );
+            let probe = probe_sharded(&perturbed, policy.policy(&perturbed).as_mut(), spec);
             assert_eq!(
-                probe,
-                reference,
-                "{} diverged at {n_shards} shard(s), {} thread(s)",
-                scenario.name,
+                &probe,
+                expected,
+                "{name} / {policy:?} diverged from the frozen probe at {n_shards} shard(s), {} thread(s)",
                 env_pool().threads()
             );
         }

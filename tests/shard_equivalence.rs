@@ -1,11 +1,11 @@
-//! Equivalence fence for the sharded platform (`crowd_sim::ShardedEnv`): with
-//! full-precision (f32) arenas, a sharded session replay must be **bit-identical** to
-//! the unsharded `Platform` at every shard count and every `CROWD_THREADS` setting —
-//! metrics, completions, final qualities, the behaviour RNG stream and the canonical
-//! checkpoint fingerprint all compared exactly. Checkpoint/resume of a sharded run must
-//! continue bit-identically, and the compact (f16) opt-in must honour its documented
-//! quantisation contract (lossless one-hot task features, f16-idempotent committed
-//! worker rows) while staying deterministic and shard-count invariant.
+//! Equivalence fence for the sharded platform (`crowd_sim::Platform` with a
+//! `ShardSpec`): with full-precision (f32) arenas, a sharded session replay must be
+//! **bit-identical** to the default one-shard serial replay at every shard count and
+//! every `CROWD_THREADS` setting — metrics, completions, final qualities, the behaviour
+//! RNG stream and the canonical fingerprint all compared exactly. Checkpoint/resume of
+//! a sharded run must continue bit-identically, and the compact (f16) opt-in must honour
+//! its documented quantisation contract (lossless one-hot task features, f16-idempotent
+//! committed worker rows) while staying deterministic and shard-count invariant.
 //!
 //! CI runs this suite as a named step at `CROWD_THREADS` 1 and 4; the environments pick
 //! the pool up via `ThreadPool::from_env`, so both advance paths (serial and sharded)
@@ -15,19 +15,19 @@ use crowd_baselines::{Benefit, LinUcb, ListMode, RandomPolicy};
 use crowd_experiments::{RunnerConfig, Session, SessionBatch};
 use crowd_metrics::MetricsSummary;
 use crowd_rl_core::{DdqnAgent, DdqnConfig};
-use crowd_sim::{f16_round_trip, Dataset, Env, Platform, Policy, ShardSpec, ShardedEnv, SimConfig};
+use crowd_sim::{f16_round_trip, Dataset, Env, Platform, Policy, ShardSpec, SimConfig};
 use crowd_tensor::ThreadPool;
 
-/// Everything one replay leaves behind, compared bitwise between the two environments.
+/// Everything one replay leaves behind, compared bitwise between two layouts.
 #[derive(Debug, PartialEq)]
 struct ReplayProbe {
     summary: MetricsSummary,
     evaluated: usize,
     completions: usize,
-    /// Raw bits of the total-quality f32 reduction (iteration order matters; the
-    /// sharded sum runs in global id order for exactly this comparison).
+    /// Raw bits of the total-quality f32 reduction (iteration order matters; the sum
+    /// runs in global id order at every shard count for exactly this comparison).
     quality_bits: u32,
-    /// CRC-32 of the committed dynamic state in the canonical (Platform) byte layout.
+    /// CRC-32 of the committed dynamic state in the canonical (global id order) layout.
     fingerprint: u32,
     /// One draw off the behaviour RNG after the replay — proves stream positions match.
     rng_probe: u64,
@@ -37,8 +37,13 @@ fn config() -> RunnerConfig {
     RunnerConfig::default()
 }
 
+/// The reference: the default one-shard platform on a serial pool.
 fn probe_platform(dataset: &Dataset, policy: &mut dyn Policy) -> ReplayProbe {
-    let mut session = Session::for_dataset(dataset, &config());
+    probe_sharded(dataset, policy, ShardSpec::default())
+}
+
+fn probe_sharded(dataset: &Dataset, policy: &mut dyn Policy, spec: ShardSpec) -> ReplayProbe {
+    let mut session = Session::for_dataset_sharded(dataset, &config(), spec);
     session.run(policy);
     let evaluated = session.evaluated_arrivals();
     let summary = session.metrics().summary();
@@ -49,23 +54,6 @@ fn probe_platform(dataset: &Dataset, policy: &mut dyn Policy) -> ReplayProbe {
         evaluated,
         completions: env.total_completions(),
         quality_bits: env.total_task_quality().to_bits(),
-        fingerprint: env.canonical_fingerprint(),
-        rng_probe: env.rng_probe(),
-    }
-}
-
-fn probe_sharded(dataset: &Dataset, policy: &mut dyn Policy, spec: ShardSpec) -> ReplayProbe {
-    let mut session = Session::for_dataset_sharded(dataset, &config(), spec);
-    session.run(policy);
-    let evaluated = session.evaluated_arrivals();
-    let summary = session.metrics().summary();
-    let env = session.env_mut();
-    Env::flush(env);
-    ReplayProbe {
-        summary,
-        evaluated,
-        completions: env.total_completions(),
-        quality_bits: Env::total_task_quality(env).to_bits(),
         fingerprint: env.canonical_fingerprint(),
         rng_probe: env.rng_probe(),
     }
@@ -183,8 +171,8 @@ fn compact_task_features_decode_losslessly_at_first_arrival() {
     // byte-identical to the f32 pool before any worker feature has been committed.
     let dataset = SimConfig::tiny().generate();
     let features = Platform::default_feature_space(&dataset);
-    let mut full = ShardedEnv::new(dataset.clone(), features.clone(), 7, ShardSpec::new(2));
-    let mut compact = ShardedEnv::new(dataset, features, 7, ShardSpec::new(2).compact(true));
+    let mut full = Platform::sharded(dataset.clone(), features.clone(), 7, ShardSpec::new(2));
+    let mut compact = Platform::sharded(dataset, features, 7, ShardSpec::new(2).compact(true));
     loop {
         assert_eq!(
             Env::next_arrival(&mut full),
@@ -210,7 +198,7 @@ fn compact_worker_rows_honour_the_quantisation_contract() {
     // decoded component must be a f16 fixed point (round-tripping it changes nothing).
     let dataset = SimConfig::tiny().generate();
     let features = Platform::default_feature_space(&dataset);
-    let mut env = ShardedEnv::new(
+    let mut env = Platform::sharded(
         dataset.clone(),
         features,
         11,
@@ -262,10 +250,10 @@ fn compact_replay_is_shard_count_invariant() {
 
 #[test]
 fn batched_sharded_sessions_match_batched_platform_sessions() {
-    // `SessionBatch::step_batched` phase 1 advances environments in parallel (the split
-    // this PR introduces); with sharded members its per-shard advance nests underneath.
-    // Both batches run the same shared policy, so every session's outcome and final
-    // environment must agree with the Platform-backed batch bit for bit.
+    // `SessionBatch::step_batched` phase 1 advances environments in parallel; with
+    // sharded members their per-shard advance nests underneath. Both batches run the
+    // same shared policy, so every session's outcome and final environment must agree
+    // with the one-shard serial batch bit for bit.
     let dataset = SimConfig::tiny().generate();
     let n_sessions = 6;
     let member_config = |i: usize| RunnerConfig {
@@ -280,7 +268,7 @@ fn batched_sharded_sessions_match_batched_platform_sessions() {
     let mut platform_policy = RandomPolicy::new(ListMode::RankAll, 5);
     platform_batch.run_batched(&mut platform_policy);
 
-    let mut sharded_batch: SessionBatch<ShardedEnv> = SessionBatch::new().with_pool(env_pool());
+    let mut sharded_batch: SessionBatch<Platform> = SessionBatch::new().with_pool(env_pool());
     for i in 0..n_sessions {
         let spec = ShardSpec::new(4).with_pool(env_pool());
         sharded_batch.push(Session::for_dataset_sharded(
