@@ -3,7 +3,7 @@
 use crate::graph::{Graph, VarId};
 use crate::op::Op;
 use crate::Result;
-use crowd_tensor::Matrix;
+use crowd_tensor::{segment_attention_backward, Matrix};
 
 /// Accumulates `delta` into the gradient slot of `id`.
 fn accumulate(graph: &mut Graph, id: VarId, delta: Matrix) -> Result<()> {
@@ -47,8 +47,7 @@ pub(crate) fn run(graph: &mut Graph, output: VarId) -> Result<()> {
                 if propagate[1] {
                     let grad_b = graph.nodes[a.0]
                         .value
-                        .transpose()
-                        .matmul_par(&upstream, pool)?;
+                        .transpose_matmul_par(&upstream, pool)?;
                     accumulate(graph, b, grad_b)?;
                 }
             }
@@ -106,24 +105,32 @@ pub(crate) fn run(graph: &mut Graph, output: VarId) -> Result<()> {
                     accumulate(graph, inputs[0], upstream.hadamard(&gate)?)?;
                 }
             }
+            Op::LeakyRelu(slope) => {
+                if propagate[0] {
+                    // The five-node chain's reverse sweep, element by element: the leak
+                    // branch (sub's `u·-1`, then scale(slope), the negated relu's gate and
+                    // scale(-1)) reaches the input's slot first, and the positive relu's
+                    // `u·gate` is added to it after.
+                    let input = &graph.nodes[inputs[0].0].value;
+                    let mut grad = upstream;
+                    // `x * -1.0` rather than `-x`: the chain's scale(-1) multiplies, and the
+                    // two differ on a NaN's sign bit.
+                    #[allow(clippy::neg_multiply)]
+                    for (g, &v) in grad.as_mut_slice().iter_mut().zip(input.as_slice()) {
+                        let u = *g;
+                        let negated = v * -1.0;
+                        let neg_gate = if negated > 0.0 { 1.0 } else { 0.0 };
+                        let pos_gate = if v > 0.0 { 1.0 } else { 0.0 };
+                        let from_neg = ((u * -1.0) * slope) * neg_gate * -1.0;
+                        *g = from_neg + u * pos_gate;
+                    }
+                    accumulate(graph, inputs[0], grad)?;
+                }
+            }
             Op::SoftmaxRows => {
                 if propagate[0] {
                     // For each row: dx = s ∘ (dy - <dy, s>).
-                    let s = &graph.nodes[idx].value;
-                    let mut grad = Matrix::zeros(s.rows(), s.cols());
-                    for r in 0..s.rows() {
-                        let s_row = s.row(r);
-                        let dy_row = upstream.row(r);
-                        let inner: f32 = s_row
-                            .iter()
-                            .zip(dy_row.iter())
-                            .map(|(&si, &di)| si * di)
-                            .sum();
-                        let out_row = grad.row_mut(r);
-                        for ((o, &si), &di) in out_row.iter_mut().zip(s_row).zip(dy_row) {
-                            *o = si * (di - inner);
-                        }
-                    }
+                    let grad = graph.nodes[idx].value.softmax_rows_vjp(&upstream)?;
                     accumulate(graph, inputs[0], grad)?;
                 }
             }
@@ -193,6 +200,30 @@ pub(crate) fn run(graph: &mut Graph, output: VarId) -> Result<()> {
                         accumulate(graph, inputs[i], grad)?;
                     }
                     offset += rows;
+                }
+            }
+            Op::SegmentAttention { segments, scale } => {
+                // Per-segment VJPs of the fused chain (crowd_tensor::attention); each
+                // operand receives one whole-matrix gradient, and segments own disjoint
+                // rows, so nothing is summed across segments.
+                let grads = {
+                    let value = |i: usize| &graph.nodes[inputs[i].0].value;
+                    segment_attention_backward(
+                        value(0),
+                        value(1),
+                        value(2),
+                        &graph.nodes[idx].saved,
+                        &segments,
+                        scale,
+                        &upstream,
+                        [propagate[0], propagate[1], propagate[2]],
+                        &mut graph.attention_scratch,
+                    )?
+                };
+                for (input, grad) in inputs.iter().zip([grads.dq, grads.dk, grads.dv]) {
+                    if let Some(grad) = grad {
+                        accumulate(graph, *input, grad)?;
+                    }
                 }
             }
             Op::Sum => {

@@ -2,7 +2,9 @@
 
 use crate::op::Op;
 use crate::Result;
-use crowd_tensor::{Matrix, TensorError, ThreadPool};
+use crowd_tensor::{
+    segment_attention, AttentionScratch, ColumnBlock, Matrix, PoolSegment, TensorError, ThreadPool,
+};
 
 /// Handle to a node on a [`Graph`] tape.
 ///
@@ -24,6 +26,9 @@ pub(crate) struct Node {
     pub(crate) inputs: Vec<VarId>,
     pub(crate) value: Matrix,
     pub(crate) requires_grad: bool,
+    /// Values the op's backward needs besides its operands and output (the softmax
+    /// blocks of a `SegmentAttention` node); empty for every other op.
+    pub(crate) saved: Vec<f32>,
 }
 
 /// A define-by-run tape: ops are evaluated eagerly on insertion, and
@@ -41,6 +46,8 @@ pub struct Graph {
     /// ([`Graph::with_pool`]) opts large stacked tapes into row-sharded kernels, which
     /// are bit-identical to the serial ones (see `crowd_tensor::Matrix::matmul_par`).
     pub(crate) pool: ThreadPool,
+    /// Buffers reused by every fused-attention node's forward and backward.
+    pub(crate) attention_scratch: AttentionScratch,
 }
 
 impl Graph {
@@ -75,6 +82,17 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, inputs: Vec<VarId>, value: Matrix, requires_grad: bool) -> VarId {
+        self.push_saved(op, inputs, value, requires_grad, Vec::new())
+    }
+
+    fn push_saved(
+        &mut self,
+        op: Op,
+        inputs: Vec<VarId>,
+        value: Matrix,
+        requires_grad: bool,
+        saved: Vec<f32>,
+    ) -> VarId {
         debug_assert_eq!(
             op.arity(),
             inputs.len(),
@@ -87,6 +105,7 @@ impl Graph {
             inputs,
             value,
             requires_grad,
+            saved,
         });
         self.grads.push(None);
         id
@@ -169,6 +188,25 @@ impl Graph {
         self.push(Op::Relu, vec![a], value, rg)
     }
 
+    /// Leaky rectifier `relu(a) − slope · relu(−a)`, as one node. Its value and its
+    /// gradient are, element for element, the bits of composing
+    /// `sub(relu(a), scale(relu(scale(a, −1)), slope))` from the primitive ops — the
+    /// forward evaluates that expression per element, and the backward applies the five
+    /// VJPs in the order the reverse sweep would (see `crate::backward`).
+    // `v * -1.0` rather than `-v`: the chain's scale(-1) multiplies, and the two differ
+    // on a NaN's sign bit.
+    #[allow(clippy::neg_multiply)]
+    pub fn leaky_relu(&mut self, a: VarId, slope: f32) -> VarId {
+        let value = self.value_of(a).map(|v| {
+            let pos = if v > 0.0 { v } else { 0.0 };
+            let negated = v * -1.0;
+            let neg = if negated > 0.0 { negated } else { 0.0 };
+            pos - neg * slope
+        });
+        let rg = self.needs_grad(&[a]);
+        self.push(Op::LeakyRelu(slope), vec![a], value, rg)
+    }
+
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: VarId) -> VarId {
         let value = self.value_of(a).softmax_rows();
@@ -215,6 +253,61 @@ impl Graph {
         let rows: Vec<usize> = values.iter().map(|m| m.rows()).collect();
         let rg = self.needs_grad(parts);
         Ok(self.push(Op::Vstack { parts: rows }, parts.to_vec(), value, rg))
+    }
+
+    /// Fused per-segment attention, one node per head: for every segment,
+    /// `softmax(q·kᵀ·scale + mask)·v` over the segment's own rows (a padded segment masks
+    /// its padded key columns), computed by `crowd_tensor::segment_attention` into one
+    /// `[q.rows, v.cols]` output. Rows outside every segment are zero.
+    ///
+    /// The node keeps its softmax blocks for the backward pass, which applies per segment
+    /// the VJPs of the unfused slice / transpose / matmul / scale / mask / softmax /
+    /// matmul chain in that chain's per-element order — so values *and* gradients are the
+    /// bits the chain produces, from one node instead of about eight per segment.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error when the operands disagree or a segment does not fit.
+    pub fn segment_attention(
+        &mut self,
+        q: VarId,
+        k: VarId,
+        v: VarId,
+        segments: &[PoolSegment],
+        scale: f32,
+    ) -> Result<VarId> {
+        let node = |id: VarId| &self.nodes[id.0].value;
+        let (qv, kv, vv) = (node(q), node(k), node(v));
+        if kv.shape() != qv.shape() || vv.rows() != qv.rows() {
+            return Err(TensorError::ShapeMismatch {
+                op: "segment_attention",
+                lhs: qv.shape(),
+                rhs: if kv.shape() != qv.shape() {
+                    kv.shape()
+                } else {
+                    vv.shape()
+                },
+            });
+        }
+        let mut value = Matrix::zeros(qv.rows(), vv.cols());
+        let mut weights = Vec::new();
+        segment_attention(
+            ColumnBlock::whole(qv),
+            ColumnBlock::whole(kv),
+            ColumnBlock::whole(vv),
+            segments,
+            scale,
+            &mut value,
+            0,
+            Some(&mut weights),
+            &mut self.attention_scratch,
+        )?;
+        let rg = self.needs_grad(&[q, k, v]);
+        let op = Op::SegmentAttention {
+            segments: segments.to_vec(),
+            scale,
+        };
+        Ok(self.push_saved(op, vec![q, k, v], value, rg, weights))
     }
 
     /// Sum of all elements (`1 x 1` result).

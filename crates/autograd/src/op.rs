@@ -1,5 +1,7 @@
 //! The operation set recorded on the tape.
 
+use crowd_tensor::PoolSegment;
+
 /// Identifier of every differentiable operation the graph supports.
 ///
 /// Each variant stores only the static parameters of the op (e.g. the scale factor); operand
@@ -26,6 +28,9 @@ pub enum Op {
     Shift(f32),
     /// Rectified linear unit.
     Relu,
+    /// Leaky rectifier `relu(x) − slope · relu(−x)`, element-wise — one node with the
+    /// values and gradient bits of that five-node composition.
+    LeakyRelu(f32),
     /// Row-wise softmax (numerically stabilised).
     SoftmaxRows,
     /// Matrix transpose.
@@ -56,6 +61,17 @@ pub enum Op {
         /// pass can split the upstream gradient without re-reading operand shapes).
         parts: Vec<usize>,
     },
+    /// Fused per-segment attention `softmax(Q·Kᵀ·scale + mask)·V` over a packed buffer,
+    /// one node per head with operands `[Q, K, V]` (see `crowd_tensor::attention`). The
+    /// node keeps its softmax blocks, and its backward applies the VJPs of the
+    /// slice / transpose / matmul / scale / mask / softmax / matmul chain it replaces,
+    /// segment by segment.
+    SegmentAttention {
+        /// The row blocks attention stays inside; padded segments mask their padding.
+        segments: Vec<PoolSegment>,
+        /// Score scale (`1/√d` for head width `d`).
+        scale: f32,
+    },
     /// Sum of all elements, producing a `1 x 1` matrix.
     Sum,
     /// Mean of all elements, producing a `1 x 1` matrix.
@@ -77,12 +93,14 @@ impl Op {
             Op::Scale(_) => "scale",
             Op::Shift(_) => "shift",
             Op::Relu => "relu",
+            Op::LeakyRelu(_) => "leaky_relu",
             Op::SoftmaxRows => "softmax_rows",
             Op::Transpose => "transpose",
             Op::ConcatCols => "concat_cols",
             Op::SliceCols { .. } => "slice_cols",
             Op::SliceRows { .. } => "slice_rows",
             Op::Vstack { .. } => "vstack",
+            Op::SegmentAttention { .. } => "segment_attention",
             Op::Sum => "sum",
             Op::Mean => "mean",
             Op::SquaredSum => "squared_sum",
@@ -100,6 +118,7 @@ impl Op {
             | Op::Hadamard
             | Op::ConcatCols => 2,
             Op::Vstack { parts } => parts.len(),
+            Op::SegmentAttention { .. } => 3,
             _ => 1,
         }
     }
@@ -124,6 +143,14 @@ mod tests {
         assert_eq!(Op::ConcatCols.arity(), 2);
         assert_eq!(Op::SquaredSum.arity(), 1);
         assert_eq!(Op::SliceRows { start: 0, end: 2 }.arity(), 1);
+        assert_eq!(
+            Op::SegmentAttention {
+                segments: Vec::new(),
+                scale: 1.0
+            }
+            .arity(),
+            3
+        );
         assert_eq!(
             Op::Vstack {
                 parts: vec![2, 3, 1]

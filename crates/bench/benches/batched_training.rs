@@ -3,7 +3,8 @@
 //!
 //! `DqnLearner::learn` differentiates the whole minibatch as one autograd graph
 //! (`SetQNetwork::forward_batch` + one in-graph weighted masked MSE) and computes all
-//! double-DQN targets with two packed `infer_batch` passes; `learn_sequential` is the
+//! double-DQN targets with at most two packed `infer_batch` passes (the θ̃ one only over
+//! branch lists its cache has not scored since the last target sync); `learn_sequential` is the
 //! retained pre-packing reference (B separate graphs per update, per-branch single-state
 //! target inference). Both run the same prioritized sampling on identically seeded
 //! learners, so the measured gap is the packing win: no padded-row compute, one

@@ -57,10 +57,9 @@ fn latency_cell(
             handles.push(scope.spawn(move || {
                 let mut histogram = LatencyHistogram::new();
                 let schedule = ArrivalSchedule::new(pattern, 0xBE7C_0000 + client_index as u64);
-                let mut next_at = Duration::ZERO;
+                // The schedule yields each arrival's offset from the stream start.
                 for (k, offset) in schedule.take(arrivals_per_client).enumerate() {
-                    next_at += offset;
-                    let target = start + next_at;
+                    let target = start + offset;
                     let now = Instant::now();
                     if target > now {
                         std::thread::sleep(target - now);

@@ -169,10 +169,9 @@ fn main() {
                 let mut histogram = LatencyHistogram::new();
                 let mut shed = 0u64;
                 let schedule = ArrivalSchedule::new(pattern, 0x10AD_0000 + client_index as u64);
-                let mut next_at = Duration::ZERO;
+                // The schedule yields each arrival's offset from the stream start.
                 for (k, offset) in schedule.take(per_client).enumerate() {
-                    next_at += offset;
-                    let target = start + next_at;
+                    let target = start + offset;
                     let now = Instant::now();
                     if target > now {
                         std::thread::sleep(target - now);

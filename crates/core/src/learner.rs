@@ -17,16 +17,29 @@
 //!
 //! [`DqnLearner::learn`] is *packed*: the whole minibatch is one graph. The sampled
 //! transitions' states go through [`SetQNetwork::forward_batch`] (one `[Σ pool sizes, 1]`
-//! Q column on the tape), the loss is one in-graph importance-weighted masked MSE
-//! (`crowd_autograd::Graph::weighted_masked_mse`), and all double-DQN targets come from
-//! **two** packed passes — one [`SetQNetwork::infer_batch`] over every live future branch
-//! of every sampled transition for the online argmax, one over the same branches for the
-//! target-network evaluation. One `backward` then yields every parameter's minibatch
-//! gradient.
+//! Q column on the tape, each attention head one fused per-segment node), the loss is one
+//! in-graph importance-weighted masked MSE
+//! (`crowd_autograd::Graph::weighted_masked_mse`), and the double-DQN targets need at
+//! most **two** packed passes: one [`SetQNetwork::infer_batch`] over every live future
+//! branch of every sampled transition for the online argmax, and one θ̃ pass over only
+//! the branch lists not yet scored since the last target sync. One `backward` then
+//! yields every parameter's minibatch gradient.
+//!
+//! # The θ̃ branch cache
+//!
+//! θ̃ changes only at a target sync, and a transition's branch list is immutable and
+//! shared (`Arc`) by every transition generated from one feedback, which prioritized
+//! replay samples again and again. So the learner memoises θ̃'s Q-values per branch
+//! list, keyed on the identity of the transition's branch `Arc`. Each entry holds a
+//! `Weak` to that `Arc`, so the allocation — and with it the address the key is made
+//! of — cannot be reused by another list while the entry lives. The cache is cleared by
+//! [`DqnLearner::sync_target`] and on checkpoint load, and never serialised: it is
+//! derived state, and a cached value is the very bits a fresh pass computes (a packed
+//! pass gives every state the bits of a pass over that state alone).
 //!
 //! [`DqnLearner::learn_sequential`] retains the original per-transition loop (B separate
-//! graphs, per-branch single-state inference) as the frozen reference path — it exists
-//! only for the equivalence suite (`tests/packed_learning_equivalence.rs`) and the
+//! graphs, per-branch single-state inference, no cache) as the frozen reference path — it
+//! exists only for the equivalence suite (`tests/packed_learning_equivalence.rs`) and the
 //! training benchmark (`crates/bench/benches/batched_training.rs`). The equivalence
 //! contract: from identical learner state, both paths report bit-identical loss / TD
 //! errors and write bit-identical replay priorities (packed forward values equal
@@ -36,17 +49,83 @@
 //! different association order than the per-transition accumulation loop.
 
 use crate::config::DdqnConfig;
-use crate::memory::Transition;
+use crate::memory::{FutureBranch, Transition};
 use crate::qnetwork::{argmax_of, SetQNetwork};
 use crate::state::StateTensor;
 use crowd_autograd::Graph;
 use crowd_nn::{Adam, GraphBinding, Optimizer, ParamStore};
 use crowd_rl_kit::PrioritizedReplay;
-use crowd_tensor::{Matrix, Rng, ThreadPool};
+use crowd_tensor::{Matrix, Rng, TensorError, ThreadPool};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Result alias from the numeric substrate.
 pub type Result<T> = crowd_tensor::Result<T>;
+
+/// Why [`DqnLearner::learn`] refused an update. A refused update changes no parameter,
+/// optimizer moment, replay priority or loss-history entry.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LearnError {
+    /// A shape or index error from the numeric substrate.
+    Tensor(TensorError),
+    /// The double-DQN target of the transition in replay slot `slot` is NaN or infinite.
+    NonFiniteTarget {
+        /// Replay slot of the offending transition.
+        slot: usize,
+    },
+    /// The TD error of the transition in replay slot `slot` is NaN or infinite.
+    NonFiniteTdError {
+        /// Replay slot of the offending transition.
+        slot: usize,
+    },
+    /// The minibatch loss is NaN or infinite.
+    NonFiniteLoss,
+}
+
+impl fmt::Display for LearnError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LearnError::Tensor(e) => write!(f, "{e}"),
+            LearnError::NonFiniteTarget { slot } => {
+                write!(f, "non-finite double-DQN target for replay slot {slot}")
+            }
+            LearnError::NonFiniteTdError { slot } => {
+                write!(f, "non-finite TD error for replay slot {slot}")
+            }
+            LearnError::NonFiniteLoss => write!(f, "non-finite minibatch loss"),
+        }
+    }
+}
+
+impl std::error::Error for LearnError {}
+
+impl From<TensorError> for LearnError {
+    fn from(e: TensorError) -> Self {
+        LearnError::Tensor(e)
+    }
+}
+
+/// θ̃ Q-values of one branch list: one vector per live branch, in branch order.
+#[derive(Debug, Clone)]
+struct CachedTargets {
+    /// Pins the branch list's allocation, so its address — the cache key — cannot be
+    /// reused by another list while this entry lives.
+    _pin: Weak<Vec<FutureBranch>>,
+    values: Vec<Vec<f32>>,
+}
+
+/// Cache key of a transition's branch list: the address of its shared allocation.
+fn branch_key(branches: &Arc<Vec<FutureBranch>>) -> usize {
+    Arc::as_ptr(branches) as usize
+}
+
+/// Whether a future branch enters the double-DQN target: it has a task to act on and a
+/// probability that is not `<= 0` (a NaN one stays in, so the target guard sees it).
+fn is_live(branch: &FutureBranch) -> bool {
+    branch.state.real_tasks > 0 && (branch.probability > 0.0 || branch.probability.is_nan())
+}
 
 /// Summary of one learning step.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +171,9 @@ pub struct DqnLearner {
     /// Every update's reported loss, in update order — the "loss stream" the parallel
     /// equivalence suite compares bit for bit across thread counts (4 bytes per update).
     losses: Vec<f32>,
+    /// θ̃ Q-values per branch list since the last target sync, keyed by
+    /// [`branch_key`] (see the module docs). Derived state: never serialised.
+    target_cache: HashMap<usize, CachedTargets>,
 }
 
 impl DqnLearner {
@@ -124,6 +206,7 @@ impl DqnLearner {
             max_tasks: config.max_tasks,
             learn_time: Duration::ZERO,
             losses: Vec::new(),
+            target_cache: HashMap::new(),
         }
     }
 
@@ -205,10 +288,7 @@ impl DqnLearner {
     /// the packed path batches this across the whole minibatch).
     fn target_for(&self, transition: &Transition) -> Result<f32> {
         let mut future = 0.0f32;
-        for branch in transition.branches.iter() {
-            if branch.state.real_tasks == 0 || branch.probability <= 0.0 {
-                continue;
-            }
+        for branch in transition.branches.iter().filter(|b| is_live(b)) {
             // Action selection by the online network, evaluation by the target network.
             if let Some(best_row) = self.net.argmax_q(&self.store, &branch.state)? {
                 let target_q = self.net.infer(&self.target_store, &branch.state)?;
@@ -221,18 +301,20 @@ impl DqnLearner {
     /// Runs one prioritized minibatch update as **one** autograd graph; returns `None` when
     /// the memory holds fewer transitions than the batch size.
     ///
-    /// One `learn` call performs exactly three network passes regardless of the batch size
-    /// or the number of future branches:
+    /// One `learn` call runs at most three network passes regardless of the batch size or
+    /// the number of future branches:
     ///
     /// 1. one [`SetQNetwork::infer_batch`] over every live future branch of every sampled
     ///    transition with the online parameters θ — the double-DQN action *selection*;
-    /// 2. one `infer_batch` over the same branches with the target parameters θ̃ — the
-    ///    action *evaluation*; the targets
+    /// 2. the action *evaluation* by the target parameters θ̃, read from the θ̃ branch
+    ///    cache (module docs); the branch lists it misses are scored together in one
+    ///    `infer_batch` and cached until the next target sync. The targets
     ///    `y_i = r_i + γ · Σ_b Pr(b) · Q̃(s_b, argmax_a Q(s_b, a))` are then assembled
     ///    branch-by-branch in the sequential path's exact accumulation order;
     /// 3. one [`SetQNetwork::forward_batch`] packing all sampled states' real task rows
-    ///    into a single `[Σ pool sizes, 1]` Q column on the tape, followed by one in-graph
-    ///    importance-weighted masked MSE and one backward sweep.
+    ///    into a single `[Σ pool sizes, 1]` Q column on the tape (one fused attention node
+    ///    per head and layer), followed by one in-graph importance-weighted masked MSE and
+    ///    one backward sweep.
     ///
     /// The sampled transitions are *borrowed* from the replay memory
     /// (`PrioritizedReplay::sample_refs`) — no per-update clones of state tensors or
@@ -243,7 +325,14 @@ impl DqnLearner {
     /// replay priorities are bit-identical to [`DqnLearner::learn_sequential`] from the
     /// same learner state; updated parameters match to f32 tolerance (see the module docs
     /// for why).
-    pub fn learn(&mut self) -> Result<Option<LearnReport>> {
+    ///
+    /// # Errors
+    ///
+    /// A NaN or infinite target, TD error or loss is refused with a typed [`LearnError`]
+    /// before the optimizer steps and before any replay priority is written, so the
+    /// parameters, Adam state, priorities and loss history stay as they were (the
+    /// sampling RNG has advanced, and the θ̃ cache may hold new, valid entries).
+    pub fn learn(&mut self) -> std::result::Result<Option<LearnReport>, LearnError> {
         if self.memory.len() < self.batch_size {
             return Ok(None);
         }
@@ -253,17 +342,14 @@ impl DqnLearner {
             let batch = sampled.len();
 
             // Double-DQN targets: flatten every live branch of every sampled transition
-            // into one state list, score it once per network, then fold the expectation
-            // per transition in branch order (the sequential path's order).
+            // into one state list and score it once with θ, then fold the expectation per
+            // transition in branch order (the sequential path's order).
             let mut branch_states: Vec<&StateTensor> = Vec::new();
             let mut branch_spans: Vec<(usize, usize)> = Vec::with_capacity(batch);
             let mut branch_probs: Vec<f32> = Vec::new();
             for (_, transition) in &sampled {
                 let span_start = branch_states.len();
-                for branch in transition.branches.iter() {
-                    if branch.state.real_tasks == 0 || branch.probability <= 0.0 {
-                        continue;
-                    }
+                for branch in transition.branches.iter().filter(|b| is_live(b)) {
                     branch_states.push(&branch.state);
                     branch_probs.push(branch.probability);
                 }
@@ -272,22 +358,57 @@ impl DqnLearner {
             let online_q = self
                 .net
                 .infer_batch_par(&self.store, &branch_states, self.pool)?;
-            let target_q =
-                self.net
-                    .infer_batch_par(&self.target_store, &branch_states, self.pool)?;
-            let targets: Vec<f32> = sampled
-                .iter()
-                .zip(&branch_spans)
-                .map(|((_, transition), &(lo, hi))| {
-                    let mut future = 0.0f32;
-                    for b in lo..hi {
+
+            // θ̃ values: every branch list this sync period has not scored yet goes into
+            // one packed pass (each list once, however often the minibatch holds it).
+            let cache = &mut self.target_cache;
+            let mut misses: Vec<(&Arc<Vec<FutureBranch>>, usize)> = Vec::new();
+            let mut miss_states: Vec<&StateTensor> = Vec::new();
+            for ((_, transition), &(lo, hi)) in sampled.iter().zip(&branch_spans) {
+                let key = branch_key(&transition.branches);
+                if lo == hi
+                    || cache.contains_key(&key)
+                    || misses.iter().any(|(b, _)| branch_key(b) == key)
+                {
+                    continue;
+                }
+                misses.push((&transition.branches, hi - lo));
+                miss_states.extend_from_slice(&branch_states[lo..hi]);
+            }
+            if !miss_states.is_empty() {
+                let mut miss_q = self
+                    .net
+                    .infer_batch_par(&self.target_store, &miss_states, self.pool)?
+                    .into_iter();
+                for (branches, live) in misses {
+                    let values = miss_q.by_ref().take(live).collect();
+                    cache.insert(
+                        branch_key(branches),
+                        CachedTargets {
+                            _pin: Arc::downgrade(branches),
+                            values,
+                        },
+                    );
+                }
+            }
+
+            let mut targets: Vec<f32> = Vec::with_capacity(batch);
+            for ((sample, transition), &(lo, hi)) in sampled.iter().zip(&branch_spans) {
+                let mut future = 0.0f32;
+                if lo < hi {
+                    let target_q = &cache[&branch_key(&transition.branches)].values;
+                    for (b, target_row) in (lo..hi).zip(target_q) {
                         if let Some(best_row) = argmax_of(&online_q[b]) {
-                            future += branch_probs[b] * target_q[b][best_row];
+                            future += branch_probs[b] * target_row[best_row];
                         }
                     }
-                    transition.reward + self.gamma * future
-                })
-                .collect();
+                }
+                let target = transition.reward + self.gamma * future;
+                if !target.is_finite() {
+                    return Err(LearnError::NonFiniteTarget { slot: sample.index });
+                }
+                targets.push(target);
+            }
 
             // One packed graph for the whole minibatch, on the learner's pool.
             let mut graph = Graph::with_pool(self.pool);
@@ -309,17 +430,21 @@ impl DqnLearner {
                 // loudly (in release too) rather than silently train a neighbouring
                 // segment's row on out-of-contract data.
                 if transition.action_row >= seg.rows {
-                    return Err(crowd_tensor::TensorError::IndexOutOfBounds {
+                    return Err(TensorError::IndexOutOfBounds {
                         op: "learn (action_row past its packed segment)",
                         index: transition.action_row,
                         bound: seg.rows,
-                    });
+                    }
+                    .into());
                 }
                 let row = seg.start + transition.action_row;
                 mask.set(row, 0, 1.0);
                 target.set(row, 0, target_value);
                 weights.set(row, 0, sample.weight);
                 let td_error = target_value - graph.value(q_column).get(row, 0);
+                if !td_error.is_finite() {
+                    return Err(LearnError::NonFiniteTdError { slot: sample.index });
+                }
                 total_abs_td += td_error.abs();
                 priorities.push((sample.index, td_error));
             }
@@ -327,6 +452,9 @@ impl DqnLearner {
             let loss =
                 graph.weighted_masked_mse(q_column, &target, &mask, &weights, batch as f32)?;
             let loss_value = graph.value(loss).get(0, 0);
+            if !loss_value.is_finite() {
+                return Err(LearnError::NonFiniteLoss);
+            }
             graph.backward(loss)?;
             let grads = binding.gradients(&graph);
             let report = LearnReport {
@@ -436,15 +564,17 @@ impl DqnLearner {
         }
     }
 
-    /// Hard-copies θ̃ ← θ.
+    /// Hard-copies θ̃ ← θ, and drops the θ̃ branch cache that held the old θ̃'s values.
     pub fn sync_target(&mut self) {
         self.target_store.copy_from(&self.store);
+        self.target_cache.clear();
     }
 }
 
 /// Checkpoint format: sampling RNG, update counter (`u64`), accumulated learn wall time,
 /// the loss stream, online parameters θ, target parameters θ̃, the Adam state (moments +
-/// step), and the prioritized replay memory (transitions, priorities, sum tree, β).
+/// step), and the prioritized replay memory (transitions, priorities, sum tree, β). The
+/// θ̃ branch cache is derived state: it is not written, and loading clears it.
 ///
 /// Together these are *everything* `learn` reads, so a restored learner's next update —
 /// which minibatch it samples, the targets, the loss bits, the priority writes, the
@@ -474,6 +604,8 @@ impl crowd_ckpt::LoadState for DqnLearner {
         r.load(&mut self.target_store)?;
         r.load(&mut self.optimizer)?;
         r.load(&mut self.memory)?;
+        // Derived from θ̃ and the old branch allocations; rebuilt by the next updates.
+        self.target_cache.clear();
         Ok(())
     }
 }
@@ -721,6 +853,77 @@ mod tests {
         let (updates, total) = learner.learn_timing();
         assert_eq!(updates, 1);
         assert!(total > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn non_finite_target_is_refused_before_any_state_changes() {
+        let cfg = config();
+        let tf = transformer();
+        let mut rng = Rng::seed_from(8);
+        let mut learner = DqnLearner::new(&cfg, 5, 0.3, &mut rng);
+        fill_memory(&mut learner, &tf);
+        // A few healthy updates first, so moments, priorities and the loss stream hold
+        // real values the refused update could corrupt.
+        for _ in 0..3 {
+            learner.learn().unwrap().unwrap();
+        }
+        let state = tf.build(&[snapshot(0, 0.4)], &[0.5, 0.5], 0.5);
+        for _ in 0..cfg.batch_size {
+            learner.store_transition(Transition {
+                state: state.clone(),
+                action_row: 0,
+                reward: f32::NAN,
+                branches: Arc::new(Vec::new()),
+            });
+        }
+        let params = learner.params().clone();
+        let adam_steps = learner.optimizer.steps();
+        let priorities: Vec<u64> = (0..cfg.buffer_size)
+            .map(|slot| learner.replay_priority(slot).to_bits())
+            .collect();
+        let losses = learner.loss_history().to_vec();
+
+        let err = learner
+            .learn()
+            .expect_err("a NaN reward must refuse the update");
+        assert!(
+            matches!(err, LearnError::NonFiniteTarget { .. }),
+            "unexpected error {err}"
+        );
+        for ((_, name, before), (_, _, after)) in params.iter().zip(learner.params().iter()) {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(before), bits(after), "param {name} moved");
+        }
+        assert_eq!(learner.optimizer.steps(), adam_steps);
+        for (slot, &before) in priorities.iter().enumerate() {
+            assert_eq!(
+                learner.replay_priority(slot).to_bits(),
+                before,
+                "priority of slot {slot} was written"
+            );
+        }
+        assert_eq!(learner.loss_history(), &losses[..]);
+        assert_eq!(learner.updates(), 3);
+    }
+
+    #[test]
+    fn target_cache_lives_one_sync_period_and_is_not_checkpointed() {
+        let cfg = config();
+        let tf = transformer();
+        let mut rng = Rng::seed_from(9);
+        let mut learner = DqnLearner::new(&cfg, 5, 0.3, &mut rng);
+        // fill_memory shares one branch list across all 32 transitions.
+        fill_memory(&mut learner, &tf);
+        learner.learn().unwrap().unwrap();
+        assert_eq!(learner.target_cache.len(), 1);
+        let mut bytes = crowd_ckpt::StateWriter::new();
+        bytes.save(&learner);
+        let mut resumed = learner.clone();
+        let mut reader = crowd_ckpt::StateReader::new(bytes.as_bytes());
+        crowd_ckpt::LoadState::load_state(&mut resumed, &mut reader).unwrap();
+        assert!(resumed.target_cache.is_empty(), "load must drop the cache");
+        learner.sync_target();
+        assert!(learner.target_cache.is_empty(), "sync must drop the cache");
     }
 
     #[test]

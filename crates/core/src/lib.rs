@@ -71,7 +71,7 @@ pub use agent::DdqnAgent;
 pub use arrival_stats::ArrivalStats;
 pub use config::{DdqnConfig, RecommendationMode};
 pub use explorer::Explorer;
-pub use learner::{DqnLearner, LearnReport};
+pub use learner::{DqnLearner, LearnError, LearnReport};
 pub use memory::{FutureBranch, Transition};
 pub use qnetwork::SetQNetwork;
 pub use state::{StateKind, StateTensor, StateTransformer};

@@ -10,27 +10,15 @@ use crate::linear::Linear;
 use crate::param::{GraphBinding, ParamId, ParamStore};
 use crate::Result;
 use crowd_autograd::{Graph, VarId};
-use crowd_tensor::{Matrix, Rng};
+use crowd_tensor::{
+    segment_attention, AttentionScratch, ColumnBlock, Matrix, Rng, ThreadPool, MASKED_SCORE,
+};
 
 /// One session's row block inside a packed `[Σ pool sizes, dim]` buffer used by
-/// [`MultiHeadSelfAttention::infer_packed`]: the block starts at row `start`, spans `rows`
-/// rows, and only the first `real_rows` of them are real tasks (the rest is padding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolSegment {
-    /// First row of the block inside the packed buffer.
-    pub start: usize,
-    /// Number of rows in the block (the session's `max_tasks`, padding included).
-    pub rows: usize,
-    /// Number of real (non-padding) rows at the top of the block.
-    pub real_rows: usize,
-}
-
-impl PoolSegment {
-    /// One past the last row of the block.
-    pub fn end(&self) -> usize {
-        self.start + self.rows
-    }
-}
+/// [`MultiHeadSelfAttention::infer_packed`] and
+/// [`MultiHeadSelfAttention::forward_packed`] (defined next to the fused attention
+/// kernels in `crowd-tensor`).
+pub use crowd_tensor::PoolSegment;
 
 /// Multi-head self-attention layer with `h` heads of dimension `model_dim / h`.
 #[derive(Debug, Clone)]
@@ -113,7 +101,7 @@ impl MultiHeadSelfAttention {
         let mut mask = Matrix::zeros(total_rows, total_rows);
         for r in 0..total_rows {
             for c in real_rows..total_rows {
-                mask.set(r, c, -1e9);
+                mask.set(r, c, MASKED_SCORE);
             }
         }
         mask
@@ -186,18 +174,16 @@ impl MultiHeadSelfAttention {
     /// one backward pass differentiates `N` sessions'/transitions' attention at once — the
     /// training-side counterpart of the batched-inference hot path.
     ///
-    /// The Q/K/V projections run as single stacked matmuls over the whole buffer (one tape
-    /// node each per head, exactly like the inference path runs one `Matrix::matmul`);
-    /// scores and softmax never cross segments, so each segment's block is gathered with
-    /// `Graph::slice_rows`, soft-maxed on its own (the per-segment softmax), and the
-    /// per-segment attention outputs are scattered back into packed layout with
-    /// `Graph::vstack` before the stacked output projection. The scatter/gather backward
-    /// of those two ops routes every segment its own gradient block, and the stacked
+    /// Per head, the Q/K/V projections run as single stacked matmuls over the whole buffer
+    /// (one tape node each), and the per-segment scores, padding mask, softmax and value
+    /// aggregation are **one** fused node, `crowd_autograd::Graph::segment_attention`:
+    /// attention never crosses segments, the node keeps its softmax blocks, and its
+    /// backward applies the per-segment VJPs of the chain it replaces. The heads'
+    /// outputs are concatenated and go through the stacked output projection, whose
     /// matmuls accumulate all segments' parameter gradients in one sweep.
     ///
-    /// Unlike the inference path, the segments must *tile* the buffer: contiguous, in row
-    /// order, starting at row 0 and covering every row of `x` (the per-segment outputs are
-    /// re-packed with `vstack`, which cannot leave gaps). That is exactly the layout
+    /// The segments must *tile* the buffer: contiguous, in row order, starting at row 0
+    /// and covering every row of `x`. That is exactly the layout
     /// `SetQNetwork::forward_batch` builds; debug assertions enforce it.
     ///
     /// The stacked tape matmuls run on the **graph's** thread pool
@@ -206,10 +192,11 @@ impl MultiHeadSelfAttention {
     /// with the same bit-identity guarantee, forward and backward.
     ///
     /// The forward *values* are the same bits [`MultiHeadSelfAttention::infer_packed`]
-    /// produces (the tape ops call the very same `Matrix` kernels block by block;
-    /// `crowd-rl-core`'s packed-learning equivalence suite leans on this), and per-segment
+    /// produces (both run the same fused kernel over the same projection bits;
+    /// `crowd-rl-core`'s packed-learning equivalence suite leans on this), per-segment
     /// rows match a per-segment [`MultiHeadSelfAttention::forward`] with the matching
-    /// padding mask.
+    /// padding mask, and the gradients are the bits of the unfused per-segment chain
+    /// (`tests/kernel_equivalence.rs`).
     pub fn forward_packed(
         &self,
         graph: &mut Graph,
@@ -230,17 +217,7 @@ impl MultiHeadSelfAttention {
             "forward_packed segments must tile the packed buffer contiguously from row 0"
         );
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        // Per-segment padding masks, shared by every head; padding-free segments skip the
-        // mask add entirely (same bit-exactness argument as the inference path).
-        let mask_vars: Vec<Option<VarId>> = segments
-            .iter()
-            .map(|seg| {
-                (seg.real_rows < seg.rows)
-                    .then(|| graph.constant(Self::padding_mask(seg.rows, seg.real_rows)))
-            })
-            .collect();
         let mut concat: Option<VarId> = None;
-        let mut seg_outs = Vec::with_capacity(segments.len());
         for head in &self.heads {
             let wq = binding.bind(graph, store, head.wq);
             let wk = binding.bind(graph, store, head.wk);
@@ -248,22 +225,7 @@ impl MultiHeadSelfAttention {
             let q = graph.matmul(x, wq)?;
             let k = graph.matmul(x, wk)?;
             let v = graph.matmul(x, wv)?;
-            seg_outs.clear();
-            for (seg, mask) in segments.iter().zip(&mask_vars) {
-                let qb = graph.slice_rows(q, seg.start, seg.end())?;
-                let kb = graph.slice_rows(k, seg.start, seg.end())?;
-                let vb = graph.slice_rows(v, seg.start, seg.end())?;
-                let kt = graph.transpose(kb);
-                let scores = graph.matmul(qb, kt)?;
-                let scaled = graph.scale(scores, scale);
-                let masked = match mask {
-                    Some(m) => graph.add(scaled, *m)?,
-                    None => scaled,
-                };
-                let attn = graph.softmax_rows(masked);
-                seg_outs.push(graph.matmul(attn, vb)?);
-            }
-            let head_out = graph.vstack(&seg_outs)?;
+            let head_out = graph.segment_attention(q, k, v, segments, scale)?;
             concat = Some(match concat {
                 None => head_out,
                 Some(prev) => graph.concat_cols(prev, head_out)?,
@@ -278,11 +240,11 @@ impl MultiHeadSelfAttention {
     ///
     /// The Q/K/V and output projections are row-wise, so they run as single stacked matmuls
     /// over the whole buffer; scores and softmax never cross sessions, so they run block by
-    /// block with each segment's own padding mask. The rows of the result are bit-identical
-    /// to calling [`MultiHeadSelfAttention::infer`] once per segment with
-    /// [`MultiHeadSelfAttention::padding_mask`]`(rows, real_rows)` — row-wise matmul rows
-    /// depend only on their own input row, and the block computations are the very same
-    /// operations on the very same bits.
+    /// block, fused per segment, with each segment's own padding mask. The rows of the
+    /// result are bit-identical to calling [`MultiHeadSelfAttention::infer`] once per
+    /// segment with [`MultiHeadSelfAttention::padding_mask`]`(rows, real_rows)` — row-wise
+    /// matmul rows depend only on their own input row, and the fused block computes every
+    /// element with the same operations in the same order as the unfused one.
     ///
     /// Rows not covered by any segment come back as bias-shifted zeros and must be ignored
     /// by the caller; segments may not overlap.
@@ -292,7 +254,7 @@ impl MultiHeadSelfAttention {
         x: &Matrix,
         segments: &[PoolSegment],
     ) -> Result<Matrix> {
-        self.infer_packed_par(store, x, segments, crowd_tensor::ThreadPool::serial())
+        self.infer_packed_par(store, x, segments, ThreadPool::serial())
     }
 
     /// [`MultiHeadSelfAttention::infer_packed`] with its stacked matmuls row-sharded over
@@ -300,53 +262,61 @@ impl MultiHeadSelfAttention {
     /// from the session layer (`SessionBatch` → `DdqnAgent::act_batch` →
     /// `SetQNetwork::infer_batch_par`).
     ///
-    /// Only the buffer-wide projections (Q/K/V per head, the output projection) shard;
-    /// each segment's score/softmax/value block is small (`rows × rows` with `rows` the
-    /// pool size) and stays on the calling thread. Row sharding keeps every output row's
-    /// f32 accumulation order unchanged, so the result is **bit-identical** to
-    /// [`MultiHeadSelfAttention::infer_packed`] at any thread count.
+    /// Every head's Q, K and V come out of **one** stacked projection (the heads' weights
+    /// side by side, each output element the same inner-dimension sum as a per-head
+    /// matmul). Each segment's score / softmax / value block then runs through the fused
+    /// kernel `crowd_tensor::segment_attention`, which writes the head's result straight
+    /// into its column block of the packed concat buffer with scratch reused across
+    /// segments and heads; the output projection is one stacked matmul again. Only the
+    /// stacked projections shard; the per-segment blocks are small (`rows × rows` with
+    /// `rows` the pool size) and stay on the calling thread. Row sharding keeps every
+    /// output row's f32 accumulation order unchanged, so the result is
+    /// **bit-identical** to [`MultiHeadSelfAttention::infer_packed`] at any thread count.
     pub fn infer_packed_par(
         &self,
         store: &ParamStore,
         x: &Matrix,
         segments: &[PoolSegment],
-        pool: crowd_tensor::ThreadPool,
+        pool: ThreadPool,
     ) -> Result<Matrix> {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        // Per-segment padding masks, shared by every head. A segment without padding
-        // (`real_rows == rows`) needs no mask at all: its additive mask would be all-zero,
-        // and `x + 0.0 == x` bit for bit (accumulated scores are never `-0.0`), so
-        // skipping the add is both faster and bit-identical.
-        let masks: Vec<Option<Matrix>> = segments
-            .iter()
-            .map(|seg| {
-                (seg.real_rows < seg.rows).then(|| Self::padding_mask(seg.rows, seg.real_rows))
-            })
-            .collect();
-        let mut concat: Option<Matrix> = None;
-        for head in &self.heads {
-            let q = x.matmul_par(store.get(head.wq), pool)?;
-            let k = x.matmul_par(store.get(head.wk), pool)?;
-            let v = x.matmul_par(store.get(head.wv), pool)?;
-            let mut head_out = Matrix::zeros(x.rows(), self.head_dim);
-            for (seg, mask) in segments.iter().zip(&masks) {
-                let qb = q.slice_rows(seg.start, seg.end())?;
-                let kb = k.slice_rows(seg.start, seg.end())?;
-                let vb = v.slice_rows(seg.start, seg.end())?;
-                let mut scores = qb.matmul_transpose(&kb)?.scale(scale);
-                if let Some(mask) = mask {
-                    scores = scores.add(mask)?;
-                }
-                let attn = scores.softmax_rows();
-                head_out.paste_rows(seg.start, &attn.matmul(&vb)?)?;
-            }
-            concat = Some(match concat {
-                None => head_out,
-                Some(prev) => prev.concat_cols(&head_out)?,
-            });
+        let hd = self.head_dim;
+        let qkv = x.matmul_par(&self.stacked_qkv(store), pool)?;
+        let mut concat = Matrix::zeros(x.rows(), self.model_dim);
+        let mut scratch = AttentionScratch::default();
+        for h in 0..self.heads.len() {
+            let base = 3 * h * hd;
+            segment_attention(
+                ColumnBlock::new(&qkv, base, hd)?,
+                ColumnBlock::new(&qkv, base + hd, hd)?,
+                ColumnBlock::new(&qkv, base + 2 * hd, hd)?,
+                segments,
+                scale,
+                &mut concat,
+                h * hd,
+                None,
+                &mut scratch,
+            )?;
         }
-        self.output
-            .infer_par(store, &concat.expect("at least one head"), pool)
+        self.output.infer_par(store, &concat, pool)
+    }
+
+    /// Every head's projection weights side by side, `[W_q0 | W_k0 | W_v0 | W_q1 | …]`
+    /// (`model_dim × 3·model_dim`), so one matmul yields every head's Q, K and V.
+    fn stacked_qkv(&self, store: &ParamStore) -> Matrix {
+        let hd = self.head_dim;
+        let width = 3 * self.model_dim;
+        let mut stacked = Matrix::zeros(self.model_dim, width);
+        for (h, head) in self.heads.iter().enumerate() {
+            for (part, id) in [head.wq, head.wk, head.wv].into_iter().enumerate() {
+                let w = store.get(id);
+                let col0 = (3 * h + part) * hd;
+                for r in 0..self.model_dim {
+                    stacked.row_mut(r)[col0..col0 + hd].copy_from_slice(w.row(r));
+                }
+            }
+        }
+        stacked
     }
 }
 
@@ -673,7 +643,7 @@ mod tests {
             .collect();
         let serial = attn.infer_packed(&store, &x, &segments).unwrap();
         for threads in [1usize, 2, 8] {
-            let pool = crowd_tensor::ThreadPool::new(threads);
+            let pool = ThreadPool::new(threads);
             let pooled = attn.infer_packed_par(&store, &x, &segments, pool).unwrap();
             assert_eq!(pooled, serial, "diverged at {threads} threads");
         }

@@ -126,7 +126,8 @@ impl RowwiseFF {
         self.linear.out_dim()
     }
 
-    /// Applies `leaky_relu(XW + b)` on the tape, composed from primitive ops:
+    /// Applies `leaky_relu(XW + b)` on the tape; the activation is one
+    /// `crowd_autograd::Graph::leaky_relu` node computing
     /// `leaky(z) = relu(z) - slope * relu(-z)`.
     pub fn forward(
         &self,
@@ -136,11 +137,7 @@ impl RowwiseFF {
         x: VarId,
     ) -> Result<VarId> {
         let affine = self.linear.forward(graph, store, binding, x)?;
-        let pos = graph.relu(affine);
-        let negated = graph.scale(affine, -1.0);
-        let neg = graph.relu(negated);
-        let leak = graph.scale(neg, LEAKY_SLOPE);
-        graph.sub(pos, leak)
+        Ok(graph.leaky_relu(affine, LEAKY_SLOPE))
     }
 
     /// Gradient-free forward pass.

@@ -55,6 +55,15 @@
 //! small products fall back to the serial kernel automatically (even the persistent
 //! pool's warm dispatch costs more than they do).
 //!
+//! # Fused per-segment attention
+//!
+//! Attention over a packed buffer must stay inside each pool's [`PoolSegment`]. The
+//! [`attention`] module fuses one segment's score / scale / mask / softmax / value chain
+//! into one kernel that writes straight into the packed output
+//! ([`segment_attention`]), plus its reverse mode ([`segment_attention_backward`]).
+//! Both run through the same strided product kernels as [`Matrix::matmul`], so they are
+//! bit-identical to the unfused chain of `Matrix` ops.
+//!
 //! # Determinism
 //!
 //! [`Rng`] is a self-contained xoshiro256++ generator (no external `rand`): the same seed
@@ -69,11 +78,16 @@
 //! assert_eq!(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
 //! ```
 
+pub mod attention;
 pub mod error;
 pub mod matrix;
 pub mod ops;
 pub mod random;
 
+pub use attention::{
+    segment_attention, segment_attention_backward, AttentionGrads, AttentionScratch, ColumnBlock,
+    PoolSegment, MASKED_SCORE,
+};
 pub use error::TensorError;
 pub use matrix::Matrix;
 pub use random::Rng;

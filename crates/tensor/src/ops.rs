@@ -124,29 +124,30 @@ fn col_tile<const RT: usize>(
     acc
 }
 
-/// Runs [`col_tile`] down output column `j_out` for all `rows` rows (4/2/1 row tiles),
-/// reading the right-operand column from `b` at `b[p * bstride + j_b]`.
-/// [`Matrix::matmul`] passes the right operand in place (`bstride = n`, `j_b = j_out`);
-/// [`Matrix::matmul_transpose`] passes the contiguous `rhs` row (`bstride = 1`,
-/// `j_b = 0`).
+/// Runs [`col_tile`] down output column `j_out` for all `rows` rows (4/2/1 row tiles).
+/// Left row `r` is `a[r * lda..][..k]`, output element `(r, j_out)` is
+/// `out[r * ldo + j_out]`, and the right-operand column is read from `b` at
+/// `b[p * bstride + j_b]`. [`gemm_nn`] passes the right operand in place
+/// (`bstride = ldb`, `j_b = j_out`); [`gemm_nt`] passes the contiguous right row
+/// (`bstride = 1`, `j_b = 0`).
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not an API
 #[inline(always)]
 fn col_tiles(
     a: &[f32],
+    lda: usize,
     k: usize,
-    row0: usize,
     rows: usize,
     b: &[f32],
     bstride: usize,
     j_b: usize,
-    out_rows: &mut [f32],
-    n: usize,
+    out: &mut [f32],
+    ldo: usize,
     j_out: usize,
 ) {
-    let a_row = |local: usize| &a[(row0 + local) * k..][..k];
+    let a_row = |local: usize| &a[local * lda..][..k];
     let mut store = |i: usize, acc: &[f32]| {
         for (r, &v) in acc.iter().enumerate() {
-            out_rows[(i + r) * n + j_out] = v;
+            out[(i + r) * ldo + j_out] = v;
         }
     };
     let mut i = 0;
@@ -167,28 +168,28 @@ fn col_tiles(
 }
 
 /// Runs [`lane_tile`] over all `rows` output rows for one group of `LANES` output
-/// columns starting at `j0`, tiling rows 4-at-a-time with 2/1-row tails. `b` is the
-/// lane group's right-operand window (stride `bstride`), `out_rows` the shard's output
-/// window of width `n` starting at absolute row `row0`.
+/// columns starting at `j0`, tiling rows 4-at-a-time with 2/1-row tails. Left row `r` is
+/// `a[r * lda..][..k]`, `b` is the lane group's right-operand window (stride
+/// `bstride`), and output row `r` starts at `out[r * ldo]`.
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not an API
 #[inline(always)]
 fn row_tiles(
     a: &[f32],
+    lda: usize,
     k: usize,
-    row0: usize,
     rows: usize,
     b: &[f32],
     bstride: usize,
-    out_rows: &mut [f32],
-    n: usize,
+    out: &mut [f32],
+    ldo: usize,
     j0: usize,
 ) {
     let mut store = |i: usize, acc: &[[f32; LANES]]| {
         for (r, lanes) in acc.iter().enumerate() {
-            out_rows[(i + r) * n + j0..][..LANES].copy_from_slice(lanes);
+            out[(i + r) * ldo + j0..][..LANES].copy_from_slice(lanes);
         }
     };
-    let a_row = |local: usize| &a[(row0 + local) * k..][..k];
+    let a_row = |local: usize| &a[local * lda..][..k];
     let mut i = 0;
     while i + TILE_ROWS <= rows {
         let tile = lane_tile::<TILE_ROWS>(std::array::from_fn(|r| a_row(i + r)), b, bstride, k);
@@ -206,68 +207,227 @@ fn row_tiles(
     }
 }
 
-/// The shared row kernel of [`Matrix::matmul`]: computes output rows
-/// `[row0, row0 + out_rows.len()/n)` into `out_rows` through the register-blocked
-/// microkernel (lane groups of the right operand are read in place, stride `n`).
-/// Both the serial and the row-sharded parallel path run exactly this code per row,
-/// which is what makes [`Matrix::matmul_par`] bit-identical by construction.
-fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, out_rows: &mut [f32]) {
-    let rows = out_rows.len() / n.max(1);
+/// The strided "NN" product every `a · b` in the workspace runs through:
+/// `out[i * ldo + j] = Σ_p a[i * lda + p] · b[p * ldb + j]` for `i < m`, `j < n`,
+/// `p < k`, through the register-blocked microkernel (lane groups of `b` are read in
+/// place). The strides let a caller address row blocks and column windows of larger
+/// buffers — the row shards of [`Matrix::matmul_par`], and one head's block of a packed
+/// attention buffer (`crate::attention`) — without copying them; every element is
+/// still the contract's sequential `p`-ordered sum, so the result never depends on
+/// where the operands live.
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing, not an API
+pub(crate) fn gemm_nn(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
     let lane_end = n - n % LANES;
     let mut j0 = 0;
     while j0 < lane_end {
-        row_tiles(a, k, row0, rows, &b[j0..], n, out_rows, n, j0);
+        row_tiles(a, lda, k, m, &b[j0..], ldb, out, ldo, j0);
         j0 += LANES;
     }
     // Lane-remainder columns: row-blocked column tiles down the strided columns.
     for j in lane_end..n {
-        col_tiles(a, k, row0, rows, b, n, j, out_rows, n, j);
+        col_tiles(a, lda, k, m, b, ldb, j, out, ldo, j);
     }
 }
 
+/// The strided "NT" product `out[i * ldo + j] = Σ_p a[i * lda + p] · b[j * ldb + p]`
+/// (`a · bᵀ` without materialising the transpose), same contract and addressing as
+/// [`gemm_nn`]. Per group of `LANES` output columns it packs a `k × LANES` panel of `b`
+/// rows into `panel` (one transposed copy, reused by every row tile) and runs the same
+/// microkernel over it; callers that run many small products pass one `panel` buffer
+/// for all of them.
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing, not an API
+pub(crate) fn gemm_nt(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldo: usize,
+    panel: &mut Vec<f32>,
+) {
+    let lane_end = n - n % LANES;
+    if lane_end > 0 {
+        // The packed panel exists only while there is at least one full lane group;
+        // narrow products (`n < LANES`) never pay for it.
+        panel.resize(k * LANES, 0.0);
+        let mut j0 = 0;
+        while j0 < lane_end {
+            for l in 0..LANES {
+                let b_row = &b[(j0 + l) * ldb..][..k];
+                for (p, &v) in b_row.iter().enumerate() {
+                    panel[p * LANES + l] = v;
+                }
+            }
+            row_tiles(a, lda, k, m, panel, LANES, out, ldo, j0);
+            j0 += LANES;
+        }
+    }
+    // Lane-remainder columns: row-blocked column tiles over the contiguous `b` rows.
+    for j in lane_end..n {
+        col_tiles(a, lda, k, m, &b[j * ldb..], 1, 0, out, ldo, j);
+    }
+}
+
+/// "TN" register tile: `out[r][l] = Σ_p a[p * lda + r] · b[p * ldb + l]` for `RT` output
+/// rows (columns of `a`, read `RT` at a time from each row of `a`) and `LANES` output
+/// columns. Each lane is one output element folded over `p` in increasing order with a
+/// separate multiply-then-add per step — the contract of [`lane_tile`], with the left
+/// operand read down its columns instead of along its rows.
+#[inline(always)]
+fn lane_tile_tn<const RT: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    k: usize,
+) -> [[f32; LANES]; RT] {
+    let mut acc = [[0.0f32; LANES]; RT];
+    for p in 0..k {
+        let ap = &a[p * lda..][..RT];
+        let bp = &b[p * ldb..][..LANES];
+        for (accr, &av) in acc.iter_mut().zip(ap) {
+            for (o, &bv) in accr.iter_mut().zip(bp) {
+                *o += av * bv;
+            }
+        }
+    }
+    acc
+}
+
+/// "TN" column tile: `RT` output elements of one output column, `out[r] = Σ_p
+/// a[p * lda + r] · b[p * ldb]` — the lane-remainder edge of [`lane_tile_tn`].
+#[inline(always)]
+fn col_tile_tn<const RT: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    k: usize,
+) -> [f32; RT] {
+    let mut acc = [0.0f32; RT];
+    for p in 0..k {
+        let bv = b[p * ldb];
+        for (o, &av) in acc.iter_mut().zip(&a[p * lda..][..RT]) {
+            *o += av * bv;
+        }
+    }
+    acc
+}
+
+/// Runs the TN tiles over every output column for the `RT` output rows starting at `i`.
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing, not an API
+#[inline(always)]
+fn tn_row_tile<const RT: usize>(
+    i: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    let lane_end = n - n % LANES;
+    let mut j0 = 0;
+    while j0 < lane_end {
+        let tile = lane_tile_tn::<RT>(&a[i..], lda, &b[j0..], ldb, k);
+        for (r, lanes) in tile.iter().enumerate() {
+            out[(i + r) * ldo + j0..][..LANES].copy_from_slice(lanes);
+        }
+        j0 += LANES;
+    }
+    for j in lane_end..n {
+        let tile = col_tile_tn::<RT>(&a[i..], lda, &b[j..], ldb, k);
+        for (r, &v) in tile.iter().enumerate() {
+            out[(i + r) * ldo + j] = v;
+        }
+    }
+}
+
+/// The strided "TN" product `out[i * ldo + j] = Σ_p a[p * lda + i] · b[p * ldb + j]`
+/// (`aᵀ · b` without materialising the transpose) for `i < m`, `j < n`, `p < k`: the
+/// same per-element sum, in the same order, as transposing `a` and running [`gemm_nn`],
+/// so the two are bit-identical. Output rows are tiled 4/2/1 at a time like the other
+/// drivers; each step of the inner loop reads one contiguous row of `a` and of `b`.
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing, not an API
+pub(crate) fn gemm_tn(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    if n == 0 {
+        return;
+    }
+    if k == 0 {
+        // An empty inner dimension sums nothing: every element is the fold's +0.0.
+        for i in 0..m {
+            out[i * ldo..][..n].fill(0.0);
+        }
+        return;
+    }
+    let mut i = 0;
+    while i + TILE_ROWS <= m {
+        tn_row_tile::<TILE_ROWS>(i, n, k, a, lda, b, ldb, out, ldo);
+        i += TILE_ROWS;
+    }
+    if i + 2 <= m {
+        tn_row_tile::<2>(i, n, k, a, lda, b, ldb, out, ldo);
+        i += 2;
+    }
+    if i < m {
+        tn_row_tile::<1>(i, n, k, a, lda, b, ldb, out, ldo);
+    }
+}
+
+/// The shared row kernel of [`Matrix::matmul`]: computes output rows
+/// `[row0, row0 + out_rows.len()/n)` into `out_rows`. Both the serial and the
+/// row-sharded parallel path run exactly this code per row, which is what makes
+/// [`Matrix::matmul_par`] bit-identical by construction.
+fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, out_rows: &mut [f32]) {
+    let rows = out_rows.len() / n.max(1);
+    gemm_nn(rows, n, k, &a[row0 * k..], k, b, n, out_rows, n);
+}
+
 /// The shared row kernel of [`Matrix::matmul_transpose`] (`self * rhs^T` without
-/// materialising the transpose), same sharding contract as [`matmul_rows`]. Per group of
-/// `LANES` output columns it packs a `k × LANES` panel of `rhs` rows (one transposed
-/// copy, reused by every row tile of the shard) and runs the same microkernel as
-/// [`matmul_rows`] over it.
+/// materialising the transpose), same sharding contract as [`matmul_rows`].
 fn matmul_transpose_rows(a: &Matrix, rhs: &Matrix, n: usize, row0: usize, out_rows: &mut [f32]) {
     if n == 0 {
         return;
     }
     let rows = out_rows.len() / n;
     let k = a.cols();
-    let lane_end = n - n % LANES;
-    if lane_end > 0 {
-        // The packed panel exists only while there is at least one full lane group;
-        // narrow products (`n < LANES`) never pay for the allocation.
-        let mut panel = vec![0.0f32; k * LANES];
-        let mut j0 = 0;
-        while j0 < lane_end {
-            for l in 0..LANES {
-                let b_row = rhs.row(j0 + l);
-                for (p, &v) in b_row.iter().enumerate() {
-                    panel[p * LANES + l] = v;
-                }
-            }
-            row_tiles(a.as_slice(), k, row0, rows, &panel, LANES, out_rows, n, j0);
-            j0 += LANES;
-        }
-    }
-    // Lane-remainder columns: row-blocked column tiles over the contiguous `rhs` rows.
-    for j in lane_end..n {
-        col_tiles(
-            a.as_slice(),
-            k,
-            row0,
-            rows,
-            rhs.row(j),
-            1,
-            0,
-            out_rows,
-            n,
-            j,
-        );
-    }
+    gemm_nt(
+        rows,
+        n,
+        k,
+        &a.as_slice()[row0 * k..],
+        k,
+        rhs.as_slice(),
+        k,
+        out_rows,
+        n,
+        &mut Vec::new(),
+    );
 }
 
 impl Matrix {
@@ -361,6 +521,44 @@ impl Matrix {
         Ok(out)
     }
 
+    /// `selfᵀ * rhs` without materialising the transpose, through the strided "TN"
+    /// register tiles: every element is the same sequential inner-index sum as
+    /// `self.transpose().matmul(rhs)`, so the two are **bit-identical** — this is the
+    /// product the tape's matmul backward needs for the right operand's gradient.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `self.rows() == rhs.rows()`.
+    pub fn transpose_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+        self.transpose_matmul_par(rhs, ThreadPool::serial())
+    }
+
+    /// Row-sharded parallel twin of [`Matrix::transpose_matmul`]: output rows (columns
+    /// of `self`) are split across `pool`; same bit-identity and small-product fallback
+    /// contract as [`Matrix::matmul_par`].
+    pub fn transpose_matmul_par(&self, rhs: &Matrix, pool: ThreadPool) -> Result<Matrix> {
+        if self.rows() != rhs.rows() {
+            return Err(TensorError::ShapeMismatch {
+                op: "transpose_matmul",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let (k, m) = self.shape();
+        let n = rhs.cols();
+        let mut out = Matrix::zeros(m, n);
+        let (a, b) = (self.as_slice(), rhs.as_slice());
+        if pool.is_serial() || m < 2 || m * k * n < PAR_MATMUL_MIN_MADDS {
+            gemm_tn(m, n, k, a, m, b, n, out.as_mut_slice(), n);
+        } else {
+            pool.par_chunks(out.as_mut_slice(), n, |offset, chunk| {
+                let row0 = offset / n;
+                gemm_tn(chunk.len() / n, n, k, &a[row0..], m, b, n, chunk, n);
+            });
+        }
+        Ok(out)
+    }
+
     /// Scalar reference implementation of [`Matrix::matmul`]: the textbook `i-k-j` loop,
     /// no register blocking, no lane unrolling. It realises the same
     /// [accumulation-order contract](self) as the blocked kernel — every element is a
@@ -422,9 +620,12 @@ impl Matrix {
     pub fn transpose(&self) -> Matrix {
         let (m, n) = self.shape();
         let mut out = Matrix::zeros(n, m);
-        for i in 0..m {
-            for j in 0..n {
-                out.set(j, i, self.get(i, j));
+        if m > 0 && n > 0 {
+            let dst = out.as_mut_slice();
+            for (i, row) in self.as_slice().chunks_exact(n).enumerate() {
+                for (d, &v) in dst[i..].iter_mut().step_by(m).zip(row) {
+                    *d = v;
+                }
             }
         }
         out
@@ -548,27 +749,26 @@ impl Matrix {
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
         for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            if !max.is_finite() {
-                let n = row.len() as f32;
-                for v in row.iter_mut() {
-                    *v = 1.0 / n;
-                }
-                continue;
-            }
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            if sum > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            }
+            softmax_row_in_place(out.row_mut(r));
         }
         out
+    }
+
+    /// Vector-Jacobian product of [`Matrix::softmax_rows`]: with `self` the softmax
+    /// output `s` and `upstream` the gradient `dy` of its rows, returns
+    /// `dx = s ∘ (dy − ⟨dy, s⟩)` row by row — the reverse-mode rule of the tape's
+    /// softmax node and of the fused attention backward, which share this one formula.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
+    pub fn softmax_rows_vjp(&self, upstream: &Matrix) -> Result<Matrix> {
+        self.check_same_shape(upstream, "softmax_rows_vjp")?;
+        let mut grad = upstream.clone();
+        for r in 0..self.rows() {
+            softmax_row_vjp_in_place(self.row(r), grad.row_mut(r));
+        }
+        Ok(grad)
     }
 
     /// Horizontal concatenation `[self | rhs]`.
@@ -722,10 +922,10 @@ impl Matrix {
     /// Per-column sums as a `1 x cols` row vector.
     pub fn col_sums(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols());
+        // Row by row, so every column's sum still runs over the rows in increasing order.
         for r in 0..self.rows() {
-            for c in 0..self.cols() {
-                let v = out.get(0, c) + self.get(r, c);
-                out.set(0, c, v);
+            for (o, &v) in out.as_mut_slice().iter_mut().zip(self.row(r)) {
+                *o += v;
             }
         }
         out
@@ -798,6 +998,39 @@ impl Matrix {
     /// Clamps every element into `[lo, hi]`.
     pub fn clamp(&self, lo: f32, hi: f32) -> Matrix {
         self.map(|v| v.clamp(lo, hi))
+    }
+}
+
+/// Softmax of one row in place: exponentiate after subtracting the row max, then
+/// normalise by the sequential sum; a row whose max is not finite (all `-inf`) becomes
+/// uniform. The one row rule of [`Matrix::softmax_rows`] and the fused attention kernels.
+pub(crate) fn softmax_row_in_place(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    if !max.is_finite() {
+        let n = row.len() as f32;
+        for v in row.iter_mut() {
+            *v = 1.0 / n;
+        }
+        return;
+    }
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
+}
+
+/// Softmax VJP of one row in place: `d ← s ∘ (d − ⟨d, s⟩)`, with `s` the row's softmax
+/// output and `d` its upstream gradient (see [`Matrix::softmax_rows_vjp`]).
+pub(crate) fn softmax_row_vjp_in_place(s: &[f32], d: &mut [f32]) {
+    let inner: f32 = s.iter().zip(d.iter()).map(|(&si, &di)| si * di).sum();
+    for (o, &si) in d.iter_mut().zip(s) {
+        *o = si * (*o - inner);
     }
 }
 

@@ -1,24 +1,34 @@
 //! Packed-vs-sequential learning equivalence (the PR 3 regression fence).
 //!
 //! `DqnLearner::learn` differentiates the whole minibatch as **one** autograd graph
-//! (`SetQNetwork::forward_batch` + one in-graph weighted masked MSE + two packed target
-//! passes); `DqnLearner::learn_sequential` is the retained per-transition reference loop.
-//! This suite proves the equivalence contract over long seeded sweeps for both MDPs:
+//! (`SetQNetwork::forward_batch` with one fused attention node per head, one in-graph
+//! weighted masked MSE, one packed online-θ target pass) and reads the target network's
+//! branch values from its θ̃ cache, scoring only the branch lists it has not seen since
+//! the last target sync; `DqnLearner::learn_sequential` is the retained per-transition
+//! reference loop, with per-branch single-state inference and no cache. This suite
+//! proves the equivalence contract over long seeded sweeps for both MDPs:
 //!
 //! * **Bit-identical observables.** From bit-identical learner state, both paths report
 //!   the same `LearnReport` loss and mean TD error *to the bit*, write the same replay
 //!   priorities to the bit, and consume the sampling RNG identically — for ≥ 50
 //!   consecutive updates per MDP, with fresh transitions churning the memory between
 //!   updates. This holds because the packed forward values equal the per-state forward
-//!   values bit for bit (row-wise ops never mix rows; per-segment attention runs the same
-//!   kernels on the same bits; padding contributes exact zeros) and the packed loss
+//!   values bit for bit (row-wise ops never mix rows; the fused per-segment attention
+//!   computes every element in the unfused chain's order; padding contributes exact
+//!   zeros), a cached θ̃ value is the bits a fresh pass computes, and the packed loss
 //!   accumulates the per-transition terms in the sequential loop's f32 order.
+//! * **The θ̃ cache is fenced.** Transitions are stored the way the agent stores them:
+//!   the transitions of one feedback share one branch-list `Arc`, so prioritized replay
+//!   hits the cache again and again. The sweep crosses four target syncs (each must drop
+//!   the cache), and a learner checkpointed and resumed mid-sync-period — empty cache,
+//!   unshared branch lists — must continue bit-identically to the uninterrupted one,
+//!   parameters included.
 //! * **Parameter agreement to documented f32 tolerance.** Post-update parameters are
-//!   *not* bit-compared: the packed backward sums each parameter's gradient over all
-//!   segments in one sweep, while the sequential loop accumulates per-transition gradient
-//!   matrices and then scales — the same real-number sum in a different f32 association
-//!   order. The sweep asserts every parameter stays within a tight absolute/relative
-//!   tolerance after every update.
+//!   *not* bit-compared across the two paths: the packed backward sums each parameter's
+//!   gradient over all segments in one sweep, while the sequential loop accumulates
+//!   per-transition gradient matrices and then scales — the same real-number sum in a
+//!   different f32 association order. The sweep asserts every parameter stays within a
+//!   tight absolute/relative tolerance after every update.
 //!
 //! Protocol per update: clone the packed learner (full state: networks, Adam moments,
 //! replay priorities, annealed β, **and the owned minibatch-sampling RNG**), run
@@ -28,6 +38,7 @@
 //! exact.
 
 use crowd_bench::synthetic_state;
+use crowd_ckpt::{LoadState, StateReader, StateWriter};
 use crowd_rl_core::{
     DdqnConfig, DqnLearner, FutureBranch, StateKind, StateTransformer, Transition,
 };
@@ -35,6 +46,9 @@ use crowd_tensor::Rng;
 use std::sync::Arc;
 
 const UPDATES: usize = 52;
+/// Update after which the resumed twin is checkpointed: mid-way between the syncs after
+/// updates 13 and 26.
+const RESUME_AFTER: usize = 19;
 const MAX_TASKS: usize = 6;
 const TASK_DIM: usize = 4;
 const WORKER_DIM: usize = 3;
@@ -89,6 +103,70 @@ fn random_transition(tf: &StateTransformer, rng: &mut Rng) -> Transition {
     }
 }
 
+/// One feedback's transitions, stored the way the agent stores them: the chosen task's
+/// transition plus 0–2 transitions for other shown tasks (reward 0), all in the same
+/// state and sharing one branch-list `Arc`.
+fn feedback_transitions(tf: &StateTransformer, rng: &mut Rng) -> Vec<Transition> {
+    let chosen = random_transition(tf, rng);
+    let pool = chosen.state.real_tasks;
+    let others = rng.below(3);
+    let mut group = Vec::with_capacity(1 + others);
+    for _ in 0..others {
+        group.push(Transition {
+            state: chosen.state.clone(),
+            action_row: rng.below(pool),
+            reward: 0.0,
+            branches: Arc::clone(&chosen.branches),
+        });
+    }
+    group.insert(0, chosen);
+    group
+}
+
+fn store_feedback(learners: &mut [&mut DqnLearner], tf: &StateTransformer, rng: &mut Rng) {
+    for transition in feedback_transitions(tf, rng) {
+        for learner in learners.iter_mut() {
+            learner.store_transition(transition.clone());
+        }
+    }
+}
+
+/// A learner restored from a checkpoint of `learner` (fresh branch allocations, empty
+/// θ̃ cache).
+fn resume(learner: &DqnLearner, cfg: &DdqnConfig, row_dim: usize, gamma: f32) -> DqnLearner {
+    let mut writer = StateWriter::new();
+    writer.save(learner);
+    let mut resumed = DqnLearner::new(cfg, row_dim, gamma, &mut Rng::seed_from(1));
+    resumed
+        .load_state(&mut StateReader::new(writer.as_bytes()))
+        .expect("checkpoint loads");
+    resumed
+}
+
+fn assert_bit_identical(label: &str, a: &DqnLearner, b: &DqnLearner, buffer_size: usize) {
+    assert_eq!(a.updates(), b.updates(), "{label}: update count");
+    assert_eq!(a.rng_probe(), b.rng_probe(), "{label}: sampling RNG");
+    let bits = |l: &DqnLearner| {
+        l.loss_history()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(a), bits(b), "{label}: loss stream");
+    for slot in 0..buffer_size {
+        assert_eq!(
+            a.replay_priority(slot).to_bits(),
+            b.replay_priority(slot).to_bits(),
+            "{label}: replay priority of slot {slot}"
+        );
+    }
+    for ((_, name, pa), (_, _, pb)) in a.params().iter().zip(b.params().iter()) {
+        for (x, y) in pa.as_slice().iter().zip(pb.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label}: parameter {name}");
+        }
+    }
+}
+
 fn max_param_divergence(a: &DqnLearner, b: &DqnLearner) -> (f32, String) {
     let mut worst = 0.0f32;
     let mut worst_name = String::new();
@@ -106,23 +184,27 @@ fn max_param_divergence(a: &DqnLearner, b: &DqnLearner) -> (f32, String) {
 }
 
 /// The seeded sweep for one MDP: ≥ 50 packed-vs-sequential update pairs from identical
-/// states, with the replay memory churning between updates.
+/// states, with the replay memory churning between updates, plus a twin resumed from a
+/// mid-sync-period checkpoint that must track the uninterrupted learner to the bit.
 fn run_sweep(kind: StateKind, gamma: f32, seed: u64) {
     let cfg = config();
     let tf = StateTransformer::new(kind, MAX_TASKS, TASK_DIM, WORKER_DIM);
     let mut init_rng = Rng::seed_from(seed);
     let mut learner = DqnLearner::new(&cfg, tf.row_dim(), gamma, &mut init_rng);
     let mut feed_rng = Rng::seed_from(seed ^ 0x9E37_79B9_7F4A_7C15);
-    for _ in 0..cfg.batch_size * 2 {
-        learner.store_transition(random_transition(&tf, &mut feed_rng));
+    while learner.memory_len() < cfg.batch_size * 2 {
+        store_feedback(&mut [&mut learner], &tf, &mut feed_rng);
     }
+    let mut resumed: Option<DqnLearner> = None;
 
     for update in 0..UPDATES {
         // Keep the buffer churning so the sweep covers wrap-around and re-prioritised
         // slots, not just the initial fill.
-        learner.store_transition(random_transition(&tf, &mut feed_rng));
+        let mut feeders: Vec<&mut DqnLearner> = vec![&mut learner];
+        feeders.extend(resumed.as_mut());
+        store_feedback(&mut feeders, &tf, &mut feed_rng);
         if update % 3 == 0 {
-            learner.store_transition(random_transition(&tf, &mut feed_rng));
+            store_feedback(&mut feeders, &tf, &mut feed_rng);
         }
 
         // The clone carries the sampling RNG, so both paths draw the same minibatch.
@@ -172,8 +254,27 @@ fn run_sweep(kind: StateKind, gamma: f32, seed: u64) {
             "[{kind:?} update {update}] parameter {name} diverged beyond f32 tolerance: {divergence}"
         );
         assert_eq!(learner.updates(), sequential.updates());
+
+        if let Some(twin) = resumed.as_mut() {
+            twin.learn()
+                .expect("resumed learn failed")
+                .expect("memory holds enough transitions");
+            assert_bit_identical(
+                &format!("[{kind:?} update {update}] resumed twin"),
+                &learner,
+                twin,
+                cfg.buffer_size,
+            );
+        }
+        if update + 1 == RESUME_AFTER {
+            resumed = Some(resume(&learner, &cfg, tf.row_dim(), gamma));
+        }
     }
     assert_eq!(learner.updates() as usize, UPDATES);
+    assert!(
+        UPDATES as u64 / cfg.target_sync_every >= 2,
+        "the sweep must cross at least two target syncs"
+    );
 }
 
 #[test]
