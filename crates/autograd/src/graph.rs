@@ -267,7 +267,9 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns a shape error when the operands disagree or a segment does not fit.
+    /// Returns a shape error when the operands disagree or a segment does not fit, and
+    /// `TensorError::UnorderedSegments` when the segments are not sorted by start row or
+    /// overlap (the backward writes each segment's gradient rows on their own).
     pub fn segment_attention(
         &mut self,
         q: VarId,

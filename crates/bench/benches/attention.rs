@@ -76,7 +76,7 @@ fn bench_attention(c: &mut Criterion) {
         let x = Matrix::randn(rows, dim, &mut rng);
 
         group.bench_with_input(BenchmarkId::new("infer", rows), &rows, |b, _| {
-            b.iter(|| attn.infer(&store, &x, None).unwrap())
+            b.iter(|| attn.infer(&store, &x, rows).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("forward_backward", rows), &rows, |b, _| {
             b.iter(|| {

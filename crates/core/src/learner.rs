@@ -37,6 +37,11 @@
 //! derived state, and a cached value is the very bits a fresh pass computes (a packed
 //! pass gives every state the bits of a pass over that state alone).
 //!
+//! Decoding a checkpoint gives every transition its own fresh branch-list `Arc`, so a
+//! resumed learner hits the cache only when the very same transition is sampled again
+//! within a sync period; the hit rate recovers as the replay memory turns over. The bits
+//! are the same either way.
+//!
 //! [`DqnLearner::learn_sequential`] retains the original per-transition loop (B separate
 //! graphs, per-branch single-state inference, no cache) as the frozen reference path — it
 //! exists only for the equivalence suite (`tests/packed_learning_equivalence.rs`) and the

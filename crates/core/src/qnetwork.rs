@@ -131,13 +131,13 @@ impl SetQNetwork {
         if state.real_tasks == 0 {
             return Ok(Vec::new());
         }
-        let mask = state.attention_mask();
+        let real = state.real_tasks;
         let h1 = self.ff1.infer(store, &state.features)?;
         let h2 = self.ff2.infer(store, &h1)?;
-        let a1 = self.attention1.infer(store, &h2, Some(&mask))?;
+        let a1 = self.attention1.infer(store, &h2, real)?;
         let r1 = self.residual_ff.infer(store, &a1)?;
         let h3 = h2.add(&r1)?;
-        let a2 = self.attention2.infer(store, &h3, Some(&mask))?;
+        let a2 = self.attention2.infer(store, &h3, real)?;
         let h4 = h3.add(&a2)?;
         let q = self.head.infer(store, &h4)?;
         Ok(q.col(0)[..state.real_tasks].to_vec())

@@ -146,27 +146,21 @@ impl MultiHeadSelfAttention {
         self.output.forward(graph, store, binding, concat)
     }
 
-    /// Gradient-free forward pass (target network evaluation).
-    pub fn infer(&self, store: &ParamStore, x: &Matrix, mask: Option<&Matrix>) -> Result<Matrix> {
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut concat: Option<Matrix> = None;
-        for head in &self.heads {
-            let q = x.matmul(store.get(head.wq))?;
-            let k = x.matmul(store.get(head.wk))?;
-            let v = x.matmul(store.get(head.wv))?;
-            let mut scores = q.matmul_transpose(&k)?.scale(scale);
-            if let Some(m) = mask {
-                scores = scores.add(m)?;
-            }
-            let attn = scores.softmax_rows();
-            let head_out = attn.matmul(&v)?;
-            concat = Some(match concat {
-                None => head_out,
-                Some(prev) => prev.concat_cols(&head_out)?,
-            });
-        }
-        self.output
-            .infer(store, &concat.expect("at least one head"))
+    /// Gradient-free forward pass over one pool of `x.rows()` rows whose first
+    /// `real_rows` rows are real tasks; the rest is padding, masked out of every
+    /// attention row exactly as [`MultiHeadSelfAttention::padding_mask`] masks it on the
+    /// tape (pass `x.rows()` for an unpadded pool).
+    ///
+    /// This is [`MultiHeadSelfAttention::infer_packed`] over a single segment, so it runs
+    /// the same fused kernel and returns the bits the unfused tape chain of
+    /// [`MultiHeadSelfAttention::forward`] computes with that mask.
+    pub fn infer(&self, store: &ParamStore, x: &Matrix, real_rows: usize) -> Result<Matrix> {
+        let segment = PoolSegment {
+            start: 0,
+            rows: x.rows(),
+            real_rows,
+        };
+        self.infer_packed(store, x, &[segment])
     }
 
     /// Differentiable twin of [`MultiHeadSelfAttention::infer_packed`]: multi-head
@@ -242,12 +236,14 @@ impl MultiHeadSelfAttention {
     /// over the whole buffer; scores and softmax never cross sessions, so they run block by
     /// block, fused per segment, with each segment's own padding mask. The rows of the
     /// result are bit-identical to calling [`MultiHeadSelfAttention::infer`] once per
-    /// segment with [`MultiHeadSelfAttention::padding_mask`]`(rows, real_rows)` — row-wise
-    /// matmul rows depend only on their own input row, and the fused block computes every
-    /// element with the same operations in the same order as the unfused one.
+    /// segment with its `real_rows` (row-wise matmul rows depend only on their own input
+    /// row), and to the unfused tape chain of [`MultiHeadSelfAttention::forward`] with
+    /// [`MultiHeadSelfAttention::padding_mask`]`(rows, real_rows)` — the fused block
+    /// computes every element with the same operations in the same order as that chain.
     ///
     /// Rows not covered by any segment come back as bias-shifted zeros and must be ignored
-    /// by the caller; segments may not overlap.
+    /// by the caller; segments must be sorted by start row and may not overlap (a typed
+    /// error otherwise).
     pub fn infer_packed(
         &self,
         store: &ParamStore,
@@ -340,7 +336,7 @@ mod tests {
     fn output_shape_matches_input() {
         let (store, attn, mut rng) = setup(8, 4, 0);
         let x = Matrix::randn(6, 8, &mut rng);
-        let out = attn.infer(&store, &x, None).unwrap();
+        let out = attn.infer(&store, &x, 6).unwrap();
         assert_eq!(out.shape(), (6, 8));
     }
 
@@ -356,10 +352,12 @@ mod tests {
         let y = attn
             .forward(&mut g, &store, &mut binding, xv, Some(&mask))
             .unwrap();
-        let inferred = attn.infer(&store, &x, Some(&mask)).unwrap();
-        for (a, b) in g.value(y).as_slice().iter().zip(inferred.as_slice()) {
-            assert!((a - b).abs() < 1e-5);
-        }
+        let inferred = attn.infer(&store, &x, 3).unwrap();
+        assert_eq!(
+            g.value(y),
+            &inferred,
+            "fused inference diverged from the tape chain"
+        );
     }
 
     #[test]
@@ -373,8 +371,8 @@ mod tests {
         let c = Matrix::randn(1, 4, &mut rng);
         let abc = a.concat_rows(&b).unwrap().concat_rows(&c).unwrap();
         let cba = c.concat_rows(&b).unwrap().concat_rows(&a).unwrap();
-        let out1 = attn.infer(&store, &abc, None).unwrap();
-        let out2 = attn.infer(&store, &cba, None).unwrap();
+        let out1 = attn.infer(&store, &abc, 3).unwrap();
+        let out2 = attn.infer(&store, &cba, 3).unwrap();
         for col in 0..4 {
             assert!((out1.get(0, col) - out2.get(2, col)).abs() < 1e-5);
             assert!((out1.get(1, col) - out2.get(1, col)).abs() < 1e-5);
@@ -392,9 +390,8 @@ mod tests {
         let garbage_pad = real
             .concat_rows(&Matrix::randn(2, 4, &mut rng).scale(50.0))
             .unwrap();
-        let mask = MultiHeadSelfAttention::padding_mask(5, 3);
-        let out_zero = attn.infer(&store, &zeros_pad, Some(&mask)).unwrap();
-        let out_garbage = attn.infer(&store, &garbage_pad, Some(&mask)).unwrap();
+        let out_zero = attn.infer(&store, &zeros_pad, 3).unwrap();
+        let out_garbage = attn.infer(&store, &garbage_pad, 3).unwrap();
         for r in 0..3 {
             for c in 0..4 {
                 assert!(
@@ -456,8 +453,7 @@ mod tests {
         }
         let out = attn.infer_packed(&store, &packed, &segments).unwrap();
         for (block, seg) in blocks.iter().zip(&segments) {
-            let mask = MultiHeadSelfAttention::padding_mask(seg.rows, seg.real_rows);
-            let solo = attn.infer(&store, block, Some(&mask)).unwrap();
+            let solo = attn.infer(&store, block, seg.real_rows).unwrap();
             assert_eq!(
                 out.slice_rows(seg.start, seg.end()).unwrap(),
                 solo,
@@ -578,9 +574,9 @@ mod tests {
 
     #[test]
     fn gradcheck_forward_packed_two_unequal_segments() {
-        // Finite-difference check of the scatter/gather backward across a 2-segment pack
-        // with unequal pool sizes — the case a wrong row offset in the Vstack/SliceRows
-        // VJPs would corrupt. Every parameter is tied to a gradcheck leaf through
+        // Finite-difference check of the packed backward across a 2-segment pack with
+        // unequal pool sizes — the case a wrong row offset in the fused SegmentAttention
+        // VJP would corrupt. Every parameter is tied to a gradcheck leaf through
         // GraphBinding::preset, so the check runs through forward_packed itself.
         use crowd_autograd::gradcheck::{check_gradient, ScalarFn};
 

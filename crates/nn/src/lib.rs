@@ -63,8 +63,8 @@
 //! let out = attn.infer_packed(&store, &packed, &segments).unwrap();
 //!
 //! // Each block equals the standalone pass over that session alone.
-//! assert_eq!(out.slice_rows(0, 3).unwrap(), attn.infer(&store, &a, None).unwrap());
-//! assert_eq!(out.slice_rows(3, 8).unwrap(), attn.infer(&store, &b, None).unwrap());
+//! assert_eq!(out.slice_rows(0, 3).unwrap(), attn.infer(&store, &a, 3).unwrap());
+//! assert_eq!(out.slice_rows(3, 8).unwrap(), attn.infer(&store, &b, 5).unwrap());
 //! ```
 
 pub mod attention;

@@ -125,8 +125,20 @@ fn attention_weights_len(segments: &[PoolSegment]) -> usize {
     segments.iter().map(|seg| seg.rows * seg.rows).sum()
 }
 
+/// Checks that `segments` fit in `rows` rows and are sorted and disjoint: each segment
+/// owns its rows, which the backward kernel relies on when it writes a segment's
+/// gradient rows without summing across segments. Gaps between segments are allowed.
 fn check_segments(op: &'static str, segments: &[PoolSegment], rows: usize) -> Result<()> {
+    let mut previous_end = 0;
     for seg in segments {
+        if seg.start < previous_end {
+            return Err(TensorError::UnorderedSegments {
+                op,
+                start: seg.start,
+                previous_end,
+            });
+        }
+        previous_end = seg.end();
         if seg.end() > rows {
             return Err(TensorError::IndexOutOfBounds {
                 op,
@@ -159,7 +171,8 @@ fn check_segments(op: &'static str, segments: &[PoolSegment], rows: usize) -> Re
 /// # Errors
 ///
 /// Returns a shape error when Q and K differ in width or a segment, the output window
-/// or an operand's rows do not fit.
+/// or an operand's rows do not fit, and [`TensorError::UnorderedSegments`] when the
+/// segments are not sorted by start row or overlap.
 #[allow(clippy::too_many_arguments)] // one fused kernel, every operand explicit
 pub fn segment_attention(
     q: ColumnBlock<'_>,
@@ -281,7 +294,9 @@ pub struct AttentionGrads {
 ///
 /// # Errors
 ///
-/// Returns a shape error when the operands, `up`, `weights` or the segments disagree.
+/// Returns a shape error when the operands, `up`, `weights` or the segments disagree,
+/// and [`TensorError::UnorderedSegments`] when the segments are not sorted by start row
+/// or overlap.
 #[allow(clippy::too_many_arguments)] // one fused kernel, every operand explicit
 pub fn segment_attention_backward(
     q: &Matrix,
@@ -473,6 +488,55 @@ mod tests {
             &mut scratch
         )
         .is_err());
+        // Overlapping or unsorted segments would make the backward overwrite one
+        // segment's gradient rows with another's, so both directions refuse them.
+        let overlapping = [
+            PoolSegment {
+                start: 0,
+                rows: 3,
+                real_rows: 3,
+            },
+            PoolSegment {
+                start: 2,
+                rows: 2,
+                real_rows: 2,
+            },
+        ];
+        let unsorted = [overlapping[1], overlapping[0]];
+        for segs in [&overlapping, &unsorted] {
+            let err = segment_attention(
+                whole,
+                whole,
+                whole,
+                segs,
+                1.0,
+                &mut out,
+                0,
+                None,
+                &mut scratch,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, TensorError::UnorderedSegments { .. }),
+                "{err}"
+            );
+            let err = segment_attention_backward(
+                &q,
+                &q,
+                &q,
+                &[0.0; 13],
+                segs,
+                1.0,
+                &q,
+                [true; 3],
+                &mut scratch,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, TensorError::UnorderedSegments { .. }),
+                "{err}"
+            );
+        }
         assert!(ColumnBlock::new(&q, 1, 2).is_err());
         assert!(segment_attention_backward(
             &q,

@@ -40,6 +40,15 @@ pub enum TensorError {
         /// Name of the operation that failed.
         op: &'static str,
     },
+    /// A list of row segments was not sorted by start row or had overlapping segments.
+    UnorderedSegments {
+        /// Name of the operation that failed.
+        op: &'static str,
+        /// First row of the offending segment.
+        start: usize,
+        /// One past the last row of the segment before it.
+        previous_end: usize,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -59,6 +68,15 @@ impl fmt::Display for TensorError {
                 write!(f, "index {index} out of bounds (< {bound}) in `{op}`")
             }
             TensorError::EmptyInput { op } => write!(f, "`{op}` requires a non-empty input"),
+            TensorError::UnorderedSegments {
+                op,
+                start,
+                previous_end,
+            } => write!(
+                f,
+                "segment starting at row {start} begins before the previous one ends \
+                 (row {previous_end}) in `{op}`; segments must be sorted and disjoint"
+            ),
         }
     }
 }
@@ -107,6 +125,19 @@ mod tests {
     fn display_empty_input() {
         let e = TensorError::EmptyInput { op: "argmax" };
         assert!(e.to_string().contains("argmax"));
+    }
+
+    #[test]
+    fn display_unordered_segments() {
+        let e = TensorError::UnorderedSegments {
+            op: "segment_attention",
+            start: 2,
+            previous_end: 5,
+        };
+        let s = e.to_string();
+        assert!(s.contains("segment_attention"));
+        assert!(s.contains("row 2"));
+        assert!(s.contains("row 5"));
     }
 
     #[test]
