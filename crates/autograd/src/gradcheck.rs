@@ -80,7 +80,7 @@ pub fn check_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_tensor::Rng;
+    use crowd_tensor::{PoolSegment, Rng};
 
     fn rand_mat(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = Rng::seed_from(seed);
@@ -91,7 +91,7 @@ mod tests {
     fn gradcheck_matmul_chain() {
         let f: Box<ScalarFn> = Box::new(|g, ids| {
             let prod = g.matmul(ids[0], ids[1]).unwrap();
-            let act = g.relu(prod);
+            let act = g.leaky_relu(prod, 0.01);
             g.squared_sum(act)
         });
         let inputs = vec![rand_mat(3, 4, 1), rand_mat(4, 2, 2)];
@@ -103,14 +103,11 @@ mod tests {
 
     #[test]
     fn gradcheck_softmax_attention_like_block() {
-        // scores = softmax(X X^T); out = scores @ X; loss = sum(out^2).
+        // out = softmax(X X^T / 2) @ X over one segment; loss = sum(out^2).
         let f: Box<ScalarFn> = Box::new(|g, ids| {
             let x = ids[0];
-            let xt = g.transpose(x);
-            let scores = g.matmul(x, xt).unwrap();
-            let scaled = g.scale(scores, 0.5);
-            let attn = g.softmax_rows(scaled);
-            let out = g.matmul(attn, x).unwrap();
+            let whole = [PoolSegment { start: 0, rows: 4 }];
+            let out = g.segment_attention(x, x, x, &whole, 0.5).unwrap();
             g.squared_sum(out)
         });
         let inputs = vec![rand_mat(4, 3, 7)];
@@ -122,8 +119,9 @@ mod tests {
     fn gradcheck_bias_and_mean() {
         let f: Box<ScalarFn> = Box::new(|g, ids| {
             let y = g.add_row_broadcast(ids[0], ids[1]).unwrap();
-            let r = g.relu(y);
-            g.mean(r)
+            let r = g.leaky_relu(y, 0.01);
+            let total = g.sum(r);
+            g.scale(total, 1.0 / 15.0) // the mean of the 5 x 3 activations
         });
         let inputs = vec![rand_mat(5, 3, 11), rand_mat(1, 3, 12)];
         for idx in 0..2 {
@@ -136,9 +134,7 @@ mod tests {
     fn gradcheck_concat_slice_hadamard() {
         let f: Box<ScalarFn> = Box::new(|g, ids| {
             let cat = g.concat_cols(ids[0], ids[1]).unwrap();
-            let left = g.slice_cols(cat, 0, 2).unwrap();
-            let right = g.slice_cols(cat, 2, 4).unwrap();
-            let prod = g.hadamard(left, right).unwrap();
+            let prod = g.hadamard(cat, cat).unwrap();
             g.sum(prod)
         });
         let inputs = vec![rand_mat(3, 2, 21), rand_mat(3, 2, 22)];
@@ -160,26 +156,53 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_vstack_slice_rows_segment_pipeline() {
-        // The packed-segment shape the learner uses: stack two unequal-height blocks,
-        // slice each back out, run a softmax per segment and recombine.
-        let f: Box<ScalarFn> = Box::new(|g, ids| {
-            let packed = g.vstack(&[ids[0], ids[1]]).unwrap();
-            let top = g.slice_rows(packed, 0, 2).unwrap();
-            let bottom = g.slice_rows(packed, 2, 5).unwrap();
-            let s_top = g.softmax_rows(top);
-            let s_bottom = g.softmax_rows(bottom);
-            let mixed = g.vstack(&[s_bottom, s_top]).unwrap();
-            let prod = g.hadamard(mixed, mixed).unwrap();
-            g.sum(prod)
+    fn gradcheck_segment_attention_over_unequal_segments() {
+        // Three segments of 1, 3 and 2 rows with a gap row between the last two, so a
+        // wrong row offset, a segment leaking into its neighbour or a gradient written
+        // to a row outside every segment shows up as a finite-difference mismatch.
+        let segments = [
+            PoolSegment { start: 0, rows: 1 },
+            PoolSegment { start: 1, rows: 3 },
+            PoolSegment { start: 5, rows: 2 },
+        ];
+        let weights = rand_mat(7, 2, 71);
+        let f: Box<ScalarFn> = Box::new(move |g, ids| {
+            let out = g
+                .segment_attention(ids[0], ids[1], ids[2], &segments, 0.7)
+                .unwrap();
+            let w = g.constant(weights.clone());
+            let weighted = g.hadamard(out, w).unwrap();
+            g.squared_sum(weighted)
         });
-        let inputs = vec![rand_mat(2, 3, 51), rand_mat(3, 3, 52)];
-        for idx in 0..2 {
+        let inputs = vec![rand_mat(7, 3, 72), rand_mat(7, 3, 73), rand_mat(7, 2, 74)];
+        for idx in 0..3 {
             let report = check_gradient(&f, &inputs, idx, 1e-2);
             assert!(
-                report.passes(2e-2),
-                "vstack/slice_rows input {idx}: {report:?}"
+                report.passes(5e-2),
+                "segment_attention operand {idx}: {report:?}"
             );
+        }
+    }
+
+    #[test]
+    fn gradcheck_leaky_relu_away_from_the_kink() {
+        // Every input sits at least 0.1 from 0, ten times the finite-difference step, so
+        // the central difference never straddles the kink.
+        let mut x = rand_mat(4, 5, 81);
+        for v in x.as_mut_slice() {
+            *v += 0.1f32.copysign(*v);
+        }
+        let weights = rand_mat(4, 5, 82);
+        for slope in [0.01, 0.3] {
+            let w = weights.clone();
+            let f: Box<ScalarFn> = Box::new(move |g, ids| {
+                let act = g.leaky_relu(ids[0], slope);
+                let wv = g.constant(w.clone());
+                let weighted = g.hadamard(act, wv).unwrap();
+                g.squared_sum(weighted)
+            });
+            let report = check_gradient(&f, std::slice::from_ref(&x), 0, 1e-2);
+            assert!(report.passes(2e-2), "leaky_relu slope {slope}: {report:?}");
         }
     }
 
@@ -202,7 +225,8 @@ mod tests {
         let f: Box<ScalarFn> = Box::new(|g, ids| {
             let d = g.sub(ids[0], ids[1]).unwrap();
             let s = g.scale(d, -1.7);
-            let sh = g.shift(s, 0.3);
+            let offset = g.constant(Matrix::filled(2, 2, 0.3));
+            let sh = g.add(s, offset).unwrap();
             g.squared_sum(sh)
         });
         let inputs = vec![rand_mat(2, 2, 41), rand_mat(2, 2, 42)];

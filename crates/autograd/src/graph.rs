@@ -174,25 +174,12 @@ impl Graph {
         self.push(Op::Scale(alpha), vec![a], value, rg)
     }
 
-    /// Adds `delta` to every element.
-    pub fn shift(&mut self, a: VarId, delta: f32) -> VarId {
-        let value = self.value_of(a).shift(delta);
-        let rg = self.needs_grad(&[a]);
-        self.push(Op::Shift(delta), vec![a], value, rg)
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: VarId) -> VarId {
-        let value = self.value_of(a).relu();
-        let rg = self.needs_grad(&[a]);
-        self.push(Op::Relu, vec![a], value, rg)
-    }
-
     /// Leaky rectifier `relu(a) − slope · relu(−a)`, as one node. Its value and its
-    /// gradient are, element for element, the bits of composing
-    /// `sub(relu(a), scale(relu(scale(a, −1)), slope))` from the primitive ops — the
-    /// forward evaluates that expression per element, and the backward applies the five
-    /// VJPs in the order the reverse sweep would (see `crate::backward`).
+    /// gradient are, element for element, the bits of the five-primitive composition
+    /// `sub(relu(a), scale(relu(scale(a, −1)), slope))` — the forward evaluates that
+    /// expression per element, and the backward applies the five VJPs in the order a
+    /// reverse sweep over the composition would (see `crate::backward`;
+    /// `crowd_bench::reference` writes the composition out).
     // `v * -1.0` rather than `-v`: the chain's scale(-1) multiplies, and the two differ
     // on a NaN's sign bit.
     #[allow(clippy::neg_multiply)]
@@ -207,20 +194,6 @@ impl Graph {
         self.push(Op::LeakyRelu(slope), vec![a], value, rg)
     }
 
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: VarId) -> VarId {
-        let value = self.value_of(a).softmax_rows();
-        let rg = self.needs_grad(&[a]);
-        self.push(Op::SoftmaxRows, vec![a], value, rg)
-    }
-
-    /// Transpose.
-    pub fn transpose(&mut self, a: VarId) -> VarId {
-        let value = self.value_of(a).transpose();
-        let rg = self.needs_grad(&[a]);
-        self.push(Op::Transpose, vec![a], value, rg)
-    }
-
     /// Horizontal concatenation `[a | b]`.
     pub fn concat_cols(&mut self, a: VarId, b: VarId) -> Result<VarId> {
         let value = self.value_of(a).concat_cols(self.value_of(b))?;
@@ -228,42 +201,15 @@ impl Graph {
         Ok(self.push(Op::ConcatCols, vec![a, b], value, rg))
     }
 
-    /// Column slice `a[:, start..end]`.
-    pub fn slice_cols(&mut self, a: VarId, start: usize, end: usize) -> Result<VarId> {
-        let value = self.value_of(a).slice_cols(start, end)?;
-        let rg = self.needs_grad(&[a]);
-        Ok(self.push(Op::SliceCols { start, end }, vec![a], value, rg))
-    }
-
-    /// Row slice `a[start..end, :]` — gathers one segment's rows out of a packed buffer.
-    /// The backward pass scatters the upstream gradient back into the matching rows of a
-    /// zero matrix shaped like `a`.
-    pub fn slice_rows(&mut self, a: VarId, start: usize, end: usize) -> Result<VarId> {
-        let value = self.value_of(a).slice_rows(start, end)?;
-        let rg = self.needs_grad(&[a]);
-        Ok(self.push(Op::SliceRows { start, end }, vec![a], value, rg))
-    }
-
-    /// Vertical stack `[a0; a1; …]` of same-width nodes — scatters per-segment results back
-    /// into one packed buffer. The backward pass routes each operand its own row block of
-    /// the upstream gradient.
-    pub fn vstack(&mut self, parts: &[VarId]) -> Result<VarId> {
-        let values: Vec<&Matrix> = parts.iter().map(|&p| self.value_of(p)).collect();
-        let value = Matrix::vstack(&values)?;
-        let rows: Vec<usize> = values.iter().map(|m| m.rows()).collect();
-        let rg = self.needs_grad(parts);
-        Ok(self.push(Op::Vstack { parts: rows }, parts.to_vec(), value, rg))
-    }
-
     /// Fused per-segment attention, one node per head: for every segment,
-    /// `softmax(q·kᵀ·scale + mask)·v` over the segment's own rows (a padded segment masks
-    /// its padded key columns), computed by `crowd_tensor::segment_attention` into one
-    /// `[q.rows, v.cols]` output. Rows outside every segment are zero.
+    /// `softmax(q·kᵀ·scale)·v` over the segment's own rows, computed by
+    /// `crowd_tensor::segment_attention` into one `[q.rows, v.cols]` output. Rows outside
+    /// every segment are zero.
     ///
     /// The node keeps its softmax blocks for the backward pass, which applies per segment
-    /// the VJPs of the unfused slice / transpose / matmul / scale / mask / softmax /
-    /// matmul chain in that chain's per-element order — so values *and* gradients are the
-    /// bits the chain produces, from one node instead of about eight per segment.
+    /// the VJPs of the unfused slice / transpose / matmul / scale / softmax / matmul chain
+    /// in that chain's per-element order — so values *and* gradients are the bits the
+    /// chain produces, from one node instead of about seven per segment.
     ///
     /// # Errors
     ///
@@ -319,13 +265,6 @@ impl Graph {
         self.push(Op::Sum, vec![a], value, rg)
     }
 
-    /// Mean of all elements (`1 x 1` result).
-    pub fn mean(&mut self, a: VarId) -> VarId {
-        let value = Matrix::filled(1, 1, self.value_of(a).mean());
-        let rg = self.needs_grad(&[a]);
-        self.push(Op::Mean, vec![a], value, rg)
-    }
-
     /// Sum of squared elements (`1 x 1` result).
     pub fn squared_sum(&mut self, a: VarId) -> VarId {
         let value = Matrix::filled(1, 1, self.value_of(a).squared_norm());
@@ -358,7 +297,7 @@ impl Graph {
     /// mean. The per-row evaluation order — square the masked difference, then multiply by
     /// the weight, then accumulate row by row — is chosen to reproduce bit for bit the
     /// value the sequential reference loop computes as
-    /// `Σ_i masked_mse(pred_i, …) · w_i / B` (see `crowd-rl-core`'s learner): masked-out
+    /// `Σ_i masked_mse(pred_i, …) · w_i / B` (`crowd_bench::reference::SequentialLearner`): masked-out
     /// rows contribute exact `0.0` terms, and `f32` addition of `0.0` onto a non-negative
     /// accumulator is bit-exact.
     pub fn weighted_masked_mse(
@@ -456,7 +395,7 @@ mod tests {
     fn backward_requires_scalar_output() {
         let mut g = Graph::new();
         let p = g.leaf(Matrix::ones(2, 2));
-        let r = g.relu(p);
+        let r = g.leaky_relu(p, 0.01);
         assert!(g.backward(r).is_err());
         let s = g.sum(r);
         assert!(g.backward(s).is_ok());

@@ -3,9 +3,10 @@
 //! The paper's Q-network (Fig. 3/4) is a stack of row-wise feed-forward layers and multi-head
 //! self-attention layers followed by a masked squared-error loss (Eq. 1/3/6). This crate
 //! provides exactly the operation set needed to express that network and differentiate it:
-//! matrix multiplication, transposition, broadcast bias addition, element-wise arithmetic,
-//! ReLU, row-wise softmax, column concatenation/slicing, reductions, and a masked
-//! sum-of-squared-errors loss.
+//! matrix multiplication, broadcast bias addition, element-wise arithmetic, the leaky
+//! rectifier, fused per-segment attention, column concatenation, reductions, and a masked
+//! sum-of-squared-errors loss. Every op has a caller in the library; the reference
+//! compositions the fused ops are tested against live in `crowd_bench::reference`.
 //!
 //! # Model
 //!
@@ -31,10 +32,10 @@
 //!
 //! # Tape vs tape-free inference
 //!
-//! Every layer in `crowd-nn` has two forward paths: a taped `forward` (differentiable, used
-//! by the learner) and a tape-free `infer` (used at decision time, including the batched
-//! path). The convention is that both compute the same function; the graph is only needed
-//! when gradients are:
+//! Every layer in `crowd-nn` has two forward paths: a taped one (differentiable, used by
+//! the learner) and a tape-free one (used at decision time and for the double-DQN
+//! targets). The convention is that both compute the same function; the graph is only
+//! needed when gradients are:
 //!
 //! ```
 //! use crowd_autograd::Graph;
@@ -45,14 +46,14 @@
 //! let w = Matrix::randn(3, 2, &mut rng);
 //!
 //! // Tape-free: plain matrix ops.
-//! let direct = x.matmul(&w).unwrap().relu();
+//! let direct = x.matmul(&w).unwrap().map(|v| if v > 0.0 { v } else { 0.01 * v });
 //!
 //! // Taped: same values, plus the ability to backpropagate.
 //! let mut g = Graph::new();
 //! let xv = g.constant(x);
 //! let wv = g.leaf(w);
 //! let y = g.matmul(xv, wv).unwrap();
-//! let y = g.relu(y);
+//! let y = g.leaky_relu(y, 0.01);
 //! assert_eq!(g.value(y).as_slice(), direct.as_slice());
 //!
 //! let loss = g.squared_sum(y);
@@ -62,7 +63,8 @@
 //!
 //! Gradients are verified against central finite differences in [`gradcheck`]; the
 //! equivalence of taped and tape-free forwards is asserted per layer in `crowd-nn` and for
-//! the whole Q-network in `crowd-rl-core`.
+//! the whole Q-network in `crowd-rl-core`, and `tests/kernel_equivalence.rs` holds the
+//! fused ops' values and gradients to the bits of their unfused references.
 
 pub mod backward;
 pub mod gradcheck;

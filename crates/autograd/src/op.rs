@@ -24,58 +24,24 @@ pub enum Op {
     Hadamard,
     /// Multiplication by a compile-time scalar.
     Scale(f32),
-    /// Addition of a compile-time scalar to every element.
-    Shift(f32),
-    /// Rectified linear unit.
-    Relu,
     /// Leaky rectifier `relu(x) − slope · relu(−x)`, element-wise — one node with the
     /// values and gradient bits of that five-node composition.
     LeakyRelu(f32),
-    /// Row-wise softmax (numerically stabilised).
-    SoftmaxRows,
-    /// Matrix transpose.
-    Transpose,
     /// Horizontal concatenation `[A | B]`.
     ConcatCols,
-    /// Column slice `A[:, start..end]`.
-    SliceCols {
-        /// First column (inclusive).
-        start: usize,
-        /// Last column (exclusive).
-        end: usize,
-    },
-    /// Row slice `A[start..end, :]` — the *gather* half of the packed-segment pair: it cuts
-    /// one segment's rows out of a packed buffer, and its backward scatters the upstream
-    /// gradient back into a zero matrix of the source shape.
-    SliceRows {
-        /// First row (inclusive).
-        start: usize,
-        /// Last row (exclusive).
-        end: usize,
-    },
-    /// Vertical stack `[A0; A1; …]` of same-width operands — the *scatter* half of the
-    /// packed-segment pair: per-segment results re-enter the packed buffer through it, and
-    /// its backward gathers each operand's rows back out of the upstream gradient.
-    Vstack {
-        /// Row count of every stacked operand, in operand order (recorded so the backward
-        /// pass can split the upstream gradient without re-reading operand shapes).
-        parts: Vec<usize>,
-    },
-    /// Fused per-segment attention `softmax(Q·Kᵀ·scale + mask)·V` over a packed buffer,
-    /// one node per head with operands `[Q, K, V]` (see `crowd_tensor::attention`). The
-    /// node keeps its softmax blocks, and its backward applies the VJPs of the
-    /// slice / transpose / matmul / scale / mask / softmax / matmul chain it replaces,
-    /// segment by segment.
+    /// Fused per-segment attention `softmax(Q·Kᵀ·scale)·V` over a packed buffer, one
+    /// node per head with operands `[Q, K, V]` (see `crowd_tensor::attention`). The node
+    /// keeps its softmax blocks, and its backward applies the VJPs of the
+    /// slice / transpose / matmul / scale / softmax / matmul chain it replaces, segment
+    /// by segment.
     SegmentAttention {
-        /// The row blocks attention stays inside; padded segments mask their padding.
+        /// The row blocks attention stays inside.
         segments: Vec<PoolSegment>,
         /// Score scale (`1/√d` for head width `d`).
         scale: f32,
     },
     /// Sum of all elements, producing a `1 x 1` matrix.
     Sum,
-    /// Mean of all elements, producing a `1 x 1` matrix.
-    Mean,
     /// Sum of squared elements, producing a `1 x 1` matrix. `squared_sum(x) = Σ x²`.
     SquaredSum,
 }
@@ -91,18 +57,10 @@ impl Op {
             Op::Sub => "sub",
             Op::Hadamard => "hadamard",
             Op::Scale(_) => "scale",
-            Op::Shift(_) => "shift",
-            Op::Relu => "relu",
             Op::LeakyRelu(_) => "leaky_relu",
-            Op::SoftmaxRows => "softmax_rows",
-            Op::Transpose => "transpose",
             Op::ConcatCols => "concat_cols",
-            Op::SliceCols { .. } => "slice_cols",
-            Op::SliceRows { .. } => "slice_rows",
-            Op::Vstack { .. } => "vstack",
             Op::SegmentAttention { .. } => "segment_attention",
             Op::Sum => "sum",
-            Op::Mean => "mean",
             Op::SquaredSum => "squared_sum",
         }
     }
@@ -117,7 +75,6 @@ impl Op {
             | Op::Sub
             | Op::Hadamard
             | Op::ConcatCols => 2,
-            Op::Vstack { parts } => parts.len(),
             Op::SegmentAttention { .. } => 3,
             _ => 1,
         }
@@ -131,7 +88,7 @@ mod tests {
     #[test]
     fn names_are_distinctive() {
         assert_eq!(Op::MatMul.name(), "matmul");
-        assert_eq!(Op::SliceCols { start: 0, end: 1 }.name(), "slice_cols");
+        assert_eq!(Op::LeakyRelu(0.01).name(), "leaky_relu");
         assert_eq!(Op::Scale(2.0).name(), "scale");
     }
 
@@ -139,21 +96,13 @@ mod tests {
     fn arity_matches_semantics() {
         assert_eq!(Op::Leaf.arity(), 0);
         assert_eq!(Op::MatMul.arity(), 2);
-        assert_eq!(Op::Relu.arity(), 1);
+        assert_eq!(Op::LeakyRelu(0.01).arity(), 1);
         assert_eq!(Op::ConcatCols.arity(), 2);
         assert_eq!(Op::SquaredSum.arity(), 1);
-        assert_eq!(Op::SliceRows { start: 0, end: 2 }.arity(), 1);
         assert_eq!(
             Op::SegmentAttention {
                 segments: Vec::new(),
                 scale: 1.0
-            }
-            .arity(),
-            3
-        );
-        assert_eq!(
-            Op::Vstack {
-                parts: vec![2, 3, 1]
             }
             .arity(),
             3

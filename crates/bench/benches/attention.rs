@@ -1,28 +1,25 @@
 //! Multi-head self-attention forward and backward latency — the dominant cost inside the
 //! Q-network (ablation support for the architecture choice of Fig. 3).
 //!
-//! Two groups: `attention` times the single-state paths (`infer`, taped `forward` +
-//! backward); `attention_packed` times the packed paths the learner runs at the Small
-//! tier's shape (model width 32, 4 heads) — `infer_packed` over 64 pools, as in a
-//! target pass over a minibatch's future branches, and `forward_packed` + backward over
-//! 16 pools, as in one minibatch's training graph. Pool sizes are drawn around 16 rows.
+//! Two groups at the Small tier's shape (model width 32, 4 heads): `attention` times one
+//! pool — `infer_packed` and taped `forward_packed` + backward over a single segment, as
+//! an act pass and a one-state graph run them; `attention_packed` times the packed paths
+//! the learner runs — `infer_packed` over 64 pools, as in a target pass over a
+//! minibatch's future branches, and `forward_packed` + backward over 16 pools, as in one
+//! minibatch's training graph. Pool sizes are drawn around 16 rows.
 
 use crowd_autograd::Graph;
 use crowd_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_nn::{GraphBinding, MultiHeadSelfAttention, ParamStore, PoolSegment};
 use crowd_tensor::{Matrix, Rng};
 
-/// Back-to-back padding-free segments of 8–24 rows (mean 16).
+/// Back-to-back segments of 8–24 rows (mean 16).
 fn packed_segments(count: usize, rng: &mut Rng) -> Vec<PoolSegment> {
     let mut start = 0;
     (0..count)
         .map(|_| {
             let rows = rng.range(8, 25);
-            let seg = PoolSegment {
-                start,
-                rows,
-                real_rows: rows,
-            };
+            let seg = PoolSegment { start, rows };
             start += rows;
             seg
         })
@@ -74,9 +71,10 @@ fn bench_attention(c: &mut Criterion) {
         let mut store = ParamStore::new();
         let attn = MultiHeadSelfAttention::new(&mut store, "attn", dim, 4, &mut rng);
         let x = Matrix::randn(rows, dim, &mut rng);
+        let whole = [PoolSegment { start: 0, rows }];
 
         group.bench_with_input(BenchmarkId::new("infer", rows), &rows, |b, _| {
-            b.iter(|| attn.infer(&store, &x, rows).unwrap())
+            b.iter(|| attn.infer_packed(&store, &x, &whole).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("forward_backward", rows), &rows, |b, _| {
             b.iter(|| {
@@ -84,7 +82,7 @@ fn bench_attention(c: &mut Criterion) {
                 let mut binding = GraphBinding::new();
                 let xv = g.constant(x.clone());
                 let out = attn
-                    .forward(&mut g, &store, &mut binding, xv, None)
+                    .forward_packed(&mut g, &store, &mut binding, xv, &whole)
                     .unwrap();
                 let loss = g.squared_sum(out);
                 g.backward(loss).unwrap();

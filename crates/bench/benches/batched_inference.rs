@@ -3,18 +3,16 @@
 //!
 //! Two levels are measured at `N ∈ {1, 8, 32, 128}`:
 //!
-//! * `qnetwork_batched_inference` — raw `SetQNetwork::infer` per state vs one
-//!   `SetQNetwork::infer_batch` over the packed `[Σ max_tasks, row_dim]` buffer;
+//! * `qnetwork_batched_inference` — one single-state `SetQNetwork::infer_batch` per state
+//!   vs one `SetQNetwork::infer_batch` over the packed `[Σ pool sizes, row_dim]` buffer;
 //! * `ddqn_decision_latency` — the full frozen-agent decision path (state build, combined
 //!   Q, explorer, ranking) via `N` `act` calls vs one `act_batch` call.
 //!
 //! Compare `sequential/N` against `batched/N` (both closures process all `N` arrivals, so
-//! the printed totals divide by the same `N`). The batched path wins twice: one matmul
-//! dispatch and one output allocation per layer are amortised over the whole batch, and
-//! the packed `[Σ pool sizes, dim]` buffer carries only *real* task rows — the fixed-shape
-//! per-state pass pays full projection and attention cost for every padded row up to
-//! `max_tasks`. Per-arrival latency should sit strictly below the sequential path from
-//! `N = 8` up.
+//! the printed totals divide by the same `N`). Both paths score only real task rows; the
+//! batched one wins by amortising one matmul dispatch and one output allocation per layer
+//! over the whole batch. Per-arrival latency should sit strictly below the sequential path
+//! from `N = 8` up.
 //!
 //! Pool sizes vary per simulation (as they do across a real `SessionBatch` round); the
 //! state capacity is the agent's `max_tasks` = 32, the paper's production setting.
@@ -52,7 +50,7 @@ fn bench_network(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
             b.iter(|| {
                 refs.iter()
-                    .map(|state| net.infer(&store, state).unwrap().len())
+                    .map(|&state| net.infer_batch(&store, &[state]).unwrap()[0].len())
                     .sum::<usize>()
             })
         });

@@ -4,14 +4,16 @@
 //! `DqnLearner::learn` differentiates the whole minibatch as one autograd graph
 //! (`SetQNetwork::forward_batch` + one in-graph weighted masked MSE) and computes all
 //! double-DQN targets with at most two packed `infer_batch` passes (the θ̃ one only over
-//! branch lists its cache has not scored since the last target sync); `learn_sequential` is the
-//! retained pre-packing reference (B separate graphs per update, per-branch single-state
-//! target inference). Both run the same prioritized sampling on identically seeded
-//! learners, so the measured gap is the packing win: no padded-row compute, one
-//! forward/backward sweep instead of B, and two target passes instead of
-//! `2 · Σ branches`.
+//! branch lists its cache has not scored since the last target sync);
+//! `crowd_bench::reference::SequentialLearner`, decoded from the same learner's checkpoint
+//! bytes, is the pre-packing reference (B one-state graphs per update, per-branch
+//! one-state target passes, no cache). Both run the same prioritized sampling from the
+//! same state, so the measured gap is the packing win: one forward/backward sweep instead
+//! of B, and at most two target passes instead of `2 · Σ branches`.
 
+use crowd_bench::reference::SequentialLearner;
 use crowd_bench::{criterion_group, criterion_main, synthetic_state, BenchmarkId, Criterion};
+use crowd_ckpt::StateWriter;
 use crowd_rl_core::{
     DdqnConfig, DqnLearner, FutureBranch, StateKind, StateTransformer, Transition,
 };
@@ -26,18 +28,25 @@ const WORKER_DIM: usize = 8;
 /// (the packed path's unequal segments) and 2 future branches per transition (the target
 /// batching win). The learner owns its minibatch-sampling RNG, so identically seeded
 /// learners draw identical minibatch sequences.
-fn prepared_learner(batch_size: usize) -> DqnLearner {
-    let config = DdqnConfig {
+fn config(batch_size: usize) -> DdqnConfig {
+    DdqnConfig {
         max_tasks: MAX_TASKS,
         hidden_dim: 32,
         num_heads: 4,
         batch_size,
         buffer_size: 256,
         ..DdqnConfig::default()
-    };
-    let tf = StateTransformer::new(StateKind::Worker, MAX_TASKS, TASK_DIM, WORKER_DIM);
+    }
+}
+
+fn transformer() -> StateTransformer {
+    StateTransformer::new(StateKind::Worker, MAX_TASKS, TASK_DIM, WORKER_DIM)
+}
+
+fn prepared_learner(batch_size: usize) -> DqnLearner {
+    let tf = transformer();
     let mut rng = Rng::seed_from(4242);
-    let mut learner = DqnLearner::new(&config, tf.row_dim(), 0.3, &mut rng);
+    let mut learner = DqnLearner::new(&config(batch_size), tf.row_dim(), 0.3, &mut rng);
     let mut fill_rng = Rng::seed_from(99);
     let n_fill = if crowd_bench::smoke_mode() {
         batch_size + 8
@@ -82,8 +91,16 @@ fn bench_training(c: &mut Criterion) {
             BenchmarkId::new("sequential", batch),
             &batch,
             |b, &batch| {
-                let mut learner = prepared_learner(batch);
-                b.iter(|| learner.learn_sequential().unwrap().unwrap().loss)
+                let mut bytes = StateWriter::new();
+                bytes.save(&prepared_learner(batch));
+                let mut learner = SequentialLearner::from_checkpoint(
+                    &config(batch),
+                    transformer().row_dim(),
+                    0.3,
+                    bytes.as_bytes(),
+                )
+                .unwrap();
+                b.iter(|| learner.learn().unwrap().unwrap().loss)
             },
         );
     }

@@ -1,9 +1,9 @@
-//! Vectorised kernels vs their retained scalar references — the PR 7 raw-speed floor.
+//! Vectorised kernels vs their scalar references — the PR 7 raw-speed floor.
 //!
 //! `Matrix::matmul` / `Matrix::matmul_transpose` are the register-blocked, 8-lane
 //! production kernels every `Linear`, `RowwiseFF` and attention projection flows
-//! through; `matmul_ref` / `matmul_transpose_ref` are the textbook scalar loops kept
-//! as bit-exact oracles (`tests/kernel_equivalence.rs`). This benchmark pins the
+//! through; `crowd_bench::reference::{matmul_ref, matmul_transpose_ref}` are the textbook
+//! scalar loops the differential suite holds them to (`tests/kernel_equivalence.rs`). This benchmark pins the
 //! *performance* half of that relationship: the vectorised kernels must be strictly
 //! faster than the references at every shape below, or the blocking is buying
 //! nothing and the PR 7 acceptance bar is broken.
@@ -21,6 +21,7 @@
 //! takes over (only above the ~128k multiply-add gate; the small shapes stay serial
 //! by design and should match the serial kernel).
 
+use crowd_bench::reference::{matmul_ref, matmul_transpose_ref};
 use crowd_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_tensor::{Matrix, Rng, ThreadPool};
 
@@ -50,7 +51,7 @@ fn bench_matmul(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("scalar_ref", &label),
             &label,
-            |bench, _| bench.iter(|| a.matmul_ref(&b).unwrap().len()),
+            |bench, _| bench.iter(|| matmul_ref(&a, &b).unwrap().len()),
         );
         group.bench_with_input(
             BenchmarkId::new("vectorised", &label),
@@ -70,7 +71,7 @@ fn bench_matmul_transpose(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("scalar_ref", &label),
             &label,
-            |bench, _| bench.iter(|| a.matmul_transpose_ref(&bt).unwrap().len()),
+            |bench, _| bench.iter(|| matmul_transpose_ref(&a, &bt).unwrap().len()),
         );
         group.bench_with_input(
             BenchmarkId::new("vectorised", &label),

@@ -1,5 +1,6 @@
 //! Q-network inference latency as the available-task pool grows (the decision-time half of
-//! the paper's efficiency story).
+//! the paper's efficiency story): one `SetQNetwork::infer_batch` over a single state, the
+//! pass `DqnLearner::q_values` runs for every arrival.
 
 use crowd_bench::synthetic_context;
 use crowd_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,7 +21,7 @@ fn bench_forward(c: &mut Criterion) {
         let ctx = synthetic_context(pool, feature_dim, 7);
         let state = transformer.from_context(&ctx);
         group.bench_with_input(BenchmarkId::from_parameter(pool), &pool, |b, _| {
-            b.iter(|| net.infer(&store, &state).unwrap())
+            b.iter(|| net.infer_batch(&store, &[&state]).unwrap())
         });
     }
     group.finish();

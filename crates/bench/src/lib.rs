@@ -11,7 +11,8 @@
 //! * `replay_buffer` — prioritized replay push/sample throughput;
 //! * `simulator_throughput` — platform event replay throughput;
 //! * `batched_training` — packed (one autograd graph per minibatch) vs sequential
-//!   (per-transition) DDQN learning step at `B ∈ {16, 32, 64}`;
+//!   (per-transition, [`reference::SequentialLearner`]) DDQN learning step at
+//!   `B ∈ {16, 32, 64}`;
 //! * `parallel_throughput` — full-replay session stepping across a sessions × threads
 //!   grid (`SessionBatch::run_all`) and the serial vs `par_join` two-learner
 //!   update round;
@@ -21,8 +22,8 @@
 //!   plus durable-backend cells: a real decision log (fsync per batch) and the same
 //!   log behind `Fs::faulty` with a deterministic 2 ms `SyncData` latency — the
 //!   tail-latency cost of a degraded flush path, reproducible on any machine;
-//! * `kernel_throughput` — the vectorised matmul kernels against their retained
-//!   scalar references at every benchmarked shape (the speed half of the
+//! * `kernel_throughput` — the vectorised matmul kernels against the scalar
+//!   references in [`reference`](mod@reference) at every benchmarked shape (the speed half of the
 //!   `tests/kernel_equivalence.rs` fence: the blocked kernels must be strictly
 //!   faster), plus the serial-vs-persistent-pool dispatch edge on large products;
 //! * `sharded_scale` — `Platform` replay throughput (arrivals/sec) across shard
@@ -39,6 +40,7 @@ use crowd_tensor::Rng;
 pub mod ckpt_fixtures;
 pub mod harness;
 pub mod latency;
+pub mod reference;
 pub mod rss;
 
 pub use harness::{

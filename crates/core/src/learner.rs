@@ -42,16 +42,17 @@
 //! within a sync period; the hit rate recovers as the replay memory turns over. The bits
 //! are the same either way.
 //!
-//! [`DqnLearner::learn_sequential`] retains the original per-transition loop (B separate
-//! graphs, per-branch single-state inference, no cache) as the frozen reference path — it
-//! exists only for the equivalence suite (`tests/packed_learning_equivalence.rs`) and the
-//! training benchmark (`crates/bench/benches/batched_training.rs`). The equivalence
-//! contract: from identical learner state, both paths report bit-identical loss / TD
-//! errors and write bit-identical replay priorities (packed forward values equal
-//! per-state forward values bit for bit, and the loss is accumulated in the same f32
-//! order); post-update *parameters* agree only to documented f32 tolerance, because the
-//! packed backward legitimately sums gradient contributions across the minibatch in a
-//! different association order than the per-transition accumulation loop.
+//! # The sequential reference
+//!
+//! `crowd_bench::reference::SequentialLearner` is the pre-packing update loop (B one-state
+//! graphs, per-branch one-state target passes, no cache), rebuilt from this learner's
+//! checkpoint bytes; `tests/packed_learning_equivalence.rs` runs it next to `learn`. The
+//! contract: from identical learner state, both report bit-identical loss / TD errors and
+//! write bit-identical replay priorities (a packed pass gives every state the bits of a
+//! pass over that state alone, and the loss is accumulated in the same f32 order);
+//! post-update *parameters* agree only to documented f32 tolerance, because the packed
+//! backward legitimately sums gradient contributions across the minibatch in a different
+//! association order than a per-transition accumulation loop.
 
 use crate::config::DdqnConfig;
 use crate::memory::{FutureBranch, Transition};
@@ -153,9 +154,8 @@ pub struct LearnReport {
 /// state is shared, each learner's `sample_refs` borrow of its replay memory stays on its
 /// own worker, and the update is deterministic at any thread count.
 ///
-/// `Clone` duplicates the complete learner state — including the sampling RNG — which is
-/// how the equivalence suite runs the packed and the sequential path from bit-identical
-/// starting points.
+/// `Clone` duplicates the complete learner state — including the sampling RNG — so a
+/// clone continues bit-identically to the original.
 #[derive(Debug, Clone)]
 pub struct DqnLearner {
     net: SetQNetwork,
@@ -171,7 +171,6 @@ pub struct DqnLearner {
     batch_size: usize,
     target_sync_every: u64,
     updates: u64,
-    max_tasks: usize,
     learn_time: Duration,
     /// Every update's reported loss, in update order — the "loss stream" the parallel
     /// equivalence suite compares bit for bit across thread counts (4 bytes per update).
@@ -208,7 +207,6 @@ impl DqnLearner {
             batch_size: config.batch_size,
             target_sync_every: config.target_sync_every,
             updates: 0,
-            max_tasks: config.max_tasks,
             learn_time: Duration::ZERO,
             losses: Vec::new(),
             target_cache: HashMap::new(),
@@ -237,10 +235,10 @@ impl DqnLearner {
         self.updates
     }
 
-    /// Wall time spent inside [`DqnLearner::learn`] / [`DqnLearner::learn_sequential`] so
-    /// far (the gradient-update slice of the agent's `observe`), paired with the update
-    /// count. Surfaced per policy through `crowd_sim::Policy::learner_timing` so the
-    /// efficiency binaries can report per-update learner latency alongside decision time.
+    /// Wall time spent inside [`DqnLearner::learn`] so far (the gradient-update slice of
+    /// the agent's `observe`), paired with the update count. Surfaced per policy through
+    /// `crowd_sim::Policy::learner_timing` so the efficiency binaries can report
+    /// per-update learner latency alongside decision time.
     pub fn learn_timing(&self) -> (u64, Duration) {
         (self.updates, self.learn_time)
     }
@@ -271,36 +269,24 @@ impl DqnLearner {
         self.memory.len()
     }
 
-    /// Q values of the online network for a state (one per real task row).
-    pub fn q_values(&self, state: &crate::state::StateTensor) -> Result<Vec<f32>> {
-        self.net.infer(&self.store, state)
+    /// Q values of the online network for a state (one per real task row): a packed
+    /// pass over a batch of one ([`SetQNetwork::infer_batch_par`] on the learner's pool).
+    pub fn q_values(&self, state: &StateTensor) -> Result<Vec<f32>> {
+        let mut q = self.net.infer_batch_par(&self.store, &[state], self.pool)?;
+        Ok(q.pop().expect("one state in, one Q vector out"))
     }
 
     /// Q values of the online network for `N` states in one packed forward pass
     /// ([`SetQNetwork::infer_batch_par`] on the learner's pool); each entry is
     /// bit-identical to [`DqnLearner::q_values`] on that state alone, at any thread
     /// count.
-    pub fn q_values_batch(&self, states: &[&crate::state::StateTensor]) -> Result<Vec<Vec<f32>>> {
+    pub fn q_values_batch(&self, states: &[&StateTensor]) -> Result<Vec<Vec<f32>>> {
         self.net.infer_batch_par(&self.store, states, self.pool)
     }
 
     /// Stores a transition with maximal priority.
     pub fn store_transition(&mut self, transition: Transition) {
         self.memory.push(transition);
-    }
-
-    /// Double-DQN target for one transition, branch by branch (the sequential reference;
-    /// the packed path batches this across the whole minibatch).
-    fn target_for(&self, transition: &Transition) -> Result<f32> {
-        let mut future = 0.0f32;
-        for branch in transition.branches.iter().filter(|b| is_live(b)) {
-            // Action selection by the online network, evaluation by the target network.
-            if let Some(best_row) = self.net.argmax_q(&self.store, &branch.state)? {
-                let target_q = self.net.infer(&self.target_store, &branch.state)?;
-                future += branch.probability * target_q[best_row];
-            }
-        }
-        Ok(transition.reward + self.gamma * future)
     }
 
     /// Runs one prioritized minibatch update as **one** autograd graph; returns `None` when
@@ -315,7 +301,7 @@ impl DqnLearner {
     ///    cache (module docs); the branch lists it misses are scored together in one
     ///    `infer_batch` and cached until the next target sync. The targets
     ///    `y_i = r_i + γ · Σ_b Pr(b) · Q̃(s_b, argmax_a Q(s_b, a))` are then assembled
-    ///    branch-by-branch in the sequential path's exact accumulation order;
+    ///    branch by branch, in branch order;
     /// 3. one [`SetQNetwork::forward_batch`] packing all sampled states' real task rows
     ///    into a single `[Σ pool sizes, 1]` Q column on the tape (one fused attention node
     ///    per head and layer), followed by one in-graph importance-weighted masked MSE and
@@ -327,9 +313,9 @@ impl DqnLearner {
     /// RNG, so two learners can update concurrently without sharing a stream. The packed
     /// kernels run on the learner's pool ([`DqnLearner::set_thread_pool`]) and are
     /// bit-identical at any thread count. Reported loss / TD errors and the written
-    /// replay priorities are bit-identical to [`DqnLearner::learn_sequential`] from the
-    /// same learner state; updated parameters match to f32 tolerance (see the module docs
-    /// for why).
+    /// replay priorities are bit-identical to the sequential reference from the same
+    /// learner state; updated parameters match to f32 tolerance (see the module docs for
+    /// why).
     ///
     /// # Errors
     ///
@@ -348,7 +334,7 @@ impl DqnLearner {
 
             // Double-DQN targets: flatten every live branch of every sampled transition
             // into one state list and score it once with θ, then fold the expectation per
-            // transition in branch order (the sequential path's order).
+            // transition in branch order.
             let mut branch_states: Vec<&StateTensor> = Vec::new();
             let mut branch_spans: Vec<(usize, usize)> = Vec::with_capacity(batch);
             let mut branch_probs: Vec<f32> = Vec::new();
@@ -475,98 +461,12 @@ impl DqnLearner {
             self.memory.update_priority(slot, td_error);
         }
         self.losses.push(report.loss);
-        self.finish_update();
-        self.learn_time += start.elapsed();
-        Ok(Some(report))
-    }
-
-    /// The pre-packing per-transition update loop: `B` separate graphs per minibatch, one
-    /// forward + backward each, and per-branch single-state target inference. Retained
-    /// **only** as the reference for `tests/packed_learning_equivalence.rs` and the
-    /// old-vs-new comparison in `crates/bench/benches/batched_training.rs`; new code must
-    /// call [`DqnLearner::learn`]. Samples from the same owned RNG stream as `learn` (so a
-    /// cloned learner running this path consumes the stream identically) and always runs
-    /// serial kernels — it is the single-threaded reference.
-    pub fn learn_sequential(&mut self) -> Result<Option<LearnReport>> {
-        if self.memory.len() < self.batch_size {
-            return Ok(None);
-        }
-        let start = Instant::now();
-        let samples = self.memory.sample(self.batch_size, &mut self.rng);
-        let mut grad_accumulator: Vec<Option<(crowd_nn::ParamId, Matrix)>> = Vec::new();
-        let mut total_loss = 0.0f32;
-        let mut total_abs_td = 0.0f32;
-        let mut priorities = Vec::with_capacity(samples.len());
-
-        for sample in &samples {
-            let transition = self
-                .memory
-                .get(sample.index)
-                .expect("sampled slot must be occupied")
-                .clone();
-            let target_value = self.target_for(&transition)?;
-
-            let mut graph = Graph::new();
-            let mut binding = GraphBinding::new();
-            let q_column =
-                self.net
-                    .forward(&mut graph, &self.store, &mut binding, &transition.state)?;
-            let current_q = graph.value(q_column).get(transition.action_row, 0);
-            let td_error = target_value - current_q;
-
-            let (mask, target) =
-                SetQNetwork::action_target(self.max_tasks, transition.action_row, target_value);
-            let loss = graph.masked_mse(q_column, &target, &mask)?;
-            // Importance-sampling weight scales the loss (and therefore the gradient).
-            let weighted_loss = graph.scale(loss, sample.weight);
-            total_loss += graph.value(weighted_loss).get(0, 0);
-            total_abs_td += td_error.abs();
-            graph.backward(weighted_loss)?;
-
-            for (pid, grad) in binding.gradients(&graph) {
-                let idx = pid.index();
-                if grad_accumulator.len() <= idx {
-                    grad_accumulator.resize_with(idx + 1, || None);
-                }
-                match &mut grad_accumulator[idx] {
-                    Some((_, acc)) => acc.add_assign(&grad)?,
-                    slot @ None => *slot = Some((pid, grad)),
-                }
-            }
-            priorities.push((sample.index, td_error));
-        }
-
-        let batch = samples.len();
-        let scale = 1.0 / batch as f32;
-        let grads: Vec<(crowd_nn::ParamId, Matrix)> = grad_accumulator
-            .into_iter()
-            .flatten()
-            .map(|(pid, grad)| (pid, grad.scale(scale)))
-            .collect();
-        self.optimizer.step(&mut self.store, &grads)?;
-
-        for (slot, td_error) in priorities {
-            self.memory.update_priority(slot, td_error);
-        }
-        let report = LearnReport {
-            loss: total_loss * scale,
-            mean_td_error: total_abs_td * scale,
-            batch,
-        };
-        self.losses.push(report.loss);
-        self.finish_update();
-        self.learn_time += start.elapsed();
-
-        Ok(Some(report))
-    }
-
-    /// Shared epilogue of both update paths: bump the counter and hard-sync the target
-    /// network on schedule.
-    fn finish_update(&mut self) {
         self.updates += 1;
         if self.updates.is_multiple_of(self.target_sync_every) {
             self.sync_target();
         }
+        self.learn_time += start.elapsed();
+        Ok(Some(report))
     }
 
     /// Hard-copies θ̃ ← θ, and drops the θ̃ branch cache that held the old θ̃'s values.
@@ -753,64 +653,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_learn_matches_sequential_from_identical_state() {
-        // One update from bit-identical learner state: the packed path must report the
-        // same loss / TD error bits and write the same replay priorities as the
-        // per-transition loop. (The 50-update sweep across both MDPs lives in
-        // tests/packed_learning_equivalence.rs.)
-        let cfg = config();
-        let tf = transformer();
-        let mut rng = Rng::seed_from(5);
-        let mut packed = DqnLearner::new(&cfg, 5, 0.3, &mut rng);
-        fill_memory(&mut packed, &tf);
-        // The clone carries the sampling RNG, so both paths draw the same minibatch.
-        let mut sequential = packed.clone();
-        let packed_report = packed.learn().unwrap().unwrap();
-        let seq_report = sequential.learn_sequential().unwrap().unwrap();
-        assert_eq!(packed_report.batch, seq_report.batch);
-        assert_eq!(
-            packed_report.loss.to_bits(),
-            seq_report.loss.to_bits(),
-            "loss diverged: {} vs {}",
-            packed_report.loss,
-            seq_report.loss
-        );
-        assert_eq!(
-            packed_report.mean_td_error.to_bits(),
-            seq_report.mean_td_error.to_bits(),
-            "TD error diverged"
-        );
-        for slot in 0..cfg.buffer_size {
-            assert_eq!(
-                packed.replay_priority(slot).to_bits(),
-                sequential.replay_priority(slot).to_bits(),
-                "replay priority diverged at slot {slot}"
-            );
-        }
-        // Both paths consumed their sampling RNG identically.
-        assert_eq!(packed.rng_probe(), sequential.rng_probe());
-        // And both recorded the same loss stream entry.
-        assert_eq!(packed.loss_history().len(), 1);
-        assert_eq!(
-            packed.loss_history()[0].to_bits(),
-            sequential.loss_history()[0].to_bits()
-        );
-        // Parameters agree to f32 tolerance (gradient summation order differs).
-        for ((_, name, a), (_, _, b)) in packed.params().iter().zip(sequential.params().iter()) {
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert!(
-                    (x - y).abs() <= 1e-4_f32.max(x.abs() * 1e-3),
-                    "param {name} diverged beyond tolerance: {x} vs {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn pooled_learn_is_bit_identical_to_serial_learn() {
-        // Unlike packed-vs-sequential (parameters only within tolerance), pooled-vs-serial
-        // is the SAME algorithm on row-sharded kernels: everything — loss stream, replay
-        // priorities, post-update parameters, RNG stream — must match to the bit.
+        // Pooled-vs-serial is the SAME algorithm on row-sharded kernels: everything —
+        // loss stream, replay priorities, post-update parameters, RNG stream — must match
+        // to the bit.
         let cfg = config();
         let tf = transformer();
         let mut rng = Rng::seed_from(7);

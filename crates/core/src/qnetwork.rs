@@ -11,11 +11,18 @@
 //!    row-independent constant);
 //! 4. a final row-wise linear layer reduces every row to a single value `Q(s_i, t_j)`.
 //!
-//! Every block is row-wise or (masked) self-attention, so the Q value of a task does not
-//! depend on the order of the other tasks — only on *which* tasks are present (the
+//! Every block is row-wise or self-attention, so the Q value of a task does not depend on
+//! the order of the other tasks — only on *which* tasks are present (the
 //! permutation-invariance argument of the paper's appendix). The final reduction is a plain
 //! linear layer rather than a ReLU'd one so Q values are not constrained to be non-negative;
 //! this is the only deviation from the figure and is noted in DESIGN.md.
+//!
+//! The network scores only real tasks: both passes pack the real rows of `N` states back
+//! to back into one `[Σ pool sizes, row_dim]` buffer, one [`PoolSegment`] per non-empty
+//! state, and never touch the padding of a [`StateTensor`].
+//! [`SetQNetwork::forward_batch`] is the taped pass (training) and
+//! [`SetQNetwork::infer_batch`] / [`SetQNetwork::infer_batch_par`] the tape-free one
+//! (acting and double-DQN targets); a single state is a batch of one.
 
 use crate::state::StateTensor;
 use crowd_autograd::{Graph, VarId};
@@ -101,48 +108,6 @@ impl SetQNetwork {
         self.hidden_dim
     }
 
-    /// Differentiable forward pass on the tape. Returns the `[max_tasks, 1]` column of Q
-    /// values (entries on padded rows are meaningless and must be masked by the loss).
-    pub fn forward(
-        &self,
-        graph: &mut Graph,
-        store: &ParamStore,
-        binding: &mut GraphBinding,
-        state: &StateTensor,
-    ) -> Result<VarId> {
-        let mask = state.attention_mask();
-        let x = graph.constant(state.features.clone());
-        let h1 = self.ff1.forward(graph, store, binding, x)?;
-        let h2 = self.ff2.forward(graph, store, binding, h1)?;
-        let a1 = self
-            .attention1
-            .forward(graph, store, binding, h2, Some(&mask))?;
-        let r1 = self.residual_ff.forward(graph, store, binding, a1)?;
-        let h3 = graph.add(h2, r1)?;
-        let a2 = self
-            .attention2
-            .forward(graph, store, binding, h3, Some(&mask))?;
-        let h4 = graph.add(h3, a2)?;
-        self.head.forward(graph, store, binding, h4)
-    }
-
-    /// Gradient-free forward pass; returns one Q value per *real* task row, in row order.
-    pub fn infer(&self, store: &ParamStore, state: &StateTensor) -> Result<Vec<f32>> {
-        if state.real_tasks == 0 {
-            return Ok(Vec::new());
-        }
-        let real = state.real_tasks;
-        let h1 = self.ff1.infer(store, &state.features)?;
-        let h2 = self.ff2.infer(store, &h1)?;
-        let a1 = self.attention1.infer(store, &h2, real)?;
-        let r1 = self.residual_ff.infer(store, &a1)?;
-        let h3 = h2.add(&r1)?;
-        let a2 = self.attention2.infer(store, &h3, real)?;
-        let h4 = h3.add(&a2)?;
-        let q = self.head.infer(store, &h4)?;
-        Ok(q.col(0)[..state.real_tasks].to_vec())
-    }
-
     /// Packs the real-row prefixes of `states` back to back into one
     /// `[Σ pool sizes, row_dim]` buffer with one padding-free segment per *non-empty*
     /// state (empty pools contribute no rows and no segment). Returns `None` when every
@@ -171,7 +136,6 @@ impl SetQNetwork {
             segments.push(PoolSegment {
                 start: total_rows,
                 rows: state.real_tasks,
-                real_rows: state.real_tasks,
             });
             total_rows += state.real_tasks;
         }
@@ -205,9 +169,9 @@ impl SetQNetwork {
     /// [`MultiHeadSelfAttention::forward_packed`]. Returns the Q-column node plus the
     /// segments, one per state in order, so callers can map each state's `action_row` to
     /// `segments[i].start + action_row` in the packed column. The packed values are
-    /// **bit-identical** to [`SetQNetwork::forward`] on each state's padded tensor alone
-    /// (real rows) and to [`SetQNetwork::infer_batch`] — same argument as the inference
-    /// path, proven by the unit tests below and `tests/packed_learning_equivalence.rs`.
+    /// **bit-identical** to a `forward_batch` over each state alone and to
+    /// [`SetQNetwork::infer_batch`] — same argument as the inference path, proven by the
+    /// unit tests below and `tests/packed_learning_equivalence.rs`.
     ///
     /// # Errors
     ///
@@ -257,23 +221,14 @@ impl SetQNetwork {
     /// (`ff1`, `ff2`, the residual block and the head) run as stacked matmuls over the
     /// whole buffer, and the two attention layers run per-session over the packed rows via
     /// [`MultiHeadSelfAttention::infer_packed`]. Every returned Q vector is
-    /// **bit-identical** to what [`SetQNetwork::infer`] returns for that state's padded
-    /// tensor alone:
+    /// **bit-identical** to what `infer_batch` returns for that state alone: each row-wise
+    /// output row depends only on its own input row, and attention never leaves its
+    /// segment. (See the equivalence tests below and `tests/batched_equivalence.rs` for
+    /// the end-to-end proof.) Only real task rows are scored, so a pass costs what the
+    /// pools hold, not `max_tasks` rows per state.
     ///
-    /// * each row-wise output row depends only on its own input row, so dropping padded
-    ///   rows cannot change a real row;
-    /// * in the padded pass, masked attention scores underflow to exactly `0.0` after the
-    ///   row-max-subtracting softmax, so padded columns contribute exact zeros to both the
-    ///   softmax denominator and the value aggregation — the same bits as not having the
-    ///   columns at all.
-    ///
-    /// (See the equivalence tests below and `tests/batched_equivalence.rs` for the
-    /// end-to-end proof.) Dropping the padding is also where the batched path wins its
-    /// latency: the fixed-shape per-state pass pays full attention and projection cost for
-    /// padded rows, the packed pass pays only for real tasks.
-    ///
-    /// Empty pools keep the sequential path's short-circuit: their entry is an empty vector
-    /// and they contribute no rows to the packed buffer.
+    /// Empty pools are short-circuited: their entry is an empty vector and they contribute
+    /// no rows to the packed buffer.
     pub fn infer_batch(
         &self,
         store: &ParamStore,
@@ -322,49 +277,6 @@ impl SetQNetwork {
         }
         Ok(out)
     }
-
-    /// Batched [`SetQNetwork::argmax_q`]: the best row per state from one shared forward
-    /// pass (`None` for empty pools).
-    pub fn argmax_batch(
-        &self,
-        store: &ParamStore,
-        states: &[&StateTensor],
-    ) -> Result<Vec<Option<usize>>> {
-        Ok(self
-            .infer_batch(store, states)?
-            .into_iter()
-            .map(|q| argmax_of(&q))
-            .collect())
-    }
-
-    /// Maximum Q value over real tasks; `None` for an empty pool.
-    pub fn max_q(&self, store: &ParamStore, state: &StateTensor) -> Result<Option<f32>> {
-        Ok(self
-            .infer(store, state)?
-            .into_iter()
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f32| a.max(v)))))
-    }
-
-    /// Index (row) of the maximum Q value over real tasks; `None` for an empty pool.
-    pub fn argmax_q(&self, store: &ParamStore, state: &StateTensor) -> Result<Option<usize>> {
-        Ok(argmax_of(&self.infer(store, state)?))
-    }
-
-    /// Builds the `[max_tasks, 1]` loss mask/target pair for a minibatch element: the mask
-    /// selects `action_row` and the target carries `target_value` there.
-    pub fn action_target(
-        max_tasks: usize,
-        action_row: usize,
-        target_value: f32,
-    ) -> (Matrix, Matrix) {
-        let mut mask = Matrix::zeros(max_tasks, 1);
-        let mut target = Matrix::zeros(max_tasks, 1);
-        if action_row < max_tasks {
-            mask.set(action_row, 0, 1.0);
-            target.set(action_row, 0, target_value);
-        }
-        (mask, target)
-    }
 }
 
 #[cfg(test)]
@@ -399,28 +311,31 @@ mod tests {
         (store, net)
     }
 
+    /// Q values of one state: a packed pass over a batch of one.
+    fn infer(net: &SetQNetwork, store: &ParamStore, st: &StateTensor) -> Vec<f32> {
+        net.infer_batch(store, &[st]).unwrap().remove(0)
+    }
+
     #[test]
     fn infer_returns_one_q_per_real_task() {
         let (store, net) = network(7, 0);
         let st = state(5, 8);
-        let q = net.infer(&store, &st).unwrap();
+        let q = infer(&net, &store, &st);
         assert_eq!(q.len(), 5);
         assert!(q.iter().all(|v| v.is_finite()));
-        assert!(net.infer(&store, &state(0, 8)).unwrap().is_empty());
+        assert!(infer(&net, &store, &state(0, 8)).is_empty());
     }
 
     #[test]
-    fn tape_forward_matches_inference_on_real_rows() {
+    fn tape_forward_matches_inference() {
         let (store, net) = network(7, 1);
         let st = state(4, 6);
         let mut g = Graph::new();
         let mut binding = GraphBinding::new();
-        let out = net.forward(&mut g, &store, &mut binding, &st).unwrap();
-        let tape_q = g.value(out).col(0);
-        let infer_q = net.infer(&store, &st).unwrap();
-        for (a, b) in tape_q.iter().take(4).zip(infer_q.iter()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+        let (out, _) = net
+            .forward_batch(&mut g, &store, &mut binding, &[&st])
+            .unwrap();
+        assert_eq!(g.value(out).col(0), infer(&net, &store, &st));
     }
 
     #[test]
@@ -432,8 +347,8 @@ mod tests {
         let mut reversed = snaps.clone();
         reversed.reverse();
         let wf = [0.3, 0.6, 0.1];
-        let q_fwd = net.infer(&store, &tf.build(&snaps, &wf, 0.5)).unwrap();
-        let q_rev = net.infer(&store, &tf.build(&reversed, &wf, 0.5)).unwrap();
+        let q_fwd = infer(&net, &store, &tf.build(&snaps, &wf, 0.5));
+        let q_rev = infer(&net, &store, &tf.build(&reversed, &wf, 0.5));
         for i in 0..5 {
             assert!(
                 (q_fwd[i] - q_rev[4 - i]).abs() < 1e-4,
@@ -456,8 +371,8 @@ mod tests {
             .map(|i| snapshot(i, if i == 0 { 0.1 } else { 0.9 }))
             .collect();
         let crowded_state = tf.build(&crowded, &wf, 0.5);
-        let q_solo = net.infer(&store, &solo).unwrap()[0];
-        let q_crowded = net.infer(&store, &crowded_state).unwrap()[0];
+        let q_solo = infer(&net, &store, &solo)[0];
+        let q_crowded = infer(&net, &store, &crowded_state)[0];
         assert!(
             (q_solo - q_crowded).abs() > 1e-6,
             "pool context had no effect on Q"
@@ -472,26 +387,21 @@ mod tests {
         let large_tf = StateTransformer::new(StateKind::Worker, 12, 4, 3);
         let snaps: Vec<TaskSnapshot> = (0..4).map(|i| snapshot(i, i as f32 * 0.2)).collect();
         let wf = [0.3, 0.6, 0.1];
-        let q_small = net
-            .infer(&store, &small_tf.build(&snaps, &wf, 0.5))
-            .unwrap();
-        let q_large = net
-            .infer(&store, &large_tf.build(&snaps, &wf, 0.5))
-            .unwrap();
-        for (a, b) in q_small.iter().zip(q_large.iter()) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        let q_small = infer(&net, &store, &small_tf.build(&snaps, &wf, 0.5));
+        let q_large = infer(&net, &store, &large_tf.build(&snaps, &wf, 0.5));
+        assert_eq!(q_small, q_large);
     }
 
     #[test]
     fn argmax_and_max_agree() {
         let (store, net) = network(7, 5);
-        let st = state(6, 8);
-        let q = net.infer(&store, &st).unwrap();
-        let max = net.max_q(&store, &st).unwrap().unwrap();
-        let arg = net.argmax_q(&store, &st).unwrap().unwrap();
-        assert!((q[arg] - max).abs() < 1e-6);
-        assert!(net.max_q(&store, &state(0, 8)).unwrap().is_none());
+        let q = infer(&net, &store, &state(6, 8));
+        let max = q.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let arg = argmax_of(&q).unwrap();
+        assert_eq!(q[arg], max);
+        // Ties break towards the earlier row; an empty pool has no best row.
+        assert_eq!(argmax_of(&[1.0, 3.0, 3.0, 2.0]), Some(1));
+        assert_eq!(argmax_of(&[]), None);
     }
 
     #[test]
@@ -500,32 +410,29 @@ mod tests {
         let mut target = store.clone();
         let st = state(3, 8);
         // Initially identical.
-        assert_eq!(
-            net.infer(&store, &st).unwrap(),
-            net.infer(&target, &st).unwrap()
-        );
+        assert_eq!(infer(&net, &store, &st), infer(&net, &target, &st));
         // Diverge the target, then hard-sync back.
         let first_param = target.iter().next().map(|(id, _, _)| id).unwrap();
         target.get_mut(first_param).fill(0.0);
         target.copy_from(&store);
-        assert_eq!(
-            net.infer(&store, &st).unwrap(),
-            net.infer(&target, &st).unwrap()
-        );
+        assert_eq!(infer(&net, &store, &st), infer(&net, &target, &st));
     }
 
     #[test]
     fn infer_batch_is_bit_identical_to_sequential_infer() {
-        // The tentpole guarantee: N states through one packed forward pass yield exactly
-        // the bits of N independent passes — including empty pools and mixed pool sizes.
+        // N states through one packed forward pass yield exactly the bits of N one-state
+        // passes — including empty pools and mixed pool sizes.
         let (store, net) = network(7, 8);
         let states = [state(5, 8), state(0, 8), state(3, 8), state(8, 8)];
         let refs: Vec<&StateTensor> = states.iter().collect();
         let batched = net.infer_batch(&store, &refs).unwrap();
         assert_eq!(batched.len(), states.len());
         for (st, q_batch) in states.iter().zip(&batched) {
-            let q_solo = net.infer(&store, st).unwrap();
-            assert_eq!(q_batch, &q_solo, "batched Q diverged from sequential Q");
+            assert_eq!(
+                q_batch,
+                &infer(&net, &store, st),
+                "batched Q diverged from sequential Q"
+            );
         }
     }
 
@@ -574,20 +481,8 @@ mod tests {
         let a = state(4, 6);
         let b = state(7, 12);
         let batched = net.infer_batch(&store, &[&a, &b]).unwrap();
-        assert_eq!(batched[0], net.infer(&store, &a).unwrap());
-        assert_eq!(batched[1], net.infer(&store, &b).unwrap());
-    }
-
-    #[test]
-    fn argmax_batch_matches_argmax_q() {
-        let (store, net) = network(7, 10);
-        let states = [state(6, 8), state(0, 8), state(2, 8)];
-        let refs: Vec<&StateTensor> = states.iter().collect();
-        let batched = net.argmax_batch(&store, &refs).unwrap();
-        for (st, arg) in states.iter().zip(&batched) {
-            assert_eq!(*arg, net.argmax_q(&store, st).unwrap());
-        }
-        assert_eq!(batched[1], None);
+        assert_eq!(batched[0], infer(&net, &store, &a));
+        assert_eq!(batched[1], infer(&net, &store, &b));
     }
 
     #[test]
@@ -602,9 +497,8 @@ mod tests {
     #[test]
     fn forward_batch_is_bit_identical_to_per_state_forward_and_infer_batch() {
         // The packed-training guarantee: one tape for N states produces exactly the bits of
-        // N per-state tapes on the real rows (the padded per-state pass and the packed
-        // padding-free pass agree bit for bit), and exactly the bits of the gradient-free
-        // packed inference path.
+        // N one-state tapes, and exactly the bits of the gradient-free packed inference
+        // path.
         let (store, net) = network(7, 12);
         let states = [state(5, 8), state(3, 6), state(8, 8)];
         let refs: Vec<&StateTensor> = states.iter().collect();
@@ -620,18 +514,18 @@ mod tests {
 
         let inferred = net.infer_batch(&store, &refs).unwrap();
         for (st, seg) in states.iter().zip(&segments) {
-            // vs the per-state padded tape.
+            // vs the one-state tape.
             let mut g_solo = Graph::new();
             let mut binding_solo = GraphBinding::new();
-            let q_solo = net
-                .forward(&mut g_solo, &store, &mut binding_solo, st)
+            let (q_solo, _) = net
+                .forward_batch(&mut g_solo, &store, &mut binding_solo, &[st])
                 .unwrap();
             let solo_col = g_solo.value(q_solo).col(0);
             for row in 0..st.real_tasks {
                 assert_eq!(
                     packed_col[seg.start + row].to_bits(),
                     solo_col[row].to_bits(),
-                    "packed tape Q diverged from the per-state tape at row {row}"
+                    "packed tape Q diverged from the one-state tape at row {row}"
                 );
             }
         }
@@ -706,32 +600,28 @@ mod tests {
     }
 
     #[test]
-    fn action_target_selects_single_row() {
-        let (mask, target) = SetQNetwork::action_target(4, 2, 1.5);
-        assert_eq!(mask.col(0), vec![0.0, 0.0, 1.0, 0.0]);
-        assert_eq!(target.get(2, 0), 1.5);
-        let (mask_oob, _) = SetQNetwork::action_target(4, 9, 1.0);
-        assert_eq!(mask_oob.sum(), 0.0);
-    }
-
-    #[test]
     fn gradient_step_moves_q_towards_target() {
         use crowd_nn::{Adam, Optimizer};
         let (mut store, net) = network(7, 7);
         let st = state(4, 6);
         let mut opt = Adam::new(0.01);
-        let initial_q = net.infer(&store, &st).unwrap()[1];
+        let initial_q = infer(&net, &store, &st)[1];
         let target_value = initial_q + 2.0;
+        let mut mask = Matrix::zeros(4, 1);
+        let mut target = Matrix::zeros(4, 1);
+        mask.set(1, 0, 1.0);
+        target.set(1, 0, target_value);
         for _ in 0..60 {
             let mut g = Graph::new();
             let mut binding = GraphBinding::new();
-            let out = net.forward(&mut g, &store, &mut binding, &st).unwrap();
-            let (mask, target) = SetQNetwork::action_target(6, 1, target_value);
+            let (out, _) = net
+                .forward_batch(&mut g, &store, &mut binding, &[&st])
+                .unwrap();
             let loss = g.masked_mse(out, &target, &mask).unwrap();
             g.backward(loss).unwrap();
             opt.step(&mut store, &binding.gradients(&g)).unwrap();
         }
-        let trained_q = net.infer(&store, &st).unwrap()[1];
+        let trained_q = infer(&net, &store, &st)[1];
         assert!(
             (trained_q - target_value).abs() < 0.2,
             "Q moved from {initial_q} to {trained_q}, target {target_value}"

@@ -3,7 +3,8 @@
 //! A state is the arriving worker plus the set of available tasks. The transformer
 //! concatenates each task's feature with the worker's feature (and, for MDP(r), the worker
 //! quality and task quality) into one row per task, zero-pads to `maxT` rows and records a
-//! row mask so the Q-network's attention never looks at padding.
+//! row mask. The Q-network reads only the first `real_tasks` rows, so padding never
+//! reaches it.
 
 use crowd_sim::{ArrivalContext, ArrivalView, TaskId, TaskRef, TaskSnapshot};
 use crowd_tensor::Matrix;
@@ -28,13 +29,6 @@ pub struct StateTensor {
     pub task_ids: Vec<TaskId>,
     /// Number of real (non-padded) rows.
     pub real_tasks: usize,
-}
-
-impl StateTensor {
-    /// `[max_tasks, max_tasks]` additive attention mask corresponding to the padding.
-    pub fn attention_mask(&self) -> Matrix {
-        crowd_nn::MultiHeadSelfAttention::padding_mask(self.features.rows(), self.real_tasks)
-    }
 }
 
 /// Checkpoint format: feature matrix, row mask, task ids, real-row count (`u64`).
@@ -262,17 +256,6 @@ mod tests {
         assert_eq!(st.real_tasks, 0);
         assert!(st.task_ids.is_empty());
         assert_eq!(st.row_mask.col(0), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn attention_mask_matches_padding() {
-        let tf = StateTransformer::new(StateKind::Worker, 4, 3, 2);
-        let st = tf.from_context(&context(2));
-        let mask = st.attention_mask();
-        assert_eq!(mask.shape(), (4, 4));
-        assert_eq!(mask.get(0, 1), 0.0);
-        assert_eq!(mask.get(0, 2), -1e9);
-        assert_eq!(mask.get(3, 3), -1e9);
     }
 
     #[test]

@@ -1,18 +1,24 @@
 //! Multi-head self-attention (paper Fig. 4 and Sec. IV-B2).
 //!
 //! `Att(X1, X2, X3) = softmax(X1 X2ᵀ / √d) X3`, with `h` heads whose outputs are concatenated
-//! and linearly recombined. Padded rows of the state matrix are excluded by an additive mask
-//! (−1e9 on the scores of padded *columns*), so padding never influences real tasks'
-//! representations, and the whole block stays permutation-invariant over the real rows
+//! and linearly recombined. The layer runs over a packed `[Σ pool sizes, model_dim]` buffer
+//! of real task rows only: attention stays inside each pool's [`PoolSegment`], so no row
+//! outside a pool — another pool's tasks or padding — can influence its tasks'
+//! representations, and the block stays permutation-invariant over each pool's rows
 //! (Appendix, Proof 2).
+//!
+//! There are two passes, both built on the fused `crowd_tensor::segment_attention` kernel:
+//! [`MultiHeadSelfAttention::forward_packed`] on the tape (training) and
+//! [`MultiHeadSelfAttention::infer_packed`] / [`MultiHeadSelfAttention::infer_packed_par`]
+//! without it (acting and targets). A single pool is a packed buffer of one segment. The
+//! unfused per-segment chain both passes are tested against lives in
+//! `crowd_bench::reference`.
 
 use crate::linear::Linear;
 use crate::param::{GraphBinding, ParamId, ParamStore};
 use crate::Result;
 use crowd_autograd::{Graph, VarId};
-use crowd_tensor::{
-    segment_attention, AttentionScratch, ColumnBlock, Matrix, Rng, ThreadPool, MASKED_SCORE,
-};
+use crowd_tensor::{segment_attention, AttentionScratch, ColumnBlock, Matrix, Rng, ThreadPool};
 
 /// One session's row block inside a packed `[Σ pool sizes, dim]` buffer used by
 /// [`MultiHeadSelfAttention::infer_packed`] and
@@ -94,83 +100,14 @@ impl MultiHeadSelfAttention {
         self.model_dim
     }
 
-    /// Builds the additive attention mask for a pool where only the first `real_rows` of
-    /// `total_rows` are real tasks: scores towards padded keys get −1e9 so their softmax
-    /// weight is effectively zero.
-    pub fn padding_mask(total_rows: usize, real_rows: usize) -> Matrix {
-        let mut mask = Matrix::zeros(total_rows, total_rows);
-        for r in 0..total_rows {
-            for c in real_rows..total_rows {
-                mask.set(r, c, MASKED_SCORE);
-            }
-        }
-        mask
-    }
-
-    /// Applies multi-head self-attention on the tape.
-    ///
-    /// `x` is `n x model_dim`; `mask` (if provided) is an `n x n` additive score mask.
-    pub fn forward(
-        &self,
-        graph: &mut Graph,
-        store: &ParamStore,
-        binding: &mut GraphBinding,
-        x: VarId,
-        mask: Option<&Matrix>,
-    ) -> Result<VarId> {
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mask_var = mask.map(|m| graph.constant(m.clone()));
-        let mut concat: Option<VarId> = None;
-        for head in &self.heads {
-            let wq = binding.bind(graph, store, head.wq);
-            let wk = binding.bind(graph, store, head.wk);
-            let wv = binding.bind(graph, store, head.wv);
-            let q = graph.matmul(x, wq)?;
-            let k = graph.matmul(x, wk)?;
-            let v = graph.matmul(x, wv)?;
-            let kt = graph.transpose(k);
-            let scores = graph.matmul(q, kt)?;
-            let scaled = graph.scale(scores, scale);
-            let masked = match mask_var {
-                Some(m) => graph.add(scaled, m)?,
-                None => scaled,
-            };
-            let attn = graph.softmax_rows(masked);
-            let head_out = graph.matmul(attn, v)?;
-            concat = Some(match concat {
-                None => head_out,
-                Some(prev) => graph.concat_cols(prev, head_out)?,
-            });
-        }
-        let concat = concat.expect("at least one head");
-        self.output.forward(graph, store, binding, concat)
-    }
-
-    /// Gradient-free forward pass over one pool of `x.rows()` rows whose first
-    /// `real_rows` rows are real tasks; the rest is padding, masked out of every
-    /// attention row exactly as [`MultiHeadSelfAttention::padding_mask`] masks it on the
-    /// tape (pass `x.rows()` for an unpadded pool).
-    ///
-    /// This is [`MultiHeadSelfAttention::infer_packed`] over a single segment, so it runs
-    /// the same fused kernel and returns the bits the unfused tape chain of
-    /// [`MultiHeadSelfAttention::forward`] computes with that mask.
-    pub fn infer(&self, store: &ParamStore, x: &Matrix, real_rows: usize) -> Result<Matrix> {
-        let segment = PoolSegment {
-            start: 0,
-            rows: x.rows(),
-            real_rows,
-        };
-        self.infer_packed(store, x, &[segment])
-    }
-
     /// Differentiable twin of [`MultiHeadSelfAttention::infer_packed`]: multi-head
     /// self-attention over a packed `[Σ pool sizes, model_dim]` buffer **on the tape**, so
     /// one backward pass differentiates `N` sessions'/transitions' attention at once — the
     /// training-side counterpart of the batched-inference hot path.
     ///
     /// Per head, the Q/K/V projections run as single stacked matmuls over the whole buffer
-    /// (one tape node each), and the per-segment scores, padding mask, softmax and value
-    /// aggregation are **one** fused node, `crowd_autograd::Graph::segment_attention`:
+    /// (one tape node each), and the per-segment scores, softmax and value aggregation
+    /// are **one** fused node, `crowd_autograd::Graph::segment_attention`:
     /// attention never crosses segments, the node keeps its softmax blocks, and its
     /// backward applies the per-segment VJPs of the chain it replaces. The heads'
     /// outputs are concatenated and go through the stacked output projection, whose
@@ -187,10 +124,9 @@ impl MultiHeadSelfAttention {
     ///
     /// The forward *values* are the same bits [`MultiHeadSelfAttention::infer_packed`]
     /// produces (both run the same fused kernel over the same projection bits;
-    /// `crowd-rl-core`'s packed-learning equivalence suite leans on this), per-segment
-    /// rows match a per-segment [`MultiHeadSelfAttention::forward`] with the matching
-    /// padding mask, and the gradients are the bits of the unfused per-segment chain
-    /// (`tests/kernel_equivalence.rs`).
+    /// `crowd-rl-core`'s packed-learning equivalence suite leans on this), each segment's
+    /// rows match a `forward_packed` over that segment alone, and values and gradients
+    /// are the bits of the unfused per-segment chain (`tests/kernel_equivalence.rs`).
     pub fn forward_packed(
         &self,
         graph: &mut Graph,
@@ -234,11 +170,9 @@ impl MultiHeadSelfAttention {
     ///
     /// The Q/K/V and output projections are row-wise, so they run as single stacked matmuls
     /// over the whole buffer; scores and softmax never cross sessions, so they run block by
-    /// block, fused per segment, with each segment's own padding mask. The rows of the
-    /// result are bit-identical to calling [`MultiHeadSelfAttention::infer`] once per
-    /// segment with its `real_rows` (row-wise matmul rows depend only on their own input
-    /// row), and to the unfused tape chain of [`MultiHeadSelfAttention::forward`] with
-    /// [`MultiHeadSelfAttention::padding_mask`]`(rows, real_rows)` — the fused block
+    /// block, fused per segment. The rows of the result are bit-identical to an
+    /// `infer_packed` over each segment's rows alone (row-wise matmul rows depend only on
+    /// their own input row), and to the unfused per-segment chain — the fused block
     /// computes every element with the same operations in the same order as that chain.
     ///
     /// Rows not covered by any segment come back as bias-shifted zeros and must be ignored
@@ -332,31 +266,46 @@ mod tests {
         (store, attn, rng)
     }
 
+    /// Segments tiling `[0, Σ pools)` back to back.
+    fn tiled(pools: &[usize]) -> Vec<PoolSegment> {
+        let mut start = 0;
+        pools
+            .iter()
+            .map(|&rows| {
+                let seg = PoolSegment { start, rows };
+                start += rows;
+                seg
+            })
+            .collect()
+    }
+
+    /// Single-pool inference: a packed buffer of one segment.
+    fn infer_one(store: &ParamStore, attn: &MultiHeadSelfAttention, x: &Matrix) -> Matrix {
+        attn.infer_packed(store, x, &tiled(&[x.rows()])).unwrap()
+    }
+
     #[test]
     fn output_shape_matches_input() {
         let (store, attn, mut rng) = setup(8, 4, 0);
         let x = Matrix::randn(6, 8, &mut rng);
-        let out = attn.infer(&store, &x, 6).unwrap();
-        assert_eq!(out.shape(), (6, 8));
+        assert_eq!(infer_one(&store, &attn, &x).shape(), (6, 8));
     }
 
     #[test]
     fn tape_and_inference_agree() {
         let (store, attn, mut rng) = setup(8, 2, 1);
         let x = Matrix::randn(5, 8, &mut rng);
-        let mask = MultiHeadSelfAttention::padding_mask(5, 3);
 
         let mut g = Graph::new();
         let mut binding = GraphBinding::new();
         let xv = g.constant(x.clone());
         let y = attn
-            .forward(&mut g, &store, &mut binding, xv, Some(&mask))
+            .forward_packed(&mut g, &store, &mut binding, xv, &tiled(&[5]))
             .unwrap();
-        let inferred = attn.infer(&store, &x, 3).unwrap();
         assert_eq!(
             g.value(y),
-            &inferred,
-            "fused inference diverged from the tape chain"
+            &infer_one(&store, &attn, &x),
+            "tape forward diverged from inference"
         );
     }
 
@@ -371,8 +320,8 @@ mod tests {
         let c = Matrix::randn(1, 4, &mut rng);
         let abc = a.concat_rows(&b).unwrap().concat_rows(&c).unwrap();
         let cba = c.concat_rows(&b).unwrap().concat_rows(&a).unwrap();
-        let out1 = attn.infer(&store, &abc, 3).unwrap();
-        let out2 = attn.infer(&store, &cba, 3).unwrap();
+        let out1 = infer_one(&store, &attn, &abc);
+        let out2 = infer_one(&store, &attn, &cba);
         for col in 0..4 {
             assert!((out1.get(0, col) - out2.get(2, col)).abs() < 1e-5);
             assert!((out1.get(1, col) - out2.get(1, col)).abs() < 1e-5);
@@ -381,25 +330,26 @@ mod tests {
     }
 
     #[test]
-    fn padding_mask_blocks_padded_rows() {
-        // The representation of real rows must be identical whether padded rows contain
-        // zeros or garbage, as long as the mask hides them.
+    fn rows_outside_the_segment_never_reach_it() {
+        // A pool's representation must be the same bits whether the rows after it hold
+        // zeros or garbage: attention never looks past its segment.
         let (store, attn, mut rng) = setup(4, 2, 3);
         let real = Matrix::randn(3, 4, &mut rng);
-        let zeros_pad = real.concat_rows(&Matrix::zeros(2, 4)).unwrap();
-        let garbage_pad = real
+        let zeros_after = real.concat_rows(&Matrix::zeros(2, 4)).unwrap();
+        let garbage_after = real
             .concat_rows(&Matrix::randn(2, 4, &mut rng).scale(50.0))
             .unwrap();
-        let out_zero = attn.infer(&store, &zeros_pad, 3).unwrap();
-        let out_garbage = attn.infer(&store, &garbage_pad, 3).unwrap();
-        for r in 0..3 {
-            for c in 0..4 {
-                assert!(
-                    (out_zero.get(r, c) - out_garbage.get(r, c)).abs() < 1e-4,
-                    "row {r} col {c} differs"
-                );
-            }
-        }
+        let pool = tiled(&[3]);
+        let out_zero = attn.infer_packed(&store, &zeros_after, &pool).unwrap();
+        let out_garbage = attn.infer_packed(&store, &garbage_after, &pool).unwrap();
+        assert_eq!(
+            out_zero.slice_rows(0, 3).unwrap(),
+            out_garbage.slice_rows(0, 3).unwrap()
+        );
+        assert_eq!(
+            out_zero.slice_rows(0, 3).unwrap(),
+            infer_one(&store, &attn, &real)
+        );
     }
 
     #[test]
@@ -410,7 +360,7 @@ mod tests {
         let mut binding = GraphBinding::new();
         let xv = g.constant(x);
         let y = attn
-            .forward(&mut g, &store, &mut binding, xv, None)
+            .forward_packed(&mut g, &store, &mut binding, xv, &tiled(&[4]))
             .unwrap();
         let loss = g.squared_sum(y);
         g.backward(loss).unwrap();
@@ -434,29 +384,18 @@ mod tests {
         // The guarantee the batched Q-network path is built on: one packed forward pass
         // over N sessions' rows produces exactly the bits of N independent passes.
         let (store, attn, mut rng) = setup(8, 2, 6);
-        let pools = [(5usize, 3usize), (4, 4), (6, 1)];
-        let blocks: Vec<Matrix> = pools
+        let blocks: Vec<Matrix> = [5usize, 4, 6]
             .iter()
-            .map(|&(rows, _)| Matrix::randn(rows, 8, &mut rng))
+            .map(|&rows| Matrix::randn(rows, 8, &mut rng))
             .collect();
         let block_refs: Vec<&Matrix> = blocks.iter().collect();
         let packed = Matrix::vstack(&block_refs).unwrap();
-        let mut segments = Vec::new();
-        let mut start = 0;
-        for &(rows, real) in &pools {
-            segments.push(PoolSegment {
-                start,
-                rows,
-                real_rows: real,
-            });
-            start += rows;
-        }
+        let segments = tiled(&[5, 4, 6]);
         let out = attn.infer_packed(&store, &packed, &segments).unwrap();
         for (block, seg) in blocks.iter().zip(&segments) {
-            let solo = attn.infer(&store, block, seg.real_rows).unwrap();
             assert_eq!(
                 out.slice_rows(seg.start, seg.end()).unwrap(),
-                solo,
+                infer_one(&store, &attn, block),
                 "segment starting at {} differs from the per-session pass",
                 seg.start
             );
@@ -466,21 +405,10 @@ mod tests {
     #[test]
     fn forward_packed_matches_infer_packed_bit_for_bit() {
         // The training-side guarantee: the packed tape values are the very bits the packed
-        // inference path produces, including a padded segment in the middle.
+        // inference path produces.
         let (store, attn, mut rng) = setup(8, 2, 8);
-        let pools = [(4usize, 4usize), (5, 2), (3, 3)];
-        let total: usize = pools.iter().map(|&(rows, _)| rows).sum();
-        let x = Matrix::randn(total, 8, &mut rng);
-        let mut segments = Vec::new();
-        let mut start = 0;
-        for &(rows, real) in &pools {
-            segments.push(PoolSegment {
-                start,
-                rows,
-                real_rows: real,
-            });
-            start += rows;
-        }
+        let x = Matrix::randn(12, 8, &mut rng);
+        let segments = tiled(&[4, 5, 3]);
         let inferred = attn.infer_packed(&store, &x, &segments).unwrap();
 
         let mut g = Graph::new();
@@ -498,24 +426,13 @@ mod tests {
 
     #[test]
     fn forward_packed_segments_match_per_segment_forward() {
-        // Each segment's rows on the packed tape equal a standalone per-segment forward
-        // with the matching padding mask — the property the packed learner's per-transition
-        // Q values rest on.
+        // Each segment's rows on the packed tape equal a standalone forward over that
+        // segment alone — the property the packed learner's per-transition Q values
+        // rest on.
         let (store, attn, mut rng) = setup(4, 2, 9);
         let blocks = [Matrix::randn(3, 4, &mut rng), Matrix::randn(5, 4, &mut rng)];
         let packed = Matrix::vstack(&[&blocks[0], &blocks[1]]).unwrap();
-        let segments = [
-            PoolSegment {
-                start: 0,
-                rows: 3,
-                real_rows: 2,
-            },
-            PoolSegment {
-                start: 3,
-                rows: 5,
-                real_rows: 5,
-            },
-        ];
+        let segments = tiled(&[3, 5]);
         let mut g = Graph::new();
         let mut binding = GraphBinding::new();
         let xv = g.constant(packed);
@@ -523,12 +440,17 @@ mod tests {
             .forward_packed(&mut g, &store, &mut binding, xv, &segments)
             .unwrap();
         for (block, seg) in blocks.iter().zip(&segments) {
-            let mask = MultiHeadSelfAttention::padding_mask(seg.rows, seg.real_rows);
             let mut g_solo = Graph::new();
             let mut binding_solo = GraphBinding::new();
             let x_solo = g_solo.constant(block.clone());
             let y_solo = attn
-                .forward(&mut g_solo, &store, &mut binding_solo, x_solo, Some(&mask))
+                .forward_packed(
+                    &mut g_solo,
+                    &store,
+                    &mut binding_solo,
+                    x_solo,
+                    &tiled(&[seg.rows]),
+                )
                 .unwrap();
             for r in 0..seg.rows {
                 assert_eq!(
@@ -545,23 +467,11 @@ mod tests {
     fn forward_packed_gradients_flow_to_all_heads() {
         let (store, attn, mut rng) = setup(8, 4, 10);
         let x = Matrix::randn(7, 8, &mut rng);
-        let segments = [
-            PoolSegment {
-                start: 0,
-                rows: 4,
-                real_rows: 4,
-            },
-            PoolSegment {
-                start: 4,
-                rows: 3,
-                real_rows: 3,
-            },
-        ];
         let mut g = Graph::new();
         let mut binding = GraphBinding::new();
         let xv = g.constant(x);
         let y = attn
-            .forward_packed(&mut g, &store, &mut binding, xv, &segments)
+            .forward_packed(&mut g, &store, &mut binding, xv, &tiled(&[4, 3]))
             .unwrap();
         let loss = g.squared_sum(y);
         g.backward(loss).unwrap();
@@ -581,18 +491,7 @@ mod tests {
         use crowd_autograd::gradcheck::{check_gradient, ScalarFn};
 
         let (store, attn, mut rng) = setup(4, 2, 11);
-        let segments = [
-            PoolSegment {
-                start: 0,
-                rows: 2,
-                real_rows: 2,
-            },
-            PoolSegment {
-                start: 2,
-                rows: 5,
-                real_rows: 5,
-            },
-        ];
+        let segments = tiled(&[2, 5]);
         let param_ids: Vec<ParamId> = store.iter().map(|(id, _, _)| id).collect();
         let mut inputs = vec![Matrix::randn(7, 4, &mut rng)];
         inputs.extend(store.iter().map(|(_, _, value)| value.clone()));
@@ -630,13 +529,7 @@ mod tests {
         // multi-thread pool; the pooled result must be the exact serial bits regardless.
         let (store, attn, mut rng) = setup(8, 2, 12);
         let x = Matrix::randn(96, 8, &mut rng);
-        let segments: Vec<PoolSegment> = (0..12)
-            .map(|i| PoolSegment {
-                start: i * 8,
-                rows: 8,
-                real_rows: if i % 3 == 0 { 5 } else { 8 },
-            })
-            .collect();
+        let segments = tiled(&[8; 12]);
         let serial = attn.infer_packed(&store, &x, &segments).unwrap();
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);

@@ -6,10 +6,10 @@
 //!   target network Q̃ is simply a second store copied from θ (double Q-learning, Sec. IV-D);
 //! * [`Linear`] / [`RowwiseFF`] layers — the "row-wise Linear Layer" rFF(X) = relu(XW + b)
 //!   of Fig. 3;
-//! * [`MultiHeadSelfAttention`] — the attention layer of Fig. 4 with additive masking for
-//!   zero-padded rows, plus the packed batched-inference path
-//!   ([`MultiHeadSelfAttention::infer_packed`]) that runs attention for `N` sessions over
-//!   one `[Σ pool sizes, dim]` buffer with per-session [`PoolSegment`] offsets;
+//! * [`MultiHeadSelfAttention`] — the attention layer of Fig. 4 over a packed
+//!   `[Σ pool sizes, dim]` buffer of real task rows, with per-pool [`PoolSegment`] offsets:
+//!   [`MultiHeadSelfAttention::forward_packed`] on the tape and
+//!   [`MultiHeadSelfAttention::infer_packed`] without it;
 //! * [`Mlp`] — the two-hidden-layer feed-forward regressor used by the Greedy+NN baseline;
 //! * the [`Adam`] optimizer with optional gradient clipping.
 //!
@@ -57,14 +57,18 @@
 //! let b = Matrix::randn(5, 8, &mut rng);
 //! let packed = Matrix::vstack(&[&a, &b]).unwrap();
 //! let segments = [
-//!     PoolSegment { start: 0, rows: 3, real_rows: 3 },
-//!     PoolSegment { start: 3, rows: 5, real_rows: 5 },
+//!     PoolSegment { start: 0, rows: 3 },
+//!     PoolSegment { start: 3, rows: 5 },
 //! ];
 //! let out = attn.infer_packed(&store, &packed, &segments).unwrap();
 //!
 //! // Each block equals the standalone pass over that session alone.
-//! assert_eq!(out.slice_rows(0, 3).unwrap(), attn.infer(&store, &a, 3).unwrap());
-//! assert_eq!(out.slice_rows(3, 8).unwrap(), attn.infer(&store, &b, 5).unwrap());
+//! let alone = |m: &Matrix| {
+//!     let whole = [PoolSegment { start: 0, rows: m.rows() }];
+//!     attn.infer_packed(&store, m, &whole).unwrap()
+//! };
+//! assert_eq!(out.slice_rows(0, 3).unwrap(), alone(&a));
+//! assert_eq!(out.slice_rows(3, 8).unwrap(), alone(&b));
 //! ```
 
 pub mod attention;

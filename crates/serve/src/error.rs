@@ -46,6 +46,13 @@ pub enum ServeError {
         /// Rendered cause (I/O error, CRC mismatch, corrupt framing, …).
         detail: String,
     },
+    /// A request was refused at the client boundary because its content is unusable:
+    /// a feedback whose worker quality, quality gain or a worker-feature entry is NaN
+    /// or infinite. Nothing was sent, logged or observed.
+    Malformed {
+        /// Which field is malformed.
+        detail: String,
+    },
     /// Log replay could not reconstruct the server state: the re-executed policy
     /// diverged from a logged decision, or the record sequence violates an invariant
     /// (non-monotonic request ids, feedback for an unknown request).
@@ -69,6 +76,7 @@ impl fmt::Display for ServeError {
                 dir.display()
             ),
             ServeError::Log { detail } => write!(f, "decision log failure: {detail}"),
+            ServeError::Malformed { detail } => write!(f, "malformed request: {detail}"),
             ServeError::Recovery { detail } => write!(f, "decision log replay failed: {detail}"),
         }
     }
@@ -110,5 +118,10 @@ mod tests {
         }
         .to_string()
         .contains("act diverged"));
+        assert!(ServeError::Malformed {
+            detail: "quality_gain is NaN".into()
+        }
+        .to_string()
+        .contains("quality_gain is NaN"));
     }
 }

@@ -374,7 +374,15 @@ impl Client {
     /// Submits the observed outcome of an earlier decision — the online-learning tick.
     /// Returns as soon as the feedback is enqueued; it is logged and applied when the
     /// worker's current round commits.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Malformed`] when the worker quality, the quality gain or any
+    /// worker-feature entry is NaN or infinite — such a feedback would become a
+    /// non-finite reward the learner refuses — before anything is sent; and
+    /// [`ServeError::ShuttingDown`] when the server has stopped.
     pub fn feedback(&self, request_id: u64, feedback: PolicyFeedback) -> Result<()> {
+        check_feedback(&feedback)?;
         self.ingress
             .send(Request::Feedback {
                 request_id,
@@ -393,6 +401,27 @@ impl Client {
             .map_err(|_| ServeError::ShuttingDown)?;
         response.recv().map_err(|_| ServeError::ShuttingDown)?
     }
+}
+
+/// Refuses a feedback whose numeric content is NaN or infinite, naming the first bad field.
+fn check_feedback(feedback: &PolicyFeedback) -> Result<()> {
+    let fields = [
+        (
+            "worker_quality",
+            std::slice::from_ref(&feedback.worker_quality),
+        ),
+        ("quality_gain", std::slice::from_ref(&feedback.quality_gain)),
+        ("worker_feature_before", &feedback.worker_feature_before[..]),
+        ("worker_feature_after", &feedback.worker_feature_after[..]),
+    ];
+    for (name, values) in fields {
+        if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+            return Err(ServeError::Malformed {
+                detail: format!("feedback {name} holds {bad}"),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// A running decision service: one dedicated batch worker owning the policy and the

@@ -6,7 +6,7 @@
 //! block `V`, the forward kernel computes
 //!
 //! ```text
-//! S = Q·Kᵀ · scale (+ mask)      A = softmax_rows(S)      O = A·V
+//! S = Q·Kᵀ · scale      A = softmax_rows(S)      O = A·V
 //! ```
 //!
 //! and writes `O` straight into the rows of the segment (and a column window of the
@@ -18,35 +18,27 @@
 //!
 //! Every product here runs through the crate's strided product kernels, so every
 //! element is the sequential inner-index sum of the [accumulation-order
-//! contract](crate::ops) — the very value `Matrix::matmul_transpose`,
-//! `Matrix::matmul` and the tape's matmul VJPs produce for the same block. The scale
-//! is one multiply per score, the padding mask one add per score of a padded
-//! segment, the softmax and its VJP the shared row rules behind
-//! [`Matrix::softmax_rows`] and [`Matrix::softmax_rows_vjp`]. So the fused kernels
-//! return, element for element, the bits of the unfused slice / transpose / matmul /
-//! scale / mask / softmax / matmul chain they replace; `tests/kernel_equivalence.rs`
-//! holds them to `to_bits` equality with that chain built from public `Matrix` ops.
+//! contract](crate::ops) — the very value `Matrix::matmul_transpose` and
+//! `Matrix::matmul` produce for the same block. The scale is one multiply per score,
+//! the softmax and its VJP the shared row rules behind [`Matrix::softmax_rows`] and
+//! [`Matrix::softmax_rows_vjp`]. So the fused kernels return, element for element, the
+//! bits of the unfused slice / transpose / matmul / scale / softmax / matmul chain and
+//! of its VJPs applied one primitive at a time; `tests/kernel_equivalence.rs` holds them
+//! to `to_bits` equality with that chain as written in `crowd_bench::reference`.
 
 use crate::error::TensorError;
 use crate::matrix::Matrix;
 use crate::ops::{gemm_nn, gemm_nt, gemm_tn, softmax_row_in_place, softmax_row_vjp_in_place};
 use crate::Result;
 
-/// Additive score a padding mask puts on a padded key column: large enough that its
-/// softmax weight underflows to exactly `0.0` after the row-max subtraction.
-pub const MASKED_SCORE: f32 = -1e9;
-
 /// One pool's row block inside a packed `[Σ pool sizes, dim]` buffer: the block starts at
-/// row `start`, spans `rows` rows, and only the first `real_rows` of them are real tasks
-/// (the rest is padding, masked out of every attention row).
+/// row `start` and spans `rows` rows, every one of them a real task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolSegment {
     /// First row of the block inside the packed buffer.
     pub start: usize,
-    /// Number of rows in the block (padding included).
+    /// Number of rows in the block.
     pub rows: usize,
-    /// Number of real (non-padding) rows at the top of the block.
-    pub real_rows: usize,
 }
 
 impl PoolSegment {
@@ -146,23 +138,14 @@ fn check_segments(op: &'static str, segments: &[PoolSegment], rows: usize) -> Re
                 bound: rows + 1,
             });
         }
-        if seg.real_rows > seg.rows {
-            return Err(TensorError::IndexOutOfBounds {
-                op,
-                index: seg.real_rows,
-                bound: seg.rows + 1,
-            });
-        }
     }
     Ok(())
 }
 
-/// Fused forward attention of every segment: for each segment, `softmax(Q·Kᵀ·scale +
-/// mask)·V` over its own rows, written into the same rows of `out` at columns
-/// `[out_col0, out_col0 + v.cols)`. A padded segment (`real_rows < rows`) adds
-/// [`MASKED_SCORE`] to the scores of its padded key columns and `0.0` to the others,
-/// exactly as the additive padding mask does; a padding-free segment adds nothing.
-/// Rows of `out` outside every segment are left untouched.
+/// Fused forward attention of every segment: for each segment, `softmax(Q·Kᵀ·scale)·V`
+/// over its own rows, written into the same rows of `out` at columns
+/// `[out_col0, out_col0 + v.cols)`. Rows of `out` outside every segment are left
+/// untouched.
 ///
 /// With `weights`, the softmax blocks are kept: the buffer is resized to `Σ rows²` and
 /// holds each segment's row-major `rows × rows` block back to back, in segment order —
@@ -233,19 +216,9 @@ pub fn segment_attention(
             r,
             &mut scratch.panel,
         );
-        let padded = seg.real_rows < r;
         for row in attn.chunks_exact_mut(r) {
             for s in row.iter_mut() {
                 *s *= scale;
-            }
-            if padded {
-                let (real, pad) = row.split_at_mut(seg.real_rows);
-                for s in real {
-                    *s += 0.0;
-                }
-                for s in pad {
-                    *s += MASKED_SCORE;
-                }
             }
             softmax_row_in_place(row);
         }
@@ -286,7 +259,7 @@ pub struct AttentionGrads {
 /// per-element order of the tape op it replaces:
 ///
 /// * `d_A = up·Vᵀ` and `dV = Aᵀ·up` (the `A·V` matmul);
-/// * `d_M = A ∘ (d_A − ⟨d_A, A⟩)` per row (the softmax; the mask add passes it on);
+/// * `d_M = A ∘ (d_A − ⟨d_A, A⟩)` per row (the softmax);
 /// * `d_S = d_M · scale` (the scale);
 /// * `dQ = d_S·K` and `dK = d_Sᵀ·Q` (the `Q·Kᵀ` matmul and the transpose of K).
 ///
@@ -381,16 +354,12 @@ mod tests {
     use super::*;
     use crate::random::Rng;
 
-    fn segments(pools: &[(usize, usize)]) -> Vec<PoolSegment> {
+    fn segments(pools: &[usize]) -> Vec<PoolSegment> {
         let mut start = 0;
         pools
             .iter()
-            .map(|&(rows, real_rows)| {
-                let seg = PoolSegment {
-                    start,
-                    rows,
-                    real_rows,
-                };
+            .map(|&rows| {
+                let seg = PoolSegment { start, rows };
                 start += rows;
                 seg
             })
@@ -400,7 +369,7 @@ mod tests {
     #[test]
     fn fused_forward_matches_the_matrix_chain_per_segment() {
         let mut rng = Rng::seed_from(1);
-        let segs = segments(&[(3, 3), (5, 2), (1, 1)]);
+        let segs = segments(&[3, 5, 1]);
         let (q, k, v) = (
             Matrix::randn(9, 4, &mut rng),
             Matrix::randn(9, 4, &mut rng),
@@ -426,12 +395,7 @@ mod tests {
             let qb = q.slice_rows(seg.start, seg.end()).unwrap();
             let kb = k.slice_rows(seg.start, seg.end()).unwrap();
             let vb = v.slice_rows(seg.start, seg.end()).unwrap();
-            let mut s = qb.matmul_transpose(&kb).unwrap().scale(scale);
-            for r in 0..seg.rows {
-                for c in seg.real_rows..seg.rows {
-                    s.set(r, c, s.get(r, c) + MASKED_SCORE);
-                }
-            }
+            let s = qb.matmul_transpose(&kb).unwrap().scale(scale);
             let want = s.softmax_rows().matmul(&vb).unwrap();
             for r in 0..seg.rows {
                 assert_eq!(&out.row(seg.start + r)[2..5], want.row(r));
@@ -445,11 +409,7 @@ mod tests {
         let q = Matrix::zeros(4, 2);
         let k3 = Matrix::zeros(4, 3);
         let mut out = Matrix::zeros(4, 2);
-        let seg = [PoolSegment {
-            start: 2,
-            rows: 3,
-            real_rows: 3,
-        }];
+        let seg = [PoolSegment { start: 2, rows: 3 }];
         let mut scratch = AttentionScratch::default();
         let whole = ColumnBlock::whole(&q);
         assert!(segment_attention(
@@ -491,16 +451,8 @@ mod tests {
         // Overlapping or unsorted segments would make the backward overwrite one
         // segment's gradient rows with another's, so both directions refuse them.
         let overlapping = [
-            PoolSegment {
-                start: 0,
-                rows: 3,
-                real_rows: 3,
-            },
-            PoolSegment {
-                start: 2,
-                rows: 2,
-                real_rows: 2,
-            },
+            PoolSegment { start: 0, rows: 3 },
+            PoolSegment { start: 2, rows: 2 },
         ];
         let unsorted = [overlapping[1], overlapping[0]];
         for segs in [&overlapping, &unsorted] {

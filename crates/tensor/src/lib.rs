@@ -46,7 +46,8 @@
 //! The packed buffers above can grow to thousands of rows at replica scale, so the
 //! matmul kernels are register-blocked and 8-lane unrolled (see the [`ops`] module docs
 //! for the accumulation-order contract, and `tests/kernel_equivalence.rs` for the
-//! differential fence against the retained scalar references), and both have
+//! differential fence against the scalar references in `crowd_bench::reference`), and
+//! both have
 //! row-sharded twins — [`Matrix::matmul_par`] / [`Matrix::matmul_transpose_par`] — that
 //! split the *output rows* across a [`ThreadPool`] (re-exported from `crowd-parallel`,
 //! which dispatches to its persistent worker pool). Every output row is produced by
@@ -58,11 +59,11 @@
 //! # Fused per-segment attention
 //!
 //! Attention over a packed buffer must stay inside each pool's [`PoolSegment`]. The
-//! [`attention`] module fuses one segment's score / scale / mask / softmax / value chain
-//! into one kernel that writes straight into the packed output
-//! ([`segment_attention`]), plus its reverse mode ([`segment_attention_backward`]).
-//! Both run through the same strided product kernels as [`Matrix::matmul`], so they are
-//! bit-identical to the unfused chain of `Matrix` ops.
+//! [`attention`] module fuses one segment's score / scale / softmax / value chain into
+//! one kernel that writes straight into the packed output ([`segment_attention`]), plus
+//! its reverse mode ([`segment_attention_backward`]). Both run through the same strided
+//! product kernels as [`Matrix::matmul`], so they are bit-identical to the unfused chain
+//! of `Matrix` ops.
 //!
 //! # Determinism
 //!
@@ -86,7 +87,7 @@ pub mod random;
 
 pub use attention::{
     segment_attention, segment_attention_backward, AttentionGrads, AttentionScratch, ColumnBlock,
-    PoolSegment, MASKED_SCORE,
+    PoolSegment,
 };
 pub use error::TensorError;
 pub use matrix::Matrix;

@@ -25,10 +25,9 @@
 //!
 //! * the row-sharded `_par` twins are bit-identical because shard boundaries only decide
 //!   *which thread* computes an element, never the order of its sum;
-//! * the retained scalar references [`Matrix::matmul_ref`] / [`Matrix::matmul_transpose_ref`]
-//!   implement the same order with textbook loops, and `tests/kernel_equivalence.rs`
-//!   pins `to_bits` equality between them and the blocked kernels over adversarial
-//!   shapes and values;
+//! * the scalar reference products in `crowd_bench::reference` implement the same
+//!   order with textbook loops, and `tests/kernel_equivalence.rs` pins `to_bits`
+//!   equality between them and the blocked kernels over adversarial shapes and values;
 //! * `benches/kernel_throughput.rs` measures the blocked kernels against those same
 //!   references, so the fast path must stay *provably fast* as well as provably equal.
 //!
@@ -84,17 +83,6 @@ fn lane_tile<const RT: usize>(
                 *o += av * bv;
             }
         }
-    }
-    acc
-}
-
-/// Sequential dot product over `p` in increasing order — the scalar edge of the contract,
-/// used by the retained scalar references.
-#[inline(always)]
-fn seq_dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += x * y;
     }
     acc
 }
@@ -559,63 +547,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Scalar reference implementation of [`Matrix::matmul`]: the textbook `i-k-j` loop,
-    /// no register blocking, no lane unrolling. It realises the same
-    /// [accumulation-order contract](self) as the blocked kernel — every element is a
-    /// sequential `p`-ordered sum — so its result is **bit-identical** to
-    /// [`Matrix::matmul`]; `tests/kernel_equivalence.rs` holds the two to `to_bits`
-    /// equality over adversarial shapes and values, and
-    /// `benches/kernel_throughput.rs` uses it as the speed baseline the blocked kernel
-    /// must beat. Retained for those fences only (like `learn_sequential`); production
-    /// paths must call [`Matrix::matmul`].
-    pub fn matmul_ref(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols() != rhs.rows() {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_ref",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let k = self.cols();
-        let n = rhs.cols();
-        let (a, b) = (self.as_slice(), rhs.as_slice());
-        let mut out = Matrix::zeros(self.rows(), n);
-        for (i, c_row) in out.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                let b_row = &b[p * n..(p + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                    *c_v += a_ip * b_v;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Scalar reference implementation of [`Matrix::matmul_transpose`]: one sequential
-    /// dot product per output element. Same retention contract as
-    /// [`Matrix::matmul_ref`] — bit-identical oracle for the differential suite, speed
-    /// baseline for the throughput bench, not a production path.
-    pub fn matmul_transpose_ref(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols() != rhs.cols() {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_transpose_ref",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let n = rhs.rows();
-        let mut out = Matrix::zeros(self.rows(), n);
-        for i in 0..self.rows() {
-            let a_row = self.row(i);
-            let c_row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-            for (j, c_v) in c_row.iter_mut().enumerate() {
-                *c_v = seq_dot(a_row, rhs.row(j));
-            }
-        }
-        Ok(out)
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let (m, n) = self.shape();
@@ -695,15 +626,6 @@ impl Matrix {
         let mut out = self.clone();
         for v in out.as_mut_slice() {
             *v *= alpha;
-        }
-        out
-    }
-
-    /// Adds a scalar to every element.
-    pub fn shift(&self, delta: f32) -> Matrix {
-        let mut out = self.clone();
-        for v in out.as_mut_slice() {
-            *v += delta;
         }
         out
     }
@@ -902,15 +824,6 @@ impl Matrix {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.as_slice().iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty matrix).
-    pub fn mean(&self) -> f32 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.len() as f32
-        }
     }
 
     /// Per-row sums as a `rows x 1` column vector.
@@ -1114,7 +1027,6 @@ mod tests {
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
-        assert_eq!(a.shift(1.0).as_slice(), &[2.0, 3.0, 4.0]);
         assert!(a.add(&Matrix::zeros(2, 2)).is_err());
     }
 
@@ -1185,7 +1097,6 @@ mod tests {
     fn reductions() {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.sum(), 10.0);
-        assert_eq!(a.mean(), 2.5);
         assert_eq!(a.row_sums().as_slice(), &[3.0, 7.0]);
         assert_eq!(a.col_sums().as_slice(), &[4.0, 6.0]);
         assert_eq!(a.col_means().as_slice(), &[2.0, 3.0]);
@@ -1426,47 +1337,6 @@ mod proptests {
             single.matmul_par(&wide, pool).unwrap(),
             single.matmul(&wide).unwrap()
         );
-    }
-
-    #[test]
-    fn blocked_kernels_match_the_scalar_references_bit_for_bit() {
-        // The unit-level smoke of the contract; the adversarial sweep lives in
-        // tests/kernel_equivalence.rs.
-        let mut rng = Rng::seed_from(114);
-        for _ in 0..CASES {
-            let m = rng.range(1, 12);
-            let k = rng.range(1, 12);
-            let n = rng.range(1, 20); // crosses the 8-lane boundary both ways
-            let a = Matrix::randn(m, k, &mut rng);
-            let b = Matrix::randn(k, n, &mut rng);
-            let bt = b.transpose();
-            let fast = a.matmul(&b).unwrap();
-            let reference = a.matmul_ref(&b).unwrap();
-            for (x, y) in fast.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "matmul {m}x{k}x{n}");
-            }
-            let fast_t = a.matmul_transpose(&bt).unwrap();
-            let reference_t = a.matmul_transpose_ref(&bt).unwrap();
-            for (x, y) in fast_t.as_slice().iter().zip(reference_t.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "matmul_transpose {m}x{k}x{n}");
-            }
-        }
-        // The references report shape mismatches under their own op names.
-        let a = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.matmul_ref(&Matrix::zeros(2, 3)),
-            Err(TensorError::ShapeMismatch {
-                op: "matmul_ref",
-                ..
-            })
-        ));
-        assert!(matches!(
-            a.matmul_transpose_ref(&Matrix::zeros(2, 2)),
-            Err(TensorError::ShapeMismatch {
-                op: "matmul_transpose_ref",
-                ..
-            })
-        ));
     }
 
     #[test]

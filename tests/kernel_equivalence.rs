@@ -5,9 +5,8 @@
 //! flows through them — and the whole workspace's bit-identity story (parallel-,
 //! checkpoint-, batched- and serve-equivalence) rests on their accumulation order never
 //! moving. This suite pins that order differentially: every kernel output is compared
-//! `to_bits`-for-`to_bits` against the retained scalar references
-//! [`Matrix::matmul_ref`] / [`Matrix::matmul_transpose_ref`] (kept precisely as
-//! oracles, like `learn_sequential`), over
+//! `to_bits`-for-`to_bits` against the scalar references
+//! `crowd_bench::reference::{matmul_ref, matmul_transpose_ref}`, over
 //!
 //! * **seeded sweeps** of random shapes and values (xoshiro-seeded, reproducible);
 //! * **adversarial shapes**: 1×1, every lane-remainder width 1..=9 around the 8-wide
@@ -21,13 +20,13 @@
 //!   explicitly transposed left operand, against the same `matmul` reference;
 //! * **the fused per-segment attention** (`crowd_tensor::segment_attention`, the tape's
 //!   `Graph::segment_attention` node and the layer-level `forward_packed` built on it),
-//!   compared against the unfused slice / transpose / matmul / scale / mask / softmax /
-//!   matmul chain composed *here* from public `Matrix` and `Graph` ops — values and every
-//!   gradient, over 1-row segments, head widths off the 8-lane grid, padded segments
-//!   with masks, 64+ segments and saturated softmax rows;
+//!   compared against the unfused slice / transpose / matmul / scale / softmax / matmul
+//!   chain of `crowd_bench::reference`, whose gradients apply each primitive's VJP in a
+//!   tape's reverse-sweep order — values and every gradient, over 1-row segments, head
+//!   widths off the 8-lane grid, 64+ segments and saturated softmax rows;
 //! * **the fused leaky rectifier** (`Graph::leaky_relu`, the activation of every
-//!   row-wise block on the tape) against its five-node composition, over adversarial
-//!   values.
+//!   row-wise block on the tape) against its five-primitive chain in
+//!   `crowd_bench::reference`, over adversarial values.
 //!
 //! The documented contract (ARCHITECTURE.md, "Vectorised kernels"): every output
 //! element is the sequential sum over the inner dimension in increasing index order,
@@ -36,11 +35,14 @@
 //! test below fails if the kernels ever switch to any other order; the sweeps fail if
 //! vectorisation ever changes a single bit.
 
-use crowd_autograd::{Graph, VarId};
+use crowd_autograd::Graph;
+use crowd_bench::reference::{
+    attention_layer_ref, attention_ref, attention_ref_backward, leaky_relu_ref,
+    leaky_relu_ref_backward, matmul_ref, matmul_transpose_ref,
+};
 use crowd_nn::{GraphBinding, MultiHeadSelfAttention, ParamStore};
 use crowd_tensor::{
     segment_attention, AttentionScratch, ColumnBlock, Matrix, PoolSegment, Rng, ThreadPool,
-    MASKED_SCORE,
 };
 
 /// Asserts bit-exact equality, which is stricter than `==` (NaN payloads and the sign
@@ -66,13 +68,11 @@ fn assert_bits_eq(label: &str, got: &Matrix, want: &Matrix) {
 /// references for one (a, b) pair, where `b` is shaped for `matmul` and `bt` — its
 /// transpose-layout sibling — for `matmul_transpose`.
 fn check_pair(label: &str, a: &Matrix, b: &Matrix, bt: &Matrix) {
-    let want = a.matmul_ref(b).expect("reference matmul");
+    let want = matmul_ref(a, b).expect("reference matmul");
     let got = a.matmul(b).expect("vectorised matmul");
     assert_bits_eq(&format!("{label}/matmul"), &got, &want);
 
-    let want_t = a
-        .matmul_transpose_ref(bt)
-        .expect("reference matmul_transpose");
+    let want_t = matmul_transpose_ref(a, bt).expect("reference matmul_transpose");
     let got_t = a.matmul_transpose(bt).expect("vectorised matmul_transpose");
     assert_bits_eq(&format!("{label}/matmul_transpose"), &got_t, &want_t);
 
@@ -236,11 +236,11 @@ fn accumulation_order_is_the_documented_left_to_right_fold() {
 
     for (label, result) in [
         ("matmul", a.matmul(&ones_col).unwrap()),
-        ("matmul_ref", a.matmul_ref(&ones_col).unwrap()),
+        ("matmul_ref", matmul_ref(&a, &ones_col).unwrap()),
         ("matmul_transpose", a.matmul_transpose(&ones_row).unwrap()),
         (
             "matmul_transpose_ref",
-            a.matmul_transpose_ref(&ones_row).unwrap(),
+            matmul_transpose_ref(&a, &ones_row).unwrap(),
         ),
     ] {
         assert_eq!(
@@ -269,7 +269,7 @@ fn zero_rows_are_not_skipped() {
     let a = Matrix::from_vec(2, 2, vec![0.0, 0.0, 1.0, 1.0]).unwrap();
     let b = Matrix::from_vec(2, 2, vec![f32::NAN, -1.0, 1.0, -1.0]).unwrap();
     let got = a.matmul(&b).unwrap();
-    let want = a.matmul_ref(&b).unwrap();
+    let want = matmul_ref(&a, &b).unwrap();
     assert_bits_eq("zero-row", &got, &want);
     assert!(
         got.get(0, 0).is_nan(),
@@ -287,146 +287,54 @@ fn shape_mismatches_error_identically_on_kernels_and_references() {
     let a = Matrix::zeros(2, 3);
     let b = Matrix::zeros(4, 2);
     assert!(a.matmul(&b).is_err());
-    assert!(a.matmul_ref(&b).is_err());
+    assert!(matmul_ref(&a, &b).is_err());
     let bt = Matrix::zeros(2, 4);
     assert!(a.matmul_transpose(&bt).is_err());
-    assert!(a.matmul_transpose_ref(&bt).is_err());
+    assert!(matmul_transpose_ref(&a, &bt).is_err());
 }
 
 // ---------------------------------------------------------------------------------------
 // Fused per-segment attention vs the unfused chain it replaced.
 // ---------------------------------------------------------------------------------------
 
-/// Segments tiling `[0, Σ rows)` back to back, one per `(rows, real_rows)` pair.
-fn tiled_segments(pools: &[(usize, usize)]) -> Vec<PoolSegment> {
+/// Segments tiling `[0, Σ rows)` back to back, one per pool size.
+fn tiled_segments(pools: &[usize]) -> Vec<PoolSegment> {
     let mut start = 0;
     pools
         .iter()
-        .map(|&(rows, real_rows)| {
-            let seg = PoolSegment {
-                start,
-                rows,
-                real_rows,
-            };
+        .map(|&rows| {
+            let seg = PoolSegment { start, rows };
             start += rows;
             seg
         })
         .collect()
 }
 
-/// The additive padding mask of one segment: `MASKED_SCORE` on padded key columns.
-fn padding_mask(seg: &PoolSegment) -> Matrix {
-    let mut mask = Matrix::zeros(seg.rows, seg.rows);
-    for r in 0..seg.rows {
-        for c in seg.real_rows..seg.rows {
-            mask.set(r, c, MASKED_SCORE);
-        }
-    }
-    mask
-}
-
-/// The unfused inference block: per segment, slice → `q·kᵀ` → scale → mask (padded
-/// segments only) → softmax → `·v`, pasted back into a packed output.
-fn unfused_attention(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    segments: &[PoolSegment],
-    scale: f32,
-) -> Matrix {
-    let mut out = Matrix::zeros(q.rows(), v.cols());
-    for seg in segments {
-        let qb = q.slice_rows(seg.start, seg.end()).unwrap();
-        let kb = k.slice_rows(seg.start, seg.end()).unwrap();
-        let vb = v.slice_rows(seg.start, seg.end()).unwrap();
-        let mut scores = qb.matmul_transpose(&kb).unwrap().scale(scale);
-        if seg.real_rows < seg.rows {
-            scores = scores.add(&padding_mask(seg)).unwrap();
-        }
-        let attn = scores.softmax_rows();
-        out.paste_rows(seg.start, &attn.matmul(&vb).unwrap())
-            .unwrap();
-    }
-    out
-}
-
-/// The unfused tape chain, node for node what `forward_packed` built per head before
-/// the fused op: slice_rows / transpose / matmul / scale / add(mask) / softmax_rows /
-/// matmul per segment, re-packed with vstack.
-fn unfused_tape(
-    g: &mut Graph,
-    q: VarId,
-    k: VarId,
-    v: VarId,
-    segments: &[PoolSegment],
-    scale: f32,
-) -> VarId {
-    let masks: Vec<Option<VarId>> = segments
-        .iter()
-        .map(|seg| (seg.real_rows < seg.rows).then(|| g.constant(padding_mask(seg))))
-        .collect();
-    let mut outs = Vec::with_capacity(segments.len());
-    for (seg, mask) in segments.iter().zip(&masks) {
-        let qb = g.slice_rows(q, seg.start, seg.end()).unwrap();
-        let kb = g.slice_rows(k, seg.start, seg.end()).unwrap();
-        let vb = g.slice_rows(v, seg.start, seg.end()).unwrap();
-        let kt = g.transpose(kb);
-        let scores = g.matmul(qb, kt).unwrap();
-        let scaled = g.scale(scores, scale);
-        let masked = match mask {
-            Some(m) => g.add(scaled, *m).unwrap(),
-            None => scaled,
-        };
-        let attn = g.softmax_rows(masked);
-        outs.push(g.matmul(attn, vb).unwrap());
-    }
-    g.vstack(&outs).unwrap()
-}
-
-/// One attention case: `pools` as `(rows, real_rows)`, head width `d`, value width `dv`,
-/// and a multiplier on Q/K (large values saturate the softmax rows).
+/// One attention case: pool sizes, head width `d`, value width `dv`, and a multiplier on
+/// Q/K (large values saturate the softmax rows).
 struct AttentionCase {
     label: &'static str,
-    pools: Vec<(usize, usize)>,
+    pools: Vec<usize>,
     d: usize,
     dv: usize,
     qk_gain: f32,
 }
 
 fn attention_cases(rng: &mut Rng) -> Vec<AttentionCase> {
-    let many: Vec<(usize, usize)> = (0..70)
-        .map(|_| {
-            let rows = rng.range(1, 20);
-            (
-                rows,
-                if rng.chance(0.25) {
-                    rng.range(1, rows + 1)
-                } else {
-                    rows
-                },
-            )
-        })
-        .collect();
+    let many: Vec<usize> = (0..70).map(|_| rng.range(1, 20)).collect();
     vec![
         AttentionCase {
             label: "one-row segments",
-            pools: vec![(1, 1); 9],
+            pools: vec![1; 9],
             d: 8,
             dv: 8,
             qk_gain: 1.0,
         },
         AttentionCase {
             label: "head width off the lane grid",
-            pools: vec![(5, 5), (12, 12), (3, 3), (17, 17)],
+            pools: vec![5, 12, 3, 17],
             d: 5,
             dv: 11,
-            qk_gain: 1.0,
-        },
-        AttentionCase {
-            label: "padded segments with masks",
-            pools: vec![(6, 4), (9, 9), (16, 3), (1, 1), (8, 1)],
-            d: 8,
-            dv: 8,
             qk_gain: 1.0,
         },
         AttentionCase {
@@ -438,7 +346,7 @@ fn attention_cases(rng: &mut Rng) -> Vec<AttentionCase> {
         },
         AttentionCase {
             label: "saturated softmax rows",
-            pools: vec![(10, 10), (16, 12), (4, 4)],
+            pools: vec![10, 16, 4],
             d: 9,
             dv: 16,
             qk_gain: 40.0,
@@ -464,7 +372,7 @@ fn fused_attention_block_matches_the_unfused_matrix_chain_bit_for_bit() {
     for case in attention_cases(&mut rng) {
         let (segments, q, k, v) = case_operands(&case, &mut rng);
         let scale = 1.0 / (case.d as f32).sqrt();
-        let want = unfused_attention(&q, &k, &v, &segments, scale);
+        let want = attention_ref(&q, &k, &v, &segments, scale).unwrap();
 
         // The fused kernel reads Q/K/V as column windows of one wide buffer and writes
         // into a column window of a wider output, the way the packed inference path
@@ -510,44 +418,33 @@ fn fused_attention_tape_node_matches_the_unfused_chain_values_and_gradients() {
         let scale = 1.0 / (case.d as f32).sqrt();
         // A random upstream weighting, so every output element has its own gradient.
         let w = random_matrix(q.rows(), case.dv, &mut rng);
-        let run = |fused: bool| {
-            let mut g = Graph::new();
-            let (qv, kv, vv) = (g.leaf(q.clone()), g.leaf(k.clone()), g.leaf(v.clone()));
-            let out = if fused {
-                g.segment_attention(qv, kv, vv, &segments, scale).unwrap()
-            } else {
-                unfused_tape(&mut g, qv, kv, vv, &segments, scale)
-            };
-            let wv = g.constant(w.clone());
-            let weighted = g.hadamard(out, wv).unwrap();
-            let loss = g.sum(weighted);
-            g.backward(loss).unwrap();
-            let grad = |id| g.grad(id).expect("operand gradient").clone();
-            (g.value(out).clone(), grad(qv), grad(kv), grad(vv))
-        };
-        let fused = run(true);
-        let unfused = run(false);
+        let mut g = Graph::new();
+        let (qv, kv, vv) = (g.leaf(q.clone()), g.leaf(k.clone()), g.leaf(v.clone()));
+        let out = g.segment_attention(qv, kv, vv, &segments, scale).unwrap();
+        let wv = g.constant(w.clone());
+        let weighted = g.hadamard(out, wv).unwrap();
+        let loss = g.sum(weighted);
+        g.backward(loss).unwrap();
+
+        let value = attention_ref(&q, &k, &v, &segments, scale).unwrap();
+        let (dq, dk, dv) = attention_ref_backward(&q, &k, &v, &segments, scale, &w).unwrap();
         let label = case.label;
-        assert_bits_eq(&format!("tape value / {label}"), &fused.0, &unfused.0);
-        assert_bits_eq(&format!("dQ / {label}"), &fused.1, &unfused.1);
-        assert_bits_eq(&format!("dK / {label}"), &fused.2, &unfused.2);
-        assert_bits_eq(&format!("dV / {label}"), &fused.3, &unfused.3);
+        assert_bits_eq(&format!("tape value / {label}"), g.value(out), &value);
+        assert_bits_eq(&format!("dQ / {label}"), g.grad(qv).unwrap(), &dq);
+        assert_bits_eq(&format!("dK / {label}"), g.grad(kv).unwrap(), &dk);
+        assert_bits_eq(&format!("dV / {label}"), g.grad(vv).unwrap(), &dv);
     }
 }
 
 #[test]
 fn forward_packed_gradients_match_the_unfused_layer_composition() {
-    // The whole layer: the fused forward_packed against the same layer composed from
-    // public Graph ops with the unfused per-segment chain — output values, the input's
+    // The whole layer: the fused forward_packed against the same layer written out with
+    // the unfused per-segment chain and explicit VJPs — output values, the input's
     // gradient and every parameter's gradient, to the bit.
     let mut rng = Rng::seed_from(71_103);
     for (model_dim, heads, pools) in [
-        (
-            32usize,
-            4usize,
-            vec![(16usize, 16usize), (1, 1), (23, 23), (9, 9)],
-        ),
-        (20, 2, vec![(7, 7), (12, 12), (3, 3)]),
+        (32usize, 4usize, vec![16usize, 1, 23, 9]),
+        (20, 2, vec![7, 12, 3]),
     ] {
         let mut store = ParamStore::new();
         let layer = MultiHeadSelfAttention::new(&mut store, "attn", model_dim, heads, &mut rng);
@@ -555,78 +452,26 @@ fn forward_packed_gradients_match_the_unfused_layer_composition() {
         let n = segments.last().unwrap().end();
         let x = random_matrix(n, model_dim, &mut rng);
         let w = random_matrix(n, model_dim, &mut rng);
-        let param = |name: String| {
-            store
-                .iter()
-                .find(|(_, n, _)| *n == name)
-                .map(|(_, _, m)| m.clone())
-                .expect("registered parameter")
-        };
 
-        let finish = |g: &mut Graph, out: VarId| {
-            let wv = g.constant(w.clone());
-            let weighted = g.hadamard(out, wv).unwrap();
-            let loss = g.sum(weighted);
-            g.backward(loss).unwrap();
-        };
-
-        let mut fused = Graph::new();
-        let xf = fused.leaf(x.clone());
+        let mut g = Graph::new();
+        let xv = g.leaf(x.clone());
         let mut binding = GraphBinding::new();
-        let out_f = layer
-            .forward_packed(&mut fused, &store, &mut binding, xf, &segments)
+        let out = layer
+            .forward_packed(&mut g, &store, &mut binding, xv, &segments)
             .unwrap();
-        finish(&mut fused, out_f);
-        let fused_grads: Vec<Matrix> = binding
-            .gradients(&fused)
-            .into_iter()
-            .map(|(_, g)| g)
-            .collect();
+        let wv = g.constant(w.clone());
+        let weighted = g.hadamard(out, wv).unwrap();
+        let loss = g.sum(weighted);
+        g.backward(loss).unwrap();
+        let fused_grads: Vec<Matrix> = binding.gradients(&g).into_iter().map(|(_, m)| m).collect();
 
-        let mut plain = Graph::new();
-        let xp = plain.leaf(x.clone());
-        let scale = 1.0 / ((model_dim / heads) as f32).sqrt();
-        let mut leaves = Vec::new();
-        let mut concat: Option<VarId> = None;
-        for h in 0..heads {
-            let wq = plain.leaf(param(format!("attn.head{h}.wq")));
-            let wk = plain.leaf(param(format!("attn.head{h}.wk")));
-            let wv = plain.leaf(param(format!("attn.head{h}.wv")));
-            leaves.extend([wq, wk, wv]);
-            let q = plain.matmul(xp, wq).unwrap();
-            let k = plain.matmul(xp, wk).unwrap();
-            let v = plain.matmul(xp, wv).unwrap();
-            let head_out = unfused_tape(&mut plain, q, k, v, &segments, scale);
-            concat = Some(match concat {
-                None => head_out,
-                Some(prev) => plain.concat_cols(prev, head_out).unwrap(),
-            });
-        }
-        let ow = plain.leaf(param("attn.out.weight".into()));
-        let ob = plain.leaf(param("attn.out.bias".into()));
-        leaves.extend([ow, ob]);
-        let projected = plain.matmul(concat.unwrap(), ow).unwrap();
-        let out_p = plain.add_row_broadcast(projected, ob).unwrap();
-        finish(&mut plain, out_p);
-
+        let reference = attention_layer_ref(&store, "attn", heads, &x, &segments, &w).unwrap();
         let label = format!("layer {model_dim}/{heads}");
-        assert_bits_eq(
-            &format!("{label} value"),
-            fused.value(out_f),
-            plain.value(out_p),
-        );
-        assert_bits_eq(
-            &format!("{label} dx"),
-            fused.grad(xf).unwrap(),
-            plain.grad(xp).unwrap(),
-        );
-        assert_eq!(fused_grads.len(), leaves.len());
-        for (i, (got, leaf)) in fused_grads.iter().zip(&leaves).enumerate() {
-            assert_bits_eq(
-                &format!("{label} param {i}"),
-                got,
-                plain.grad(*leaf).unwrap(),
-            );
+        assert_bits_eq(&format!("{label} value"), g.value(out), &reference.value);
+        assert_bits_eq(&format!("{label} dx"), g.grad(xv).unwrap(), &reference.dx);
+        assert_eq!(fused_grads.len(), reference.params.len());
+        for (i, (got, want)) in fused_grads.iter().zip(&reference.params).enumerate() {
+            assert_bits_eq(&format!("{label} param {i}"), got, want);
         }
     }
 }
@@ -639,26 +484,22 @@ fn fused_leaky_relu_matches_the_composed_chain_values_and_gradients() {
         let (rows, cols) = (rng.range(1, 40), rng.range(1, 40));
         let x = adversarial_matrix(rows, cols, &mut rng);
         let w = adversarial_matrix(rows, cols, &mut rng);
-        let run = |fused: bool| {
-            let mut g = Graph::new();
-            let xv = g.leaf(x.clone());
-            let out = if fused {
-                g.leaky_relu(xv, slope)
-            } else {
-                let pos = g.relu(xv);
-                let negated = g.scale(xv, -1.0);
-                let neg = g.relu(negated);
-                let leak = g.scale(neg, slope);
-                g.sub(pos, leak).unwrap()
-            };
-            let wv = g.constant(w.clone());
-            let weighted = g.hadamard(out, wv).unwrap();
-            let loss = g.sum(weighted);
-            g.backward(loss).unwrap();
-            (g.value(out).clone(), g.grad(xv).unwrap().clone())
-        };
-        let (fused, composed) = (run(true), run(false));
-        assert_bits_eq(&format!("leaky value [{case}]"), &fused.0, &composed.0);
-        assert_bits_eq(&format!("leaky grad [{case}]"), &fused.1, &composed.1);
+        let mut g = Graph::new();
+        let xv = g.leaf(x.clone());
+        let out = g.leaky_relu(xv, slope);
+        let wv = g.constant(w.clone());
+        let weighted = g.hadamard(out, wv).unwrap();
+        let loss = g.sum(weighted);
+        g.backward(loss).unwrap();
+        assert_bits_eq(
+            &format!("leaky value [{case}]"),
+            g.value(out),
+            &leaky_relu_ref(&x, slope),
+        );
+        assert_bits_eq(
+            &format!("leaky grad [{case}]"),
+            g.grad(xv).unwrap(),
+            &leaky_relu_ref_backward(&x, slope, &w),
+        );
     }
 }

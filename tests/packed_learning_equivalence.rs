@@ -4,19 +4,21 @@
 //! (`SetQNetwork::forward_batch` with one fused attention node per head, one in-graph
 //! weighted masked MSE, one packed online-θ target pass) and reads the target network's
 //! branch values from its θ̃ cache, scoring only the branch lists it has not seen since
-//! the last target sync; `DqnLearner::learn_sequential` is the retained per-transition
-//! reference loop, with per-branch single-state inference and no cache. This suite
-//! proves the equivalence contract over long seeded sweeps for both MDPs:
+//! the last target sync. `crowd_bench::reference::SequentialLearner` is the per-transition
+//! reference loop — one single-state graph per sampled transition, per-branch
+//! single-state target passes, no cache — rebuilt from the packed learner's checkpoint
+//! bytes. This suite proves the equivalence contract over long seeded sweeps for both
+//! MDPs:
 //!
-//! * **Bit-identical observables.** From bit-identical learner state, both paths report
-//!   the same `LearnReport` loss and mean TD error *to the bit*, write the same replay
-//!   priorities to the bit, and consume the sampling RNG identically — for ≥ 50
-//!   consecutive updates per MDP, with fresh transitions churning the memory between
-//!   updates. This holds because the packed forward values equal the per-state forward
-//!   values bit for bit (row-wise ops never mix rows; the fused per-segment attention
-//!   computes every element in the unfused chain's order; padding contributes exact
-//!   zeros), a cached θ̃ value is the bits a fresh pass computes, and the packed loss
-//!   accumulates the per-transition terms in the sequential loop's f32 order.
+//! * **Bit-identical observables.** From the same learner state, both paths report the
+//!   same `LearnReport` loss and mean TD error *to the bit*, write the same replay
+//!   priorities to the bit, consume the sampling RNG identically and extend the loss
+//!   stream with the same bits — for ≥ 50 consecutive updates per MDP, with fresh
+//!   transitions churning the memory between updates. This holds because a packed pass
+//!   gives every state the bits of a pass over that state alone (row-wise ops never mix
+//!   rows; attention never leaves its segment), a cached θ̃ value is the bits a fresh
+//!   pass computes, and the packed loss accumulates the per-transition terms in the
+//!   sequential loop's f32 order.
 //! * **The θ̃ cache is fenced.** Transitions are stored the way the agent stores them:
 //!   the transitions of one feedback share one branch-list `Arc`, so prioritized replay
 //!   hits the cache again and again. The sweep crosses four target syncs (each must drop
@@ -30,13 +32,14 @@
 //!   different f32 association order. The sweep asserts every parameter stays within a
 //!   tight absolute/relative tolerance after every update.
 //!
-//! Protocol per update: clone the packed learner (full state: networks, Adam moments,
-//! replay priorities, annealed β, **and the owned minibatch-sampling RNG**), run
-//! `learn_sequential` on the clone and `learn` on the original, compare, drop the clone.
-//! Cloning re-synchronises the tolerated parameter drift each round, so all 50+ updates
-//! compare both paths from bit-identical pre-states and the bit-level assertions stay
-//! exact.
+//! Protocol per update: checkpoint the packed learner (full state: networks, Adam
+//! moments, replay priorities, annealed β, **and the owned minibatch-sampling RNG**),
+//! decode the bytes into a `SequentialLearner`, run one update on each, compare, drop the
+//! reference. Rebuilding re-synchronises the tolerated parameter drift each round, so all
+//! 50+ updates compare both paths from the same pre-state and the bit-level assertions
+//! stay exact.
 
+use crowd_bench::reference::SequentialLearner;
 use crowd_bench::synthetic_state;
 use crowd_ckpt::{LoadState, StateReader, StateWriter};
 use crowd_rl_core::{
@@ -131,16 +134,32 @@ fn store_feedback(learners: &mut [&mut DqnLearner], tf: &StateTransformer, rng: 
     }
 }
 
+/// The checkpoint bytes of `learner`.
+fn checkpoint(learner: &DqnLearner) -> Vec<u8> {
+    let mut writer = StateWriter::new();
+    writer.save(learner);
+    writer.into_bytes()
+}
+
 /// A learner restored from a checkpoint of `learner` (fresh branch allocations, empty
 /// θ̃ cache).
 fn resume(learner: &DqnLearner, cfg: &DdqnConfig, row_dim: usize, gamma: f32) -> DqnLearner {
-    let mut writer = StateWriter::new();
-    writer.save(learner);
     let mut resumed = DqnLearner::new(cfg, row_dim, gamma, &mut Rng::seed_from(1));
     resumed
-        .load_state(&mut StateReader::new(writer.as_bytes()))
+        .load_state(&mut StateReader::new(&checkpoint(learner)))
         .expect("checkpoint loads");
     resumed
+}
+
+/// The sequential reference, rebuilt from `learner`'s checkpoint bytes.
+fn reference(
+    learner: &DqnLearner,
+    cfg: &DdqnConfig,
+    row_dim: usize,
+    gamma: f32,
+) -> SequentialLearner {
+    SequentialLearner::from_checkpoint(cfg, row_dim, gamma, &checkpoint(learner))
+        .expect("the reference decodes the learner's checkpoint")
 }
 
 fn assert_bit_identical(label: &str, a: &DqnLearner, b: &DqnLearner, buffer_size: usize) {
@@ -167,7 +186,7 @@ fn assert_bit_identical(label: &str, a: &DqnLearner, b: &DqnLearner, buffer_size
     }
 }
 
-fn max_param_divergence(a: &DqnLearner, b: &DqnLearner) -> (f32, String) {
+fn max_param_divergence(a: &DqnLearner, b: &SequentialLearner) -> (f32, String) {
     let mut worst = 0.0f32;
     let mut worst_name = String::new();
     for ((_, name, pa), (_, _, pb)) in a.params().iter().zip(b.params().iter()) {
@@ -183,7 +202,7 @@ fn max_param_divergence(a: &DqnLearner, b: &DqnLearner) -> (f32, String) {
     (worst, worst_name)
 }
 
-/// The seeded sweep for one MDP: ≥ 50 packed-vs-sequential update pairs from identical
+/// The seeded sweep for one MDP: ≥ 50 packed-vs-sequential update pairs from the same
 /// states, with the replay memory churning between updates, plus a twin resumed from a
 /// mid-sync-period checkpoint that must track the uninterrupted learner to the bit.
 fn run_sweep(kind: StateKind, gamma: f32, seed: u64) {
@@ -207,14 +226,14 @@ fn run_sweep(kind: StateKind, gamma: f32, seed: u64) {
             store_feedback(&mut feeders, &tf, &mut feed_rng);
         }
 
-        // The clone carries the sampling RNG, so both paths draw the same minibatch.
-        let mut sequential = learner.clone();
+        // The checkpoint carries the sampling RNG, so both paths draw the same minibatch.
+        let mut sequential = reference(&learner, &cfg, tf.row_dim(), gamma);
         let packed_report = learner
             .learn()
             .expect("packed learn failed")
             .expect("memory holds enough transitions");
         let sequential_report = sequential
-            .learn_sequential()
+            .learn()
             .expect("sequential learn failed")
             .expect("memory holds enough transitions");
 
@@ -247,6 +266,12 @@ fn run_sweep(kind: StateKind, gamma: f32, seed: u64) {
             learner.rng_probe(),
             sequential.rng_probe(),
             "[{kind:?} update {update}] the two paths consumed the RNG differently"
+        );
+        let bits = |losses: &[f32]| losses.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(learner.loss_history()),
+            bits(sequential.loss_history()),
+            "[{kind:?} update {update}] loss stream diverged"
         );
         let (divergence, name) = max_param_divergence(&learner, &sequential);
         assert!(
@@ -308,9 +333,9 @@ fn packed_learning_handles_supervised_transitions() {
         });
     }
     for update in 0..10 {
-        let mut sequential = learner.clone();
+        let mut sequential = reference(&learner, &cfg, tf.row_dim(), 0.9);
         let packed = learner.learn().unwrap().unwrap();
-        let reference = sequential.learn_sequential().unwrap().unwrap();
+        let reference = sequential.learn().unwrap().unwrap();
         assert_eq!(
             packed.loss.to_bits(),
             reference.loss.to_bits(),

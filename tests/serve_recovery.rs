@@ -313,3 +313,59 @@ fn recovery_with_a_mismatched_policy_is_a_typed_error_not_a_fork() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn malformed_feedback_is_refused_at_the_boundary_and_the_log_replays_cleanly() {
+    // A NaN quality gain becomes a NaN requester reward; once the learner samples that
+    // transition it refuses the update, and the agent's observe would panic inside the
+    // serve loop. The client refuses such feedback before it is logged or observed.
+    let dataset = dataset();
+    let contexts = collect_arrival_contexts(&dataset, 41, 16);
+    let poisoned_at = contexts.len() / 2;
+    let dir = tmp_dir("malformed");
+    let server = Server::start(Box::new(agent(&dataset)), serve_config(&dir)).unwrap();
+    let client = server.client();
+    for (i, context) in contexts.iter().enumerate() {
+        // Every decide after the refused feedback must still be answered.
+        let served = client.decide(context.clone()).unwrap();
+        let feedback = feedback_for(context, &served);
+        if i == poisoned_at {
+            let mut nan_gain = feedback.clone();
+            nan_gain.quality_gain = f32::NAN;
+            let mut infinite_feature = feedback.clone();
+            infinite_feature.worker_feature_after[0] = f32::INFINITY;
+            for (bad, field) in [
+                (nan_gain, "quality_gain"),
+                (infinite_feature, "worker_feature_after"),
+            ] {
+                match client.feedback(served.request_id, bad) {
+                    Err(ServeError::Malformed { detail }) => {
+                        assert!(detail.contains(field), "unexpected detail: {detail}")
+                    }
+                    other => panic!("{field}: expected a typed Malformed error, got {other:?}"),
+                }
+            }
+        }
+        // The well-formed feedback for the same request is still accepted.
+        client.feedback(served.request_id, feedback).unwrap();
+    }
+    let (policy, report) = server.shutdown();
+    assert!(report.log_error.is_none());
+    assert_eq!(report.decisions as usize, contexts.len());
+    assert_eq!(report.feedbacks as usize, contexts.len());
+    assert_eq!(report.unknown_feedbacks, 0);
+
+    // The log holds only the well-formed history, and replays into the served state.
+    let (server, recovery) =
+        Server::recover(Box::new(agent(&dataset)), serve_config(&dir)).unwrap();
+    assert_eq!(recovery.replayed_decisions as usize, contexts.len());
+    assert_eq!(recovery.replayed_feedbacks as usize, contexts.len());
+    assert_eq!(recovery.pending_after_replay, 0);
+    let (recovered, _) = server.shutdown();
+    assert_eq!(
+        fingerprint(recovered.as_ref()),
+        fingerprint(policy.as_ref()),
+        "log recovery diverged from the served policy"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
