@@ -1,6 +1,6 @@
 //! Q-network inference latency as the available-task pool grows (the decision-time half of
 //! the paper's efficiency story): one `SetQNetwork::infer_batch` over a single state, the
-//! pass `DqnLearner::q_values` runs for every arrival.
+//! pass `DdqnAgent::act` runs per active network for every arrival.
 
 use crowd_bench::synthetic_context;
 use crowd_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};

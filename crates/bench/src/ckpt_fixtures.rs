@@ -7,7 +7,7 @@
 //! pure integer/IEEE-exact arithmetic — so its bytes are identical on every platform
 //! and toolchain. `tests/checkpoint_equivalence.rs::format_stability_golden_snapshot`
 //! asserts `golden_snapshot().to_bytes()` equals the committed
-//! `tests/fixtures/format_v2.ckpt` byte for byte: any change to what the writer emits
+//! `tests/fixtures/format_v3.ckpt` byte for byte: any change to what the writer emits
 //! (field added/reordered/re-encoded) fails CI until the format version is bumped and a
 //! new golden file is committed consciously.
 
@@ -79,7 +79,6 @@ pub fn golden_snapshot() -> Snapshot {
     w.put_f64(-0.0);
     w.put_str("golden");
     w.put_f32_slice(&[f32::MIN_POSITIVE, f32::MAX]);
-    w.put_duration(std::time::Duration::new(7, 123_456_789));
     snap.put_raw("scalars", w.into_bytes());
 
     snap

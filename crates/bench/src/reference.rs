@@ -330,7 +330,6 @@ impl SequentialLearner {
         let mut r = StateReader::new(bytes);
         rng.load_state(&mut r)?;
         let updates = r.take_u64()?;
-        r.take_duration()?; // learn wall time: not part of the update
         let losses = r.take_f32_vec()?;
         store.load_state(&mut r)?;
         target_store.load_state(&mut r)?;

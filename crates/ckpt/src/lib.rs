@@ -39,7 +39,8 @@
 //!   quality/completion arrays and worker arenas, event cursor) and the `Policy`
 //!   checkpoint hooks;
 //! * `crowd-rl-core`: `DqnLearner`, `DdqnAgent`, `ArrivalStats`, stored transitions;
-//! * `crowd-metrics`: metric accumulators and timers;
+//! * `crowd-metrics`: metric accumulators (timers are measurements and are never
+//!   checkpointed);
 //! * `crowd-experiments`: `Session::checkpoint` / `Session::resume_from` and the
 //!   per-member `SessionBatch` snapshots.
 //!
@@ -138,8 +139,6 @@ pub use rw::{StateReader, StateWriter};
 pub use snapshot::{Snapshot, SnapshotFile, FORMAT_VERSION, MAGIC};
 pub use wal::{SegmentScan, SegmentWriter, WalDir, WAL_MAGIC, WAL_VERSION};
 
-use std::time::Duration;
-
 /// Serialises a component's dynamic state into a [`StateWriter`].
 ///
 /// Implementations must write **only** state that cannot be reconstructed from
@@ -200,7 +199,6 @@ scalar_state!(usize, put_usize, take_usize);
 scalar_state!(f32, put_f32, take_f32);
 scalar_state!(f64, put_f64, take_f64);
 scalar_state!(bool, put_bool, take_bool);
-scalar_state!(Duration, put_duration, take_duration);
 
 impl SaveState for String {
     fn save_state(&self, w: &mut StateWriter) {
@@ -297,7 +295,6 @@ mod tests {
         roundtrip(-1.5f32);
         roundtrip(std::f64::consts::E);
         roundtrip(true);
-        roundtrip(Duration::from_nanos(1_234_567_891));
         roundtrip("snapshot".to_string());
         roundtrip(vec![1u32, 2, 3]);
         roundtrip(Option::<u64>::None);

@@ -11,7 +11,6 @@
 
 use crate::error::{CkptError, Result};
 use crate::{DecodeState, LoadState, SaveState};
-use std::time::Duration;
 
 /// Append-only little-endian writer for one section payload.
 ///
@@ -20,7 +19,6 @@ use std::time::Duration;
 #[derive(Debug, Default, Clone)]
 pub struct StateWriter {
     buf: Vec<u8>,
-    canonical: bool,
 }
 
 impl StateWriter {
@@ -29,28 +27,12 @@ impl StateWriter {
         StateWriter::default()
     }
 
-    /// An empty writer in **canonical** mode: [`put_duration`](StateWriter::put_duration)
-    /// writes `Duration::ZERO` instead of the measured value.
-    ///
-    /// Checkpoints carry accumulated wall-clock measurements (learner wall time, session
-    /// timing) so a resumed run reports cumulative timings correctly — but wall time is
-    /// *measurement* state, not *semantic* state: two executions of the same decision
-    /// sequence land on identical parameters, RNG words and buffers while their clocks
-    /// differ in every run. Canonical mode erases exactly that, so a canonical encoding
-    /// is a **semantic fingerprint**: byte-equality ⇔ the policies behave identically
-    /// from here on. `tests/serve_equivalence.rs` and `tests/serve_recovery.rs` compare
-    /// live servers against log replays this way. Never feed a canonical encoding to a
-    /// restore path that should preserve timings.
+    /// The same empty writer as [`StateWriter::new`]. Checkpoints hold no wall-clock
+    /// readings, so the one encoding is already a semantic fingerprint; this alias
+    /// exists only because the frozen benchmark package (`perfbench/src/replay.rs`)
+    /// still calls it.
     pub fn canonical() -> Self {
-        StateWriter {
-            buf: Vec::new(),
-            canonical: true,
-        }
-    }
-
-    /// True when this writer was built with [`StateWriter::canonical`].
-    pub fn is_canonical(&self) -> bool {
-        self.canonical
+        StateWriter::new()
     }
 
     /// Bytes written so far.
@@ -154,16 +136,6 @@ impl StateWriter {
         for &v in values {
             self.put_u64(v);
         }
-    }
-
-    /// Appends a [`Duration`] as whole seconds (`u64`) plus subsecond nanos (`u32`) —
-    /// exact for any duration `std` can represent. A [canonical](StateWriter::canonical)
-    /// writer appends `Duration::ZERO` instead: wall-clock measurements are the one kind
-    /// of state that is *expected* to differ between bit-identical executions.
-    pub fn put_duration(&mut self, d: Duration) {
-        let d = if self.canonical { Duration::ZERO } else { d };
-        self.put_u64(d.as_secs());
-        self.put_u32(d.subsec_nanos());
     }
 
     /// Appends a component's state via its [`SaveState`] impl (pure convenience so
@@ -333,19 +305,6 @@ impl<'a> StateReader<'a> {
         (0..len).map(|_| self.take_u64()).collect()
     }
 
-    /// Reads a [`Duration`] (`u64` seconds + `u32` nanos); nanos ≥ 10⁹ are corrupt.
-    pub fn take_duration(&mut self) -> Result<Duration> {
-        let secs = self.take_u64()?;
-        let nanos = self.take_u32()?;
-        if nanos >= 1_000_000_000 {
-            return Err(CkptError::Corrupt {
-                what: "duration",
-                detail: format!("subsecond nanos {nanos} out of range"),
-            });
-        }
-        Ok(Duration::new(secs, nanos))
-    }
-
     /// Restores a component in place via its [`LoadState`] impl (convenience mirror of
     /// [`StateWriter::save`]).
     pub fn load(&mut self, state: &mut impl LoadState) -> Result<()> {
@@ -387,7 +346,6 @@ mod tests {
         w.put_f32(f32::NAN);
         w.put_f32(-0.0);
         w.put_f64(std::f64::consts::PI);
-        w.put_duration(Duration::new(3, 999_999_999));
 
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
@@ -403,7 +361,6 @@ mod tests {
             r.take_f64().unwrap().to_bits(),
             std::f64::consts::PI.to_bits()
         );
-        assert_eq!(r.take_duration().unwrap(), Duration::new(3, 999_999_999));
         r.finish("test").unwrap();
     }
 
@@ -425,31 +382,6 @@ mod tests {
         assert_eq!(r.take_u32_vec().unwrap(), vec![9, 8]);
         assert!(r.take_u64_vec().unwrap().is_empty());
         r.finish("test").unwrap();
-    }
-
-    #[test]
-    fn canonical_writer_zeroes_durations_and_nothing_else() {
-        let encode = |w: &mut StateWriter| {
-            w.put_u64(99);
-            w.put_duration(Duration::new(7, 500));
-            w.put_f32(1.25);
-        };
-        let mut measured = StateWriter::new();
-        encode(&mut measured);
-        let mut canonical = StateWriter::canonical();
-        assert!(canonical.is_canonical());
-        encode(&mut canonical);
-
-        let bytes = canonical.into_bytes();
-        let mut r = StateReader::new(&bytes);
-        assert_eq!(r.take_u64().unwrap(), 99);
-        assert_eq!(r.take_duration().unwrap(), Duration::ZERO);
-        assert_eq!(r.take_f32().unwrap(), 1.25);
-        r.finish("canonical").unwrap();
-
-        // Same layout, differs only in the duration field.
-        assert_eq!(bytes.len(), measured.len());
-        assert_ne!(bytes, measured.into_bytes());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"CRWDCKPT";
 
 /// The single format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Byte length of the fixed header (magic + version + section count).
 const HEADER_LEN: usize = 8 + 4 + 4;

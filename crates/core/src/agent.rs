@@ -45,6 +45,9 @@ pub struct DdqnAgent {
     /// When true, `observe` skips the gradient updates (evaluation mode). Statistics and
     /// replay memory keep accumulating so learning can resume seamlessly.
     learning_frozen: bool,
+    /// Learner updates refused per branch (worker, requester). Telemetry: never
+    /// checkpointed.
+    refused_updates: (u64, u64),
     /// Worker pool for the agent's internal parallelism: parallel state packing in
     /// `act_batch` and the concurrent two-learner dispatch in `observe`. Serial by
     /// default; set via [`DdqnAgent::set_thread_pool`] (also reachable through
@@ -101,6 +104,7 @@ impl DdqnAgent {
             ranked_stamps: Vec::new(),
             ranked_stamp_gen: 0,
             learning_frozen: false,
+            refused_updates: (0, 0),
             pool: ThreadPool::serial(),
         }
     }
@@ -136,6 +140,13 @@ impl DdqnAgent {
     /// Total learning steps performed by the two learners.
     pub fn total_updates(&self) -> u64 {
         self.learner_worker.updates() + self.learner_requester.updates()
+    }
+
+    /// Learner updates refused with a `LearnError` (say a NaN target from a NaN reward)
+    /// by this process, per branch: `(worker, requester)`. A refused update leaves its
+    /// learner untouched and is skipped.
+    pub fn refused_updates(&self) -> (u64, u64) {
+        self.refused_updates
     }
 
     /// Online arrival statistics (exposed for diagnostics and experiments).
@@ -187,46 +198,10 @@ impl DdqnAgent {
         self.config.balance_weight < 1.0
     }
 
-    /// Combined Q values (aggregator output) for the tasks of an arrival view, in the
-    /// order of the state tensor rows, plus one of the state tensors used (both
-    /// transformers order tasks identically, so its `task_ids` align with the Q values).
-    /// Only the tensors of active networks are built — a single-objective agent packs one
-    /// state per decision, not two.
-    fn combined_q(&self, view: &ArrivalView<'_>) -> (Vec<f32>, StateTensor) {
-        let state_w = self
-            .uses_worker_network()
-            .then(|| self.transformer_worker.from_view(view));
-        let state_r = self
-            .uses_requester_network()
-            .then(|| self.transformer_requester.from_view(view));
-        let q_w = state_w.as_ref().map(|state| {
-            self.learner_worker
-                .q_values(state)
-                .expect("worker Q inference failed")
-        });
-        let q_r = state_r.as_ref().map(|state| {
-            self.learner_requester
-                .q_values(state)
-                .expect("requester Q inference failed")
-        });
-        let combined =
-            aggregator::combine(q_w.as_deref(), q_r.as_deref(), self.config.balance_weight);
-        let state = state_w
-            .or(state_r)
-            .expect("balance weight always enables at least one network");
-        (combined, state)
-    }
-
-    /// Exposes the combined Q values for benchmarking / inspection (one per available task,
-    /// aligned with the state-tensor row order).
-    pub fn q_values(&self, view: &ArrivalView<'_>) -> Vec<f32> {
-        self.combined_q(view).0
-    }
-
     /// Turns combined Q values into a decision: exploration, mode dispatch and — in ranked
-    /// mode — the tail fill for tasks truncated out of the state. Shared verbatim by the
-    /// sequential [`Policy::act`] and the batched [`BatchedPolicy::act_batch`] so both
-    /// consume the exploration RNG identically.
+    /// mode — the tail fill for tasks truncated out of the state. Called per view, in
+    /// view order, by [`BatchedPolicy::act_batch`] (and so by [`Policy::act`], a batch of
+    /// one).
     fn decide_from_q(
         &mut self,
         combined: &[f32],
@@ -345,9 +320,9 @@ impl DdqnAgent {
 ///
 /// Not stored (derived or scratch): the config and the transformers (reconstructed at
 /// construction), the display name, the thread pool (an execution resource, set via
-/// [`DdqnAgent::set_thread_pool`] after resume), and the generation-stamped ranked-list
-/// scratch — every `act` bumps the generation before stamping, so a reset scratch
-/// produces bit-identical decisions.
+/// [`DdqnAgent::set_thread_pool`] after resume), the refused-update counts (telemetry),
+/// and the generation-stamped ranked-list scratch — every `act` bumps the generation
+/// before stamping, so a reset scratch produces bit-identical decisions.
 impl crowd_ckpt::SaveState for DdqnAgent {
     fn save_state(&self, w: &mut crowd_ckpt::StateWriter) {
         w.save(&self.learner_worker);
@@ -382,13 +357,9 @@ impl Policy for DdqnAgent {
         &self.name
     }
 
+    /// A batch of one: [`BatchedPolicy::act_batch`] over this view alone.
     fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
-        decision.clear();
-        if view.is_empty() {
-            return;
-        }
-        let (combined, state) = self.combined_q(view);
-        self.decide_from_q(&combined, &state.task_ids, view, decision);
+        self.act_batch(std::slice::from_ref(view), std::slice::from_mut(decision));
     }
 
     fn observe(&mut self, view: &ArrivalView<'_>, feedback: &FeedbackView<'_>) {
@@ -412,31 +383,28 @@ impl Policy for DdqnAgent {
         //    streams — so when both are active and the pool has more than one thread they
         //    update concurrently on two pool workers; each learner's `sample_refs` borrow
         //    of its own replay memory stays on its own worker. Results are bit-identical
-        //    to the sequential worker-then-requester order.
+        //    to the sequential worker-then-requester order. A refused update is counted
+        //    and skipped.
         self.observations += 1;
         if !self.learning_frozen
             && self
                 .observations
                 .is_multiple_of(self.config.learn_every as u64)
         {
-            match (self.uses_worker_network(), self.uses_requester_network()) {
+            let branches = (self.uses_worker_network(), self.uses_requester_network());
+            let (refused_w, refused_r) = &mut self.refused_updates;
+            match branches {
                 (true, true) => {
                     let worker = &mut self.learner_worker;
                     let requester = &mut self.learner_requester;
                     let (w, r) = self
                         .pool
                         .par_join(move || worker.learn(), move || requester.learn());
-                    w.expect("worker learner failed");
-                    r.expect("requester learner failed");
+                    *refused_w += w.is_err() as u64;
+                    *refused_r += r.is_err() as u64;
                 }
-                (true, false) => {
-                    self.learner_worker.learn().expect("worker learner failed");
-                }
-                (false, true) => {
-                    self.learner_requester
-                        .learn()
-                        .expect("requester learner failed");
-                }
+                (true, false) => *refused_w += self.learner_worker.learn().is_err() as u64,
+                (false, true) => *refused_r += self.learner_requester.learn().is_err() as u64,
                 (false, false) => unreachable!("balance weight always enables a network"),
             }
         }
@@ -858,6 +826,46 @@ mod tests {
         assert_eq!(agent.learner_requester.updates(), 0);
         assert_eq!(agent.learner_requester.memory_len(), 0);
         assert!(agent.learner_worker.memory_len() > 0);
+    }
+
+    #[test]
+    fn nan_reward_update_is_refused_counted_and_skipped() {
+        let ds = SimConfig::tiny().generate();
+        let fs = Platform::default_feature_space(&ds);
+        let mut platform = Platform::new(ds, fs, 6);
+        // Batch size 1, learning after every feedback: the first feedback's lone
+        // transition per branch is the whole minibatch.
+        let config = DdqnConfig {
+            batch_size: 1,
+            learn_every: 1,
+            ..small_config()
+        }
+        .with_balance(0.5);
+        let mut agent = agent_for(&platform, config);
+        while platform.next_arrival() && platform.arrival().is_empty() {}
+        let mut decision = Decision::new();
+        agent.act(&platform.arrival(), &mut decision);
+        platform.apply(&decision);
+        // The first shown task completed with a NaN quality gain: a NaN requester reward.
+        let mut feedback = platform.feedback().to_feedback();
+        feedback.completed = Some((feedback.shown[0], 0));
+        feedback.quality_gain = f32::NAN;
+
+        let param_bits = |learner: &DqnLearner| -> Vec<u32> {
+            learner
+                .params()
+                .iter()
+                .flat_map(|(_, _, m)| m.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let requester_before = param_bits(agent.requester_learner());
+        agent.observe(&platform.arrival(), &feedback.view());
+
+        assert_eq!(agent.refused_updates(), (0, 1));
+        assert_eq!(agent.requester_learner().updates(), 0);
+        assert_eq!(param_bits(agent.requester_learner()), requester_before);
+        // The healthy branch learned as usual.
+        assert_eq!(agent.worker_learner().updates(), 1);
     }
 
     #[test]

@@ -171,7 +171,10 @@ pub struct DqnLearner {
     batch_size: usize,
     target_sync_every: u64,
     updates: u64,
+    /// Wall time inside [`DqnLearner::learn`] and the number of updates it covers, both
+    /// counted in this process only: measurements, never checkpointed.
     learn_time: Duration,
+    timed_updates: u64,
     /// Every update's reported loss, in update order — the "loss stream" the parallel
     /// equivalence suite compares bit for bit across thread counts (4 bytes per update).
     losses: Vec<f32>,
@@ -208,6 +211,7 @@ impl DqnLearner {
             target_sync_every: config.target_sync_every,
             updates: 0,
             learn_time: Duration::ZERO,
+            timed_updates: 0,
             losses: Vec::new(),
             target_cache: HashMap::new(),
         }
@@ -235,12 +239,12 @@ impl DqnLearner {
         self.updates
     }
 
-    /// Wall time spent inside [`DqnLearner::learn`] so far (the gradient-update slice of
-    /// the agent's `observe`), paired with the update count. Surfaced per policy through
-    /// `crowd_sim::Policy::learner_timing` so the efficiency binaries can report
-    /// per-update learner latency alongside decision time.
+    /// Wall time spent inside [`DqnLearner::learn`] by this process, paired with the
+    /// number of updates it timed: not checkpointed, so after a resume the ratio stays a
+    /// true mean ([`DqnLearner::updates`] counts the whole run). Surfaced per policy
+    /// through `crowd_sim::Policy::learner_timing` for the efficiency binaries.
     pub fn learn_timing(&self) -> (u64, Duration) {
-        (self.updates, self.learn_time)
+        (self.timed_updates, self.learn_time)
     }
 
     /// Current sampling priority of replay `slot` (see
@@ -269,17 +273,10 @@ impl DqnLearner {
         self.memory.len()
     }
 
-    /// Q values of the online network for a state (one per real task row): a packed
-    /// pass over a batch of one ([`SetQNetwork::infer_batch_par`] on the learner's pool).
-    pub fn q_values(&self, state: &StateTensor) -> Result<Vec<f32>> {
-        let mut q = self.net.infer_batch_par(&self.store, &[state], self.pool)?;
-        Ok(q.pop().expect("one state in, one Q vector out"))
-    }
-
     /// Q values of the online network for `N` states in one packed forward pass
-    /// ([`SetQNetwork::infer_batch_par`] on the learner's pool); each entry is
-    /// bit-identical to [`DqnLearner::q_values`] on that state alone, at any thread
-    /// count.
+    /// ([`SetQNetwork::infer_batch_par`] on the learner's pool), one per real task row of
+    /// each state; each entry is bit-identical to a batch of that state alone, at any
+    /// thread count.
     pub fn q_values_batch(&self, states: &[&StateTensor]) -> Result<Vec<Vec<f32>>> {
         self.net.infer_batch_par(&self.store, states, self.pool)
     }
@@ -466,6 +463,7 @@ impl DqnLearner {
             self.sync_target();
         }
         self.learn_time += start.elapsed();
+        self.timed_updates += 1;
         Ok(Some(report))
     }
 
@@ -476,10 +474,11 @@ impl DqnLearner {
     }
 }
 
-/// Checkpoint format: sampling RNG, update counter (`u64`), accumulated learn wall time,
-/// the loss stream, online parameters θ, target parameters θ̃, the Adam state (moments +
-/// step), and the prioritized replay memory (transitions, priorities, sum tree, β). The
-/// θ̃ branch cache is derived state: it is not written, and loading clears it.
+/// Checkpoint format: sampling RNG, update counter (`u64`), the loss stream, online
+/// parameters θ, target parameters θ̃, the Adam state (moments + step), and the
+/// prioritized replay memory (transitions, priorities, sum tree, β). The θ̃ branch cache
+/// is derived state: it is not written, and loading clears it. The learn timing is a
+/// measurement: it is not written, and loading leaves it as it was.
 ///
 /// Together these are *everything* `learn` reads, so a restored learner's next update —
 /// which minibatch it samples, the targets, the loss bits, the priority writes, the
@@ -490,7 +489,6 @@ impl crowd_ckpt::SaveState for DqnLearner {
     fn save_state(&self, w: &mut crowd_ckpt::StateWriter) {
         w.save(&self.rng);
         w.put_u64(self.updates);
-        w.put_duration(self.learn_time);
         w.put_f32_slice(&self.losses);
         w.save(&self.store);
         w.save(&self.target_store);
@@ -503,7 +501,6 @@ impl crowd_ckpt::LoadState for DqnLearner {
     fn load_state(&mut self, r: &mut crowd_ckpt::StateReader<'_>) -> crowd_ckpt::Result<()> {
         r.load(&mut self.rng)?;
         self.updates = r.take_u64()?;
-        self.learn_time = r.take_duration()?;
         self.losses = r.take_f32_vec()?;
         r.load(&mut self.store)?;
         r.load(&mut self.target_store)?;
@@ -599,7 +596,7 @@ mod tests {
         }
         let snaps = vec![snapshot(0, 0.9), snapshot(1, 0.1)];
         let state = tf.build(&snaps, &[0.5, 0.5], 0.5);
-        let q = learner.q_values(&state).unwrap();
+        let q = learner.q_values_batch(&[&state]).unwrap().remove(0);
         assert!(
             q[0] > q[1] + 0.2,
             "rewarded action should have clearly higher Q: {q:?}"
@@ -621,7 +618,7 @@ mod tests {
         }
         let snaps = vec![snapshot(0, 0.9), snapshot(1, 0.1)];
         let state = tf.build(&snaps, &[0.5, 0.5], 0.5);
-        let q = learner.q_values(&state).unwrap();
+        let q = learner.q_values_batch(&[&state]).unwrap().remove(0);
         // Q(s, a_rewarded) should exceed the immediate reward of 1 thanks to bootstrapping:
         // with γ = 0.5 the fixed point is around 1 / (1 - 0.5·1) ≈ 1.3–2 depending on the
         // failed action's value. We only require it to clearly exceed 1.
@@ -704,6 +701,21 @@ mod tests {
         let (updates, total) = learner.learn_timing();
         assert_eq!(updates, 1);
         assert!(total > std::time::Duration::ZERO);
+
+        // Timing is not checkpointed: a restored learner keeps the run's update count
+        // but times only the updates it runs itself.
+        use crowd_ckpt::{LoadState, SaveState, StateReader, StateWriter};
+        let mut w = StateWriter::new();
+        learner.save_state(&mut w);
+        let mut restored = DqnLearner::new(&cfg, 5, 0.3, &mut Rng::seed_from(6));
+        restored
+            .load_state(&mut StateReader::new(w.as_bytes()))
+            .unwrap();
+        assert_eq!(restored.updates(), 1);
+        assert_eq!(restored.learn_timing(), (0, std::time::Duration::ZERO));
+        restored.learn().unwrap().unwrap();
+        assert_eq!(restored.updates(), 2);
+        assert_eq!(restored.learn_timing().0, 1);
     }
 
     #[test]
@@ -795,7 +807,7 @@ mod tests {
         for _ in 0..150 {
             learner.learn().unwrap();
         }
-        let q = learner.q_values(&state).unwrap()[0];
+        let q = learner.q_values_batch(&[&state]).unwrap()[0][0];
         assert!(
             (q - 0.5).abs() < 0.1,
             "Q should converge to the reward, got {q}"

@@ -21,7 +21,7 @@ use std::time::Duration;
 pub struct LearnerBranchTiming {
     /// Branch label for reports (e.g. `"worker"` / `"requester"`).
     pub name: &'static str,
-    /// Number of gradient updates this branch performed.
+    /// Number of gradient updates this branch performed and timed in this process.
     pub updates: u64,
     /// Wall time this branch spent inside those updates.
     pub total: Duration,
@@ -49,6 +49,10 @@ impl LearnerBranchTiming {
 /// latency reports must use [`LearnerTiming::critical_path`] — the slowest branch, which
 /// is what the caller actually waited — while [`LearnerTiming::total_cpu`] remains the
 /// summed per-branch time (CPU cost, not latency).
+///
+/// Timings are measurements of the current process and are never checkpointed. After a
+/// resume each branch's update count and wall time cover only the updates this process
+/// ran, so [`LearnerTiming::mean_seconds`] stays a true per-update mean.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LearnerTiming {
     /// Per-branch update counts and wall times, in a stable branch order.

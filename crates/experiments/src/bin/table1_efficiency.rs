@@ -14,8 +14,10 @@
 //! every `N` evaluated arrivals (atomic rename, so a kill mid-write keeps the previous
 //! snapshot) to `--checkpoint-path` (default `table1.ckpt`), together with the finished
 //! methods' table rows; `--resume PATH` restores the rows and continues the interrupted
-//! replay **mid-stream** — the resumed sweep's numbers are bit-identical to an
-//! uninterrupted one (the contract of `tests/checkpoint_equivalence.rs`). Methods whose
+//! replay **mid-stream** — the resumed sweep's quality numbers are bit-identical to an
+//! uninterrupted one (the contract of `tests/checkpoint_equivalence.rs`). Timers are
+//! measurements and are not checkpointed, so the resumed method's time columns average
+//! over the arrivals replayed after the resume only. Methods whose
 //! policies do not implement checkpointing (`Policy::checkpoint_state`) run without
 //! mid-replay snapshots; a policy-boundary snapshot is still written after each method
 //! so a resume never repeats finished methods. The serial-twin speedup column stays

@@ -37,6 +37,9 @@ impl Default for RunnerConfig {
 }
 
 /// Everything measured during one policy run.
+///
+/// The two timers are measurements and are not checkpointed: the outcome of a resumed
+/// session times only the arrivals the resumed process stepped.
 #[derive(Debug)]
 pub struct RunOutcome {
     /// Policy name as reported by [`Policy::name`].

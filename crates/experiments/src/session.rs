@@ -36,11 +36,13 @@
 //! # Checkpoint / resume
 //!
 //! Between steps, [`Session::checkpoint`] snapshots the whole run — replay-protocol
-//! progress (event cursor, warm-up phase and history, metric samples, timers),
-//! environment state and policy state — into a `crowd_ckpt` snapshot;
-//! [`Session::resume`] restores it into a freshly constructed session + policy, from
-//! which the replay continues **bit-identically** to an uninterrupted run
-//! (`tests/checkpoint_equivalence.rs`, at any `CROWD_THREADS`). [`SessionBatch`] has
+//! progress (event cursor, warm-up phase and history, metric samples), environment
+//! state and policy state — into a `crowd_ckpt` snapshot; [`Session::resume`] restores
+//! it into a freshly constructed session + policy, from which the replay continues
+//! **bit-identically** to an uninterrupted run (`tests/checkpoint_equivalence.rs`, at
+//! any `CROWD_THREADS`). The act and update timers are measurements and stay out of the
+//! snapshot, so equal runs write equal bytes; a resumed session's timers cover only the
+//! arrivals stepped after the resume. [`SessionBatch`] has
 //! per-member variants ([`SessionBatch::checkpoint`] / [`SessionBatch::resume`], plus
 //! `_shared` twins for the shared-policy batched flow), and `table1_efficiency` wires
 //! the subsystem to the command line (`--checkpoint-every N` / `--resume PATH`). The
@@ -311,7 +313,7 @@ impl<E: Env> Session<E> {
     }
 
     /// Serialises the session's replay-protocol progress: warm-up months configured
-    /// (validation), metric samples, decision/update timers, the warm-up RNG and — only
+    /// (validation), metric samples, the warm-up RNG and — only
     /// while still inside the warm-up window — the accumulated warm-start history, plus
     /// the day cursor, evaluated-arrival count and done flag.
     fn save_session_state(&self, w: &mut StateWriter) {
@@ -324,8 +326,6 @@ impl<E: Env> Session<E> {
         );
         w.put_usize(self.config.warmup_months);
         w.save(&self.metrics);
-        w.save(&self.update_timer);
-        w.save(&self.act_timer);
         w.save(&self.warmup_rng);
         w.put_bool(self.warm_started);
         w.save(&self.current_day.map(|d| d as u64));
@@ -351,8 +351,6 @@ impl<E: Env> Session<E> {
             });
         }
         r.load(&mut self.metrics)?;
-        r.load(&mut self.update_timer)?;
-        r.load(&mut self.act_timer)?;
         r.load(&mut self.warmup_rng)?;
         self.warm_started = r.take_bool()?;
         self.current_day = r.decode::<Option<u64>>()?.map(|d| d as usize);

@@ -1,4 +1,8 @@
 //! Update-time tracking (paper Table I and Fig. 10(d)).
+//!
+//! Timers are measurements, not state: they are never checkpointed, so two runs that
+//! make the same decisions write the same checkpoint bytes. A resumed run's timers cover
+//! only the resumed process's share of the run.
 
 use std::time::{Duration, Instant};
 
@@ -50,42 +54,9 @@ impl UpdateTimer {
     }
 }
 
-/// Checkpoint format: accumulated total (seconds `u64` + nanos `u32`), then the count
-/// (`u64`). Wall time is not part of any bit-identity contract, but restoring it keeps
-/// resumed efficiency reports (Table I means) continuous with the pre-kill run.
-impl crowd_ckpt::SaveState for UpdateTimer {
-    fn save_state(&self, w: &mut crowd_ckpt::StateWriter) {
-        w.put_duration(self.total);
-        w.put_u64(self.count);
-    }
-}
-
-impl crowd_ckpt::LoadState for UpdateTimer {
-    fn load_state(&mut self, r: &mut crowd_ckpt::StateReader<'_>) -> crowd_ckpt::Result<()> {
-        self.total = r.take_duration()?;
-        self.count = r.take_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checkpoint_roundtrips_totals() {
-        use crowd_ckpt::{LoadState, SaveState, StateReader, StateWriter};
-        let mut t = UpdateTimer::new();
-        t.record(Duration::from_micros(1_234_567));
-        t.record(Duration::from_nanos(89));
-        let mut w = StateWriter::new();
-        t.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = UpdateTimer::new();
-        restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        assert_eq!(restored.count(), 2);
-        assert_eq!(restored.total(), t.total());
-    }
 
     #[test]
     fn empty_timer_reports_zero() {

@@ -169,7 +169,17 @@ impl<T> PrioritizedReplay<T> {
     }
 
     /// Updates the priority of `slot` from a new absolute TD error.
+    ///
+    /// # Panics
+    ///
+    /// When `td_error` is NaN or infinite: such a priority would corrupt the sum tree's
+    /// sampling for good. `DqnLearner::learn` refuses non-finite TD errors before it
+    /// writes any priority.
     pub fn update_priority(&mut self, slot: usize, td_error: f32) {
+        assert!(
+            td_error.is_finite(),
+            "non-finite TD error {td_error} for replay slot {slot}"
+        );
         let p = (td_error.abs() as f64 + self.epsilon).min(1e4);
         self.max_priority = self.max_priority.max(p);
         self.tree.set(slot, p.powf(self.alpha));
@@ -320,6 +330,14 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _: PrioritizedReplay<u8> = PrioritizedReplay::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite TD error")]
+    fn nan_td_error_panics() {
+        let mut buf: PrioritizedReplay<u8> = PrioritizedReplay::new(4);
+        buf.push(1);
+        buf.update_priority(0, f32::NAN);
     }
 
     #[test]

@@ -42,9 +42,17 @@ impl SumTree {
     }
 
     /// Sets the priority at `index`, updating all ancestor sums.
+    ///
+    /// # Panics
+    ///
+    /// When `priority` is negative, NaN or infinite (in release builds too): one such
+    /// leaf would poison every ancestor sum and so every later prefix search.
     pub fn set(&mut self, index: usize, priority: f64) {
         debug_assert!(index < self.capacity, "index {index} >= {}", self.capacity);
-        debug_assert!(priority >= 0.0 && priority.is_finite());
+        assert!(
+            priority >= 0.0 && priority.is_finite(),
+            "priority {priority} is not a finite non-negative number"
+        );
         let mut node = self.capacity + index;
         let delta = priority - self.nodes[node];
         self.nodes[node] = priority;

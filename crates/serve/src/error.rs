@@ -47,8 +47,10 @@ pub enum ServeError {
         detail: String,
     },
     /// A request was refused at the client boundary because its content is unusable:
-    /// a feedback whose worker quality, quality gain or a worker-feature entry is NaN
-    /// or infinite. Nothing was sent, logged or observed.
+    /// a NaN or infinite number in a feedback (worker quality, quality gain, a
+    /// worker-feature entry) or an arrival (worker quality, a worker-feature entry, a
+    /// task's feature, quality or award), or an arrival listing one task twice. Nothing
+    /// was sent, logged, decided or observed.
     Malformed {
         /// Which field is malformed.
         detail: String,

@@ -215,7 +215,7 @@ pub struct BaseImage {
     pub next_request_id: u64,
     /// Decisions acknowledged but not yet matched by feedback at the cut, in id order.
     pub pending: Vec<(u64, ArrivalContext)>,
-    /// The policy's full (non-canonical) checkpoint bytes at the cut, restored via
+    /// The policy's checkpoint bytes at the cut, restored via
     /// `Policy::restore_state` before the suffix is replayed.
     pub policy: Vec<u8>,
 }

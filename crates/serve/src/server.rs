@@ -69,7 +69,7 @@ use crowd_parallel::{spawn_dedicated, ThreadPool};
 use crowd_sim::{
     Action, ArrivalContext, BatchedPolicy, BoxedBatchedPolicy, Decision, PolicyFeedback, TaskId,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -341,7 +341,15 @@ pub struct Client {
 impl Client {
     /// Submits an arrival and blocks until the server's micro-batch round commits it.
     /// Blocks in the ingress queue when the server is saturated (backpressure).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Malformed`] before anything is sent when the worker quality, a
+    /// worker-feature entry or a task's feature, quality or award is NaN or infinite, or
+    /// when two available tasks share an id; [`ServeError::ShuttingDown`] when the
+    /// server has stopped.
     pub fn decide(&self, context: ArrivalContext) -> Result<ServeDecision> {
+        check_arrival(&context)?;
         let (reply, response) = mpsc::channel();
         self.ingress
             .send(Request::Decide {
@@ -353,10 +361,11 @@ impl Client {
         response.recv().map_err(|_| ServeError::ShuttingDown)?
     }
 
-    /// Like [`Client::decide`] but fails fast with [`ServeError::Saturated`] when the
-    /// ingress queue is full instead of blocking (clones `context` only on successful
-    /// enqueue).
+    /// Like [`Client::decide`] (and refusing the same malformed arrivals) but fails fast
+    /// with [`ServeError::Saturated`] when the ingress queue is full instead of blocking
+    /// (clones `context` only on successful enqueue).
     pub fn try_decide(&self, context: &ArrivalContext) -> Result<ServeDecision> {
+        check_arrival(context)?;
         let (reply, response) = mpsc::channel();
         self.ingress
             .try_send(Request::Decide {
@@ -403,7 +412,19 @@ impl Client {
     }
 }
 
-/// Refuses a feedback whose numeric content is NaN or infinite, naming the first bad field.
+/// Refuses a request when one of its `fields` holds a NaN or infinite value, naming the
+/// first such field (`what` is formatted only then).
+fn check_finite(what: std::fmt::Arguments<'_>, fields: &[(&str, &[f32])]) -> Result<()> {
+    for (name, values) in fields {
+        if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+            return Err(ServeError::Malformed {
+                detail: format!("{what} {name} holds {bad}"),
+            });
+        }
+    }
+    Ok(())
+}
+
 fn check_feedback(feedback: &PolicyFeedback) -> Result<()> {
     let fields = [
         (
@@ -414,10 +435,31 @@ fn check_feedback(feedback: &PolicyFeedback) -> Result<()> {
         ("worker_feature_before", &feedback.worker_feature_before[..]),
         ("worker_feature_after", &feedback.worker_feature_after[..]),
     ];
-    for (name, values) in fields {
-        if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+    check_finite(format_args!("feedback"), &fields)
+}
+
+/// Refuses an arrival holding a NaN or infinite number or listing a task twice. NaN
+/// features would reach the explorer's `partial_cmp` sorts, no total order on NaN.
+fn check_arrival(context: &ArrivalContext) -> Result<()> {
+    let worker = [
+        (
+            "worker_quality",
+            std::slice::from_ref(&context.worker_quality),
+        ),
+        ("worker_feature", &context.worker_feature[..]),
+    ];
+    check_finite(format_args!("arrival"), &worker)?;
+    let mut ids = HashSet::with_capacity(context.available.len());
+    for task in &context.available {
+        let fields = [
+            ("feature", &task.feature[..]),
+            ("quality", std::slice::from_ref(&task.quality)),
+            ("award", std::slice::from_ref(&task.award)),
+        ];
+        check_finite(format_args!("arrival task {}", task.id.0), &fields)?;
+        if !ids.insert(task.id) {
             return Err(ServeError::Malformed {
-                detail: format!("feedback {name} holds {bad}"),
+                detail: format!("arrival lists task {} twice", task.id.0),
             });
         }
     }

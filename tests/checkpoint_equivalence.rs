@@ -17,11 +17,11 @@
 //! The suite also covers the loader's robustness guarantees (truncation, bit flips,
 //! wrong magic, future version — typed errors, never panics or half-loads) and the
 //! byte-level format stability against the committed golden snapshot
-//! (`tests/fixtures/format_v2.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
+//! (`tests/fixtures/format_v3.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
 //! after a deliberate format-version bump).
 
 use crowd_bench::ckpt_fixtures;
-use crowd_ckpt::{CkptError, Snapshot, SnapshotFile};
+use crowd_ckpt::{CkptError, Snapshot, SnapshotFile, FORMAT_VERSION};
 use crowd_experiments::{RunOutcome, RunnerConfig, Session, SessionBatch};
 use crowd_rl_core::{DdqnAgent, DdqnConfig};
 use crowd_sim::{BoxedPolicy, Dataset, Platform, Policy, SimConfig};
@@ -198,6 +198,55 @@ fn resumed_training_run_is_bit_identical_to_uninterrupted() {
         "agent internals (loss streams / RNG probes / parameters) diverged after resume"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// Checkpoint bytes are a function of the run alone: no wall-clock reading reaches
+/// them. Two independent runs with the same seed write byte-identical snapshots at the
+/// same step, and a run checkpointed at step `j`, resumed in fresh objects and
+/// checkpointed again at step `k` writes the bytes of the uninterrupted run at `k`.
+#[test]
+fn checkpoint_bytes_depend_only_on_the_run() {
+    let dataset = dataset();
+    let cfg = RunnerConfig::default();
+    let pool = ThreadPool::from_env();
+    let config = agent_config().with_balance(0.5);
+    let (j, k) = (40, 70);
+    let fresh = || {
+        let mut agent = agent_for(&dataset, config.clone());
+        agent.set_thread_pool(pool);
+        (Session::for_dataset(&dataset, &cfg), agent)
+    };
+    let step_to = |session: &mut Session, agent: &mut DdqnAgent, step: usize| {
+        while session.evaluated_arrivals() < step {
+            assert!(session.step(agent), "tiny replay ended too early");
+        }
+    };
+    let bytes_at = |step: usize| {
+        let (mut session, mut agent) = fresh();
+        step_to(&mut session, &mut agent, step);
+        assert!(
+            agent.total_updates() > 0,
+            "checkpoint taken before learning"
+        );
+        session.checkpoint(&agent).unwrap().to_bytes()
+    };
+
+    let at_k = bytes_at(k);
+    assert_eq!(
+        at_k,
+        bytes_at(k),
+        "two runs with the same seed wrote different checkpoint bytes at step {k}"
+    );
+
+    let file = SnapshotFile::from_bytes(bytes_at(j)).unwrap();
+    let (mut session, mut agent) = fresh();
+    session.resume(&mut agent, &file).unwrap();
+    step_to(&mut session, &mut agent, k);
+    assert_eq!(
+        session.checkpoint(&agent).unwrap().to_bytes(),
+        at_k,
+        "a run resumed at step {j} wrote different checkpoint bytes at step {k}"
+    );
 }
 
 /// The same save→drop→load→continue scenario at explicit thread counts 1 and 4: the
@@ -442,22 +491,17 @@ fn damaged_snapshots_fail_with_typed_errors_never_panics() {
         SnapshotFile::from_bytes(ckpt_fixtures::with_magic(&clean, b"PNGJPEG!")),
         Err(CkptError::BadMagic { .. })
     ));
-    // Future format version.
-    assert!(matches!(
-        SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, 3)),
-        Err(CkptError::UnsupportedVersion {
-            found: 3,
-            supported: 2
-        })
-    ));
-    // A version-1 file (flat single-arena platform layout) is refused, never misparsed.
-    assert!(matches!(
-        SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, 1)),
-        Err(CkptError::UnsupportedVersion {
-            found: 1,
-            supported: 2
-        })
-    ));
+    // A future format version, and every older one, is refused, never misparsed:
+    // version 1 stored the flat single-arena platform layout, version 2 stored
+    // wall-clock timings.
+    for version in [1, 2, FORMAT_VERSION + 1] {
+        match SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, version)) {
+            Err(CkptError::UnsupportedVersion { found, supported }) => {
+                assert_eq!((found, supported), (version, FORMAT_VERSION));
+            }
+            other => panic!("version {version} must be refused, got {other:?}"),
+        }
+    }
     // Truncations: every prefix in the header/table region, then sampled points across
     // the payloads.
     for cut in (0..256.min(clean.len())).chain((256..clean.len()).step_by(211)) {
@@ -566,10 +610,10 @@ fn mismatched_resume_targets_are_typed_errors() {
 }
 
 fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v2.ckpt")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v3.ckpt")
 }
 
-/// Format stability: the committed version-2 golden snapshot must equal what today's
+/// Format stability: the committed version-3 golden snapshot must equal what today's
 /// writer emits, byte for byte, and must load under today's reader and re-save to the
 /// same bytes. Any change to the wire format fails here until `FORMAT_VERSION` is
 /// bumped and a new golden file is committed deliberately (`UPDATE_GOLDEN=1 cargo test
@@ -594,7 +638,7 @@ fn format_stability_golden_snapshot() {
         "the writer's byte stream changed: bump FORMAT_VERSION and regenerate the golden file deliberately"
     );
 
-    // Save-under-v2 / load-under-v2: the committed file loads into live objects…
+    // Save-under-v3 / load-under-v3: the committed file loads into live objects…
     let file = SnapshotFile::from_bytes(committed).unwrap();
     let mut rng = crowd_tensor::Rng::seed_from(0);
     file.load_into("rng", &mut rng).unwrap();

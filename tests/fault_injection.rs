@@ -55,9 +55,10 @@ fn feedback_for(context: &ArrivalContext, decision: &ServeDecision) -> PolicyFee
     }
 }
 
-/// Canonical (wall-clock-free) encoding of the policy's complete semantic state.
+/// The encoding of the policy's complete semantic state (checkpoints hold no
+/// wall-clock readings).
 fn fingerprint(policy: &dyn Policy) -> Vec<u8> {
-    let mut w = crowd_ckpt::StateWriter::canonical();
+    let mut w = crowd_ckpt::StateWriter::new();
     policy
         .checkpoint_state(&mut w)
         .expect("policy supports checkpointing");

@@ -66,11 +66,10 @@ fn feedback_for(context: &ArrivalContext, decision: &ServeDecision) -> PolicyFee
 }
 
 /// The complete *semantic* state of a policy as bytes — bit-equality of fingerprints is
-/// bit-equality of parameters, optimizer moments, replay memory and RNG streams. The
-/// canonical writer zeroes accumulated wall-clock measurements (learner wall time),
-/// which legitimately differ between a live server and a log replay of it.
+/// bit-equality of parameters, optimizer moments, replay memory and RNG streams.
+/// Checkpoints hold no wall-clock readings, so the plain encoding is the fingerprint.
 fn fingerprint(policy: &dyn Policy) -> Vec<u8> {
-    let mut w = crowd_ckpt::StateWriter::canonical();
+    let mut w = crowd_ckpt::StateWriter::new();
     policy
         .checkpoint_state(&mut w)
         .expect("policy supports checkpointing");

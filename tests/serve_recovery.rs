@@ -41,9 +41,10 @@ fn feedback_for(context: &ArrivalContext, decision: &ServeDecision) -> PolicyFee
     }
 }
 
-/// Canonical (wall-clock-free) encoding of the policy's complete semantic state.
+/// The encoding of the policy's complete semantic state (checkpoints hold no
+/// wall-clock readings).
 fn fingerprint(policy: &dyn Policy) -> Vec<u8> {
-    let mut w = crowd_ckpt::StateWriter::canonical();
+    let mut w = crowd_ckpt::StateWriter::new();
     policy
         .checkpoint_state(&mut w)
         .expect("policy supports checkpointing");
@@ -316,9 +317,10 @@ fn recovery_with_a_mismatched_policy_is_a_typed_error_not_a_fork() {
 
 #[test]
 fn malformed_feedback_is_refused_at_the_boundary_and_the_log_replays_cleanly() {
-    // A NaN quality gain becomes a NaN requester reward; once the learner samples that
-    // transition it refuses the update, and the agent's observe would panic inside the
-    // serve loop. The client refuses such feedback before it is logged or observed.
+    // A NaN quality gain becomes a NaN requester reward the learner refuses to train
+    // on; NaN arrival features reach the explorer's sorts, which are no total order on
+    // NaN; a task listed twice makes the decision ambiguous. The client refuses such
+    // feedback and arrivals before anything is logged, decided or observed.
     let dataset = dataset();
     let contexts = collect_arrival_contexts(&dataset, 41, 16);
     let poisoned_at = contexts.len() / 2;
@@ -326,7 +328,45 @@ fn malformed_feedback_is_refused_at_the_boundary_and_the_log_replays_cleanly() {
     let server = Server::start(Box::new(agent(&dataset)), serve_config(&dir)).unwrap();
     let client = server.client();
     for (i, context) in contexts.iter().enumerate() {
-        // Every decide after the refused feedback must still be answered.
+        if i == poisoned_at {
+            assert!(context.available.len() >= 2 && !context.worker_feature.is_empty());
+            let mut nan_quality = context.clone();
+            nan_quality.worker_quality = f32::NAN;
+            let mut infinite_worker_feature = context.clone();
+            infinite_worker_feature.worker_feature[0] = f32::INFINITY;
+            let mut nan_task_feature = context.clone();
+            nan_task_feature.available[1].feature[0] = f32::NAN;
+            let mut nan_task_quality = context.clone();
+            nan_task_quality.available[1].quality = f32::NAN;
+            let mut infinite_award = context.clone();
+            infinite_award.available[0].award = f32::NEG_INFINITY;
+            let mut duplicate_task = context.clone();
+            duplicate_task
+                .available
+                .push(duplicate_task.available[0].clone());
+            let task = |k: usize| format!("task {}", context.available[k].id.0);
+            for (bad, field) in [
+                (nan_quality, "arrival worker_quality".to_string()),
+                (
+                    infinite_worker_feature,
+                    "arrival worker_feature".to_string(),
+                ),
+                (nan_task_feature, format!("{} feature", task(1))),
+                (nan_task_quality, format!("{} quality", task(1))),
+                (infinite_award, format!("{} award", task(0))),
+                (duplicate_task, format!("{} twice", task(0))),
+            ] {
+                for result in [client.decide(bad.clone()), client.try_decide(&bad)] {
+                    match result {
+                        Err(ServeError::Malformed { detail }) => {
+                            assert!(detail.contains(&field), "unexpected detail: {detail}")
+                        }
+                        other => panic!("{field}: expected a typed Malformed error, got {other:?}"),
+                    }
+                }
+            }
+        }
+        // Every decide after the refused requests must still be answered.
         let served = client.decide(context.clone()).unwrap();
         let feedback = feedback_for(context, &served);
         if i == poisoned_at {
