@@ -7,11 +7,13 @@
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-static TABLE: [u32; 256] = build_table();
+/// Slicing-by-8 lookup tables, built at compile time. `TABLES[0]` is the classic
+/// bytewise table; `TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes, so eight table lookups fold eight input bytes at once.
+static TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -24,17 +26,40 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// CRC-32 of `bytes`.
+/// CRC-32 of `bytes`: eight bytes per step (slicing-by-8), then the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -49,6 +74,23 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn matches_the_bytewise_reference_at_every_length_and_alignment() {
+        let bytewise = |bytes: &[u8]| {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            }
+            crc ^ 0xFFFF_FFFF
+        };
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]));
+            }
+        }
     }
 
     #[test]

@@ -272,26 +272,10 @@ pub trait Storage: Send + Sync {
     /// Fsyncs a directory so renames inside it survive power loss. Backends return
     /// `Ok` on platforms where directories cannot be opened for syncing (the operation
     /// is then meaningless), but a *failed* sync on a platform that supports it is an
-    /// error the caller decides how to treat (see [`DirSyncPolicy`]).
+    /// error.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
     /// True when `path` exists (metadata probe; never counted or poisoned).
     fn exists(&self, path: &Path) -> bool;
-}
-
-/// How a writer treats a directory-fsync failure after publishing a rename.
-///
-/// Historically the WAL swallowed these (`let _ = d.sync_all()`), which could
-/// acknowledge a sealed segment whose *name* was not yet durable. The default is now
-/// strict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DirSyncPolicy {
-    /// A failed directory sync is an error: the rename may not survive power loss, so
-    /// nothing that depends on it may be acknowledged. The default.
-    #[default]
-    Strict,
-    /// Ignore directory-sync failures (callers that can tolerate losing the rename on
-    /// power loss, e.g. best-effort tooling).
-    BestEffort,
 }
 
 // ---------------------------------------------------------------------------
@@ -596,6 +580,28 @@ impl Fs {
     pub fn exists(&self, path: &Path) -> bool {
         self.backend.exists(path)
     }
+
+    /// Publishes `bytes` at `path` atomically and returns the published file, still
+    /// open at its end: the bytes go to `<path>.tmp`, which is `fsync`ed and renamed
+    /// into place, then the containing directory is synced so the rename survives power
+    /// loss. A crash at any step leaves either the previous file at `path` or the
+    /// complete new one (plus, at worst, the `.tmp`). A failed directory sync is an
+    /// error: nothing that depends on the new name may be acknowledged.
+    pub fn publish(&self, path: &Path, bytes: &[u8]) -> io::Result<Box<dyn StorageFile>> {
+        // Append ".tmp" to the whole name (`x.ckpt` → `x.ckpt.tmp`); `with_extension`
+        // would *replace* the extension and collide with an unrelated `x.tmp`.
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut file = self.create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        self.rename(&tmp, path)?;
+        if let Some(parent) = path.parent() {
+            self.sync_dir(parent)?;
+        }
+        Ok(file)
+    }
 }
 
 impl Default for Fs {
@@ -625,16 +631,10 @@ mod tests {
         dir
     }
 
-    /// A small fixed workload: create, write, sync, rename, read back.
+    /// A small fixed workload: publish (create, write, sync, rename, dir sync), read back.
     fn workload(fs: &Fs, dir: &Path) -> io::Result<Vec<u8>> {
-        let tmp = dir.join("file.tmp");
         let path = dir.join("file.bin");
-        let mut f = fs.create(&tmp)?;
-        f.write_all(b"0123456789abcdef")?;
-        f.sync_all()?;
-        drop(f);
-        fs.rename(&tmp, &path)?;
-        fs.sync_dir(dir)?;
+        fs.publish(&path, b"0123456789abcdef")?;
         fs.read(&path)
     }
 
@@ -716,7 +716,7 @@ mod tests {
         let run = |seed: u64| {
             let (fs, probe) = Fs::faulty(FaultPlan::seeded(seed, 400));
             let result = workload(&fs, &dir).map_err(|e| e.to_string());
-            let _ = std::fs::remove_file(dir.join("file.tmp"));
+            let _ = std::fs::remove_file(dir.join("file.bin.tmp"));
             let _ = std::fs::remove_file(dir.join("file.bin"));
             (result, probe.fired())
         };

@@ -134,10 +134,10 @@ pub mod wal;
 
 pub use crc32::crc32;
 pub use error::{CkptError, Result};
-pub use io::{DirSyncPolicy, FaultKind, FaultPlan, FaultProbe, FaultRule, Fs, OpClass};
+pub use io::{FaultKind, FaultPlan, FaultProbe, FaultRule, Fs, OpClass};
 pub use rw::{StateReader, StateWriter};
 pub use snapshot::{Snapshot, SnapshotFile, FORMAT_VERSION, MAGIC};
-pub use wal::{SegmentScan, SegmentWriter, WalDir, WAL_MAGIC, WAL_VERSION};
+pub use wal::{SegmentScan, SegmentWriter, WAL_MAGIC, WAL_VERSION};
 
 /// Serialises a component's dynamic state into a [`StateWriter`].
 ///

@@ -107,34 +107,12 @@ impl Snapshot {
         out
     }
 
-    /// Writes the snapshot to `path` atomically: the bytes go to `<path>.tmp` first and
-    /// are renamed into place, so a crash mid-write can never leave a truncated file at
-    /// the checkpoint path (the stale-but-complete previous snapshot survives instead).
-    pub fn write_to(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.write_to_in(&Fs::real(), path)
-    }
-
-    /// [`Snapshot::write_to`] through an explicit storage backend — the fault-injection
-    /// suites swap in [`Fs::faulty`] here to poison any numbered I/O site of the write.
-    /// After the rename the containing directory is synced so the publish survives
-    /// power loss; a failed directory sync is an error (the stale previous snapshot is
-    /// still intact, so the caller lost nothing by being told).
-    pub fn write_to_in(&self, fs: &Fs, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        // Append ".tmp" to the whole name (`x.ckpt` → `x.ckpt.tmp`); `with_extension`
-        // would *replace* the extension and collide with an unrelated `x.tmp`.
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp_name);
-        {
-            let mut file = fs.create(&tmp)?;
-            file.write_all(&self.to_bytes())?;
-            file.sync_all()?;
-        }
-        fs.rename(&tmp, path)?;
-        if let Some(parent) = path.parent() {
-            fs.sync_dir(parent)?;
-        }
+    /// Writes the snapshot to `path` atomically through `fs` ([`Fs::publish`]), so a
+    /// crash mid-write never leaves a truncated file at the checkpoint path — the
+    /// previous complete snapshot survives. The fault-injection suites pass
+    /// [`Fs::faulty`] here to poison any numbered I/O site of the write.
+    pub fn write_to(&self, fs: &Fs, path: impl AsRef<Path>) -> Result<()> {
+        fs.publish(path.as_ref(), &self.to_bytes())?;
         Ok(())
     }
 }
@@ -147,14 +125,9 @@ pub struct SnapshotFile {
 }
 
 impl SnapshotFile {
-    /// Reads and validates a snapshot file from disk.
-    pub fn read(path: impl AsRef<Path>) -> Result<Self> {
-        SnapshotFile::read_in(&Fs::real(), path)
-    }
-
-    /// [`SnapshotFile::read`] through an explicit storage backend (fault-injection
-    /// suites poison the read to prove corruption is always a typed error).
-    pub fn read_in(fs: &Fs, path: impl AsRef<Path>) -> Result<Self> {
+    /// Reads and validates a snapshot file through `fs` (fault-injection suites poison
+    /// the read to prove corruption is always a typed error).
+    pub fn read(fs: &Fs, path: impl AsRef<Path>) -> Result<Self> {
         SnapshotFile::from_bytes(fs.read(path.as_ref())?)
     }
 
@@ -400,8 +373,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.ckpt");
         let snap = sample();
-        snap.write_to(&path).unwrap();
-        let file = SnapshotFile::read(&path).unwrap();
+        snap.write_to(&Fs::real(), &path).unwrap();
+        let file = SnapshotFile::read(&Fs::real(), &path).unwrap();
         assert_eq!(file.section_names().count(), 2);
         // The tmp name appends to the full name — the *.ckpt.tmp gitignore pattern and
         // the "<path>.tmp" doc depend on it — and must be gone after the rename.

@@ -10,11 +10,12 @@
 //! # Layout
 //!
 //! A log is a directory of segment files named `segment-<index08>.wlog` with strictly
-//! consecutive indices. A fresh log starts at segment 0; a *compacted* log (see the
-//! `crowd-serve` decision log) may start at a later index, with a base snapshot
-//! standing in for the deleted prefix — [`scan_dir`] checks consecutiveness and
-//! reports the first index, and the caller decides whether a non-zero start is legal.
-//! Each segment is:
+//! consecutive indices. A fresh log starts at segment 0; a *compacted* log may start at
+//! a later index, with a base snapshot standing in for the deleted prefix. This module
+//! owns only the framing of one segment and the file names; the directory rules
+//! (contiguity, which start index is legal, leftovers) belong to the log that uses it —
+//! the `crowd-serve` decision log lists its directory in one place. Every function here
+//! takes the [`Fs`] storage handle its I/O goes through. Each segment is:
 //!
 //! ```text
 //! magic "CRWDWLOG" (8) | version u32 LE (4) | segment index u64 LE (8)   — 20-byte header
@@ -25,9 +26,10 @@
 //! # Durability contract
 //!
 //! * **Atomic segment creation** — a segment is materialised by writing its header to
-//!   `<name>.tmp`, syncing, then renaming to the final name. A crash mid-rotation leaves
-//!   a `.tmp` file that readers ignore (and recovery deletes); a named segment therefore
-//!   always has a complete, valid header.
+//!   `<name>.tmp`, syncing, renaming to the final name and syncing the directory
+//!   ([`Fs::publish`]). A crash mid-rotation leaves a `.tmp` file that readers ignore
+//!   (and recovery deletes); a named segment therefore always has a complete, valid
+//!   header.
 //! * **Torn tails are detectable and safe** — an append that was cut by a crash leaves a
 //!   trailing batch whose length field, payload bytes or CRC are incomplete.
 //!   [`read_segment`] stops at the first such batch and reports the clean prefix length;
@@ -38,11 +40,11 @@
 //! * **Sealed segments must be clean** — only the highest-indexed segment may carry a
 //!   torn tail (it was the active one when the process died). A torn or short batch in
 //!   any earlier segment means bytes rotted *after* they were sealed, which replay-based
-//!   recovery must not paper over; [`scan_dir`] callers treat it as corruption.
+//!   recovery must not paper over; readers of a whole log treat it as corruption.
 
 use crate::crc32::crc32;
 use crate::error::{CkptError, Result};
-use crate::io::{DirSyncPolicy, Fs, StorageFile};
+use crate::io::{Fs, StorageFile};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -103,26 +105,12 @@ impl fmt::Debug for SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Creates segment `index` inside `dir` atomically on the real filesystem with the
-    /// strict directory-sync policy (see [`SegmentWriter::create_in`]).
-    pub fn create(dir: &Path, index: u64) -> Result<SegmentWriter> {
-        SegmentWriter::create_in(&Fs::real(), dir, index, DirSyncPolicy::Strict)
-    }
-
-    /// Creates segment `index` inside `dir` atomically: the 20-byte header is written to
-    /// `<name>.tmp`, synced, and renamed into place. Fails if the segment already
-    /// exists. The containing directory is then fsynced so the rename itself survives
-    /// power loss: under [`DirSyncPolicy::Strict`] (the default everywhere durability
-    /// matters) a failed directory sync is an error — the segment *name* is part of
-    /// what recovery reads, so acknowledging appends into a segment whose name might
-    /// vanish would break the ack barrier. [`DirSyncPolicy::BestEffort`] restores the
-    /// historical swallow-the-error behaviour for callers that can tolerate it.
-    pub fn create_in(
-        fs: &Fs,
-        dir: &Path,
-        index: u64,
-        dir_sync: DirSyncPolicy,
-    ) -> Result<SegmentWriter> {
+    /// Creates segment `index` inside `dir` atomically: the 20-byte header is published
+    /// with [`Fs::publish`] (`<name>.tmp`, sync, rename, directory sync). Fails if the
+    /// segment already exists. A failed directory sync is an error — the segment *name*
+    /// is part of what recovery reads, so acknowledging appends into a segment whose
+    /// name might vanish would break the ack barrier.
+    pub fn create(fs: &Fs, dir: &Path, index: u64) -> Result<SegmentWriter> {
         let path = dir.join(segment_file_name(index));
         if fs.exists(&path) {
             return Err(CkptError::Corrupt {
@@ -130,17 +118,7 @@ impl SegmentWriter {
                 detail: format!("{} already exists", path.display()),
             });
         }
-        let tmp = dir.join(format!("{}.tmp", segment_file_name(index)));
-        let mut file = fs.create(&tmp)?;
-        file.write_all(&encode_header(index))?;
-        file.sync_all()?;
-        fs.rename(&tmp, &path)?;
-        match dir_sync {
-            DirSyncPolicy::Strict => fs.sync_dir(dir)?,
-            DirSyncPolicy::BestEffort => {
-                let _ = fs.sync_dir(dir);
-            }
-        }
+        let file = fs.publish(&path, &encode_header(index))?;
         Ok(SegmentWriter {
             file,
             path,
@@ -149,15 +127,10 @@ impl SegmentWriter {
         })
     }
 
-    /// [`SegmentWriter::resume_in`] on the real filesystem.
-    pub fn resume(path: &Path, index: u64, keep_len: u64) -> Result<SegmentWriter> {
-        SegmentWriter::resume_in(&Fs::real(), path, index, keep_len)
-    }
-
     /// Reopens an existing segment for appending, first truncating it to `keep_len`
     /// bytes (the clean-prefix length reported by [`read_segment`]) so a torn tail left
     /// by a crash is physically removed before new batches land after it.
-    pub fn resume_in(fs: &Fs, path: &Path, index: u64, keep_len: u64) -> Result<SegmentWriter> {
+    pub fn resume(fs: &Fs, path: &Path, index: u64, keep_len: u64) -> Result<SegmentWriter> {
         let mut file = fs.open_rw(path)?;
         file.set_len(keep_len)?;
         file.sync_all()?;
@@ -266,15 +239,10 @@ impl SegmentScan {
     }
 }
 
-/// [`read_segment_in`] on the real filesystem.
-pub fn read_segment(path: &Path) -> Result<SegmentScan> {
-    read_segment_in(&Fs::real(), path)
-}
-
 /// Reads one segment: validates the header strictly (a named segment always has a
 /// complete header — see the module docs on atomic creation), then collects batches
 /// until the clean end of the file or the first torn/damaged frame.
-pub fn read_segment_in(fs: &Fs, path: &Path) -> Result<SegmentScan> {
+pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
     let bytes = fs.read(path)?;
     if bytes.len() < SEGMENT_HEADER_LEN as usize {
         return Err(CkptError::Truncated {
@@ -330,68 +298,6 @@ pub fn read_segment_in(fs: &Fs, path: &Path) -> Result<SegmentScan> {
     })
 }
 
-/// The segment inventory of a log directory.
-#[derive(Debug, Default)]
-pub struct WalDir {
-    /// `(index, path)` of every segment, sorted by index; indices are verified to be
-    /// strictly consecutive (a compacted log may start past 0 — see
-    /// [`WalDir::first_index`]).
-    pub segments: Vec<(u64, PathBuf)>,
-    /// Leftover `.tmp` files from an interrupted rotation (readers ignore them; recovery
-    /// deletes them).
-    pub tmp_files: Vec<PathBuf>,
-}
-
-impl WalDir {
-    /// Index of the first (lowest) segment, when any exist. A fresh log starts at 0;
-    /// a compacted log starts wherever its base snapshot's suffix begins — callers
-    /// that expect a full history must check this is 0.
-    pub fn first_index(&self) -> Option<u64> {
-        self.segments.first().map(|(index, _)| *index)
-    }
-}
-
-/// [`scan_dir_in`] on the real filesystem.
-pub fn scan_dir(dir: &Path) -> Result<WalDir> {
-    scan_dir_in(&Fs::real(), dir)
-}
-
-/// Lists a log directory: segment files sorted and contiguity-checked (gaps are
-/// corruption; a non-zero start is legal and left to the caller to validate), `.tmp`
-/// leftovers separated out, foreign files ignored.
-pub fn scan_dir_in(fs: &Fs, dir: &Path) -> Result<WalDir> {
-    let mut out = WalDir::default();
-    for (name, path) in fs.read_dir(dir)? {
-        if name.ends_with(".tmp") {
-            if name
-                .strip_suffix(".tmp")
-                .is_some_and(|stem| parse_segment_file_name(stem).is_some())
-            {
-                out.tmp_files.push(path);
-            }
-        } else if let Some(index) = parse_segment_file_name(&name) {
-            out.segments.push((index, path));
-        }
-    }
-    out.segments.sort_by_key(|(index, _)| *index);
-    out.tmp_files.sort();
-    let first = out.first_index().unwrap_or(0);
-    for (pos, (index, path)) in out.segments.iter().enumerate() {
-        if *index != first + pos as u64 {
-            return Err(CkptError::Corrupt {
-                what: "wal directory",
-                detail: format!(
-                    "segment indices are not consecutive: expected {}, found {} ({})",
-                    first + pos as u64,
-                    index,
-                    path.display()
-                ),
-            });
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,14 +325,14 @@ mod tests {
     #[test]
     fn append_and_read_roundtrip() {
         let dir = tmp_dir("roundtrip");
-        let mut w = SegmentWriter::create(&dir, 0).unwrap();
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
         assert!(w.is_empty());
         w.append(b"first").unwrap();
         w.append(&[0xAB; 300]).unwrap();
         w.sync().unwrap();
         assert_eq!(w.len(), SEGMENT_HEADER_LEN + 2 * BATCH_HEADER_LEN + 5 + 300);
 
-        let scan = read_segment(w.path()).unwrap();
+        let scan = read_segment(&Fs::real(), w.path()).unwrap();
         assert_eq!(scan.index, 0);
         assert!(!scan.is_torn());
         assert_eq!(scan.clean_len, w.len());
@@ -437,7 +343,7 @@ mod tests {
     #[test]
     fn every_torn_tail_cut_point_drops_only_the_last_batch() {
         let dir = tmp_dir("torn");
-        let mut w = SegmentWriter::create(&dir, 0).unwrap();
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
         w.append(b"keep-me").unwrap();
         w.append(b"torn-away").unwrap();
         w.sync().unwrap();
@@ -446,7 +352,7 @@ mod tests {
 
         for cut in clean_prefix..full.len() {
             std::fs::write(w.path(), &full[..cut]).unwrap();
-            let scan = read_segment(w.path()).unwrap();
+            let scan = read_segment(&Fs::real(), w.path()).unwrap();
             assert_eq!(scan.batches, vec![b"keep-me".to_vec()], "cut at {cut}");
             assert_eq!(scan.clean_len, clean_prefix as u64, "cut at {cut}");
             assert_eq!(scan.is_torn(), cut > clean_prefix, "cut at {cut}");
@@ -457,7 +363,7 @@ mod tests {
     #[test]
     fn crc_damage_ends_the_clean_prefix() {
         let dir = tmp_dir("crc");
-        let mut w = SegmentWriter::create(&dir, 0).unwrap();
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
         w.append(b"good").unwrap();
         w.append(b"flipped").unwrap();
         w.sync().unwrap();
@@ -465,7 +371,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(w.path(), &bytes).unwrap();
-        let scan = read_segment(w.path()).unwrap();
+        let scan = read_segment(&Fs::real(), w.path()).unwrap();
         assert_eq!(scan.batches, vec![b"good".to_vec()]);
         assert!(scan.is_torn());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -474,7 +380,7 @@ mod tests {
     #[test]
     fn resume_truncates_the_torn_tail_before_appending() {
         let dir = tmp_dir("resume");
-        let mut w = SegmentWriter::create(&dir, 0).unwrap();
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
         w.append(b"stable").unwrap();
         w.sync().unwrap();
         let path = w.path().to_path_buf();
@@ -485,10 +391,10 @@ mod tests {
         bytes.extend_from_slice(&[9, 0, 0, 0, 1, 2]); // half a batch header + garbage
         std::fs::write(&path, &bytes).unwrap();
 
-        let mut w = SegmentWriter::resume(&path, 0, clean).unwrap();
+        let mut w = SegmentWriter::resume(&Fs::real(), &path, 0, clean).unwrap();
         w.append(b"after-crash").unwrap();
         w.sync().unwrap();
-        let scan = read_segment(&path).unwrap();
+        let scan = read_segment(&Fs::real(), &path).unwrap();
         assert_eq!(
             scan.batches,
             vec![b"stable".to_vec(), b"after-crash".to_vec()]
@@ -503,72 +409,40 @@ mod tests {
         let path = dir.join(segment_file_name(0));
         std::fs::write(&path, b"short").unwrap();
         assert!(matches!(
-            read_segment(&path),
+            read_segment(&Fs::real(), &path),
             Err(CkptError::Truncated { .. })
         ));
         std::fs::write(&path, b"NOTAWLOGxxxxxxxxxxxx").unwrap();
         assert!(matches!(
-            read_segment(&path),
+            read_segment(&Fs::real(), &path),
             Err(CkptError::BadMagic { .. })
         ));
         let mut h = encode_header(0).to_vec();
         h[8] = 99;
         std::fs::write(&path, &h).unwrap();
         assert!(matches!(
-            read_segment(&path),
+            read_segment(&Fs::real(), &path),
             Err(CkptError::UnsupportedVersion { found: 99, .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn scan_dir_sorts_checks_contiguity_and_separates_tmp() {
-        let dir = tmp_dir("scan");
-        SegmentWriter::create(&dir, 0).unwrap();
-        SegmentWriter::create(&dir, 1).unwrap();
-        std::fs::write(dir.join("segment-00000002.wlog.tmp"), b"partial").unwrap();
-        std::fs::write(dir.join("notes.txt"), b"ignored").unwrap();
-        let scan = scan_dir(&dir).unwrap();
-        assert_eq!(
-            scan.segments.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        assert_eq!(scan.first_index(), Some(0));
-        assert_eq!(scan.tmp_files.len(), 1);
-
-        // A gap is corruption.
-        std::fs::remove_file(dir.join(segment_file_name(1))).unwrap();
-        SegmentWriter::create(&dir, 2).unwrap();
-        assert!(matches!(scan_dir(&dir), Err(CkptError::Corrupt { .. })));
-
-        // A non-zero *start* is legal (compacted log): the caller checks first_index.
-        std::fs::remove_file(dir.join(segment_file_name(0))).unwrap();
-        SegmentWriter::create(&dir, 3).unwrap();
-        let scan = scan_dir(&dir).unwrap();
-        assert_eq!(
-            scan.segments.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        assert_eq!(scan.first_index(), Some(2));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn truncate_to_len_heals_a_partial_frame_between_appends() {
-        use crate::io::{FaultPlan, Fs};
+        use crate::io::FaultPlan;
         let dir = tmp_dir("heal");
-        let mut w = SegmentWriter::create(&dir, 0).unwrap();
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
         w.append(b"durable").unwrap();
         w.sync().unwrap();
         let path = w.path().to_path_buf();
         let clean_len = w.len();
         drop(w);
 
-        // Resume through an injected fs and poison the first append's write: resume_in
+        // Resume through an injected fs and poison the first append's write: resume
         // issues OpenFile(0), SetLen(1), SyncAll(2), so the append's write is op 3 and
         // lands as a short write (half the frame persists, then an error).
         let (fs, probe) = Fs::faulty(FaultPlan::fail_op(3));
-        let mut w = SegmentWriter::resume_in(&fs, &path, 0, clean_len).unwrap();
+        let mut w = SegmentWriter::resume(&fs, &path, 0, clean_len).unwrap();
         let err = w.append(b"torn-frame-payload").unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
         assert_eq!(probe.fired().len(), 1);
@@ -579,7 +453,7 @@ mod tests {
         w.truncate_to_len().unwrap();
         w.append(b"after-heal").unwrap();
         w.sync().unwrap();
-        let scan = read_segment(&path).unwrap();
+        let scan = read_segment(&Fs::real(), &path).unwrap();
         assert_eq!(
             scan.batches,
             vec![b"durable".to_vec(), b"after-heal".to_vec()]
@@ -591,9 +465,9 @@ mod tests {
     #[test]
     fn create_refuses_to_overwrite() {
         let dir = tmp_dir("overwrite");
-        SegmentWriter::create(&dir, 0).unwrap();
+        SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
         assert!(matches!(
-            SegmentWriter::create(&dir, 0),
+            SegmentWriter::create(&Fs::real(), &dir, 0),
             Err(CkptError::Corrupt { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();

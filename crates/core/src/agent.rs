@@ -45,8 +45,9 @@ pub struct DdqnAgent {
     /// When true, `observe` skips the gradient updates (evaluation mode). Statistics and
     /// replay memory keep accumulating so learning can resume seamlessly.
     learning_frozen: bool,
-    /// Learner updates refused per branch (worker, requester). Telemetry: never
-    /// checkpointed.
+    /// Refusals per branch (worker, requester): learner updates refused with a
+    /// `LearnError` plus transitions refused at storage for a non-finite reward.
+    /// Telemetry: never checkpointed.
     refused_updates: (u64, u64),
     /// Worker pool for the agent's internal parallelism: parallel state packing in
     /// `act_batch` and the concurrent two-learner dispatch in `observe`. Serial by
@@ -142,9 +143,10 @@ impl DdqnAgent {
         self.learner_worker.updates() + self.learner_requester.updates()
     }
 
-    /// Learner updates refused with a `LearnError` (say a NaN target from a NaN reward)
-    /// by this process, per branch: `(worker, requester)`. A refused update leaves its
-    /// learner untouched and is skipped.
+    /// Refusals by this process, per branch: `(worker, requester)`. Two things count: a
+    /// transition whose reward is NaN or infinite, which is never stored (so it is never
+    /// sampled, let alone resampled), and a learner update refused with a `LearnError`.
+    /// Either way the learner is left untouched and the agent carries on.
     pub fn refused_updates(&self) -> (u64, u64) {
         self.refused_updates
     }
@@ -286,6 +288,14 @@ impl DdqnAgent {
         worker_side: bool,
     ) {
         let mut push = |task: TaskId, reward: f32| {
+            if !reward.is_finite() {
+                if worker_side {
+                    self.refused_updates.0 += 1;
+                } else {
+                    self.refused_updates.1 += 1;
+                }
+                return;
+            }
             if let Some(row) = state.task_ids.iter().position(|&t| t == task) {
                 let transition = Transition {
                     state: state.clone(),
@@ -866,6 +876,20 @@ mod tests {
         assert_eq!(param_bits(agent.requester_learner()), requester_before);
         // The healthy branch learned as usual.
         assert_eq!(agent.worker_learner().updates(), 1);
+
+        // The poisoned transition never entered replay, so healthy traffic never
+        // samples it again: the count stays put while both branches keep learning.
+        for _ in 0..200 {
+            if !platform.next_arrival() {
+                break;
+            }
+            let mut decision = Decision::new();
+            agent.act(&platform.arrival(), &mut decision);
+            platform.apply(&decision);
+            agent.observe(&platform.arrival(), &platform.feedback());
+        }
+        assert_eq!(agent.refused_updates(), (0, 1));
+        assert!(agent.requester_learner().updates() > 0);
     }
 
     #[test]

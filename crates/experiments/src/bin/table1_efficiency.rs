@@ -28,7 +28,7 @@
 //! worse than no measurement).
 
 use crowd_baselines::Benefit;
-use crowd_ckpt::{CkptError, Snapshot, SnapshotFile, StateWriter};
+use crowd_ckpt::{CkptError, Fs, Snapshot, SnapshotFile, StateWriter};
 use crowd_experiments::{
     experiment_dataset, experiment_scale, experiment_shards, policies_for_benefit, print_table,
     run_policy, RunnerConfig, Scale, Session,
@@ -102,7 +102,7 @@ fn decode_meta(file: &SnapshotFile) -> Result<(usize, Vec<Vec<String>>), CkptErr
 fn write_boundary(opts: &CkptOptions, next_policy: usize, rows: &[Vec<String>]) {
     let mut snap = Snapshot::new();
     snap.put_raw("table1.meta", encode_meta(next_policy, rows));
-    if let Err(e) = snap.write_to(&opts.path) {
+    if let Err(e) = snap.write_to(&Fs::real(), &opts.path) {
         eprintln!("warning: could not write checkpoint: {e}");
     }
 }
@@ -132,7 +132,7 @@ fn run_checkpointed<E: Env + crowd_ckpt::SaveState>(
             snap.put_raw("table1.meta", encode_meta(policy_index, rows));
             match session.checkpoint_into(policy.as_ref(), &mut snap, "") {
                 Ok(()) => {
-                    if let Err(e) = snap.write_to(&opts.path) {
+                    if let Err(e) = snap.write_to(&Fs::real(), &opts.path) {
                         eprintln!("warning: could not write checkpoint: {e}");
                     }
                 }
@@ -215,7 +215,7 @@ fn main() {
     // Restore finished rows and locate the in-flight method when resuming.
     let (mut rows, first_policy, resume_file) = match &opts.resume {
         None => (Vec::new(), 0, None),
-        Some(path) => match SnapshotFile::read(path) {
+        Some(path) => match SnapshotFile::read(&Fs::real(), path) {
             Ok(file) => match decode_meta(&file) {
                 Ok((next_policy, rows)) => {
                     println!(

@@ -23,13 +23,19 @@
 //!
 //! * **Bounded append retries** — [`DecisionLog::append_retrying`] heals the segment
 //!   tail (truncating any partial frame a failed append left behind) and retries up to
-//!   [`LogConfig::append_retries`] times before surfacing the error.
+//!   two times before surfacing the error.
 //! * **Degraded markers** — [`LogRecord::Degraded`] records that the server shed load
 //!   during a log outage, so replay stays aligned with what actually executed.
 //! * **Compaction** — [`DecisionLog::compact`] freezes the replayed prefix into a
 //!   *base image* (a `crowd-ckpt` snapshot named `base-<suffix_start:08>.ckpt`) and
 //!   deletes the absorbed segments; recovery prefers the newest valid base plus the
 //!   segment suffix and falls back to full replay when no base exists.
+//!
+//! The directory rules — which files are segments, bases or leftovers, which base wins,
+//! where the live suffix starts and what a compaction absorbed — live in one private
+//! `LogLayout` scan that [`DecisionLog::create`], [`DecisionLog::recover`],
+//! [`DecisionLog::read_tail`] and [`DecisionLog::compact`] all start from, so recovery
+//! and the read-only readers can never disagree about what a directory holds.
 //!
 //! Record tags are **additive**: a build reads tags it knows and fails typed on tags it
 //! does not, without a segment-version bump (the WAL framing stays at
@@ -38,8 +44,7 @@
 use crate::error::{Result, ServeError};
 use crowd_ckpt::wal::{self, SegmentWriter};
 use crowd_ckpt::{
-    CkptError, DecodeState, DirSyncPolicy, Fs, SaveState, Snapshot, SnapshotFile, StateReader,
-    StateWriter,
+    CkptError, DecodeState, Fs, SaveState, Snapshot, SnapshotFile, StateReader, StateWriter,
 };
 use crowd_sim::{ArrivalContext, PolicyFeedback, TaskId};
 use std::path::{Path, PathBuf};
@@ -57,6 +62,10 @@ const BASE_META_SECTION: &str = "base.meta";
 const BASE_PENDING_SECTION: &str = "base.pending";
 /// Base-image section: the policy's checkpoint bytes at the cut.
 const BASE_POLICY_SECTION: &str = "base.policy";
+
+/// Bounded self-healing: how many times [`DecisionLog::append_retrying`] heals the tail
+/// and retries a failed append before surfacing the error.
+const APPEND_RETRIES: u32 = 2;
 
 /// One committed serving event, in the log's total commit order.
 #[derive(Debug, Clone, PartialEq)]
@@ -282,27 +291,17 @@ pub struct LogConfig {
     /// the fault-injection suites swap in [`Fs::faulty`] to poison any numbered I/O
     /// site deterministically.
     pub fs: Fs,
-    /// Directory-fsync strictness after a segment rotation's rename. The default
-    /// [`DirSyncPolicy::Strict`] makes a failed directory sync an error — the segment
-    /// *name* is part of what recovery reads, so acknowledging batches into a segment
-    /// whose name might not survive power loss would break the ack barrier.
-    pub dir_sync: DirSyncPolicy,
-    /// Bounded self-healing: how many times [`DecisionLog::append_retrying`] heals the
-    /// tail and retries a failed append before surfacing the error.
-    pub append_retries: u32,
 }
 
 impl LogConfig {
-    /// A log in `dir` with an 8 MiB rotation threshold, per-batch sync, the real
-    /// filesystem, strict directory syncs and 2 append retries.
+    /// A log in `dir` with an 8 MiB rotation threshold, per-batch sync and the real
+    /// filesystem.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         LogConfig {
             dir: dir.into(),
             segment_bytes: 8 * 1024 * 1024,
             sync_every_batch: true,
             fs: Fs::real(),
-            dir_sync: DirSyncPolicy::Strict,
-            append_retries: 2,
         }
     }
 }
@@ -378,17 +377,16 @@ impl DecisionLog {
     pub fn create(config: LogConfig) -> Result<DecisionLog> {
         let fs = config.fs.clone();
         fs.create_dir_all(&config.dir)?;
-        let scan = wal::scan_dir_in(&fs, &config.dir)?;
-        let (bases, _) = list_bases(&fs, &config.dir)?;
-        if !scan.segments.is_empty() || !bases.is_empty() {
+        let layout = LogLayout::scan(&fs, &config.dir)?;
+        if !layout.segments.is_empty() || !layout.bases.is_empty() {
             return Err(ServeError::LogNotEmpty {
                 dir: config.dir.clone(),
             });
         }
-        for tmp in &scan.tmp_files {
+        for tmp in &layout.tmp {
             let _ = fs.remove_file(tmp);
         }
-        let writer = SegmentWriter::create_in(&fs, &config.dir, 0, config.dir_sync)?;
+        let writer = SegmentWriter::create(&fs, &config.dir, 0)?;
         Ok(DecisionLog {
             config,
             writer,
@@ -418,176 +416,60 @@ impl DecisionLog {
     pub fn recover(config: LogConfig) -> Result<RecoveredLog> {
         let fs = config.fs.clone();
         fs.create_dir_all(&config.dir)?;
-        let mut recovery = LogRecovery::default();
-        let scan = wal::scan_dir_in(&fs, &config.dir)?;
-        let (bases, base_tmp) = list_bases(&fs, &config.dir)?;
-        for tmp in scan.tmp_files.iter().chain(&base_tmp) {
+        let layout = LogLayout::scan(&fs, &config.dir)?;
+        for tmp in &layout.tmp {
             fs.remove_file(tmp)?;
-            recovery.removed_tmp += 1;
         }
-
-        // Prefer the newest valid, covered base image.
-        let mut base: Option<BaseImage> = None;
-        for (suffix_start, path) in bases.iter().rev() {
-            let covered = scan
-                .first_index()
-                .is_some_and(|first| first <= *suffix_start)
-                && scan
-                    .segments
-                    .last()
-                    .is_some_and(|(last, _)| *suffix_start <= *last);
-            let candidate = SnapshotFile::read_in(&fs, path).and_then(|f| BaseImage::from_file(&f));
-            match candidate {
-                Ok(image) if image.suffix_start == *suffix_start && covered => {
-                    base = Some(image);
-                    break;
-                }
-                _ => recovery.invalid_bases += 1,
-            }
-        }
-        let suffix_start = match &base {
-            Some(image) => image.suffix_start,
-            None => match scan.first_index() {
-                Some(0) => 0,
-                Some(first) => {
-                    return Err(ServeError::Log {
-                        detail: format!(
-                            "log starts at segment {first} but no valid base image covers the \
-                             compacted prefix ({} invalid bases)",
-                            recovery.invalid_bases
-                        ),
-                    });
-                }
-                None if !bases.is_empty() => {
-                    return Err(ServeError::Log {
-                        detail: format!(
-                            "log directory holds {} base image(s), none valid, and no segments",
-                            bases.len()
-                        ),
-                    });
-                }
-                None => 0,
-            },
+        let live = layout.live(&fs)?;
+        let mut recovery = live.recovery;
+        recovery.removed_tmp = layout.tmp.len();
+        let suffix_start = recovery.base.unwrap_or(0);
+        let (segments, bases) = layout.remove_absorbed(&fs, suffix_start)?;
+        recovery.removed_absorbed = segments + bases;
+        let writer = match live.tail {
+            Some((index, path, clean_len)) => SegmentWriter::resume(&fs, &path, index, clean_len)?,
+            // A chosen base implies a covered (non-empty) suffix, so this is a fresh dir.
+            None => SegmentWriter::create(&fs, &config.dir, 0)?,
         };
-        recovery.base = base.as_ref().map(|b| b.suffix_start);
-
-        // Finish any interrupted compaction. Absorbed segments go lowest-first so a
-        // crash mid-sweep leaves the remaining indices contiguous.
-        for (index, path) in &scan.segments {
-            if *index < suffix_start {
-                fs.remove_file(path)?;
-                recovery.removed_absorbed += 1;
-            }
-        }
-        for (start, path) in &bases {
-            if *start < suffix_start {
-                fs.remove_file(path)?;
-                recovery.removed_absorbed += 1;
-            }
-        }
-
-        let suffix: Vec<(u64, PathBuf)> = scan
-            .segments
-            .iter()
-            .filter(|(index, _)| *index >= suffix_start)
-            .cloned()
-            .collect();
-        if suffix.is_empty() {
-            // A chosen base implies covered (non-empty) suffix, so this is a fresh dir.
-            let writer = SegmentWriter::create_in(&fs, &config.dir, 0, config.dir_sync)?;
-            let log = DecisionLog {
-                config,
-                writer,
-                batches: 0,
-                rotations: 0,
-                first_index: 0,
-                dirty: false,
-            };
-            return Ok(RecoveredLog {
-                log,
-                base: None,
-                records: Vec::new(),
-                recovery,
-            });
-        }
-        recovery.segments = suffix.len();
-        let records = read_segments_in(&fs, &suffix, &mut recovery)?;
-        let (last_index, last_path) = suffix.last().expect("non-empty");
-        let last = wal::read_segment_in(&fs, last_path)?;
-        let writer = SegmentWriter::resume_in(&fs, last_path, *last_index, last.clean_len)?;
-        let rotations = *last_index;
-        let batches = recovery.batches as u64;
         let log = DecisionLog {
             config,
+            batches: recovery.batches as u64,
+            rotations: writer.index(),
             writer,
-            batches,
-            rotations,
             first_index: suffix_start,
             dirty: false,
         };
         Ok(RecoveredLog {
             log,
-            base,
-            records,
+            base: live.base,
+            records: live.records,
             recovery,
         })
     }
 
-    /// Read-only scan of an **uncompacted** log directory (tests, offline tooling): the
-    /// full committed history in commit order, with the same torn-tail policy as
-    /// [`DecisionLog::recover`] but touching nothing on disk. A compacted log's prefix
-    /// exists only as a base image, so this fails typed there — use
-    /// [`DecisionLog::read_tail`] instead.
+    /// Read-only scan of an **uncompacted** log directory on the real filesystem
+    /// (tests, offline tooling): the full committed history in commit order, with the
+    /// same directory rules and torn-tail policy as [`DecisionLog::recover`] but
+    /// touching nothing on disk. A compacted log's prefix exists only as a base image,
+    /// so this fails typed there — use [`DecisionLog::read_tail`] instead.
     pub fn read(dir: &Path) -> Result<Vec<LogRecord>> {
-        let (base, records) = DecisionLog::read_tail_in(&Fs::real(), dir)?;
-        if let Some(base) = base {
-            return Err(ServeError::Log {
+        match DecisionLog::read_tail(&Fs::real(), dir)? {
+            (None, records) => Ok(records),
+            (Some(base), _) => Err(ServeError::Log {
                 detail: format!(
                     "log was compacted at segment {}: the prefix exists only as a base image",
                     base.suffix_start
                 ),
-            });
+            }),
         }
-        Ok(records)
     }
 
-    /// Read-only scan of a possibly compacted log: the preferred base image (if any)
-    /// plus the suffix records, touching nothing on disk.
-    pub fn read_tail(dir: &Path) -> Result<(Option<BaseImage>, Vec<LogRecord>)> {
-        DecisionLog::read_tail_in(&Fs::real(), dir)
-    }
-
-    /// [`DecisionLog::read_tail`] through an explicit storage backend.
-    pub fn read_tail_in(fs: &Fs, dir: &Path) -> Result<(Option<BaseImage>, Vec<LogRecord>)> {
-        let scan = wal::scan_dir_in(fs, dir)?;
-        let (bases, _) = list_bases(fs, dir)?;
-        let mut base: Option<BaseImage> = None;
-        for (suffix_start, path) in bases.iter().rev() {
-            let covered = scan
-                .first_index()
-                .is_some_and(|first| first <= *suffix_start)
-                && scan
-                    .segments
-                    .last()
-                    .is_some_and(|(last, _)| *suffix_start <= *last);
-            let candidate = SnapshotFile::read_in(fs, path).and_then(|f| BaseImage::from_file(&f));
-            if let Ok(image) = candidate {
-                if image.suffix_start == *suffix_start && covered {
-                    base = Some(image);
-                    break;
-                }
-            }
-        }
-        let suffix_start = base.as_ref().map_or(0, |b| b.suffix_start);
-        let suffix: Vec<(u64, PathBuf)> = scan
-            .segments
-            .iter()
-            .filter(|(index, _)| *index >= suffix_start)
-            .cloned()
-            .collect();
-        let mut recovery = LogRecovery::default();
-        let records = read_segments_in(fs, &suffix, &mut recovery)?;
-        Ok((base, records))
+    /// Read-only scan of a possibly compacted log through `fs`: the base image
+    /// [`DecisionLog::recover`] would restore from (if any) plus the suffix records,
+    /// touching nothing on disk. Refuses exactly what `recover` refuses.
+    pub fn read_tail(fs: &Fs, dir: &Path) -> Result<(Option<BaseImage>, Vec<LogRecord>)> {
+        let live = LogLayout::scan(fs, dir)?.live(fs)?;
+        Ok((live.base, live.records))
     }
 
     /// Appends one committed round as a single record batch, rotating to a new segment
@@ -627,14 +509,13 @@ impl DecisionLog {
 
     /// [`DecisionLog::append`] with bounded self-healing: after a failure the segment
     /// tail is truncated back to the last clean frame and the append retried, up to
-    /// [`LogConfig::append_retries`] times. The final error (if any) is the last
-    /// attempt's.
+    /// two times. The final error (if any) is the last attempt's.
     pub fn append_retrying(&mut self, records: &[LogRecord]) -> Result<()> {
         let mut last = match self.append(records) {
             Ok(()) => return Ok(()),
             Err(e) => e,
         };
-        for _ in 0..self.config.append_retries {
+        for _ in 0..APPEND_RETRIES {
             match self.append(records) {
                 Ok(()) => return Ok(()),
                 Err(e) => last = e,
@@ -660,8 +541,9 @@ impl DecisionLog {
         self.writer.sync()?;
         let next = self.writer.index() + 1;
         let path = self.config.dir.join(wal::segment_file_name(next));
-        self.writer = if self.config.fs.exists(&path) {
-            let scan = wal::read_segment_in(&self.config.fs, &path)?;
+        let fs = &self.config.fs;
+        self.writer = if fs.exists(&path) {
+            let scan = wal::read_segment(fs, &path)?;
             if scan.index != next || !scan.batches.is_empty() {
                 return Err(ServeError::Log {
                     detail: format!(
@@ -672,14 +554,9 @@ impl DecisionLog {
                     ),
                 });
             }
-            SegmentWriter::resume_in(&self.config.fs, &path, next, scan.clean_len)?
+            SegmentWriter::resume(fs, &path, next, scan.clean_len)?
         } else {
-            SegmentWriter::create_in(
-                &self.config.fs,
-                &self.config.dir,
-                next,
-                self.config.dir_sync,
-            )?
+            SegmentWriter::create(fs, &self.config.dir, next)?
         };
         self.rotations += 1;
         Ok(())
@@ -716,31 +593,16 @@ impl DecisionLog {
             pending,
             policy,
         };
-        let snap = image.to_snapshot();
-        let base_bytes = snap.to_bytes().len() as u64;
-        snap.write_to_in(
-            &self.config.fs,
-            self.config.dir.join(base_file_name(suffix_start)),
-        )?;
-        let mut absorbed = 0;
-        let scan = wal::scan_dir_in(&self.config.fs, &self.config.dir)?;
-        for (index, path) in &scan.segments {
-            if *index < suffix_start {
-                self.config.fs.remove_file(path)?;
-                absorbed += 1;
-            }
-        }
-        let (bases, _) = list_bases(&self.config.fs, &self.config.dir)?;
-        for (start, path) in &bases {
-            if *start < suffix_start {
-                self.config.fs.remove_file(path)?;
-            }
-        }
+        let bytes = image.to_snapshot().to_bytes();
+        let fs = &self.config.fs;
+        fs.publish(&self.config.dir.join(base_file_name(suffix_start)), &bytes)?;
+        let layout = LogLayout::scan(fs, &self.config.dir)?;
+        let (absorbed_segments, _) = layout.remove_absorbed(fs, suffix_start)?;
         self.first_index = suffix_start;
         Ok(CompactionStats {
             suffix_start,
-            absorbed_segments: absorbed,
-            base_bytes,
+            absorbed_segments,
+            base_bytes: bytes.len() as u64,
         })
     }
 
@@ -777,66 +639,180 @@ impl DecisionLog {
     }
 }
 
-/// Published base images as `(suffix_start, path)` pairs, sorted ascending.
-type BaseList = Vec<(u64, PathBuf)>;
-
-/// Lists a log directory's base images: `(suffix_start, path)` sorted ascending, plus
-/// leftover `.tmp` files from interrupted base writes.
-fn list_bases(fs: &Fs, dir: &Path) -> Result<(BaseList, Vec<PathBuf>)> {
-    let mut bases = Vec::new();
-    let mut tmp = Vec::new();
-    for (name, path) in fs.read_dir(dir)? {
-        if let Some(stem) = name.strip_suffix(".tmp") {
-            if parse_base_file_name(stem).is_some() {
-                tmp.push(path);
-            }
-        } else if let Some(start) = parse_base_file_name(&name) {
-            bases.push((start, path));
-        }
-    }
-    bases.sort_by_key(|(start, _)| *start);
-    tmp.sort();
-    Ok((bases, tmp))
+/// One listing of a log directory — the only place the directory rules live.
+#[derive(Debug, Default)]
+struct LogLayout {
+    /// `(index, path)` of every segment, sorted by index and checked to be consecutive
+    /// (a compacted log may start past 0; [`LogLayout::live`] decides whether that is
+    /// legal).
+    segments: Vec<(u64, PathBuf)>,
+    /// `(suffix_start, path)` of every published base image, sorted ascending.
+    bases: Vec<(u64, PathBuf)>,
+    /// Leftover `.tmp` files of interrupted segment rotations and base writes.
+    tmp: Vec<PathBuf>,
 }
 
-/// Decodes every committed record of the given segments in order, enforcing the
-/// torn-tail policy (only the final segment may be torn).
-fn read_segments_in(
-    fs: &Fs,
-    segments: &[(u64, PathBuf)],
-    recovery: &mut LogRecovery,
-) -> Result<Vec<LogRecord>> {
-    let mut records = Vec::new();
-    let last_pos = segments.len().saturating_sub(1);
-    for (pos, (index, path)) in segments.iter().enumerate() {
-        let segment = wal::read_segment_in(fs, path)?;
-        if segment.index != *index {
-            return Err(ServeError::Log {
-                detail: format!(
-                    "{} claims segment index {} in its header",
-                    path.display(),
-                    segment.index
-                ),
-            });
+/// The live part of a log: the chosen base image, the suffix records and where the
+/// final segment's clean prefix ends.
+struct LiveLog {
+    base: Option<BaseImage>,
+    records: Vec<LogRecord>,
+    /// `segments`, `batches`, `truncated_bytes`, `base` and `invalid_bases` filled in.
+    recovery: LogRecovery,
+    /// `(index, path, clean_len)` of the final suffix segment; `None` for no segments.
+    tail: Option<(u64, PathBuf, u64)>,
+}
+
+impl LogLayout {
+    /// Lists `dir` once, sorting entries into segments, base images and `.tmp`
+    /// leftovers (foreign files are ignored). A gap in the segment indices is
+    /// corruption.
+    fn scan(fs: &Fs, dir: &Path) -> Result<LogLayout> {
+        let mut layout = LogLayout::default();
+        for (name, path) in fs.read_dir(dir)? {
+            if let Some(stem) = name.strip_suffix(".tmp") {
+                if wal::parse_segment_file_name(stem).is_some()
+                    || parse_base_file_name(stem).is_some()
+                {
+                    layout.tmp.push(path);
+                }
+            } else if let Some(index) = wal::parse_segment_file_name(&name) {
+                layout.segments.push((index, path));
+            } else if let Some(start) = parse_base_file_name(&name) {
+                layout.bases.push((start, path));
+            }
         }
-        if segment.is_torn() {
-            if pos != last_pos {
+        layout.segments.sort_by_key(|(index, _)| *index);
+        layout.bases.sort_by_key(|(start, _)| *start);
+        layout.tmp.sort();
+        let first = layout.segments.first().map_or(0, |(index, _)| *index);
+        for (pos, (index, path)) in layout.segments.iter().enumerate() {
+            if *index != first + pos as u64 {
                 return Err(ServeError::Log {
                     detail: format!(
-                        "sealed segment {} has a torn tail ({} bytes) — corruption, not a crash artifact",
-                        path.display(),
-                        segment.torn_bytes
+                        "segment indices are not consecutive: expected {}, found {} ({})",
+                        first + pos as u64,
+                        index,
+                        path.display()
                     ),
                 });
             }
-            recovery.truncated_bytes = segment.torn_bytes;
         }
-        recovery.batches += segment.batches.len();
-        for payload in &segment.batches {
-            records.extend(decode_batch(payload)?);
-        }
+        Ok(layout)
     }
-    Ok(records)
+
+    /// Picks the base image and reads the live suffix, each segment once.
+    ///
+    /// The newest base that validates (magic, version, section CRCs, exact decode, the
+    /// suffix start its name promises) *and* whose suffix segments are present wins;
+    /// the others are counted invalid. With no valid base the suffix is the whole
+    /// history, which must then start at segment 0 — a compacted prefix with no valid
+    /// base, or bases with no segments at all, is an error, never a partial history.
+    /// Only the final suffix segment may carry a torn tail.
+    fn live(&self, fs: &Fs) -> Result<LiveLog> {
+        let mut recovery = LogRecovery::default();
+        let first = self.segments.first().map(|(index, _)| *index);
+        let last = self.segments.last().map(|(index, _)| *index);
+        let mut base = None;
+        for (start, path) in self.bases.iter().rev() {
+            let covered = first.is_some_and(|f| f <= *start) && last.is_some_and(|l| *start <= l);
+            let image = SnapshotFile::read(fs, path).and_then(|f| BaseImage::from_file(&f));
+            match image {
+                Ok(image) if covered && image.suffix_start == *start => {
+                    base = Some(image);
+                    break;
+                }
+                _ => recovery.invalid_bases += 1,
+            }
+        }
+        recovery.base = base.as_ref().map(|b| b.suffix_start);
+        match (&base, first) {
+            (None, Some(first)) if first > 0 => {
+                return Err(ServeError::Log {
+                    detail: format!(
+                        "log starts at segment {first} but no valid base image covers the \
+                         compacted prefix ({} invalid bases)",
+                        recovery.invalid_bases
+                    ),
+                });
+            }
+            (None, None) if !self.bases.is_empty() => {
+                return Err(ServeError::Log {
+                    detail: format!(
+                        "log directory holds {} base image(s), none valid, and no segments",
+                        self.bases.len()
+                    ),
+                });
+            }
+            _ => {}
+        }
+
+        let suffix_start = recovery.base.unwrap_or(0);
+        let absorbed = self
+            .segments
+            .iter()
+            .take_while(|(index, _)| *index < suffix_start)
+            .count();
+        let suffix = &self.segments[absorbed..];
+        recovery.segments = suffix.len();
+        let mut records = Vec::new();
+        let mut tail = None;
+        for (pos, (index, path)) in suffix.iter().enumerate() {
+            let segment = wal::read_segment(fs, path)?;
+            if segment.index != *index {
+                return Err(ServeError::Log {
+                    detail: format!(
+                        "{} claims segment index {} in its header",
+                        path.display(),
+                        segment.index
+                    ),
+                });
+            }
+            if segment.is_torn() {
+                if pos + 1 != suffix.len() {
+                    return Err(ServeError::Log {
+                        detail: format!(
+                            "sealed segment {} has a torn tail ({} bytes) — corruption, not a crash artifact",
+                            path.display(),
+                            segment.torn_bytes
+                        ),
+                    });
+                }
+                recovery.truncated_bytes = segment.torn_bytes;
+            }
+            recovery.batches += segment.batches.len();
+            for payload in &segment.batches {
+                records.extend(decode_batch(payload)?);
+            }
+            tail = Some((*index, path.clone(), segment.clean_len));
+        }
+        Ok(LiveLog {
+            base,
+            records,
+            recovery,
+            tail,
+        })
+    }
+
+    /// Deletes what a compaction at `suffix_start` absorbed: the segments below it,
+    /// lowest first so a crash mid-sweep leaves the remaining indices contiguous, then
+    /// the bases it supersedes. Returns `(segments, bases)` deleted.
+    fn remove_absorbed(&self, fs: &Fs, suffix_start: u64) -> Result<(usize, usize)> {
+        let mut removed = (0, 0);
+        for (index, path) in &self.segments {
+            if *index < suffix_start {
+                fs.remove_file(path)?;
+                removed.0 += 1;
+            }
+        }
+        for (start, path) in &self.bases {
+            if *start < suffix_start {
+                fs.remove_file(path)?;
+                removed.1 += 1;
+            }
+        }
+        Ok(removed)
+    }
 }
 
 #[cfg(test)]
@@ -1076,7 +1052,7 @@ mod tests {
             DecisionLog::read(&dir),
             Err(ServeError::Log { .. })
         ));
-        let (base, tail) = DecisionLog::read_tail(&dir).unwrap();
+        let (base, tail) = DecisionLog::read_tail(&Fs::real(), &dir).unwrap();
         let base = base.unwrap();
         assert_eq!(base.suffix_start, 4);
         assert_eq!(base.next_request_id, 8);
@@ -1111,7 +1087,7 @@ mod tests {
             policy: vec![1, 2, 3],
         };
         base.to_snapshot()
-            .write_to(dir.join(base_file_name(2)))
+            .write_to(&Fs::real(), dir.join(base_file_name(2)))
             .unwrap();
 
         let recovered = DecisionLog::recover(config).unwrap();
@@ -1139,7 +1115,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
 
         // But a compacted prefix with no valid base is an error, never partial replay.
-        let dir = tmp_dir("bad-base-compacted");
+        let (dir, config) = log_compacted_at_segment_2("bad-base-compacted");
+        std::fs::write(dir.join(base_file_name(1)), b"garbage").unwrap();
+        std::fs::remove_file(dir.join(base_file_name(2))).unwrap();
+        assert!(matches!(
+            DecisionLog::recover(config),
+            Err(ServeError::Log { .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Four records in segments 0 and 1, then a compaction: base 2 plus segment 2.
+    fn log_compacted_at_segment_2(tag: &str) -> (PathBuf, LogConfig) {
+        let dir = tmp_dir(tag);
         let mut config = LogConfig::new(&dir);
         config.segment_bytes = 1;
         let mut log = DecisionLog::create(config.clone()).unwrap();
@@ -1148,12 +1136,60 @@ mod tests {
         }
         log.compact(4, Vec::new(), vec![9]).unwrap();
         drop(log);
-        std::fs::write(dir.join(base_file_name(1)), b"garbage").unwrap();
-        std::fs::remove_file(dir.join(base_file_name(2))).unwrap();
+        (dir, config)
+    }
+
+    #[test]
+    fn reads_refuse_a_compacted_log_with_no_valid_base_like_recover() {
+        let (dir, config) = log_compacted_at_segment_2("bad-base-read");
+        std::fs::write(dir.join(base_file_name(2)), b"garbage").unwrap();
+        // The suffix alone is not the history: every reader refuses, none returns it.
+        assert!(matches!(
+            DecisionLog::read(&dir),
+            Err(ServeError::Log { .. })
+        ));
+        assert!(matches!(
+            DecisionLog::read_tail(&Fs::real(), &dir),
+            Err(ServeError::Log { .. })
+        ));
         assert!(matches!(
             DecisionLog::recover(config),
             Err(ServeError::Log { .. })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn layout_sorts_checks_contiguity_and_separates_tmp() {
+        let dir = tmp_dir("layout");
+        std::fs::create_dir_all(&dir).unwrap();
+        let fs = Fs::real();
+        SegmentWriter::create(&fs, &dir, 0).unwrap();
+        SegmentWriter::create(&fs, &dir, 1).unwrap();
+        std::fs::write(dir.join("segment-00000002.wlog.tmp"), b"partial").unwrap();
+        std::fs::write(dir.join("base-00000001.ckpt.tmp"), b"partial").unwrap();
+        std::fs::write(dir.join(base_file_name(1)), b"unchecked here").unwrap();
+        std::fs::write(dir.join("notes.txt"), b"ignored").unwrap();
+        let indices =
+            |layout: &LogLayout| -> Vec<u64> { layout.segments.iter().map(|(i, _)| *i).collect() };
+        let layout = LogLayout::scan(&fs, &dir).unwrap();
+        assert_eq!(indices(&layout), vec![0, 1]);
+        assert_eq!(layout.bases.len(), 1);
+        assert_eq!(layout.tmp.len(), 2);
+
+        // A gap is corruption.
+        std::fs::remove_file(dir.join(wal::segment_file_name(1))).unwrap();
+        SegmentWriter::create(&fs, &dir, 2).unwrap();
+        assert!(matches!(
+            LogLayout::scan(&fs, &dir),
+            Err(ServeError::Log { .. })
+        ));
+
+        // A non-zero *start* is legal in the listing (compacted log); `live` decides.
+        std::fs::remove_file(dir.join(wal::segment_file_name(0))).unwrap();
+        SegmentWriter::create(&fs, &dir, 3).unwrap();
+        let layout = LogLayout::scan(&fs, &dir).unwrap();
+        assert_eq!(indices(&layout), vec![2, 3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -21,7 +21,7 @@
 //! after a deliberate format-version bump).
 
 use crowd_bench::ckpt_fixtures;
-use crowd_ckpt::{CkptError, Snapshot, SnapshotFile, FORMAT_VERSION};
+use crowd_ckpt::{CkptError, Fs, Snapshot, SnapshotFile, FORMAT_VERSION};
 use crowd_experiments::{RunOutcome, RunnerConfig, Session, SessionBatch};
 use crowd_rl_core::{DdqnAgent, DdqnConfig};
 use crowd_sim::{BoxedPolicy, Dataset, Platform, Policy, SimConfig};
@@ -173,13 +173,13 @@ fn resumed_training_run_is_bit_identical_to_uninterrupted() {
         session
             .checkpoint(&agent)
             .expect("DDQN agent supports checkpointing")
-            .write_to(&path)
+            .write_to(&Fs::real(), &path)
             .unwrap();
         // `session` and `agent` drop here — nothing survives but the file.
     }
 
     // Fresh-process equivalent: rebuild from config, load, continue.
-    let file = SnapshotFile::read(&path).unwrap();
+    let file = SnapshotFile::read(&Fs::real(), &path).unwrap();
     let mut resumed_agent = agent_for(&dataset, config);
     resumed_agent.set_thread_pool(pool);
     let mut resumed_session = Session::for_dataset(&dataset, &cfg);
@@ -535,7 +535,7 @@ fn damaged_snapshots_fail_with_typed_errors_never_panics() {
 /// robustness it complements.
 #[test]
 fn failed_rewrite_leaves_the_published_snapshot_intact() {
-    use crowd_ckpt::{FaultPlan, Fs};
+    use crowd_ckpt::FaultPlan;
     let dataset = dataset();
     let clean = real_checkpoint_bytes(&dataset);
     let path = temp_ckpt_path("failed_rewrite.ckpt");
@@ -545,7 +545,7 @@ fn failed_rewrite_leaves_the_published_snapshot_intact() {
     replacement.put_raw("other", vec![0xEE; 64]);
     let (fs, _probe) = Fs::faulty(FaultPlan::fail_op(0));
     replacement
-        .write_to_in(&fs, &path)
+        .write_to(&fs, &path)
         .expect_err("a poisoned first op must fail the rewrite");
 
     assert_eq!(

@@ -98,7 +98,7 @@ fn blob_snapshot(tag: u8) -> Snapshot {
 /// The `blob` section of the snapshot at `path`, read with the real filesystem.
 /// Panics on any torn/corrupt state — the atomicity contract says there is none.
 fn read_blob(path: &Path) -> Vec<u8> {
-    let file = SnapshotFile::read_in(&Fs::real(), path).expect("published snapshot always reads");
+    let file = SnapshotFile::read(&Fs::real(), path).expect("published snapshot always reads");
     let mut r = file.reader("blob").expect("blob section present");
     let n = r.remaining();
     r.take_bytes(n).expect("blob bytes").to_vec()
@@ -111,7 +111,7 @@ fn snapshot_rewrite_is_atomic_under_a_fault_at_every_io_site() {
     std::fs::create_dir_all(&probe_dir).unwrap();
     let (fs, probe) = Fs::faulty(FaultPlan::none());
     blob_snapshot(0xBB)
-        .write_to_in(&fs, probe_dir.join("state.ckpt"))
+        .write_to(&fs, probe_dir.join("state.ckpt"))
         .unwrap();
     let write_ops = probe.ops();
     assert!(write_ops >= 5, "create/write/sync/rename/sync_dir expected");
@@ -126,10 +126,10 @@ fn snapshot_rewrite_is_atomic_under_a_fault_at_every_io_site() {
         let dir = tmp_dir(&format!("snap-{n}"));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.ckpt");
-        blob_snapshot(0xAA).write_to_in(&Fs::real(), &path).unwrap();
+        blob_snapshot(0xAA).write_to(&Fs::real(), &path).unwrap();
 
         let (fs, _probe) = Fs::faulty(FaultPlan::fail_op(n));
-        let result = blob_snapshot(0xBB).write_to_in(&fs, &path);
+        let result = blob_snapshot(0xBB).write_to(&fs, &path);
         let on_disk = read_blob(&path);
         match result {
             Ok(()) => assert_eq!(on_disk, new_blob, "fault at op {n}: success must publish"),
@@ -150,7 +150,7 @@ fn snapshot_read_corruption_is_a_typed_crc_error() {
     let dir = tmp_dir("snap-rot");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("state.ckpt");
-    blob_snapshot(0xCC).write_to_in(&Fs::real(), &path).unwrap();
+    blob_snapshot(0xCC).write_to(&Fs::real(), &path).unwrap();
 
     // Silent media rot: the read succeeds but one mid-file byte is flipped. The
     // per-section CRC must turn that into a typed error, never a loaded state.
@@ -161,7 +161,7 @@ fn snapshot_read_corruption_is_a_typed_crc_error() {
         kind: FaultKind::CorruptRead,
         once: false,
     }));
-    let error = SnapshotFile::read_in(&fs, &path).unwrap_err();
+    let error = SnapshotFile::read(&fs, &path).unwrap_err();
     assert!(
         matches!(error, CkptError::CrcMismatch { .. }),
         "expected a CRC mismatch, got: {error}"
