@@ -3,6 +3,7 @@
 //! view interface.
 
 use crowd_sim::{ArrivalView, Decision, TaskRef};
+use crowd_tensor::ops::best_first;
 
 /// Which benefit a baseline optimises (the paper evaluates each baseline once per benefit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +39,7 @@ impl ScoreRanker {
 
     /// Writes a decision from per-task scores (higher = better, aligned with pool order)
     /// into the reusable buffer, respecting the list mode. Ties are broken by the original
-    /// pool order, which keeps results deterministic.
+    /// pool order, which keeps results deterministic; NaN scores rank last.
     pub fn decide(
         &mut self,
         view: &ArrivalView<'_>,
@@ -50,12 +51,8 @@ impl ScoreRanker {
         decision.clear();
         self.order.clear();
         self.order.extend(0..scores.len());
-        self.order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        self.order
+            .sort_by(|&a, &b| best_first(scores[a], scores[b]).then(a.cmp(&b)));
         match mode {
             ListMode::AssignOne => {
                 if let Some(&best) = self.order.first() {
@@ -163,6 +160,45 @@ mod tests {
             &mut decision,
         );
         assert_eq!(decision.shown(), &[TaskId(0), TaskId(1), TaskId(2)]);
+    }
+
+    #[test]
+    fn nan_scores_rank_last_without_panicking() {
+        let mut rng = crowd_tensor::Rng::seed_from(72);
+        let ctx = context(24);
+        let mut ranker = ScoreRanker::new();
+        let mut decision = Decision::new();
+        for case in 0..500 {
+            let scores: Vec<f32> = (0..24)
+                .map(|_| match rng.below(4) {
+                    0 => f32::NAN,
+                    1 => -0.0,
+                    _ => rng.below(5) as f32,
+                })
+                .collect();
+            ranker.decide(&ctx.view(), &scores, ListMode::RankAll, &mut decision);
+            let order: Vec<usize> = decision.shown().iter().map(|t| t.0 as usize).collect();
+            let split = order
+                .iter()
+                .position(|&i| scores[i].is_nan())
+                .unwrap_or(order.len());
+            assert!(
+                order[split..].iter().all(|&i| scores[i].is_nan()),
+                "case {case}"
+            );
+            assert!(
+                order[split..].windows(2).all(|w| w[0] < w[1]),
+                "case {case}"
+            );
+            assert!(
+                order[..split]
+                    .windows(2)
+                    .all(|w| scores[w[0]] > scores[w[1]]
+                        || (scores[w[0]] == scores[w[1]] && w[0] < w[1])),
+                "case {case}: {scores:?} ranked {order:?}"
+            );
+            assert_eq!(order.len(), 24, "case {case}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   (Poisson or bursty MMPP, time-compressed so the bench models
 //!   millions-of-arrivals/day rates in under a second of wall clock), sleeping until
 //!   each scheduled arrival and then issuing a blocking `decide`. The recorded latency
-//!   is submit→ack: ingress queueing + micro-batch coalescing window + the packed
+//!   is submit→ack: ingress queueing (behind the round in progress) + the packed
 //!   forward pass + the ack hop. Per-client [`LatencyHistogram`]s merge into one
 //!   p50/p99/p999 report per cell.
 //! * **Closed-loop saturation** — the same clients issue back-to-back decides with no
@@ -245,8 +245,8 @@ fn main() {
     // `durable_log` pays a real fsync per committed batch (the ack-barrier price);
     // `slow_fsync` routes the same log through a faulty `Fs` that injects a
     // deterministic 2 ms latency at every `SyncData` site — the tail-latency profile of
-    // a degraded flush path, reproducible on any machine. Batches coalesced per round
-    // amortise the sync, so p999 should move far more than p50.
+    // a degraded flush path, reproducible on any machine. Decides that queue up behind
+    // a slow round share the next round's sync, so p999 should move far more than p50.
     let log_arrivals = if smoke { 25 } else { 400 };
     let poisson = TrafficPattern::Poisson { rate: 2_000.0 };
     let scratch = std::env::temp_dir().join(format!("serve_latency_bench_{}", std::process::id()));

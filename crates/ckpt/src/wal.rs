@@ -37,6 +37,10 @@
 //!   writers acknowledge work only *after* [`SegmentWriter::sync`] returns, a torn batch
 //!   was by construction never acknowledged, so dropping it loses nothing that was
 //!   promised.
+//! * **Damage is not a tear** — a complete batch that fails its CRC with a complete,
+//!   CRC-valid batch after it cannot come from a cut append, so [`read_segment`] fails
+//!   with [`CkptError::Corrupt`] instead of reporting a clean prefix that would drop the
+//!   acknowledged batches behind the damage.
 //! * **Sealed segments must be clean** — only the highest-indexed segment may carry a
 //!   torn tail (it was the active one when the process died). A torn or short batch in
 //!   any earlier segment means bytes rotted *after* they were sealed, which replay-based
@@ -241,7 +245,13 @@ impl SegmentScan {
 
 /// Reads one segment: validates the header strictly (a named segment always has a
 /// complete header — see the module docs on atomic creation), then collects batches
-/// until the clean end of the file or the first torn/damaged frame.
+/// until the clean end of the file or the first torn frame.
+///
+/// A torn tail is a cut final frame, or a CRC-damaged frame followed by nothing but
+/// bytes that do not form a valid frame (zeros, a cut frame, more damage). A
+/// CRC-damaged frame followed by a complete, CRC-valid frame is
+/// [`CkptError::Corrupt`] instead: the batches after it were written, so truncating
+/// would drop acknowledged work.
 pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
     let bytes = fs.read(path)?;
     if bytes.len() < SEGMENT_HEADER_LEN as usize {
@@ -267,24 +277,20 @@ pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
 
     let mut batches = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN as usize;
-    loop {
-        let remaining = bytes.len() - offset;
-        if remaining == 0 {
-            break; // clean end
-        }
-        if remaining < BATCH_HEADER_LEN as usize {
-            break; // torn: the batch header itself was cut
-        }
-        let len =
-            u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let stored_crc =
-            u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
+    while let Some((len, stored_crc)) = frame_at(&bytes, offset) {
         let body = offset + BATCH_HEADER_LEN as usize;
-        if len == 0 || remaining - (BATCH_HEADER_LEN as usize) < len {
-            break; // torn: zeroed preallocation or cut payload
-        }
         let payload = &bytes[body..body + len];
         if crc32(payload) != stored_crc {
+            if let Some(next) = valid_frame_from(&bytes, body + len) {
+                return Err(CkptError::Corrupt {
+                    what: "wal segment",
+                    detail: format!(
+                        "{}: the batch at byte {offset} fails its CRC but a valid batch \
+                         follows at byte {next} — damage, not a torn tail",
+                        path.display()
+                    ),
+                });
+            }
             break; // torn: payload bytes landed partially
         }
         batches.push(payload.to_vec());
@@ -296,6 +302,32 @@ pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
         clean_len: offset as u64,
         torn_bytes: (bytes.len() - offset) as u64,
     })
+}
+
+/// `(payload length, stored CRC)` of the frame at `offset` when its header and payload
+/// are both complete; `None` at the end of the file, for a cut header or payload, and
+/// for a zero length (zeroed preallocation) — the shapes a torn tail takes.
+fn frame_at(bytes: &[u8], offset: usize) -> Option<(usize, u32)> {
+    let header = bytes.get(offset..offset + BATCH_HEADER_LEN as usize)?;
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let available = bytes.len() - offset - BATCH_HEADER_LEN as usize;
+    (len > 0 && len <= available).then_some((len, crc))
+}
+
+/// Walks the complete frames from `offset` on and returns the offset of the first one
+/// whose CRC holds. A CRC-damaged frame with a valid frame after it cannot be a torn
+/// append (writes land in order, and the tail is truncated before anything is appended
+/// after a failed write), so it is damage to acknowledged bytes.
+fn valid_frame_from(bytes: &[u8], mut offset: usize) -> Option<usize> {
+    while let Some((len, crc)) = frame_at(bytes, offset) {
+        let body = offset + BATCH_HEADER_LEN as usize;
+        if crc32(&bytes[body..body + len]) == crc {
+            return Some(offset);
+        }
+        offset = body + len;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -374,6 +406,39 @@ mod tests {
         let scan = read_segment(&Fs::real(), w.path()).unwrap();
         assert_eq!(scan.batches, vec![b"good".to_vec()]);
         assert!(scan.is_torn());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crc_damage_before_a_valid_batch_is_corruption_not_a_tear() {
+        let dir = tmp_dir("mid-crc");
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
+        w.append(b"first").unwrap();
+        w.append(b"damaged").unwrap();
+        w.append(b"acknowledged-after").unwrap();
+        w.sync().unwrap();
+        let path = w.path().to_path_buf();
+        let full = std::fs::read(&path).unwrap();
+        let second_payload = SEGMENT_HEADER_LEN as usize + 2 * BATCH_HEADER_LEN as usize + 5;
+
+        let mut bytes = full.clone();
+        bytes[second_payload] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_segment(&Fs::real(), &path).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+
+        // The same damage on the final batch, followed only by zero bytes (a zeroed
+        // preallocation) or by a cut frame, is still a torn tail.
+        let third = second_payload + 7;
+        for tail in [vec![0u8; 40], full[third..full.len() - 2].to_vec()] {
+            let mut bytes = full[..third].to_vec();
+            bytes[second_payload] ^= 0x40;
+            bytes.extend_from_slice(&tail);
+            std::fs::write(&path, &bytes).unwrap();
+            let scan = read_segment(&Fs::real(), &path).unwrap();
+            assert_eq!(scan.batches, vec![b"first".to_vec()]);
+            assert_eq!(scan.torn_bytes, (bytes.len() - second_payload) as u64 + 8);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

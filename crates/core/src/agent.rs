@@ -49,6 +49,9 @@ pub struct DdqnAgent {
     /// `LearnError` plus transitions refused at storage for a non-finite reward.
     /// Telemetry: never checkpointed.
     refused_updates: (u64, u64),
+    /// Decisions whose combined Q-values held a NaN or infinity. Telemetry: never
+    /// checkpointed.
+    nonfinite_q_decisions: u64,
     /// Worker pool for the agent's internal parallelism: parallel state packing in
     /// `act_batch` and the concurrent two-learner dispatch in `observe`. Serial by
     /// default; set via [`DdqnAgent::set_thread_pool`] (also reachable through
@@ -106,6 +109,7 @@ impl DdqnAgent {
             ranked_stamp_gen: 0,
             learning_frozen: false,
             refused_updates: (0, 0),
+            nonfinite_q_decisions: 0,
             pool: ThreadPool::serial(),
         }
     }
@@ -149,6 +153,13 @@ impl DdqnAgent {
     /// Either way the learner is left untouched and the agent carries on.
     pub fn refused_updates(&self) -> (u64, u64) {
         self.refused_updates
+    }
+
+    /// Decisions by this process whose combined Q-values held a NaN or infinity. The
+    /// ranking still completes (NaN ranks last, see `crowd_tensor::ops::best_first`);
+    /// this counts how often it had to.
+    pub fn nonfinite_q_decisions(&self) -> u64 {
+        self.nonfinite_q_decisions
     }
 
     /// Online arrival statistics (exposed for diagnostics and experiments).
@@ -554,6 +565,9 @@ impl BatchedPolicy for DdqnAgent {
                 q_r.as_ref().map(|q| q[i].as_slice()),
                 self.config.balance_weight,
             );
+            if combined.iter().any(|q| !q.is_finite()) {
+                self.nonfinite_q_decisions += 1;
+            }
             self.decide_from_q(&combined, &states[i].task_ids, view, decision);
         }
     }
@@ -890,6 +904,35 @@ mod tests {
         }
         assert_eq!(agent.refused_updates(), (0, 1));
         assert!(agent.requester_learner().updates() > 0);
+    }
+
+    #[test]
+    fn nonfinite_q_values_still_rank_the_whole_pool_and_are_counted() {
+        let ds = SimConfig::tiny().generate();
+        let fs = Platform::default_feature_space(&ds);
+        let mut platform = Platform::new(ds, fs, 7);
+        let mut agent = agent_for(&platform, small_config());
+        while platform.next_arrival() && platform.arrival().is_empty() {}
+        let mut context = platform.arrival().to_context();
+        let mut pool: Vec<TaskId> = context.available.iter().map(|t| t.id).collect();
+        pool.sort_unstable();
+        let mut decision = Decision::new();
+        agent.act(&context.view(), &mut decision);
+        assert_eq!(agent.nonfinite_q_decisions(), 0);
+
+        // A NaN feature poisons the Q-values; exploring and greedy ranking both still
+        // return every task once.
+        context.available[0].feature[0] = f32::NAN;
+        for greedy in [false, true] {
+            if greedy {
+                agent.freeze_exploration();
+            }
+            agent.act(&context.view(), &mut decision);
+            let mut shown = decision.shown().to_vec();
+            shown.sort_unstable();
+            assert_eq!(shown, pool, "greedy = {greedy}");
+        }
+        assert_eq!(agent.nonfinite_q_decisions(), 2);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //!   to every Q value before ranking.
 
 use crate::schedule::Schedule;
+use crowd_tensor::ops::best_first;
 use crowd_tensor::Rng;
 
 /// ε-greedy action selection over a slice of Q values.
@@ -46,8 +47,9 @@ impl EpsilonGreedy {
         self.step
     }
 
-    /// Picks an index among `q_values`: greedy with the scheduled probability, uniform
-    /// otherwise. Returns `None` on an empty slice. Advances the schedule by one step.
+    /// Picks an index among `q_values`: greedy with the scheduled probability (the
+    /// first highest value, never a NaN while a number is present), uniform otherwise.
+    /// Returns `None` on an empty slice. Advances the schedule by one step.
     pub fn select(&mut self, q_values: &[f32], rng: &mut Rng) -> Option<usize> {
         if q_values.is_empty() {
             return None;
@@ -57,7 +59,7 @@ impl EpsilonGreedy {
         if exploit {
             let mut best = 0;
             for (i, &q) in q_values.iter().enumerate() {
-                if q > q_values[best] {
+                if best_first(q, q_values[best]).is_lt() {
                     best = i;
                 }
             }
@@ -129,15 +131,12 @@ impl GaussianQNoise {
             .collect()
     }
 
-    /// Ranks task indices by (possibly perturbed) Q values, descending.
+    /// Ranks task indices by (possibly perturbed) Q values, descending, NaN last
+    /// ([`best_first`]).
     pub fn rank(&mut self, q_values: &[f32], rng: &mut Rng) -> Vec<usize> {
         let perturbed = self.perturb(q_values, rng);
         let mut order: Vec<usize> = (0..perturbed.len()).collect();
-        order.sort_by(|&a, &b| {
-            perturbed[b]
-                .partial_cmp(&perturbed[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| best_first(perturbed[a], perturbed[b]));
         order
     }
 }
@@ -201,14 +200,11 @@ impl crowd_ckpt::LoadState for GaussianQNoise {
     }
 }
 
-/// Ranks indices by Q value descending without any exploration (pure exploitation).
+/// Ranks indices by Q value descending without any exploration (pure exploitation);
+/// ties keep index order and NaN goes last ([`best_first`]).
 pub fn greedy_rank(q_values: &[f32]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..q_values.len()).collect();
-    order.sort_by(|&a, &b| {
-        q_values[b]
-            .partial_cmp(&q_values[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    order.sort_by(|&a, &b| best_first(q_values[a], q_values[b]));
     order
 }
 
@@ -353,6 +349,55 @@ mod tests {
         let q = [0.0, 10.0, 20.0, 30.0];
         for _ in 0..50 {
             assert_eq!(n.rank(&q, &mut rng), vec![3, 2, 1, 0]);
+        }
+    }
+
+    /// Q-values mixing NaN, signed zeros, infinities and ties, as a poisoned network
+    /// could produce them.
+    fn poisoned_q_values(rng: &mut Rng) -> Vec<f32> {
+        let n = 1 + rng.below(48);
+        (0..n)
+            .map(|_| match rng.below(8) {
+                0 | 1 => f32::NAN,
+                2 => 0.0,
+                3 => -0.0,
+                4 => [f32::INFINITY, f32::NEG_INFINITY][rng.below(2)],
+                5 => rng.below(3) as f32,
+                _ => rng.normal(0.0, 1.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rankings_with_nan_never_panic_and_put_nan_last_in_a_fixed_order() {
+        let mut rng = Rng::seed_from(71);
+        for case in 0..2000 {
+            let q = poisoned_q_values(&mut rng);
+            let order = greedy_rank(&q);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..q.len()).collect::<Vec<_>>(), "case {case}");
+            // Numbers best first, ties (−0.0 == +0.0 included) in index order, then
+            // every NaN in index order.
+            let split = order.iter().position(|&i| q[i].is_nan()).unwrap_or(q.len());
+            assert!(order[split..].iter().all(|&i| q[i].is_nan()), "case {case}");
+            assert!(
+                order[split..].windows(2).all(|w| w[0] < w[1]),
+                "case {case}"
+            );
+            assert!(
+                order[..split]
+                    .windows(2)
+                    .all(|w| q[w[0]] > q[w[1]] || (q[w[0]] == q[w[1]] && w[0] < w[1])),
+                "case {case}: {q:?} ranked {order:?}"
+            );
+            assert_eq!(greedy_rank(&q), order, "case {case}");
+            // The exploring ranker with its noise switched off sorts the same values
+            // through its own comparator, and the greedy pick is the ranking's head.
+            let mut unperturbed = GaussianQNoise::new(0.0, Schedule::Constant(1.0));
+            assert_eq!(unperturbed.rank(&q, &mut rng), order, "case {case}");
+            let mut greedy = EpsilonGreedy::new(Schedule::Constant(1.0));
+            assert_eq!(greedy.select(&q, &mut rng), Some(order[0]), "case {case}");
         }
     }
 

@@ -13,12 +13,14 @@
 //!   The queue bound *is* the backpressure contract: blocking submitters slow to the
 //!   drain rate, [`Client::try_decide`] fails fast with [`ServeError::Saturated`].
 //! - **Micro-batching**: a single dedicated worker thread
-//!   ([`crowd_parallel::spawn_dedicated`]) drains in-flight requests and coalesces
-//!   them into one [`crowd_sim::BatchedPolicy::act_batch`] packed forward pass per
-//!   round — amortising Q-network inference exactly the way
-//!   `SessionBatch` amortises it offline. A dedicated thread is *not* a persistent-pool
-//!   worker, so the packed pass's row-sharded kernels still parallelise across the
-//!   pool from inside it (see `crowd-parallel`'s "Nesting" docs).
+//!   ([`crowd_parallel::spawn_dedicated`]) blocks for one request, takes whatever is
+//!   already queued behind it, and decides them in one
+//!   [`crowd_sim::BatchedPolicy::act_batch`] packed forward pass per round. It never
+//!   waits for companions, so batches form only under load, and then amortise
+//!   Q-network inference exactly the way `SessionBatch` amortises it offline. A
+//!   dedicated thread is *not* a persistent-pool worker, so the packed pass's
+//!   row-sharded kernels still parallelise across the pool from inside it (see
+//!   `crowd-parallel`'s "Nesting" docs).
 //! - **Durability**: every committed round is appended to a [`DecisionLog`] —
 //!   CRC-framed record batches in rotated segments (the `crowd-ckpt` WAL layer,
 //!   `docs/DECISION_LOG_FORMAT.md`) — *before* any client is acknowledged. A crashed

@@ -404,7 +404,9 @@ impl DecisionLog {
     /// deleted; a torn tail on the **final** segment is truncated away (it was never
     /// acknowledged) while a torn tail on any *sealed* segment is an error — those
     /// bytes were synced before the next segment opened, so damage there is real
-    /// corruption that replay must not paper over; an interrupted compaction is
+    /// corruption that replay must not paper over; so is a CRC-damaged batch with a
+    /// valid batch after it in any segment (see [`wal::read_segment`]), which fails
+    /// recovery before any segment is truncated; an interrupted compaction is
     /// finished (absorbed segments and superseded bases deleted).
     ///
     /// Base preference: the newest base image that validates (magic, version, section
@@ -981,6 +983,41 @@ mod tests {
         let mut log = recovered.log;
         log.append(&records[2..]).unwrap();
         drop(log);
+        assert_eq!(DecisionLog::read(&dir).unwrap(), records);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupted_read_mid_segment_fails_recovery_and_keeps_the_segment() {
+        let dir = tmp_dir("mid-rot");
+        let mut log = DecisionLog::create(LogConfig::new(&dir)).unwrap();
+        let records = sample_records(4);
+        for pair in records.chunks(2) {
+            log.append(pair).unwrap();
+        }
+        drop(log);
+        let seg = dir.join(wal::segment_file_name(0));
+        let full_len = std::fs::metadata(&seg).unwrap().len();
+
+        // Silent rot on the recovery's read flips a byte in the middle of the single
+        // segment, inside an acknowledged batch with valid batches behind it: that is
+        // corruption, never a torn tail to truncate away.
+        let (fs, probe) = Fs::faulty(FaultPlan::none().with_rule(FaultRule {
+            from_op: 0,
+            to_op: u64::MAX,
+            class: Some(OpClass::Read),
+            kind: FaultKind::CorruptRead,
+            once: true,
+        }));
+        let mut config = LogConfig::new(&dir);
+        config.fs = fs;
+        let err = DecisionLog::recover(config).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Log { detail } if detail.contains("not a torn tail")),
+            "{err}"
+        );
+        assert_eq!(probe.fired().len(), 1);
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), full_len);
         assert_eq!(DecisionLog::read(&dir).unwrap(), records);
         std::fs::remove_dir_all(&dir).unwrap();
     }

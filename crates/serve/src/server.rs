@@ -7,8 +7,9 @@
 //! client threads                 batch worker (one dedicated thread)
 //! ──────────────                 ───────────────────────────────────
 //! Client::decide(ctx) ──┐
-//! Client::decide(ctx) ──┼──► bounded sync_channel ──► drain ≤ max_batch within
-//! Client::feedback(..) ─┘    (backpressure)           batch_window
+//! Client::decide(ctx) ──┼──► bounded sync_channel ──► block for the first request,
+//! Client::feedback(..) ─┘    (backpressure)           then take what is already
+//!                                                     queued (≤ max_batch decides)
 //!                                                        │
 //!                                              Policy::observe per queued feedback
 //!                                              (online learning ticks, FIFO)
@@ -29,10 +30,11 @@
 //! producers slow to the server's drain rate instead of ballooning memory.
 //! [`Client::try_decide`] fails fast with [`ServeError::Saturated`] instead, which is
 //! what the saturation benches probe (and what [`Client::decide_with_retry`] turns
-//! into bounded backoff). The worker drains at most [`ServeConfig::max_batch`]
-//! decisions per round and closes a round early when [`ServeConfig::batch_window`]
-//! elapses, bounding the queueing delay any single arrival can be charged while
-//! waiting for co-batched neighbours.
+//! into bounded backoff). A round holds at most [`ServeConfig::max_batch`] decisions
+//! and never waits for companions: it is the first request plus whatever was already
+//! queued behind it. A lone arrival is therefore served at once, and the requests that
+//! queue up while a round runs `act_batch` and its log append form the next round —
+//! batching grows with the load instead of with an idle window.
 //!
 //! # Determinism and the ack barrier
 //!
@@ -79,11 +81,9 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Capacity of the bounded ingress queue (the backpressure bound).
     pub queue_capacity: usize,
-    /// Most decisions coalesced into one `act_batch` round.
+    /// Most decisions in one `act_batch` round. A round never waits for companions: it
+    /// takes the first request plus whatever is already queued, up to this many.
     pub max_batch: usize,
-    /// How long the worker waits for co-batched arrivals after the first request of a
-    /// round before committing what it has.
-    pub batch_window: Duration,
     /// Pool handed to the policy for intra-batch parallelism (packed forward passes);
     /// the serving loop itself stays single-threaded and deterministic.
     pub pool: ThreadPool,
@@ -109,7 +109,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 1024,
             max_batch: 64,
-            batch_window: Duration::from_micros(200),
             pool: ThreadPool::serial(),
             log: None,
             shed_staler_than: None,
@@ -151,7 +150,7 @@ pub struct ServeReport {
     pub unknown_feedbacks: u64,
     /// Committed rounds (each at most one log batch).
     pub rounds: u64,
-    /// Largest number of decisions coalesced into one round.
+    /// Largest number of decisions committed in one round.
     pub max_round_decisions: usize,
     /// Decide requests answered with [`ServeError::Degraded`] (log outage or
     /// staleness bound) instead of being served.
@@ -908,6 +907,12 @@ impl Worker {
 }
 
 /// The batch worker: the only thread that ever touches the policy or the log.
+///
+/// One rule builds every round: block for the first request, then take only what is
+/// already queued, up to `max_batch` decides, and never wait for more. Requests that
+/// arrive while a round runs `act_batch` and its log append make up the next round, so
+/// batching grows with load without charging a lone request any idle time. After a
+/// graceful stop marker the same rule drains the queue until it is empty.
 fn event_loop(
     mut policy: BoxedBatchedPolicy,
     config: ServeConfig,
@@ -917,7 +922,6 @@ fn event_loop(
 ) -> (BoxedBatchedPolicy, ServeReport) {
     policy.set_thread_pool(config.pool);
     let max_batch = config.max_batch.max(1);
-    let batch_window = config.batch_window;
     let mut worker = Worker {
         policy,
         config,
@@ -927,63 +931,33 @@ fn event_loop(
         scratch: Vec::new(),
         outage: None,
     };
-    let mut drain = true;
-
-    'serve: loop {
-        // Block for the first request of a round, then coalesce.
-        let first = match queue.recv() {
-            Ok(message) => message,
-            Err(_) => break, // every handle dropped: nothing can arrive anymore
+    let mut stop = None;
+    loop {
+        // Serving blocks for the first request; draining ends at an empty queue, and a
+        // closed channel (every handle dropped) means nothing can arrive anymore.
+        let first = match stop {
+            None => queue.recv().ok(),
+            Some(_) => queue.try_recv().ok(),
         };
+        let Some(first) = first else { break };
         let mut round = Round::default();
-        let mut stop = None;
         absorb(first, &mut round, &mut stop);
-        if stop.is_none() {
-            let deadline = Instant::now() + batch_window;
-            while round.decides.len() < max_batch && stop.is_none() {
-                let message = match deadline.checked_duration_since(Instant::now()) {
-                    Some(wait) if !wait.is_zero() => match queue.recv_timeout(wait) {
-                        Ok(message) => message,
-                        Err(_) => break,
-                    },
-                    _ => match queue.try_recv() {
-                        Ok(message) => message,
-                        Err(_) => break,
-                    },
-                };
-                absorb(message, &mut round, &mut stop);
+        while round.decides.len() < max_batch {
+            match queue.try_recv() {
+                Ok(message) => absorb(message, &mut round, &mut stop),
+                Err(_) => break,
             }
         }
-
         if stop == Some(StopMode::Kill) {
             // Crash semantics: nothing in this round was acknowledged, so none of it
             // happened. Dropped reply senders surface as `ShuttingDown` at the
             // caller, and an outage backlog dies with the process.
-            drain = false;
-            break 'serve;
+            break;
         }
         worker.commit_round(round);
         worker.maybe_auto_compact();
-        if stop == Some(StopMode::Drain) {
-            loop {
-                let mut tail = Round::default();
-                let mut _late_stop = None;
-                while tail.decides.len() < max_batch {
-                    match queue.try_recv() {
-                        Ok(message) => absorb(message, &mut tail, &mut _late_stop),
-                        Err(_) => break,
-                    }
-                }
-                if tail.is_empty() {
-                    break;
-                }
-                worker.commit_round(tail);
-            }
-            break 'serve;
-        }
     }
-
-    worker.finish(drain)
+    worker.finish(stop != Some(StopMode::Kill))
 }
 
 #[cfg(test)]
@@ -993,7 +967,7 @@ mod tests {
     use crowd_ckpt::{FaultPlan, Fs};
     use crowd_sim::{ArrivalView, FeedbackView, Policy, TaskSnapshot, WorkerId};
     use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// Deterministic test policy: ranks tasks by descending id, counts calls through
@@ -1385,23 +1359,64 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A [`CountingPolicy`] whose `act` holds until `open` is set, pinning the worker
+    /// inside a round. The call is counted before the hold.
+    struct Gated {
+        inner: CountingPolicy,
+        open: Arc<AtomicBool>,
+    }
+
+    impl Policy for Gated {
+        fn name(&self) -> &str {
+            "gated"
+        }
+        fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
+            self.inner.act(view, decision);
+            while !self.open.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        fn observe(&mut self, view: &ArrivalView<'_>, feedback: &FeedbackView<'_>) {
+            self.inner.observe(view, feedback);
+        }
+    }
+
+    impl BatchedPolicy for Gated {}
+
     #[test]
     fn staleness_bound_sheds_without_touching_the_policy() {
-        let (policy, acts, _observes) = CountingPolicy::new();
+        let (inner, acts, _observes) = CountingPolicy::new();
+        let open = Arc::new(AtomicBool::new(false));
+        let policy = Gated {
+            inner,
+            open: open.clone(),
+        };
         let config = ServeConfig {
-            // The lone request waits out the full batch window (no co-batched
-            // neighbours arrive), far past the staleness bound.
-            batch_window: Duration::from_millis(200),
             shed_staler_than: Some(Duration::from_millis(20)),
             ..ServeConfig::default()
         };
         let server = Server::start(Box::new(policy), config).unwrap();
-        let err = server.client().decide(context(0, 1)).unwrap_err();
+        let stale = std::thread::scope(|scope| {
+            // The first round stalls inside `act`; the second request queues behind it
+            // far past the staleness bound before the gate opens.
+            let first = server.client();
+            let first = scope.spawn(move || first.decide(context(0, 1)));
+            while acts.load(Ordering::SeqCst) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let second = server.client();
+            let second = scope.spawn(move || second.decide(context(1, 1)));
+            std::thread::sleep(Duration::from_millis(200));
+            open.store(true, Ordering::SeqCst);
+            first.join().unwrap().unwrap();
+            second.join().unwrap()
+        });
+        let err = stale.unwrap_err();
         assert!(matches!(err, ServeError::Degraded { .. }), "{err}");
         let (_policy, report) = server.shutdown();
         assert_eq!(report.shed_decides, 1);
-        assert_eq!(report.decisions, 0);
-        assert_eq!(acts.load(Ordering::SeqCst), 0, "shed request never acted");
+        assert_eq!(report.decisions, 1);
+        assert_eq!(acts.load(Ordering::SeqCst), 1, "shed request never acted");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The serving benches need traffic shapes, not just counts: a Poisson stream probes
 //! steady-state micro-batch occupancy, while a bursty (Markov-modulated Poisson)
-//! stream probes how the bounded ingress queue and the batch window absorb spikes.
+//! stream probes how the bounded ingress queue and the round rule absorb spikes.
 //! Both are driven by the workspace [`Rng`] so a seed fully determines the schedule —
 //! two bench runs at the same seed replay the same arrival offsets.
 //!

@@ -964,6 +964,16 @@ pub fn cosine_slices(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// Best-first order of two scores for ranking sorts: higher first, NaN after every
+/// number. Among numbers it is exactly `b.partial_cmp(&a)` (so `-0.0 == +0.0` and a
+/// stable sort keeps tied scores in input order); putting NaN in a class of its own
+/// makes it a total order, which `sort_by` requires — a comparator calling NaN equal to
+/// everything is not one, and the standard sort may panic on it.
+pub fn best_first(a: f32, b: f32) -> std::cmp::Ordering {
+    b.partial_cmp(&a)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

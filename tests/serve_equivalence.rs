@@ -17,6 +17,10 @@
 //!    covers every network parameter, optimizer moment, replay-buffer entry and RNG
 //!    word.
 //!
+//! A third test pins the round rule: decides that queue up behind a stalled round are
+//! committed together in the next one (one packed `act_batch`), with every answer
+//! unchanged.
+//!
 //! `ServeConfig.pool` is taken from `CROWD_THREADS`, so the whole suite rides the
 //! same 1/4-thread CI matrix as the rest of the workspace.
 
@@ -298,4 +302,101 @@ fn saturated_ingress_rejects_try_decide_but_serves_blocking_submitters() {
     let (_policy, report) = server.shutdown();
     assert_eq!(report.decisions, 3);
     assert_eq!(report.max_round_decisions, 1, "max_batch=1 respected");
+}
+
+#[test]
+fn decides_queued_behind_a_stalled_round_commit_together_unchanged() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    // A frozen agent whose `act_batch` holds until the gate opens: the first round
+    // stalls the worker while the other decides queue up behind it.
+    struct GatedAgent {
+        inner: DdqnAgent,
+        open: Arc<AtomicBool>,
+        rounds_started: Arc<AtomicU64>,
+    }
+    impl Policy for GatedAgent {
+        fn name(&self) -> &str {
+            "gated-ddqn"
+        }
+        fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
+            self.act_batch(std::slice::from_ref(view), std::slice::from_mut(decision));
+        }
+        fn observe(&mut self, view: &ArrivalView<'_>, feedback: &FeedbackView<'_>) {
+            self.inner.observe(view, feedback);
+        }
+        fn set_thread_pool(&mut self, pool: ThreadPool) {
+            self.inner.set_thread_pool(pool);
+        }
+    }
+    impl BatchedPolicy for GatedAgent {
+        fn act_batch(&mut self, views: &[ArrivalView<'_>], decisions: &mut [Decision]) {
+            self.rounds_started.fetch_add(1, Ordering::SeqCst);
+            while !self.open.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.inner.act_batch(views, decisions);
+        }
+    }
+
+    const QUEUED: usize = 6;
+    let dataset = dataset();
+    let contexts = collect_arrival_contexts(&dataset, 77, QUEUED + 1);
+    assert_eq!(contexts.len(), QUEUED + 1);
+    // The reference answers: the same frozen agent deciding one arrival at a time.
+    let mut reference = frozen_agent(&dataset);
+    let expected: Vec<(Vec<TaskId>, bool)> = contexts
+        .iter()
+        .map(|context| {
+            let mut decision = Decision::new();
+            reference.act(&context.view(), &mut decision);
+            (decision.shown().to_vec(), decision.is_assignment())
+        })
+        .collect();
+
+    let open = Arc::new(AtomicBool::new(false));
+    let rounds_started = Arc::new(AtomicU64::new(0));
+    let policy = GatedAgent {
+        inner: frozen_agent(&dataset),
+        open: open.clone(),
+        rounds_started: rounds_started.clone(),
+    };
+    let config = ServeConfig {
+        pool: ThreadPool::from_env(),
+        max_batch: QUEUED + 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(Box::new(policy), config).unwrap();
+    let served: Vec<ServeDecision> = std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for (k, context) in contexts.iter().enumerate() {
+            let client = server.client();
+            handles.push(scope.spawn(move || client.decide(context.clone()).unwrap()));
+            if k == 0 {
+                while rounds_started.load(Ordering::SeqCst) == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        // Let every queued decide land behind the stalled round, then release it.
+        std::thread::sleep(Duration::from_millis(200));
+        open.store(true, Ordering::SeqCst);
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (k, (served, (shown, assignment))) in served.iter().zip(&expected).enumerate() {
+        assert_eq!(
+            &served.shown, shown,
+            "decide {k}: answer changed in the batch"
+        );
+        assert_eq!(served.assignment, *assignment, "decide {k}");
+    }
+    let (_policy, report) = server.shutdown();
+    assert_eq!(report.decisions as usize, QUEUED + 1);
+    assert_eq!(
+        report.rounds, 2,
+        "the stalled round, then everything queued"
+    );
+    assert_eq!(report.max_round_decisions, QUEUED);
 }
