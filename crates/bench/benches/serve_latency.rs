@@ -2,18 +2,22 @@
 //! micro-batching service — the serving-path companion to `batched_inference` (which
 //! measures the raw Q-network batch forward without queueing).
 //!
-//! Two phases per (traffic pattern × client count) cell:
+//! Two phases:
 //!
-//! * **Open-loop latency** — each client thread replays an [`ArrivalSchedule`]
-//!   (Poisson or bursty MMPP, time-compressed so the bench models
-//!   millions-of-arrivals/day rates in under a second of wall clock), sleeping until
-//!   each scheduled arrival and then issuing a blocking `decide`. The recorded latency
+//! * **Open-loop latency**, per (traffic pattern × client count) cell — each client
+//!   thread replays an [`ArrivalSchedule`] (Poisson or bursty MMPP, time-compressed so
+//!   the bench models millions-of-arrivals/day rates in under a second of wall
+//!   clock), sleeping until each scheduled arrival and then issuing a blocking
+//!   `decide`. The recorded latency
 //!   is submit→ack: ingress queueing (behind the round in progress) + the packed
 //!   forward pass + the ack hop. Per-client [`LatencyHistogram`]s merge into one
 //!   p50/p99/p999 report per cell.
-//! * **Closed-loop saturation** — the same clients issue back-to-back decides with no
-//!   think time; the aggregate decisions/second is the service's max sustained
-//!   throughput at that concurrency.
+//! * **Closed-loop saturation**, per client count — the clients issue back-to-back
+//!   decides with no think time; the aggregate decisions/second is the service's max
+//!   sustained throughput at that concurrency.
+//!
+//! Every cell also records `mean_round` and `max_round`, the mean and largest number
+//! of decides per round, from that phase's own server report.
 //!
 //! The policy is a frozen DDQN agent (learning and exploration off): latency jitter
 //! from learner ticks would otherwise drown the queueing behaviour this bench isolates,
@@ -34,7 +38,7 @@
 use crowd_bench::{record_value, smoke_mode, write_json_report, LatencyHistogram};
 use crowd_ckpt::{FaultPlan, Fs, OpClass};
 use crowd_experiments::{collect_arrival_contexts, ddqn_config_for, ddqn_for, Scale};
-use crowd_serve::{ArrivalSchedule, LogConfig, ServeConfig, Server, TrafficPattern};
+use crowd_serve::{ArrivalSchedule, LogConfig, ServeConfig, ServeReport, Server, TrafficPattern};
 use crowd_sim::{ArrivalContext, SimConfig};
 use crowd_tensor::ThreadPool;
 use std::time::{Duration, Instant};
@@ -173,6 +177,23 @@ fn record_cell(label: &str, histogram: &mut LatencyHistogram, achieved: f64) {
     );
 }
 
+/// Puts the mean and largest number of decides per round of one cell into the report:
+/// how much the queue let the service batch at that traffic.
+fn record_rounds(label: &str, report: &ServeReport) {
+    record_value(
+        "serve_latency",
+        &format!("{label}/mean_round"),
+        report.mean_round_decisions(),
+        "decides",
+    );
+    record_value(
+        "serve_latency",
+        &format!("{label}/max_round"),
+        report.max_round_decisions as f64,
+        "decides",
+    );
+}
+
 fn main() {
     let smoke = smoke_mode();
     let arrivals_per_client = if smoke { 25 } else { 1200 };
@@ -222,23 +243,27 @@ fn main() {
                 achieved,
             );
 
-            let throughput = saturation_cell(&contexts, &server, n_clients, saturation_per_client);
             let (_policy, report) = server.shutdown();
-            assert_eq!(
-                report.decisions as usize,
-                n_clients * (arrivals_per_client + saturation_per_client)
-            );
-            record_value(
-                "serve_latency",
-                &format!("saturation/{n_clients}clients"),
-                throughput,
-                "decisions/s",
-            );
-            println!(
-                "serve_latency/saturation/{}clients: max round {} (closed loop)",
-                n_clients, report.max_round_decisions,
+            assert_eq!(report.decisions as usize, n_clients * arrivals_per_client);
+            record_rounds(
+                &format!("{}/{}clients", pattern.label(), n_clients),
+                &report,
             );
         }
+    }
+
+    for &n_clients in client_counts {
+        let server = start_server(&dataset, None);
+        let throughput = saturation_cell(&contexts, &server, n_clients, saturation_per_client);
+        let (_policy, report) = server.shutdown();
+        assert_eq!(report.decisions as usize, n_clients * saturation_per_client);
+        record_value(
+            "serve_latency",
+            &format!("saturation/{n_clients}clients"),
+            throughput,
+            "decisions/s",
+        );
+        record_rounds(&format!("saturation/{n_clients}clients"), &report);
     }
 
     // Durable-backend sweep: the Poisson cells again, but with a decision log attached.
@@ -280,6 +305,7 @@ fn main() {
                 &mut histogram,
                 achieved,
             );
+            record_rounds(&format!("{backend}/{n_clients}clients"), &report);
             println!(
                 "serve_latency/{}/{}clients: {} ({} log batches)",
                 backend,

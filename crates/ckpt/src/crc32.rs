@@ -64,6 +64,80 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
+/// CRC-32 of any sub-range of one byte string, each in time logarithmic in the range
+/// length after one bytewise pass over the string. It rests on the linearity zlib's
+/// `crc32_combine` uses, `crc(a ++ b) = crc(a)·x^(8·|b|) mod P ^ crc(b)`: with every
+/// prefix CRC stored, `crc(bytes[s..e]) = prefix[e] ^ prefix[s]·x^(8·(e − s)) mod P`.
+/// Searching a damaged region for a valid frame at every offset stays linear this way
+/// instead of re-reading the rest of the region at each offset.
+pub(crate) struct RangeCrc {
+    /// `prefix[i]` is `crc32(&bytes[..i])`.
+    prefix: Vec<u32>,
+}
+
+impl RangeCrc {
+    /// One bytewise pass storing the CRC of every prefix of `bytes`.
+    pub(crate) fn new(bytes: &[u8]) -> RangeCrc {
+        let mut prefix = Vec::with_capacity(bytes.len() + 1);
+        prefix.push(0);
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            prefix.push(crc ^ 0xFFFF_FFFF);
+        }
+        RangeCrc { prefix }
+    }
+
+    /// `crc32(&bytes[range])` for the `bytes` this was built from.
+    pub(crate) fn crc(&self, range: std::ops::Range<usize>) -> u32 {
+        let shift = x_pow_8n(range.end - range.start);
+        self.prefix[range.end] ^ mul_mod_p(shift, self.prefix[range.start])
+    }
+}
+
+/// `x^(2^k) mod P` for `k` in `0..32`; the sequence has period 32, because the order of
+/// `x` modulo `P` divides `2^32 − 1`.
+static X_POW_2K: [u32; 32] = build_x_pow_2k();
+
+const fn build_x_pow_2k() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30; // x^1 (reflected: bit 31 is x^0)
+    let mut k = 1;
+    while k < 32 {
+        table[k] = mul_mod_p(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+}
+
+/// `a(x)·b(x) mod P` with both polynomials in the reflected order `crc32` uses.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit += 1;
+    }
+    product
+}
+
+/// `x^(8·n) mod P`: the factor that moves a CRC past `n` more bytes.
+fn x_pow_8n(mut n: usize) -> u32 {
+    let mut power = 1 << 31; // x^0
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            power = mul_mod_p(X_POW_2K[k % 32], power);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    power
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +164,25 @@ mod tests {
             for end in start..data.len() {
                 assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]));
             }
+        }
+    }
+
+    #[test]
+    fn range_crc_matches_crc32_of_every_sub_range() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 73 + 5) as u8).collect();
+        let ranges = RangeCrc::new(&data);
+        for start in 0..=data.len() {
+            for end in start..=data.len() {
+                assert_eq!(ranges.crc(start..end), crc32(&data[start..end]));
+            }
+        }
+        // Lengths far past the 32-entry period of the power table.
+        let long: Vec<u8> = (0..300_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let ranges = RangeCrc::new(&long);
+        for (start, end) in [(0, 300_000), (7, 299_993), (65_536, 196_609), (1, 2)] {
+            assert_eq!(ranges.crc(start..end), crc32(&long[start..end]));
         }
     }
 

@@ -37,19 +37,23 @@
 //!   writers acknowledge work only *after* [`SegmentWriter::sync`] returns, a torn batch
 //!   was by construction never acknowledged, so dropping it loses nothing that was
 //!   promised.
-//! * **Damage is not a tear** — a complete batch that fails its CRC with a complete,
-//!   CRC-valid batch after it cannot come from a cut append, so [`read_segment`] fails
-//!   with [`CkptError::Corrupt`] instead of reporting a clean prefix that would drop the
-//!   acknowledged batches behind the damage.
+//! * **Damage behind a valid batch is reported** — a torn append is always the *last*
+//!   thing in a file: writes land in order, and a writer truncates a failed append
+//!   before appending again. So when [`read_segment`] finds a complete, CRC-valid batch
+//!   anywhere past the point where the clean prefix stops, it reports that offset
+//!   ([`SegmentScan::valid_frame_after`]). Under per-batch sync that is damage to
+//!   acknowledged bytes, and the caller must refuse to truncate; without it a power
+//!   loss may persist pages out of order, and the caller may treat it as a tear.
 //! * **Sealed segments must be clean** — only the highest-indexed segment may carry a
 //!   torn tail (it was the active one when the process died). A torn or short batch in
 //!   any earlier segment means bytes rotted *after* they were sealed, which replay-based
 //!   recovery must not paper over; readers of a whole log treat it as corruption.
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, RangeCrc};
 use crate::error::{CkptError, Result};
 use crate::io::{Fs, StorageFile};
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// First eight bytes of every segment file.
@@ -234,6 +238,10 @@ pub struct SegmentScan {
     pub clean_len: u64,
     /// Bytes past the clean prefix — a torn trailing batch ([`SegmentScan::is_torn`]).
     pub torn_bytes: u64,
+    /// Offset of the first complete, CRC-valid batch found past the clean prefix when
+    /// it is torn, searching byte by byte (so a damaged length field cannot hide it).
+    /// `Some` means the "tear" has written batches behind it.
+    pub valid_frame_after: Option<u64>,
 }
 
 impl SegmentScan {
@@ -245,13 +253,10 @@ impl SegmentScan {
 
 /// Reads one segment: validates the header strictly (a named segment always has a
 /// complete header — see the module docs on atomic creation), then collects batches
-/// until the clean end of the file or the first torn frame.
-///
-/// A torn tail is a cut final frame, or a CRC-damaged frame followed by nothing but
-/// bytes that do not form a valid frame (zeros, a cut frame, more damage). A
-/// CRC-damaged frame followed by a complete, CRC-valid frame is
-/// [`CkptError::Corrupt`] instead: the batches after it were written, so truncating
-/// would drop acknowledged work.
+/// until the clean end of the file or the first torn or CRC-damaged frame. When the
+/// clean prefix stops short of the end, the rest of the file is searched for a valid
+/// frame ([`SegmentScan::valid_frame_after`]); deciding what that means is the
+/// caller's.
 pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
     let bytes = fs.read(path)?;
     if bytes.len() < SEGMENT_HEADER_LEN as usize {
@@ -277,57 +282,46 @@ pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
 
     let mut batches = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN as usize;
-    while let Some((len, stored_crc)) = frame_at(&bytes, offset) {
-        let body = offset + BATCH_HEADER_LEN as usize;
-        let payload = &bytes[body..body + len];
+    while let Some((range, stored_crc)) = frame_at(&bytes, offset) {
+        let payload = &bytes[range.clone()];
         if crc32(payload) != stored_crc {
-            if let Some(next) = valid_frame_from(&bytes, body + len) {
-                return Err(CkptError::Corrupt {
-                    what: "wal segment",
-                    detail: format!(
-                        "{}: the batch at byte {offset} fails its CRC but a valid batch \
-                         follows at byte {next} — damage, not a torn tail",
-                        path.display()
-                    ),
-                });
-            }
-            break; // torn: payload bytes landed partially
+            break;
         }
         batches.push(payload.to_vec());
-        offset = body + len;
+        offset = range.end;
+    }
+    // Every later offset could start a frame once a length field is damaged. Lengths
+    // that overrun the file are rejected first; the CRCs of the rest come from one
+    // prefix pass over the torn region, so the search stays linear in its size.
+    let mut valid_frame_after = None;
+    if offset < bytes.len() {
+        let torn = RangeCrc::new(&bytes[offset..]);
+        valid_frame_after = (offset + 1..bytes.len())
+            .find(|&at| {
+                frame_at(&bytes, at).is_some_and(|(range, stored_crc)| {
+                    torn.crc(range.start - offset..range.end - offset) == stored_crc
+                })
+            })
+            .map(|at| at as u64);
     }
     Ok(SegmentScan {
         index,
         batches,
         clean_len: offset as u64,
         torn_bytes: (bytes.len() - offset) as u64,
+        valid_frame_after,
     })
 }
 
-/// `(payload length, stored CRC)` of the frame at `offset` when its header and payload
-/// are both complete; `None` at the end of the file, for a cut header or payload, and
-/// for a zero length (zeroed preallocation) — the shapes a torn tail takes.
-fn frame_at(bytes: &[u8], offset: usize) -> Option<(usize, u32)> {
+/// Payload byte range and stored CRC of the frame at `offset` when its header and
+/// payload are both complete; `None` at the end of the file, for a cut header or
+/// payload, and for a zero length (zeroed preallocation) — the shapes a torn tail takes.
+fn frame_at(bytes: &[u8], offset: usize) -> Option<(Range<usize>, u32)> {
     let header = bytes.get(offset..offset + BATCH_HEADER_LEN as usize)?;
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let available = bytes.len() - offset - BATCH_HEADER_LEN as usize;
-    (len > 0 && len <= available).then_some((len, crc))
-}
-
-/// Walks the complete frames from `offset` on and returns the offset of the first one
-/// whose CRC holds. A CRC-damaged frame with a valid frame after it cannot be a torn
-/// append (writes land in order, and the tail is truncated before anything is appended
-/// after a failed write), so it is damage to acknowledged bytes.
-fn valid_frame_from(bytes: &[u8], mut offset: usize) -> Option<usize> {
-    while let Some((len, crc)) = frame_at(bytes, offset) {
-        let body = offset + BATCH_HEADER_LEN as usize;
-        if crc32(&bytes[body..body + len]) == crc {
-            return Some(offset);
-        }
-        offset = body + len;
-    }
-    None
+    let body = offset + BATCH_HEADER_LEN as usize;
+    (len > 0 && len <= bytes.len() - body).then_some((body..body + len, crc))
 }
 
 #[cfg(test)]
@@ -410,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn crc_damage_before_a_valid_batch_is_corruption_not_a_tear() {
+    fn damage_before_a_valid_batch_reports_where_the_valid_batch_is() {
         let dir = tmp_dir("mid-crc");
         let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
         w.append(b"first").unwrap();
@@ -419,25 +413,43 @@ mod tests {
         w.sync().unwrap();
         let path = w.path().to_path_buf();
         let full = std::fs::read(&path).unwrap();
-        let second_payload = SEGMENT_HEADER_LEN as usize + 2 * BATCH_HEADER_LEN as usize + 5;
+        let second = SEGMENT_HEADER_LEN as usize + BATCH_HEADER_LEN as usize + 5;
+        let third = second + BATCH_HEADER_LEN as usize + 7;
 
-        let mut bytes = full.clone();
-        bytes[second_payload] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_segment(&Fs::real(), &path).unwrap_err();
-        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
-
-        // The same damage on the final batch, followed only by zero bytes (a zeroed
-        // preallocation) or by a cut frame, is still a torn tail.
-        let third = second_payload + 7;
-        for tail in [vec![0u8; 40], full[third..full.len() - 2].to_vec()] {
-            let mut bytes = full[..third].to_vec();
-            bytes[second_payload] ^= 0x40;
-            bytes.extend_from_slice(&tail);
+        // Damage to the second frame's payload, its CRC field, or its length field
+        // (grown past the file, grown within it, shrunk, zeroed): the clean prefix ends
+        // before it either way, and the byte-by-byte search still finds the third.
+        let damage: [(usize, u8); 6] = [
+            (second + BATCH_HEADER_LEN as usize, 0x40),
+            (second + 4, 0x01),
+            (second + 3, 0x01),
+            (second, 0x10),
+            (second, 0x04),
+            (second, 0x07),
+        ];
+        for (at, mask) in damage {
+            let mut bytes = full.clone();
+            bytes[at] ^= mask;
             std::fs::write(&path, &bytes).unwrap();
             let scan = read_segment(&Fs::real(), &path).unwrap();
-            assert_eq!(scan.batches, vec![b"first".to_vec()]);
-            assert_eq!(scan.torn_bytes, (bytes.len() - second_payload) as u64 + 8);
+            assert_eq!(scan.batches, vec![b"first".to_vec()], "flip at {at}");
+            assert_eq!(scan.clean_len, second as u64, "flip at {at}");
+            assert_eq!(scan.valid_frame_after, Some(third as u64), "flip at {at}");
+        }
+
+        // The same damage on the final batch, followed only by zero bytes (a zeroed
+        // preallocation) or by a cut frame, has nothing valid behind it.
+        for tail in [vec![0u8; 40], full[third..full.len() - 2].to_vec()] {
+            for (at, mask) in damage {
+                let mut bytes = full[..third].to_vec();
+                bytes[at] ^= mask;
+                bytes.extend_from_slice(&tail);
+                std::fs::write(&path, &bytes).unwrap();
+                let scan = read_segment(&Fs::real(), &path).unwrap();
+                assert_eq!(scan.batches, vec![b"first".to_vec()], "flip at {at}");
+                assert_eq!(scan.torn_bytes, (bytes.len() - second) as u64);
+                assert_eq!(scan.valid_frame_after, None, "flip at {at}");
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

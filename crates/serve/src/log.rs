@@ -285,7 +285,11 @@ pub struct LogConfig {
     /// `fdatasync` after every appended batch (the default). The server acknowledges a
     /// round's clients only after the append returns, so with this on an acknowledged
     /// decision is durable — the contract recovery relies on. Turning it off trades
-    /// that guarantee for throughput (the OS flushes on its own schedule).
+    /// that guarantee for throughput (the OS flushes on its own schedule). It also sets
+    /// how [`DecisionLog::recover`] reads damage in the final segment with a valid batch
+    /// behind it: on, that is corruption and recovery refuses; off, a power loss may
+    /// have persisted pages out of order, so recovery truncates at the damage like any
+    /// torn tail, dropping the batches behind it.
     pub sync_every_batch: bool,
     /// Storage backend every log operation goes through. [`Fs::real`] in production;
     /// the fault-injection suites swap in [`Fs::faulty`] to poison any numbered I/O
@@ -404,10 +408,12 @@ impl DecisionLog {
     /// deleted; a torn tail on the **final** segment is truncated away (it was never
     /// acknowledged) while a torn tail on any *sealed* segment is an error — those
     /// bytes were synced before the next segment opened, so damage there is real
-    /// corruption that replay must not paper over; so is a CRC-damaged batch with a
-    /// valid batch after it in any segment (see [`wal::read_segment`]), which fails
-    /// recovery before any segment is truncated; an interrupted compaction is
-    /// finished (absorbed segments and superseded bases deleted).
+    /// corruption that replay must not paper over; so is, with
+    /// [`LogConfig::sync_every_batch`] on, a damaged batch with a valid batch after it
+    /// in any segment (see [`wal::SegmentScan::valid_frame_after`]), which fails
+    /// recovery before any segment is truncated and names the byte the damage starts
+    /// at; an interrupted compaction is finished (absorbed segments and superseded
+    /// bases deleted).
     ///
     /// Base preference: the newest base image that validates (magic, version, section
     /// CRCs, exact decode) *and* whose suffix segments are present wins; an invalid
@@ -422,7 +428,7 @@ impl DecisionLog {
         for tmp in &layout.tmp {
             fs.remove_file(tmp)?;
         }
-        let live = layout.live(&fs)?;
+        let live = layout.live(&fs, config.sync_every_batch)?;
         let mut recovery = live.recovery;
         recovery.removed_tmp = layout.tmp.len();
         let suffix_start = recovery.base.unwrap_or(0);
@@ -468,9 +474,10 @@ impl DecisionLog {
 
     /// Read-only scan of a possibly compacted log through `fs`: the base image
     /// [`DecisionLog::recover`] would restore from (if any) plus the suffix records,
-    /// touching nothing on disk. Refuses exactly what `recover` refuses.
+    /// touching nothing on disk. Refuses exactly what `recover` refuses with
+    /// [`LogConfig::sync_every_batch`] on, the default.
     pub fn read_tail(fs: &Fs, dir: &Path) -> Result<(Option<BaseImage>, Vec<LogRecord>)> {
-        let live = LogLayout::scan(fs, dir)?.live(fs)?;
+        let live = LogLayout::scan(fs, dir)?.live(fs, true)?;
         Ok((live.base, live.records))
     }
 
@@ -710,8 +717,11 @@ impl LogLayout {
     /// the others are counted invalid. With no valid base the suffix is the whole
     /// history, which must then start at segment 0 — a compacted prefix with no valid
     /// base, or bases with no segments at all, is an error, never a partial history.
-    /// Only the final suffix segment may carry a torn tail.
-    fn live(&self, fs: &Fs) -> Result<LiveLog> {
+    /// Only the final suffix segment may carry a torn tail. With `synced_every_batch`, a
+    /// torn point with a valid batch behind it is damage to acknowledged batches and an
+    /// error; without it, it is what a power loss that persisted pages out of order
+    /// leaves, and counts as a torn tail.
+    fn live(&self, fs: &Fs, synced_every_batch: bool) -> Result<LiveLog> {
         let mut recovery = LogRecovery::default();
         let first = self.segments.first().map(|(index, _)| *index);
         let last = self.segments.last().map(|(index, _)| *index);
@@ -771,6 +781,18 @@ impl LogLayout {
                 });
             }
             if segment.is_torn() {
+                if let Some(valid) = segment.valid_frame_after.filter(|_| synced_every_batch) {
+                    return Err(ServeError::Log {
+                        detail: format!(
+                            "{}: the batch at byte {} is damaged but a valid batch follows \
+                             at byte {valid} — not a torn tail; truncating to {} bytes \
+                             would drop acknowledged batches",
+                            path.display(),
+                            segment.clean_len,
+                            segment.clean_len
+                        ),
+                    });
+                }
                 if pos + 1 != suffix.len() {
                     return Err(ServeError::Log {
                         detail: format!(
@@ -1019,6 +1041,39 @@ mod tests {
         assert_eq!(probe.fired().len(), 1);
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), full_len);
         assert_eq!(DecisionLog::read(&dir).unwrap(), records);
+
+        // Rot in the second batch's length field: whether the flipped length overruns
+        // the file or lands on a wrong frame boundary, the valid batches behind it are
+        // still found, and the error names the byte to truncate at.
+        let full = std::fs::read(&seg).unwrap();
+        let header = wal::SEGMENT_HEADER_LEN as usize;
+        let frame = wal::BATCH_HEADER_LEN as usize;
+        let second = header
+            + frame
+            + u32::from_le_bytes(full[header..header + 4].try_into().unwrap()) as usize;
+        for (at, mask) in [(second + 3, 0x01), (second, 0x01), (second, 0x20)] {
+            let mut bytes = full.clone();
+            bytes[at] ^= mask;
+            std::fs::write(&seg, &bytes).unwrap();
+            let err = DecisionLog::recover(LogConfig::new(&dir)).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::Log { detail }
+                    if detail.contains("not a torn tail")
+                        && detail.contains(&format!("truncating to {second} bytes"))),
+                "flip at {at}: {err}"
+            );
+            assert_eq!(std::fs::metadata(&seg).unwrap().len(), full_len);
+        }
+
+        // Without per-batch sync nothing after the last sync was promised durable, and
+        // a power loss may persist pages out of order: the same damage is a torn tail.
+        let mut config = LogConfig::new(&dir);
+        config.sync_every_batch = false;
+        let recovered = DecisionLog::recover(config).unwrap();
+        assert_eq!(recovered.records, records[..2].to_vec());
+        assert_eq!(recovered.recovery.truncated_bytes, full_len - second as u64);
+        drop(recovered);
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), second as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
