@@ -226,13 +226,15 @@ impl SegmentWriter {
     }
 }
 
-/// Everything [`read_segment`] found in one segment file.
-#[derive(Debug)]
+/// Everything [`read_segment`] found in one segment file. The file's bytes are held
+/// once; [`SegmentScan::batches`] hands out the payloads as slices into them.
 pub struct SegmentScan {
     /// Segment index stored in the header.
     pub index: u64,
-    /// The CRC-verified record-batch payloads, in append order.
-    pub batches: Vec<Vec<u8>>,
+    /// The whole file as read.
+    bytes: Vec<u8>,
+    /// Byte range of each CRC-verified record-batch payload, in append order.
+    payloads: Vec<Range<usize>>,
     /// Byte length of the clean prefix (header plus every complete batch); equals the
     /// file length when the segment is clean.
     pub clean_len: u64,
@@ -244,15 +246,32 @@ pub struct SegmentScan {
     pub valid_frame_after: Option<u64>,
 }
 
+impl fmt::Debug for SegmentScan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SegmentScan")
+            .field("index", &self.index)
+            .field("batches", &self.payloads.len())
+            .field("clean_len", &self.clean_len)
+            .field("torn_bytes", &self.torn_bytes)
+            .field("valid_frame_after", &self.valid_frame_after)
+            .finish()
+    }
+}
+
 impl SegmentScan {
     /// True when the file ends in an incomplete or CRC-damaged batch.
     pub fn is_torn(&self) -> bool {
         self.torn_bytes > 0
     }
+
+    /// The CRC-verified record-batch payloads, in append order.
+    pub fn batches(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.payloads.iter().map(|range| &self.bytes[range.clone()])
+    }
 }
 
 /// Reads one segment: validates the header strictly (a named segment always has a
-/// complete header — see the module docs on atomic creation), then collects batches
+/// complete header — see the module docs on atomic creation), then finds batches
 /// until the clean end of the file or the first torn or CRC-damaged frame. When the
 /// clean prefix stops short of the end, the rest of the file is searched for a valid
 /// frame ([`SegmentScan::valid_frame_after`]); deciding what that means is the
@@ -280,15 +299,14 @@ pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
     }
     let index = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
 
-    let mut batches = Vec::new();
+    let mut payloads = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN as usize;
     while let Some((range, stored_crc)) = frame_at(&bytes, offset) {
-        let payload = &bytes[range.clone()];
-        if crc32(payload) != stored_crc {
+        if crc32(&bytes[range.clone()]) != stored_crc {
             break;
         }
-        batches.push(payload.to_vec());
         offset = range.end;
+        payloads.push(range);
     }
     // Every later offset could start a frame once a length field is damaged. Lengths
     // that overrun the file are rejected first; the CRCs of the rest come from one
@@ -306,10 +324,11 @@ pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
     }
     Ok(SegmentScan {
         index,
-        batches,
         clean_len: offset as u64,
         torn_bytes: (bytes.len() - offset) as u64,
         valid_frame_after,
+        bytes,
+        payloads,
     })
 }
 
@@ -362,7 +381,10 @@ mod tests {
         assert_eq!(scan.index, 0);
         assert!(!scan.is_torn());
         assert_eq!(scan.clean_len, w.len());
-        assert_eq!(scan.batches, vec![b"first".to_vec(), vec![0xAB; 300]]);
+        assert_eq!(
+            scan.batches().collect::<Vec<_>>(),
+            vec![b"first".to_vec(), vec![0xAB; 300]]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -379,7 +401,11 @@ mod tests {
         for cut in clean_prefix..full.len() {
             std::fs::write(w.path(), &full[..cut]).unwrap();
             let scan = read_segment(&Fs::real(), w.path()).unwrap();
-            assert_eq!(scan.batches, vec![b"keep-me".to_vec()], "cut at {cut}");
+            assert_eq!(
+                scan.batches().collect::<Vec<_>>(),
+                vec![b"keep-me".to_vec()],
+                "cut at {cut}"
+            );
             assert_eq!(scan.clean_len, clean_prefix as u64, "cut at {cut}");
             assert_eq!(scan.is_torn(), cut > clean_prefix, "cut at {cut}");
         }
@@ -398,7 +424,7 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(w.path(), &bytes).unwrap();
         let scan = read_segment(&Fs::real(), w.path()).unwrap();
-        assert_eq!(scan.batches, vec![b"good".to_vec()]);
+        assert_eq!(scan.batches().collect::<Vec<_>>(), vec![b"good".to_vec()]);
         assert!(scan.is_torn());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -432,7 +458,11 @@ mod tests {
             bytes[at] ^= mask;
             std::fs::write(&path, &bytes).unwrap();
             let scan = read_segment(&Fs::real(), &path).unwrap();
-            assert_eq!(scan.batches, vec![b"first".to_vec()], "flip at {at}");
+            assert_eq!(
+                scan.batches().collect::<Vec<_>>(),
+                vec![b"first".to_vec()],
+                "flip at {at}"
+            );
             assert_eq!(scan.clean_len, second as u64, "flip at {at}");
             assert_eq!(scan.valid_frame_after, Some(third as u64), "flip at {at}");
         }
@@ -446,7 +476,11 @@ mod tests {
                 bytes.extend_from_slice(&tail);
                 std::fs::write(&path, &bytes).unwrap();
                 let scan = read_segment(&Fs::real(), &path).unwrap();
-                assert_eq!(scan.batches, vec![b"first".to_vec()], "flip at {at}");
+                assert_eq!(
+                    scan.batches().collect::<Vec<_>>(),
+                    vec![b"first".to_vec()],
+                    "flip at {at}"
+                );
                 assert_eq!(scan.torn_bytes, (bytes.len() - second) as u64);
                 assert_eq!(scan.valid_frame_after, None, "flip at {at}");
             }
@@ -473,7 +507,7 @@ mod tests {
         w.sync().unwrap();
         let scan = read_segment(&Fs::real(), &path).unwrap();
         assert_eq!(
-            scan.batches,
+            scan.batches().collect::<Vec<_>>(),
             vec![b"stable".to_vec(), b"after-crash".to_vec()]
         );
         assert!(!scan.is_torn());
@@ -532,7 +566,7 @@ mod tests {
         w.sync().unwrap();
         let scan = read_segment(&Fs::real(), &path).unwrap();
         assert_eq!(
-            scan.batches,
+            scan.batches().collect::<Vec<_>>(),
             vec![b"durable".to_vec(), b"after-heal".to_vec()]
         );
         assert!(!scan.is_torn());

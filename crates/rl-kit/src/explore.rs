@@ -4,8 +4,8 @@
 //!   Q values, otherwise it picks a random task. The paper's schedule increases ε (the
 //!   *exploit* probability) from 0.9 to 0.98.
 //! * [`GaussianQNoise`] for list recommendation: instead of fully random ordering, zero-mean
-//!   Gaussian noise with the std of the current Q values (times a decaying factor) is added
-//!   to every Q value before ranking.
+//!   Gaussian noise with the std of the current finite Q values (times a decaying factor) is
+//!   added to every finite Q value before ranking.
 
 use crate::schedule::Schedule;
 use crowd_tensor::ops::best_first;
@@ -110,24 +110,34 @@ impl GaussianQNoise {
 
     /// Returns (possibly) noise-perturbed copies of the Q values and advances the schedule.
     ///
-    /// With probability `noise_probability`, each Q value receives `N(0, σ·decay)` noise where
-    /// σ is the standard deviation of the current Q values; otherwise the values are returned
-    /// unchanged.
+    /// With probability `noise_probability`, each finite Q value receives `N(0, σ·decay)`
+    /// noise where σ is the standard deviation of the finite Q values; otherwise the values
+    /// are returned unchanged. NaN and infinite values pass through without a draw, so one
+    /// NaN cannot turn σ, and with it every perturbed value, into NaN; with no finite values
+    /// no noise is added.
     pub fn perturb(&mut self, q_values: &[f32], rng: &mut Rng) -> Vec<f32> {
         let decay = self.decay_factor();
         self.step += 1;
         if q_values.is_empty() || !rng.chance(self.noise_probability) {
             return q_values.to_vec();
         }
-        let mean = q_values.iter().sum::<f32>() / q_values.len() as f32;
-        let var = q_values.iter().map(|q| (q - mean).powi(2)).sum::<f32>() / q_values.len() as f32;
+        let finite = || q_values.iter().copied().filter(|q| q.is_finite());
+        let count = finite().count();
+        let mean = finite().sum::<f32>() / count as f32;
+        let var = finite().map(|q| (q - mean).powi(2)).sum::<f32>() / count as f32;
         let std = var.sqrt();
-        if std <= f32::EPSILON {
+        if count == 0 || std <= f32::EPSILON {
             return q_values.to_vec();
         }
         q_values
             .iter()
-            .map(|&q| q + rng.normal(0.0, std * decay))
+            .map(|&q| {
+                if q.is_finite() {
+                    q + rng.normal(0.0, std * decay)
+                } else {
+                    q
+                }
+            })
             .collect()
     }
 
@@ -257,6 +267,53 @@ mod tests {
                 noise_b.rank(&[0.5, 0.9, 0.1], &mut rng_b)
             );
         }
+    }
+
+    #[test]
+    fn gaussian_noise_comes_from_the_finite_values_only() {
+        let q = [1.0, f32::NAN, 3.0, 2.0];
+        let mut noise = GaussianQNoise::new(1.0, Schedule::Constant(1.0));
+        let mut rng = Rng::seed_from(5);
+        let perturbed = noise.perturb(&q, &mut rng);
+        assert_eq!(perturbed.iter().filter(|v| v.is_finite()).count(), 3);
+        assert!(perturbed[1].is_nan());
+        assert!(perturbed
+            .iter()
+            .zip(q)
+            .any(|(p, q)| q.is_finite() && *p != q));
+
+        // The ranking orders the three finite values and puts the NaN last.
+        let order = noise.rank(&q, &mut rng);
+        assert_eq!(order.len(), 4);
+        assert_eq!(order[3], 1);
+        let mut finite = order[..3].to_vec();
+        finite.sort_unstable();
+        assert_eq!(finite, vec![0, 2, 3]);
+
+        // No finite value: nothing to take σ from, so nothing is added.
+        let none = [f32::NAN, f32::INFINITY];
+        let out = noise.perturb(&none, &mut rng);
+        assert!(out[0].is_nan() && out[1] == f32::INFINITY);
+    }
+
+    #[test]
+    fn gaussian_noise_on_finite_values_keeps_its_bits_and_draws() {
+        // The mean and σ over all-finite values, computed the pre-filter way.
+        let q = [0.5f32, -1.25, 3.0, 0.125, 2.0];
+        let mut noise = GaussianQNoise::new(1.0, Schedule::Constant(0.5));
+        let mut rng = Rng::seed_from(9);
+        let mut reference = rng.clone();
+        let perturbed = noise.perturb(&q, &mut rng);
+        assert!(reference.chance(1.0));
+        let mean = q.iter().sum::<f32>() / q.len() as f32;
+        let std = (q.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / q.len() as f32).sqrt();
+        let expected: Vec<f32> = q
+            .iter()
+            .map(|&v| v + reference.normal(0.0, std * 0.5))
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&perturbed), bits(&expected));
+        assert_eq!(rng.below(1 << 20), reference.below(1 << 20), "same draws");
     }
 
     #[test]

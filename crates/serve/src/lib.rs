@@ -91,6 +91,7 @@ pub mod traffic;
 pub use error::{Result, ServeError};
 pub use log::{
     BaseImage, CompactionStats, DecisionLog, LogConfig, LogRecord, LogRecovery, RecoveredLog,
+    RecoveryEvent,
 };
 pub use retry::RetryPolicy;
 pub use server::{

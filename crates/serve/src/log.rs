@@ -334,17 +334,23 @@ pub struct LogRecovery {
     pub invalid_bases: usize,
 }
 
-/// Everything [`DecisionLog::recover`] hands back: the reopened log, the preferred
-/// base image (if the log was compacted), the suffix records and the repair report.
+/// What a log scan hands its sink, in commit order: the chosen base image first (only
+/// for a compacted log), then each committed record batch of the live suffix. With no
+/// base the suffix is the whole history.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecoveryEvent {
+    /// The base image standing in for the deleted prefix.
+    Base(BaseImage),
+    /// One committed round's records, as one append wrote them.
+    Batch(Vec<LogRecord>),
+}
+
+/// Everything [`DecisionLog::recover`] hands back once its sink has seen the whole
+/// live log: the reopened log and the repair report.
 #[derive(Debug)]
 pub struct RecoveredLog {
     /// The log, reopened for appending after the last committed batch.
     pub log: DecisionLog,
-    /// The base image standing in for the deleted prefix, when one was used.
-    pub base: Option<BaseImage>,
-    /// The committed records of the live suffix, in commit order. With no base this is
-    /// the whole history.
-    pub records: Vec<LogRecord>,
     /// What was found and repaired.
     pub recovery: LogRecovery,
 }
@@ -401,8 +407,15 @@ impl DecisionLog {
         })
     }
 
-    /// Opens an existing log for appending, returning the preferred base image, every
-    /// committed suffix record in commit order, and what was repaired.
+    /// Opens an existing log for appending. The preferred base image and then every
+    /// committed suffix batch go to `sink` ([`RecoveryEvent`]) as each segment is read,
+    /// so recovery holds one segment's bytes at a time, however long the log is. What
+    /// was repaired comes back with the reopened log.
+    ///
+    /// Nothing on disk is truncated or deleted until every suffix segment has been read,
+    /// validated and handed to the sink. An error — a refusal below, or one the sink
+    /// returns (say a replay divergence) — therefore leaves every file as it was, but
+    /// the sink may already have seen a base and some batches.
     ///
     /// Repairs: `.tmp` leftovers (segment rotations *and* base-image writes) are
     /// deleted; a torn tail on the **final** segment is truncated away (it was never
@@ -421,14 +434,17 @@ impl DecisionLog {
     /// log whose segment history is incomplete (first segment past 0) with no valid
     /// base covering the gap is an error, never a silent partial replay. An empty or
     /// absent directory recovers to a fresh log.
-    pub fn recover(config: LogConfig) -> Result<RecoveredLog> {
+    pub fn recover(
+        config: LogConfig,
+        mut sink: impl FnMut(RecoveryEvent) -> Result<()>,
+    ) -> Result<RecoveredLog> {
         let fs = config.fs.clone();
         fs.create_dir_all(&config.dir)?;
         let layout = LogLayout::scan(&fs, &config.dir)?;
         for tmp in &layout.tmp {
             fs.remove_file(tmp)?;
         }
-        let live = layout.live(&fs, config.sync_every_batch)?;
+        let live = layout.live(&fs, config.sync_every_batch, &mut sink)?;
         let mut recovery = live.recovery;
         recovery.removed_tmp = layout.tmp.len();
         let suffix_start = recovery.base.unwrap_or(0);
@@ -447,12 +463,7 @@ impl DecisionLog {
             first_index: suffix_start,
             dirty: false,
         };
-        Ok(RecoveredLog {
-            log,
-            base: live.base,
-            records: live.records,
-            recovery,
-        })
+        Ok(RecoveredLog { log, recovery })
     }
 
     /// Read-only scan of an **uncompacted** log directory on the real filesystem
@@ -477,8 +488,15 @@ impl DecisionLog {
     /// touching nothing on disk. Refuses exactly what `recover` refuses with
     /// [`LogConfig::sync_every_batch`] on, the default.
     pub fn read_tail(fs: &Fs, dir: &Path) -> Result<(Option<BaseImage>, Vec<LogRecord>)> {
-        let live = LogLayout::scan(fs, dir)?.live(fs, true)?;
-        Ok((live.base, live.records))
+        let (mut base, mut records) = (None, Vec::new());
+        LogLayout::scan(fs, dir)?.live(fs, true, &mut |event| {
+            match event {
+                RecoveryEvent::Base(image) => base = Some(image),
+                RecoveryEvent::Batch(batch) => records.extend(batch),
+            }
+            Ok(())
+        })?;
+        Ok((base, records))
     }
 
     /// Appends one committed round as a single record batch, rotating to a new segment
@@ -553,13 +571,13 @@ impl DecisionLog {
         let fs = &self.config.fs;
         self.writer = if fs.exists(&path) {
             let scan = wal::read_segment(fs, &path)?;
-            if scan.index != next || !scan.batches.is_empty() {
+            if scan.index != next || scan.batches().len() > 0 {
                 return Err(ServeError::Log {
                     detail: format!(
                         "cannot adopt {} during rotation: header index {} with {} batches",
                         path.display(),
                         scan.index,
-                        scan.batches.len()
+                        scan.batches().len()
                     ),
                 });
             }
@@ -661,11 +679,9 @@ struct LogLayout {
     tmp: Vec<PathBuf>,
 }
 
-/// The live part of a log: the chosen base image, the suffix records and where the
-/// final segment's clean prefix ends.
+/// What [`LogLayout::live`] learned besides the events it sank: the counts and where
+/// the final segment's clean prefix ends.
 struct LiveLog {
-    base: Option<BaseImage>,
-    records: Vec<LogRecord>,
     /// `segments`, `batches`, `truncated_bytes`, `base` and `invalid_bases` filled in.
     recovery: LogRecovery,
     /// `(index, path, clean_len)` of the final suffix segment; `None` for no segments.
@@ -710,7 +726,10 @@ impl LogLayout {
         Ok(layout)
     }
 
-    /// Picks the base image and reads the live suffix, each segment once.
+    /// Picks the base image and reads the live suffix, each segment once, handing the
+    /// base and then every batch to `sink` in commit order. A segment's batches reach
+    /// the sink only after the whole segment has been read and validated, and the sink
+    /// sees each batch before the next segment is read.
     ///
     /// The newest base that validates (magic, version, section CRCs, exact decode, the
     /// suffix start its name promises) *and* whose suffix segments are present wins;
@@ -721,7 +740,12 @@ impl LogLayout {
     /// torn point with a valid batch behind it is damage to acknowledged batches and an
     /// error; without it, it is what a power loss that persisted pages out of order
     /// leaves, and counts as a torn tail.
-    fn live(&self, fs: &Fs, synced_every_batch: bool) -> Result<LiveLog> {
+    fn live(
+        &self,
+        fs: &Fs,
+        synced_every_batch: bool,
+        sink: &mut dyn FnMut(RecoveryEvent) -> Result<()>,
+    ) -> Result<LiveLog> {
         let mut recovery = LogRecovery::default();
         let first = self.segments.first().map(|(index, _)| *index);
         let last = self.segments.last().map(|(index, _)| *index);
@@ -758,6 +782,9 @@ impl LogLayout {
             }
             _ => {}
         }
+        if let Some(image) = base {
+            sink(RecoveryEvent::Base(image))?;
+        }
 
         let suffix_start = recovery.base.unwrap_or(0);
         let absorbed = self
@@ -767,7 +794,6 @@ impl LogLayout {
             .count();
         let suffix = &self.segments[absorbed..];
         recovery.segments = suffix.len();
-        let mut records = Vec::new();
         let mut tail = None;
         for (pos, (index, path)) in suffix.iter().enumerate() {
             let segment = wal::read_segment(fs, path)?;
@@ -804,18 +830,13 @@ impl LogLayout {
                 }
                 recovery.truncated_bytes = segment.torn_bytes;
             }
-            recovery.batches += segment.batches.len();
-            for payload in &segment.batches {
-                records.extend(decode_batch(payload)?);
+            recovery.batches += segment.batches().len();
+            for payload in segment.batches() {
+                sink(RecoveryEvent::Batch(decode_batch(payload)?))?;
             }
             tail = Some((*index, path.clone(), segment.clean_len));
         }
-        Ok(LiveLog {
-            base,
-            records,
-            recovery,
-            tail,
-        })
+        Ok(LiveLog { recovery, tail })
     }
 
     /// Deletes what a compaction at `suffix_start` absorbed: the segments below it,
@@ -905,6 +926,25 @@ mod tests {
         dir
     }
 
+    /// Recovers through a sink that collects what it is handed: the base image, which
+    /// must come before every batch, and the suffix records in commit order.
+    fn recover_collecting(
+        config: LogConfig,
+    ) -> Result<(RecoveredLog, Option<BaseImage>, Vec<LogRecord>)> {
+        let (mut base, mut records) = (None, Vec::new());
+        let recovered = DecisionLog::recover(config, |event| {
+            match event {
+                RecoveryEvent::Base(image) => {
+                    assert!(base.is_none() && records.is_empty(), "base after a batch");
+                    base = Some(image);
+                }
+                RecoveryEvent::Batch(batch) => records.extend(batch),
+            }
+            Ok(())
+        })?;
+        Ok((recovered, base, records))
+    }
+
     #[test]
     fn record_batch_roundtrips() {
         let mut records = sample_records(3);
@@ -975,9 +1015,9 @@ mod tests {
         assert_eq!(log.rotations(), 3);
         drop(log);
 
-        let recovered = DecisionLog::recover(config).unwrap();
-        assert_eq!(recovered.records, records);
-        assert!(recovered.base.is_none());
+        let (recovered, base, recovered_records) = recover_collecting(config).unwrap();
+        assert_eq!(recovered_records, records);
+        assert!(base.is_none());
         assert_eq!(recovered.recovery.segments, 4);
         assert_eq!(recovered.recovery.batches, 4);
         assert_eq!(recovered.recovery.truncated_bytes, 0);
@@ -998,8 +1038,8 @@ mod tests {
         let bytes = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
 
-        let recovered = DecisionLog::recover(LogConfig::new(&dir)).unwrap();
-        assert_eq!(recovered.records, records[..2].to_vec());
+        let (recovered, _, recovered_records) = recover_collecting(LogConfig::new(&dir)).unwrap();
+        assert_eq!(recovered_records, records[..2].to_vec());
         assert!(recovered.recovery.truncated_bytes > 0);
         // The log continues cleanly after the truncation.
         let mut log = recovered.log;
@@ -1033,7 +1073,7 @@ mod tests {
         }));
         let mut config = LogConfig::new(&dir);
         config.fs = fs;
-        let err = DecisionLog::recover(config).unwrap_err();
+        let err = recover_collecting(config).unwrap_err();
         assert!(
             matches!(&err, ServeError::Log { detail } if detail.contains("not a torn tail")),
             "{err}"
@@ -1055,7 +1095,7 @@ mod tests {
             let mut bytes = full.clone();
             bytes[at] ^= mask;
             std::fs::write(&seg, &bytes).unwrap();
-            let err = DecisionLog::recover(LogConfig::new(&dir)).unwrap_err();
+            let err = recover_collecting(LogConfig::new(&dir)).unwrap_err();
             assert!(
                 matches!(&err, ServeError::Log { detail }
                     if detail.contains("not a torn tail")
@@ -1069,8 +1109,8 @@ mod tests {
         // a power loss may persist pages out of order: the same damage is a torn tail.
         let mut config = LogConfig::new(&dir);
         config.sync_every_batch = false;
-        let recovered = DecisionLog::recover(config).unwrap();
-        assert_eq!(recovered.records, records[..2].to_vec());
+        let (recovered, _, recovered_records) = recover_collecting(config).unwrap();
+        assert_eq!(recovered_records, records[..2].to_vec());
         assert_eq!(recovered.recovery.truncated_bytes, full_len - second as u64);
         drop(recovered);
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), second as u64);
@@ -1091,9 +1131,126 @@ mod tests {
         let bytes = std::fs::read(&seg0).unwrap();
         std::fs::write(&seg0, &bytes[..bytes.len() - 1]).unwrap();
         assert!(matches!(
-            DecisionLog::recover(config),
+            recover_collecting(config),
             Err(ServeError::Log { .. })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file in `dir` with its bytes.
+    fn dir_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_torn_middle_segment_fails_after_the_first_was_sunk_and_touches_no_file() {
+        let dir = tmp_dir("torn-middle");
+        let mut config = LogConfig::new(&dir);
+        config.segment_bytes = 1;
+        let mut log = DecisionLog::create(config.clone()).unwrap();
+        let records = sample_records(3);
+        for pair in records.chunks(2) {
+            log.append(pair).unwrap(); // one batch per segment: 0, 1, 2
+        }
+        drop(log);
+        let seg1 = dir.join(wal::segment_file_name(1));
+        let bytes = std::fs::read(&seg1).unwrap();
+        std::fs::write(&seg1, &bytes[..bytes.len() - 1]).unwrap();
+        let before = dir_files(&dir);
+        assert_eq!(before.len(), 3);
+
+        // Segment 0 streams to the sink before segment 1 is read; the torn sealed
+        // segment then fails recovery, and nothing was truncated or removed.
+        let mut seen = Vec::new();
+        let err = DecisionLog::recover(config, |event| {
+            seen.push(event);
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Log { detail } if detail.contains("sealed segment")),
+            "{err}"
+        );
+        assert_eq!(seen, vec![RecoveryEvent::Batch(records[..2].to_vec())]);
+        assert_eq!(dir_files(&dir), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_sink_error_stops_recovery_and_touches_no_file() {
+        let dir = tmp_dir("sink-error");
+        let mut log = DecisionLog::create(LogConfig::new(&dir)).unwrap();
+        let records = sample_records(2);
+        log.append(&records[..2]).unwrap();
+        log.append(&records[2..]).unwrap();
+        drop(log);
+        // A torn tail that a successful recovery would truncate.
+        let seg = dir.join(wal::segment_file_name(0));
+        let bytes = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
+        let before = dir_files(&dir);
+
+        let mut calls = 0;
+        let err = DecisionLog::recover(LogConfig::new(&dir), |_| {
+            calls += 1;
+            Err(ServeError::Recovery {
+                detail: "refused by the sink".into(),
+            })
+        })
+        .unwrap_err();
+        assert!(matches!(err, ServeError::Recovery { .. }), "{err}");
+        assert_eq!(calls, 1, "the first sink error ends the scan");
+        assert_eq!(dir_files(&dir), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_compacted_log_hands_its_base_to_the_sink_before_the_first_batch() {
+        let dir = tmp_dir("base-first");
+        let mut config = LogConfig::new(&dir);
+        config.segment_bytes = 1;
+        let mut log = DecisionLog::create(config.clone()).unwrap();
+        let records = sample_records(4);
+        for pair in records[..4].chunks(2) {
+            log.append(pair).unwrap();
+        }
+        log.compact(4, vec![(3, context(1))], vec![7]).unwrap();
+        for pair in records[4..].chunks(2) {
+            log.append(pair).unwrap(); // suffix segments 2 and 3
+        }
+        drop(log);
+
+        let mut seen = Vec::new();
+        let recovered = DecisionLog::recover(config, |event| {
+            seen.push(event);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(recovered.recovery.base, Some(2));
+        assert_eq!(recovered.recovery.batches, 2);
+        let base = BaseImage {
+            suffix_start: 2,
+            next_request_id: 4,
+            pending: vec![(3, context(1))],
+            policy: vec![7],
+        };
+        assert_eq!(
+            seen,
+            vec![
+                RecoveryEvent::Base(base),
+                RecoveryEvent::Batch(records[4..6].to_vec()),
+                RecoveryEvent::Batch(records[6..].to_vec()),
+            ]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1103,8 +1260,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("segment-00000000.wlog.tmp"), b"half a header").unwrap();
         std::fs::write(dir.join("base-00000000.ckpt.tmp"), b"half a base").unwrap();
-        let recovered = DecisionLog::recover(LogConfig::new(&dir)).unwrap();
-        assert!(recovered.records.is_empty());
+        let (recovered, base, records) = recover_collecting(LogConfig::new(&dir)).unwrap();
+        assert!(base.is_none() && records.is_empty());
         assert_eq!(recovered.recovery.removed_tmp, 2);
         assert_eq!(recovered.recovery.segments, 0);
         let mut log = recovered.log;
@@ -1152,10 +1309,10 @@ mod tests {
         assert_eq!(base.policy, b"policy-bytes");
         assert_eq!(tail, more[8..].to_vec());
 
-        let recovered = DecisionLog::recover(config).unwrap();
+        let (recovered, recovered_base, records) = recover_collecting(config).unwrap();
         assert_eq!(recovered.recovery.base, Some(4));
-        assert_eq!(recovered.base.unwrap(), base);
-        assert_eq!(recovered.records, more[8..].to_vec());
+        assert_eq!(recovered_base.unwrap(), base);
+        assert_eq!(records, more[8..].to_vec());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1182,10 +1339,11 @@ mod tests {
             .write_to(&Fs::real(), dir.join(base_file_name(2)))
             .unwrap();
 
-        let recovered = DecisionLog::recover(config).unwrap();
+        let (recovered, recovered_base, recovered_records) = recover_collecting(config).unwrap();
         assert_eq!(recovered.recovery.base, Some(2));
+        assert_eq!(recovered_base, Some(base));
         assert_eq!(recovered.recovery.removed_absorbed, 2);
-        assert_eq!(recovered.records, records[4..].to_vec());
+        assert_eq!(recovered_records, records[4..].to_vec());
         assert!(!dir.join(wal::segment_file_name(0)).exists());
         assert!(!dir.join(wal::segment_file_name(1)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1200,10 +1358,12 @@ mod tests {
         drop(log);
         std::fs::write(dir.join(base_file_name(0)), b"not a snapshot at all").unwrap();
 
-        let recovered = DecisionLog::recover(LogConfig::new(&dir)).unwrap();
+        let (recovered, base, recovered_records) =
+            recover_collecting(LogConfig::new(&dir)).unwrap();
         assert_eq!(recovered.recovery.invalid_bases, 1);
         assert_eq!(recovered.recovery.base, None);
-        assert_eq!(recovered.records, records);
+        assert!(base.is_none());
+        assert_eq!(recovered_records, records);
         std::fs::remove_dir_all(&dir).unwrap();
 
         // But a compacted prefix with no valid base is an error, never partial replay.
@@ -1211,7 +1371,7 @@ mod tests {
         std::fs::write(dir.join(base_file_name(1)), b"garbage").unwrap();
         std::fs::remove_file(dir.join(base_file_name(2))).unwrap();
         assert!(matches!(
-            DecisionLog::recover(config),
+            recover_collecting(config),
             Err(ServeError::Log { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1245,7 +1405,7 @@ mod tests {
             Err(ServeError::Log { .. })
         ));
         assert!(matches!(
-            DecisionLog::recover(config),
+            recover_collecting(config),
             Err(ServeError::Log { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -65,7 +65,7 @@
 //! never touch the policy, so no log marker is needed for them.
 
 use crate::error::{Result, ServeError};
-use crate::log::{CompactionStats, DecisionLog, LogRecord, LogRecovery};
+use crate::log::{BaseImage, CompactionStats, DecisionLog, LogRecord, LogRecovery, RecoveryEvent};
 use crowd_ckpt::{StateReader, StateWriter};
 use crowd_parallel::{spawn_dedicated, ThreadPool};
 use crowd_sim::{
@@ -312,6 +312,29 @@ pub fn replay_records_into(
     Ok(())
 }
 
+/// Seeds a recovery from a compaction base: the compacted prefix exists only as the
+/// base image, so the policy's exact state at the cut is restored and the next id and
+/// pending requests are taken from it, before any suffix batch is replayed on top.
+fn restore_base(
+    policy: &mut dyn BatchedPolicy,
+    base: BaseImage,
+    state: &mut ReplayedState,
+) -> Result<()> {
+    let mut r = StateReader::new(&base.policy);
+    policy
+        .restore_state(&mut r)
+        .map_err(|e| ServeError::Recovery {
+            detail: format!("restoring the policy from the compaction base failed: {e}"),
+        })?;
+    r.finish("compaction base policy")
+        .map_err(|e| ServeError::Recovery {
+            detail: e.to_string(),
+        })?;
+    state.next_request_id = base.next_request_id;
+    state.pending = base.pending.into_iter().collect();
+    Ok(())
+}
+
 /// One message on the ingress queue.
 enum Request {
     Decide {
@@ -495,6 +518,13 @@ impl Server {
     /// The returned [`RecoveryReport::pending_requests`] hands back every
     /// acknowledged-but-unanswered request id with its context, so clients can resume
     /// feedback across the crash.
+    ///
+    /// Replay streams: the base is restored before the first suffix batch is decoded,
+    /// and each batch is replayed as soon as `DecisionLog::recover` decodes it, so
+    /// recovery holds one log segment plus the pending map, whatever the log's length.
+    /// On any error — a log refusal or a replay divergence — the files are left as
+    /// they were, but `policy` may have been partly replayed; it is consumed either
+    /// way, so no caller can go on with it.
     pub fn recover(
         mut policy: BoxedBatchedPolicy,
         config: ServeConfig,
@@ -504,25 +534,13 @@ impl Server {
                 detail: "recovery needs a decision log, but the config has none".into(),
             });
         };
-        let recovered = DecisionLog::recover(log_config)?;
         let mut state = ReplayedState::default();
-        if let Some(base) = &recovered.base {
-            // The compacted prefix exists only as the base image: restore the exact
-            // policy state at the cut, then replay just the suffix on top of it.
-            let mut r = StateReader::new(&base.policy);
-            policy
-                .restore_state(&mut r)
-                .map_err(|e| ServeError::Recovery {
-                    detail: format!("restoring the policy from the compaction base failed: {e}"),
-                })?;
-            r.finish("compaction base policy")
-                .map_err(|e| ServeError::Recovery {
-                    detail: e.to_string(),
-                })?;
-            state.next_request_id = base.next_request_id;
-            state.pending = base.pending.iter().cloned().collect();
-        }
-        replay_records_into(policy.as_mut(), &recovered.records, &mut state)?;
+        let recovered = DecisionLog::recover(log_config, |event| match event {
+            RecoveryEvent::Base(base) => restore_base(policy.as_mut(), base, &mut state),
+            RecoveryEvent::Batch(records) => {
+                replay_records_into(policy.as_mut(), &records, &mut state)
+            }
+        })?;
         let report = RecoveryReport {
             replayed_decisions: state.decisions,
             replayed_feedbacks: state.feedbacks,
@@ -742,9 +760,10 @@ impl Worker {
             }
         }
 
-        // 2. One act_batch over every arrival of the round.
-        self.scratch.resize_with(round.decides.len(), Decision::new);
-        {
+        // 2. One act_batch over every arrival of the round; a feedback-only round has
+        // nothing to act on.
+        if !round.decides.is_empty() {
+            self.scratch.resize_with(round.decides.len(), Decision::new);
             let views: Vec<_> = round.decides.iter().map(|(ctx, _, _)| ctx.view()).collect();
             self.policy.act_batch(&views, &mut self.scratch[..]);
         }
@@ -1417,6 +1436,101 @@ mod tests {
         assert_eq!(report.shed_decides, 1);
         assert_eq!(report.decisions, 1);
         assert_eq!(acts.load(Ordering::SeqCst), 1, "shed request never acted");
+    }
+
+    /// A [`CountingPolicy`] that also counts `act_batch` calls.
+    struct BatchCounting {
+        inner: CountingPolicy,
+        batches: Arc<AtomicU64>,
+    }
+
+    impl Policy for BatchCounting {
+        fn name(&self) -> &str {
+            "batch-counting"
+        }
+        fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
+            self.inner.act(view, decision);
+        }
+        fn observe(&mut self, view: &ArrivalView<'_>, feedback: &FeedbackView<'_>) {
+            self.inner.observe(view, feedback);
+        }
+    }
+
+    impl BatchedPolicy for BatchCounting {
+        fn act_batch(&mut self, views: &[ArrivalView<'_>], decisions: &mut [Decision]) {
+            self.batches.fetch_add(1, Ordering::SeqCst);
+            for (view, decision) in views.iter().zip(decisions.iter_mut()) {
+                self.inner.act(view, decision);
+            }
+        }
+    }
+
+    #[test]
+    fn a_feedback_only_round_does_not_call_act_batch() {
+        let (inner, _acts, observes) = CountingPolicy::new();
+        let batches = Arc::new(AtomicU64::new(0));
+        let policy = BatchCounting {
+            inner,
+            batches: batches.clone(),
+        };
+        let server = Server::start(Box::new(policy), ServeConfig::default()).unwrap();
+        let client = server.client();
+        let ctx = context(1, 2);
+        let d = client.decide(ctx.clone()).unwrap();
+        assert_eq!(batches.load(Ordering::SeqCst), 1);
+        // The decide was answered, so its round is over: the feedback (and the stop
+        // marker behind it) make up rounds with no decides.
+        client
+            .feedback(d.request_id, feedback_for(&ctx, &d))
+            .unwrap();
+        let (_policy, report) = server.shutdown();
+        assert_eq!(report.feedbacks, 1);
+        assert_eq!(observes.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            report.rounds, 2,
+            "the feedback committed a round of its own"
+        );
+        assert_eq!(batches.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn recovery_replays_segment_by_segment_and_a_torn_sealed_one_consumes_the_policy() {
+        let dir = tmp_dir("unit-torn-middle");
+        let mut log_config = LogConfig::new(&dir);
+        log_config.segment_bytes = 1; // every round after the first rotates
+        let config = ServeConfig {
+            log: Some(log_config),
+            ..ServeConfig::default()
+        };
+        let (policy, ..) = CountingPolicy::new();
+        let server = Server::start(Box::new(policy), config.clone()).unwrap();
+        let client = server.client();
+        for tag in 0..3 {
+            client.decide(context(tag, 2)).unwrap(); // one round per segment
+        }
+        server.shutdown();
+        let seg1 = dir.join(crowd_ckpt::wal::segment_file_name(1));
+        let bytes = std::fs::read(&seg1).unwrap();
+        std::fs::write(&seg1, &bytes[..bytes.len() - 1]).unwrap();
+        let files = |dir: &PathBuf| {
+            let mut files: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+                .collect();
+            files.sort();
+            files
+        };
+        let before = files(&dir);
+
+        // Segment 0's decision was replayed before segment 1 was read; the torn sealed
+        // segment then fails recovery typed, the partly replayed policy is gone with
+        // the error, and no file changed.
+        let (policy, acts, _) = CountingPolicy::new();
+        let err = Server::recover(Box::new(policy), config).err().unwrap();
+        assert!(matches!(err, ServeError::Log { .. }), "{err}");
+        assert_eq!(acts.load(Ordering::SeqCst), 1);
+        assert_eq!(files(&dir), before);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
