@@ -7,7 +7,7 @@
 //! effects of the perturbed stream itself (different pool sizes, different arrival
 //! counts). The fence: the churn-heavy per-arrival rate stays within 2× of the
 //! stationary rate (`overhead/churn_vs_stationary` in the JSON report, alongside
-//! `sharded_scale.json` in CI).
+//! `replay_scale.json` in CI).
 //!
 //! `--smoke` (CI) shrinks to the tiny dataset; the full tier replays the
 //! CrowdSpring-replica scale.

@@ -7,7 +7,7 @@
 //! pure integer/IEEE-exact arithmetic — so its bytes are identical on every platform
 //! and toolchain. `tests/checkpoint_equivalence.rs::format_stability_golden_snapshot`
 //! asserts `golden_snapshot().to_bytes()` equals the committed
-//! `tests/fixtures/format_v3.ckpt` byte for byte: any change to what the writer emits
+//! `tests/fixtures/format_v4.ckpt` byte for byte: any change to what the writer emits
 //! (field added/reordered/re-encoded) fails CI until the format version is bumped and a
 //! new golden file is committed consciously.
 

@@ -26,9 +26,9 @@
 //!   references in [`reference`](mod@reference) at every benchmarked shape (the speed half of the
 //!   `tests/kernel_equivalence.rs` fence: the blocked kernels must be strictly
 //!   faster), plus the serial-vs-persistent-pool dispatch edge on large products;
-//! * `sharded_scale` — `Platform` replay throughput (arrivals/sec) across shard
-//!   counts at ~100× the paper's dataset scale, plus peak RSS ([`rss::peak_rss_bytes`])
-//!   for the compact (f16) vs full-precision (f32) feature arenas.
+//! * `replay_scale` — one `Platform` replay of the massive tier (~100× the paper's
+//!   dataset scale): arrivals/sec, feature-arena bytes, and peak RSS
+//!   ([`rss::peak_rss_bytes`]) after generation, after build and after the replay.
 //!
 //! Every bench supports `--json <path>` / `CROWD_BENCH_JSON` for machine-readable
 //! results (see [`harness`]).

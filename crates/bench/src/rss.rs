@@ -2,10 +2,10 @@
 //! `/proc/self/status` (`VmHWM`).
 //!
 //! `VmHWM` is the kernel's high-water mark of the process's resident set — it only ever
-//! grows, so a bench comparing configurations must measure the *smaller* configuration
-//! first (the sharded scale bench runs its f16 phase before the f32 one for exactly this
-//! reason). On platforms without procfs the probe returns `None` and the benches simply
-//! omit the RSS lines.
+//! grows, so a reading is the peak *so far*: a bench reports it after each phase (the
+//! replay scale bench reads it after generation, after build and after the replay) and
+//! must never keep an earlier phase's data alive into a later one. On platforms without
+//! procfs the probe returns `None` and the benches simply omit the RSS lines.
 
 /// Peak resident set size of this process in bytes (`VmHWM`), or `None` when
 /// `/proc/self/status` is unavailable or unparseable.

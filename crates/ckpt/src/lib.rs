@@ -35,9 +35,8 @@
 //! * `crowd-nn`: `ParamStore`, `Adam` moment buffers;
 //! * `crowd-rl-kit`: `SumTree` (full node array — see below), `PrioritizedReplay`,
 //!   `EpsilonGreedy` / `GaussianQNoise` schedule positions;
-//! * `crowd-sim`: the `Platform` replay state (behaviour RNG, per-shard
-//!   quality/completion arrays and worker arenas, event cursor) and the `Policy`
-//!   checkpoint hooks;
+//! * `crowd-sim`: the `Platform` replay state (behaviour RNG, pool, quality/completion
+//!   arrays and worker arena, event cursor) and the `Policy` checkpoint hooks;
 //! * `crowd-rl-core`: `DqnLearner`, `DdqnAgent`, `ArrivalStats`, stored transitions;
 //! * `crowd-metrics`: metric accumulators (timers are measurements and are never
 //!   checkpointed);

@@ -5,10 +5,9 @@
 //! the task mix drifts over time. A [`ScenarioSpec`] describes those perturbations, and
 //! [`ScenarioSpec::apply`] compiles them into an ordinary [`Dataset`] **before** the
 //! replay starts. The hot loop is untouched: [`crate::Platform`] replays the
-//! transformed dataset through the exact same zero-copy [`crate::Env`] path at any
-//! shard count, so every bit-identity proof of the stationary replay (thread
-//! counts, shard counts, checkpoint/resume) carries over to every scenario *by
-//! construction* rather than by re-proof.
+//! transformed dataset through the exact same zero-copy [`crate::Env`] path, so every
+//! bit-identity proof of the stationary replay (thread counts, checkpoint/resume)
+//! carries over to every scenario *by construction* rather than by re-proof.
 //!
 //! Determinism contract (fenced by `tests/scenario_equivalence.rs`):
 //!

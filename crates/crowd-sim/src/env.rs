@@ -83,16 +83,18 @@ impl TaskSnapshot {
     }
 }
 
-/// Borrowed view over the platform's per-shard committed state: the routed id list plus
-/// the shards that own the candidate rows, resolved through the platform's striping rule.
+/// Borrowed view over the platform's committed task state: the routed id list plus the
+/// id-indexed arrays the candidate rows are read from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlatformPool<'a> {
     /// Ids of the available tasks, in pool order (global creation order).
     pub ids: &'a [TaskId],
-    /// The shards owning committed task state.
-    pub shards: &'a [crate::platform::Shard],
-    /// Entity → (shard, local row) mapping.
-    pub stripe: crate::platform::Stripe,
+    /// Task feature rows, `feature_dim` per task, indexed by global `TaskId`.
+    pub features: &'a [f32],
+    /// Committed task qualities, indexed by global `TaskId`.
+    pub qualities: &'a [f32],
+    /// Committed completion counts, indexed by global `TaskId`.
+    pub completions: &'a [u32],
     /// Width of one task feature row.
     pub feature_dim: usize,
     /// Static task attributes, indexed by global `TaskId`.
@@ -102,18 +104,17 @@ pub(crate) struct PlatformPool<'a> {
 impl<'a> PlatformPool<'a> {
     fn task(&self, index: usize) -> TaskRef<'a> {
         let id = self.ids[index];
-        let (s, local) = self.stripe.locate(id.index());
-        let shard = &self.shards[s];
-        let task = &self.tasks[id.index()];
+        let i = id.index();
+        let task = &self.tasks[i];
         TaskRef {
             id,
-            feature: shard.pooled_task_feature(local, self.feature_dim),
-            quality: shard.task_qualities[local],
+            feature: &self.features[i * self.feature_dim..(i + 1) * self.feature_dim],
+            quality: self.qualities[i],
             award: task.award,
             category: task.category,
             domain: task.domain,
             deadline: task.deadline,
-            completions: shard.task_completions[local] as usize,
+            completions: self.completions[i] as usize,
         }
     }
 }

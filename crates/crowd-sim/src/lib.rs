@@ -22,10 +22,8 @@
 //!   [`ArrivalView`] / [`FeedbackView`] / [`TaskRef`] views into platform storage, and the
 //!   reusable [`Decision`] buffer — the hot decision loop performs no per-arrival clones;
 //! * the [`Platform`] environment that replays the event stream over struct-of-arrays
-//!   state (task-feature arenas, worker-feature arenas, quality arrays) and implements
-//!   [`Env`] — one flat shard by default, or partitioned across shards with parallel
-//!   per-shard advance and optional f16 arenas ([`ShardSpec`]), bit-identical in f32 at
-//!   every shard count;
+//!   state (a task-feature arena, a worker-feature arena, quality arrays — one f32 layout
+//!   indexed by global id) and implements [`Env`];
 //! * the [`Policy`] trait implemented by the DDQN agent (`crowd-rl-core`) and all baselines
 //!   (`crowd-baselines`);
 //! * dataset statistics used to regenerate Fig. 5 and Fig. 6 in [`stats`].
@@ -63,7 +61,6 @@
 
 pub mod arrival;
 pub mod behavior;
-pub mod compact;
 pub mod dataset;
 pub mod dynamics;
 pub mod env;
@@ -79,14 +76,13 @@ pub mod worker;
 
 pub use arrival::GapDistribution;
 pub use behavior::BehaviorModel;
-pub use compact::{f16_bits_to_f32, f16_round_trip, f32_to_f16_bits, FeatureArena};
 pub use dataset::{Dataset, MINUTES_PER_DAY, MINUTES_PER_MONTH};
 pub use dynamics::{AvailabilityWindow, DayNightCycle, DriftEpoch, ScenarioSpec, SurgePhase};
 pub use env::{ArrivalView, Decision, Env, FeedbackView, TaskRef};
 pub use event::{Event, EventKind};
 pub use features::FeatureSpace;
 pub use generator::{perturb_worker_qualities, resample_arrivals, SimConfig};
-pub use platform::{Platform, ShardSpec};
+pub use platform::Platform;
 pub use policy::{
     Action, ArrivalContext, BatchedPolicy, BoxedBatchedPolicy, BoxedPolicy, LearnerBranchTiming,
     LearnerTiming, Policy, PolicyFeedback, TaskSnapshot,

@@ -2,322 +2,42 @@
 //! policy for each worker arrival and applies the worker's (simulated) feedback.
 //!
 //! [`Platform`] implements the zero-copy [`Env`] interface. All dynamic state is kept in
-//! struct-of-arrays storage — task-feature arenas filled once at construction, worker-feature
-//! arenas, per-task quality/completion arrays — so an [`ArrivalView`] is a bundle of borrowed
-//! slices and building one costs nothing.
+//! struct-of-arrays storage indexed by global id — a task-feature arena filled once at
+//! construction, a worker-feature arena, per-task quality/completion arrays — so an
+//! [`ArrivalView`] is a bundle of borrowed slices and building one costs nothing.
 //!
 //! State mutations from [`Env::apply`] are *staged* and committed at the next
 //! [`Env::next_arrival`], which keeps every view (arrival and feedback) stable for the
 //! whole decide→apply→observe cycle of one arrival.
 //!
-//! # Shard ownership and routing
+//! # The event scan
 //!
-//! Workers and tasks are partitioned across `S` shards ([`ShardSpec`]; [`Platform::new`]
-//! builds one). Entity `i` (task or worker) is owned by shard `i mod S` at local row
-//! `i / S` — the striping rule lives in one helper, which does no division at `S = 1`, where
-//! the layout is one flat arena per field. A shard owns every piece of committed dynamic
-//! state of its entities: the task feature store, pool membership flags,
-//! quality/completion arrays and completer lists on the task side, and the (mutable)
-//! worker feature arena plus seen/completion arrays on the worker side.
+//! `next_arrival` walks the event stream up to the next worker arrival and applies task
+//! events inline. A creation sets the task's pool flag and appends its id to `routed`, the
+//! policy-visible pool in global creation order (the event stream *is* that order); an
+//! expiry clears the flag. If anything expired, one order-preserving pass then drops the
+//! expired ids from `routed`. The advance contains **no policy calls and no RNG draws**,
+//! which is what lets `Session::step_batched` advance many sessions' environments in
+//! parallel while keeping policy hooks sequential (see `crowd-experiments`).
 //!
-//! The *candidate list* a policy sees is cross-shard: the top level maintains `routed`,
-//! the ids of the currently available tasks in global creation order. Creations append
-//! during the event scan (the event stream is the global creation order); expirations
-//! mark shards dirty and the next arrival compacts `routed` in one order-preserving pass
-//! against the owning shards' membership flags. At arrival time the [`ArrivalView`]
-//! resolves each candidate id to its owning shard's arenas.
+//! # Determinism
 //!
-//! # Parallel per-shard advance
-//!
-//! Task events between two arrivals are routed to per-shard pending lists and applied
-//! per shard; when the batch is large (dataset bursts, month boundaries) and the
-//! environment was given a multi-worker [`ThreadPool`], shards advance in parallel via
-//! `par_chunks` — deterministically, since each shard's event sublist is applied in
-//! event order and shards share no state. The env-only advance contains **no policy
-//! calls and no RNG draws**, which is what lets `Session::step_batched` advance many
-//! sessions' environments in parallel while keeping policy hooks sequential (see
-//! `crowd-experiments`).
-//!
-//! # Bit-identity argument
-//!
-//! With full-precision (f32) arenas, a replay is **bit-identical** at any shard count and
-//! any thread count:
-//!
-//! * the behaviour RNG stays a single top-level stream consumed only inside `apply`, in
-//!   arrival order — sharding never moves or splits a draw;
-//! * the policy-visible pool order is the global creation order, reconstructed exactly
-//!   (append in event order + order-preserving compaction);
-//! * per-entity committed state lives on exactly one shard and is updated by the same
-//!   scalar operations in the same order at every shard count;
-//! * floating-point reductions over many entities ([`Platform::total_task_quality`],
-//!   the canonical fingerprint) iterate in global id order, not shard order.
-//!
-//! `tests/shard_equivalence.rs` proves this end to end at shards {1, 2, 8} ×
-//! `CROWD_THREADS` {1, 4}, and `tests/scenario_equivalence.rs` pins every shard count to
-//! replay probes frozen from the original flat implementation.
-//!
-//! # Compact (f16) arenas
-//!
-//! With [`ShardSpec::compact_features`] the feature stores keep binary16 bits (half the
-//! bytes of f32) so a ~100× replay fits in bounded RSS. Task features are one-hot and
-//! decode losslessly; each shard keeps a small decoded slab holding only the
-//! *pool-resident* task rows (decoded once at pool admission — decoding is pure, so this
-//! caches the exact values a decode-at-view-time implementation would produce).
-//! Worker features are decoded per arrival into one scratch row and re-quantised on
-//! every commit; the quantisation contract is documented in [`crate::compact`] and
-//! pinned by the f16 tests in `tests/shard_equivalence.rs`. Compact mode is an explicit
-//! opt-in precisely because the worker-side round-trip makes it *not* bit-identical to
-//! the f32 path.
+//! The behaviour RNG is a single stream consumed only inside `apply`, in arrival order,
+//! and every reduction over many entities ([`Platform::total_task_quality`]) iterates in
+//! id order, so a replay is a pure function of the dataset, the seed and the policy's
+//! decisions. `tests/scenario_equivalence.rs` pins it to replay probes frozen from the
+//! original flat implementation.
 
 use crate::behavior::BehaviorModel;
-use crate::compact::FeatureArena;
 use crate::dataset::Dataset;
 use crate::env::{ArrivalView, Decision, Env, FeedbackView, PlatformPool};
-use crate::event::{Event, EventKind};
+use crate::event::EventKind;
 use crate::features::FeatureSpace;
 use crate::quality::dixit_stiglitz;
 use crate::task::TaskId;
 use crate::worker::WorkerId;
-use crowd_tensor::{Rng, ThreadPool};
-
-/// Minimum pending task events before the per-shard advance is dispatched on the pool;
-/// below this the per-event work (flag writes, slab admissions) is cheaper inline than a
-/// pool dispatch.
-const PAR_EVENT_THRESHOLD: usize = 256;
-
-/// Minimum decoded-slab slot count before the expiry-burst repack
-/// ([`Shard::maybe_shrink_slab`]) considers shrinking; below this the slab is already
-/// tiny and a repack would just churn allocations.
-const SLAB_SHRINK_MIN_SLOTS: usize = 64;
-
-/// Layout of a [`Platform`]: shard count, feature precision and the pool used for the
-/// per-shard advance.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardSpec {
-    /// Number of shards (clamped to at least 1).
-    pub n_shards: usize,
-    /// Store features as binary16 bits (half the RSS; worker features quantise on every
-    /// commit — see [`crate::compact`]). Off by default: the f32 path is bit-identical
-    /// at every shard count.
-    pub compact_features: bool,
-    /// Pool for the parallel per-shard advance. Serial by default; thread count only
-    /// changes wall clock, never results.
-    pub pool: ThreadPool,
-}
-
-impl Default for ShardSpec {
-    fn default() -> Self {
-        ShardSpec {
-            n_shards: 1,
-            compact_features: false,
-            pool: ThreadPool::serial(),
-        }
-    }
-}
-
-impl ShardSpec {
-    /// A spec with `n_shards` shards, f32 features and a serial pool.
-    pub fn new(n_shards: usize) -> Self {
-        ShardSpec {
-            n_shards: n_shards.max(1),
-            ..ShardSpec::default()
-        }
-    }
-
-    /// Enables or disables compact (f16) feature storage (builder form).
-    pub fn compact(mut self, compact: bool) -> Self {
-        self.compact_features = compact;
-        self
-    }
-
-    /// Sets the advance pool (builder form).
-    pub fn with_pool(mut self, pool: ThreadPool) -> Self {
-        self.pool = pool;
-        self
-    }
-}
-
-/// The striping rule — entity `i` lives on shard `i mod S` at local row `i / S` — in the
-/// one place it is computed. With one shard the mapping is the identity and costs no
-/// integer division, which keeps the single-shard replay as fast as a flat arena.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Stripe {
-    n_shards: usize,
-}
-
-impl Stripe {
-    /// `(shard, local row)` of entity `index`.
-    #[inline]
-    pub(crate) fn locate(self, index: usize) -> (usize, usize) {
-        if self.n_shards == 1 {
-            (0, index)
-        } else {
-            (index % self.n_shards, index / self.n_shards)
-        }
-    }
-
-    /// Number of entities shard `s` owns out of `n`.
-    fn shard_len(self, n: usize, s: usize) -> usize {
-        (n + self.n_shards - 1 - s) / self.n_shards
-    }
-}
-
-/// A shard's task feature rows: full-precision, or binary16 bits plus a decoded slab of
-/// the pool-resident rows (slots are recycled through a free list as tasks expire).
-#[derive(Debug, Clone)]
-pub(crate) enum TaskStore {
-    F32(Vec<f32>),
-    F16 {
-        /// Binary16 bits of every owned task's feature row (cold storage, immutable).
-        bits: Vec<u16>,
-        /// Slab slot of each owned task; valid only while the task is in the pool.
-        slots: Vec<u32>,
-        /// Decoded f32 rows of the pool-resident tasks.
-        slab: Vec<f32>,
-        /// Recycled slab slots.
-        free: Vec<u32>,
-    },
-}
-
-impl TaskStore {
-    /// Decoded feature row of a **pool-resident** task at `local`.
-    fn pooled_row(&self, local: usize, dim: usize) -> &[f32] {
-        match self {
-            TaskStore::F32(rows) => &rows[local * dim..(local + 1) * dim],
-            TaskStore::F16 { slots, slab, .. } => {
-                let slot = slots[local] as usize;
-                &slab[slot * dim..(slot + 1) * dim]
-            }
-        }
-    }
-
-    /// Admits a task into the pool: decodes its row into a (possibly recycled) slab slot.
-    fn admit(&mut self, local: usize, dim: usize) {
-        if let TaskStore::F16 {
-            bits,
-            slots,
-            slab,
-            free,
-        } = self
-        {
-            let slot = match free.pop() {
-                Some(slot) => slot as usize,
-                None => {
-                    let slot = slab.len() / dim;
-                    slab.resize((slot + 1) * dim, 0.0);
-                    slot
-                }
-            };
-            slots[local] = slot as u32;
-            let src = &bits[local * dim..(local + 1) * dim];
-            for (dst, &b) in slab[slot * dim..(slot + 1) * dim].iter_mut().zip(src) {
-                *dst = crate::compact::f16_bits_to_f32(b);
-            }
-        }
-    }
-
-    /// Evicts an expired task: its slab slot becomes recyclable.
-    fn evict(&mut self, local: usize) {
-        if let TaskStore::F16 { slots, free, .. } = self {
-            free.push(slots[local]);
-        }
-    }
-
-    /// Bytes of the store (cold bits/rows plus the decoded slab and its bookkeeping).
-    fn bytes(&self) -> usize {
-        match self {
-            TaskStore::F32(rows) => rows.len() * 4,
-            TaskStore::F16 {
-                bits,
-                slots,
-                slab,
-                free,
-            } => bits.len() * 2 + slots.len() * 4 + slab.len() * 4 + free.len() * 4,
-        }
-    }
-}
-
-/// One shard: the feature arenas and committed dynamic state of the entities it owns
-/// (task/worker `i` with `i mod S == shard index`, at local row `i / S`).
-#[derive(Debug, Clone)]
-pub(crate) struct Shard {
-    pub(crate) tasks: TaskStore,
-    pub(crate) in_pool: Vec<bool>,
-    pub(crate) task_qualities: Vec<f32>,
-    pub(crate) task_completions: Vec<u32>,
-    pub(crate) completer_qualities: Vec<Vec<f32>>,
-    pub(crate) workers: FeatureArena,
-    pub(crate) worker_seen: Vec<bool>,
-    pub(crate) worker_completions: Vec<u32>,
-}
-
-impl Shard {
-    /// Decoded feature row of a pool-resident task (called by the view layer).
-    pub(crate) fn pooled_task_feature(&self, local: usize, dim: usize) -> &[f32] {
-        self.tasks.pooled_row(local, dim)
-    }
-
-    /// Applies this shard's pending task events, in event order.
-    fn apply_events(&mut self, events: &[Event], stripe: Stripe, dim: usize) {
-        let mut expired = false;
-        for event in events {
-            match event.kind {
-                EventKind::TaskCreated(id) => {
-                    let (_, local) = stripe.locate(id.index());
-                    self.in_pool[local] = true;
-                    self.tasks.admit(local, dim);
-                }
-                EventKind::TaskExpired(id) => {
-                    let (_, local) = stripe.locate(id.index());
-                    self.in_pool[local] = false;
-                    self.tasks.evict(local);
-                    expired = true;
-                }
-                EventKind::WorkerArrival(_) => {
-                    unreachable!("worker arrivals are handled by the top-level scan")
-                }
-            }
-        }
-        if expired {
-            self.maybe_shrink_slab(dim);
-        }
-    }
-
-    /// After an expiry burst, repacks the decoded slab down to its live rows once free
-    /// slots outnumber them (the high-watermark rule): without this, a churn-heavy
-    /// replay keeps peak-pool capacity decoded forever. Slot *values* are an
-    /// implementation detail — views resolve rows through `slots` — so the
-    /// local-index-order repack is deterministic and preserves bit-identity at every
-    /// shard count. [`SLAB_SHRINK_MIN_SLOTS`] keeps tiny pools from repack thrash.
-    fn maybe_shrink_slab(&mut self, dim: usize) {
-        let TaskStore::F16 {
-            slots, slab, free, ..
-        } = &mut self.tasks
-        else {
-            return;
-        };
-        if dim == 0 {
-            return;
-        }
-        let total = slab.len() / dim;
-        let live = total - free.len();
-        if total < SLAB_SHRINK_MIN_SLOTS || free.len() <= live {
-            return;
-        }
-        let mut packed = Vec::with_capacity(live * dim);
-        for (local, &in_pool) in self.in_pool.iter().enumerate() {
-            if !in_pool {
-                continue;
-            }
-            let old = slots[local] as usize;
-            let new = packed.len() / dim;
-            packed.extend_from_slice(&slab[old * dim..(old + 1) * dim]);
-            slots[local] = new as u32;
-        }
-        *slab = packed;
-        free.clear();
-    }
-}
+use crowd_ckpt::SaveState;
+use crowd_tensor::Rng;
 
 /// The arrival the event cursor is currently stopped at.
 #[derive(Debug, Clone, Copy)]
@@ -347,8 +67,8 @@ struct StepState {
     valid: bool,
 }
 
-/// The crowdsourcing platform environment. See the [module docs](self) for the shard
-/// ownership/routing design and the bit-identity argument.
+/// The crowdsourcing platform environment. See the [module docs](self) for the event scan
+/// and the determinism argument.
 ///
 /// `Platform` owns all dynamic state (available pool, task qualities, worker features) and
 /// replays the dataset's event stream. The interaction loop is:
@@ -366,25 +86,22 @@ pub struct Platform {
     dataset: Dataset,
     features: FeatureSpace,
     behavior: BehaviorModel,
-    /// The single top-level behaviour RNG — one stream in arrival order at every shard
-    /// count (the cascade model's draw count varies per arrival, so any per-shard split
-    /// would change the stream).
+    /// The behaviour RNG — one stream, consumed in arrival order.
     rng: Rng,
-    stripe: Stripe,
-    compact: bool,
-    pool: ThreadPool,
     task_dim: usize,
     worker_dim: usize,
-    shards: Vec<Shard>,
+    /// Static task feature rows, `task_dim` per task in id order.
+    task_features: Vec<f32>,
     /// Available task ids in global creation order — the policy-visible pool.
     routed: Vec<TaskId>,
-    /// Per-shard pending task events since the last arrival (scratch, cleared on drain).
-    pending: Vec<Vec<Event>>,
-    pending_total: usize,
-    /// Task expirations since the last drain: the entries `routed` must lose.
-    expired: usize,
-    /// Compact mode: the current worker's committed feature row, decoded per arrival.
-    decoded_worker: Vec<f32>,
+    in_pool: Vec<bool>,
+    task_qualities: Vec<f32>,
+    task_completions: Vec<u32>,
+    completer_qualities: Vec<Vec<f32>>,
+    /// Committed worker feature rows, `worker_dim` per worker in id order.
+    worker_features: Vec<f32>,
+    worker_seen: Vec<bool>,
+    worker_completions: Vec<u32>,
     next_event: usize,
     current_time: u64,
     completed_total: usize,
@@ -393,84 +110,33 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// Creates a platform over a dataset with the default behaviour model: one shard,
-    /// f32 features, serial advance.
+    /// Creates a platform over a dataset with the default behaviour model.
     pub fn new(dataset: Dataset, features: FeatureSpace, seed: u64) -> Self {
-        Platform::sharded(dataset, features, seed, ShardSpec::default())
-    }
-
-    /// Creates a platform with the layout `spec` (shard count, feature precision,
-    /// advance pool) and the default behaviour model.
-    pub fn sharded(dataset: Dataset, features: FeatureSpace, seed: u64, spec: ShardSpec) -> Self {
-        let n_shards = spec.n_shards.max(1);
-        let stripe = Stripe { n_shards };
-        let compact = spec.compact_features;
         let task_dim = features.task_dim();
         let worker_dim = features.worker_dim();
         let n_tasks = dataset.tasks.len();
         let n_workers = dataset.workers.len();
-
-        // Gather each shard's task feature rows in local order (the task list is in id
-        // order, so appending to the owning shard lays out local rows 0, 1, 2, …). Task
-        // features are static, so every view borrows from these arenas.
-        let mut task_rows: Vec<Vec<f32>> = (0..n_shards)
-            .map(|s| Vec::with_capacity(task_dim * stripe.shard_len(n_tasks, s)))
-            .collect();
+        // Task features are static, so every view borrows from this arena.
+        let mut task_features = Vec::with_capacity(task_dim * n_tasks);
         for task in &dataset.tasks {
-            let (s, _) = stripe.locate(task.id.index());
-            task_rows[s].extend_from_slice(&features.task_feature(task));
+            task_features.extend_from_slice(&features.task_feature(task));
         }
-        let initial_worker = features.initial_worker_feature();
-        let shards: Vec<Shard> = task_rows
-            .into_iter()
-            .enumerate()
-            .map(|(s, rows)| {
-                let n_local_tasks = stripe.shard_len(n_tasks, s);
-                let n_local_workers = stripe.shard_len(n_workers, s);
-                let mut worker_rows = Vec::with_capacity(worker_dim * n_local_workers);
-                for _ in 0..n_local_workers {
-                    worker_rows.extend_from_slice(&initial_worker);
-                }
-                Shard {
-                    tasks: if compact {
-                        TaskStore::F16 {
-                            bits: rows
-                                .iter()
-                                .map(|&v| crate::compact::f32_to_f16_bits(v))
-                                .collect(),
-                            slots: vec![0; n_local_tasks],
-                            slab: Vec::new(),
-                            free: Vec::new(),
-                        }
-                    } else {
-                        TaskStore::F32(rows)
-                    },
-                    in_pool: vec![false; n_local_tasks],
-                    task_qualities: vec![0.0; n_local_tasks],
-                    task_completions: vec![0; n_local_tasks],
-                    completer_qualities: vec![Vec::new(); n_local_tasks],
-                    workers: FeatureArena::from_f32(worker_rows, compact),
-                    worker_seen: vec![false; n_local_workers],
-                    worker_completions: vec![0; n_local_workers],
-                }
-            })
-            .collect();
-
+        let worker_features = features.initial_worker_feature().repeat(n_workers);
         Platform {
             features,
             behavior: BehaviorModel::default(),
             rng: Rng::seed_from(seed),
-            stripe,
-            compact,
-            pool: spec.pool,
             task_dim,
             worker_dim,
-            shards,
+            task_features,
             routed: Vec::new(),
-            pending: vec![Vec::new(); n_shards],
-            pending_total: 0,
-            expired: 0,
-            decoded_worker: Vec::new(),
+            in_pool: vec![false; n_tasks],
+            task_qualities: vec![0.0; n_tasks],
+            task_completions: vec![0; n_tasks],
+            completer_qualities: vec![Vec::new(); n_tasks],
+            worker_features,
+            worker_seen: vec![false; n_workers],
+            worker_completions: vec![0; n_workers],
             next_event: 0,
             current_time: 0,
             completed_total: 0,
@@ -497,46 +163,32 @@ impl Platform {
 
     /// Current Dixit–Stiglitz quality of a task (committed state).
     pub fn task_quality(&self, task: TaskId) -> f32 {
-        let (s, local) = self.stripe.locate(task.index());
-        self.shards[s].task_qualities[local]
+        self.task_qualities[task.index()]
     }
 
-    /// Current observable feature of a worker (committed state, decoded to f32; owned
-    /// because the compact store has no resident f32 row to borrow).
-    pub fn worker_feature_owned(&self, worker: WorkerId) -> Vec<f32> {
-        let (s, local) = self.stripe.locate(worker.index());
-        let mut out = Vec::with_capacity(self.worker_dim);
-        self.shards[s]
-            .workers
-            .decode_row_into(local, self.worker_dim, &mut out);
-        out
+    /// Current observable feature of a worker (committed state).
+    pub fn worker_feature(&self, worker: WorkerId) -> &[f32] {
+        let start = worker.index() * self.worker_dim;
+        &self.worker_features[start..start + self.worker_dim]
     }
 
     /// Number of tasks a worker has completed so far.
     pub fn worker_completions(&self, worker: WorkerId) -> usize {
-        let (s, local) = self.stripe.locate(worker.index());
-        self.shards[s].worker_completions[local] as usize
+        self.worker_completions[worker.index()] as usize
     }
 
-    /// Bytes currently held by the feature stores across all shards: task rows (cold
-    /// bits plus the decoded pool slab in compact mode) and the worker arenas. The
-    /// number the scale bench reports next to peak RSS.
+    /// Bytes held by the feature arenas (task rows plus worker rows). The number the
+    /// scale bench reports next to peak RSS.
     pub fn feature_arena_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.tasks.bytes() + s.workers.bytes())
-            .sum()
+        (self.task_features.len() + self.worker_features.len()) * std::mem::size_of::<f32>()
     }
 
-    /// Sum of all task qualities (the requester-side objective the paper maximises).
-    /// Iterates in **global id order** (not shard order) so the f32 reduction is the
-    /// same at every shard count.
+    /// Sum of all task qualities (the requester-side objective the paper maximises),
+    /// reduced in task id order.
     pub fn total_task_quality(&self) -> f32 {
-        let mut total = 0.0f32;
-        for i in 0..self.dataset.tasks.len() {
-            total += self.task_quality(TaskId(i as u32));
-        }
-        total
+        self.task_qualities
+            .iter()
+            .fold(0.0f32, |total, &q| total + q)
     }
 
     /// Total number of committed completions so far.
@@ -561,52 +213,19 @@ impl Platform {
         self.rng.below(u32::MAX as usize) as u64
     }
 
-    /// One field of every entity `0..n`, gathered in global id order.
-    fn gather<T>(&self, n: usize, field: impl Fn(&Shard, usize) -> T) -> Vec<T> {
-        (0..n)
-            .map(|i| {
-                let (s, local) = self.stripe.locate(i);
-                field(&self.shards[s], local)
-            })
-            .collect()
-    }
-
-    /// CRC-32 of the committed dynamic state serialised in **canonical (global id)
-    /// order**, with worker features decoded to f32: behaviour RNG, available pool,
-    /// membership flags, task qualities / completion counts / completer lists, worker
-    /// features / seen flags / completion counts, event cursor, current time and
-    /// completed total.
+    /// CRC-32 of the committed dynamic state — exactly the bytes of the checkpoint
+    /// section ([`SaveState`] below): behaviour RNG, available pool, membership flags,
+    /// task qualities / completion counts / completer lists, worker features / seen
+    /// flags / completion counts, event cursor, current time and completed total.
     ///
     /// Two platforms with equal fingerprints hold bit-identical committed state
-    /// *including the behaviour RNG stream position*, whatever their shard counts; the
-    /// layout is independent of the checkpoint layout, so fingerprints stay comparable
-    /// across format versions. Call [`Env::flush`] first: staged per-arrival effects are
-    /// not part of committed state.
+    /// *including the behaviour RNG stream position*. The layout is the version-1 flat
+    /// platform's, so fingerprints recorded against any earlier layout still compare.
+    /// Call [`Env::flush`] first: staged per-arrival effects are not part of committed
+    /// state.
     pub fn canonical_fingerprint(&self) -> u32 {
-        let n_tasks = self.dataset.tasks.len();
-        let n_workers = self.dataset.workers.len();
         let mut w = crowd_ckpt::StateWriter::new();
-        w.save(&self.rng);
-        w.save(&self.routed);
-        w.save(&self.gather(n_tasks, |s, l| s.in_pool[l]));
-        w.put_f32_slice(&self.gather(n_tasks, |s, l| s.task_qualities[l]));
-        w.put_u32_slice(&self.gather(n_tasks, |s, l| s.task_completions[l]));
-        w.save(&self.gather(n_tasks, |s, l| s.completer_qualities[l].clone()));
-        let mut worker_features = Vec::with_capacity(n_workers * self.worker_dim);
-        let mut row = Vec::with_capacity(self.worker_dim);
-        for i in 0..n_workers {
-            let (s, local) = self.stripe.locate(i);
-            self.shards[s]
-                .workers
-                .decode_row_into(local, self.worker_dim, &mut row);
-            worker_features.extend_from_slice(&row);
-        }
-        w.put_f32_slice(&worker_features);
-        w.save(&self.gather(n_workers, |s, l| s.worker_seen[l]));
-        w.put_u32_slice(&self.gather(n_workers, |s, l| s.worker_completions[l]));
-        w.put_usize(self.next_event);
-        w.put_u64(self.current_time);
-        w.put_usize(self.completed_total);
+        self.save_state(&mut w);
         crowd_ckpt::crc32(&w.into_bytes())
     }
 
@@ -624,9 +243,14 @@ impl Platform {
         )
     }
 
+    /// Feature row of task `index`.
+    fn task_feature(&self, index: usize) -> &[f32] {
+        &self.task_features[index * self.task_dim..(index + 1) * self.task_dim]
+    }
+
     /// Commits the staged effects of the last `apply`, if any: completer list, quality
-    /// and completion counter on the task's owning shard; feature row (quantised in
-    /// compact mode) and completion counter on the worker's owning shard.
+    /// and completion counter of the task; feature row and completion counter of the
+    /// worker.
     fn commit_pending(&mut self) {
         if !self.step.pending {
             return;
@@ -635,90 +259,37 @@ impl Platform {
         let Some(current) = self.current else { return };
         if let Some((task_id, _)) = self.step.completed {
             let wi = current.worker.index();
-            let worker_quality = self.dataset.workers[wi].quality;
-            let (s, local) = self.stripe.locate(task_id.index());
-            let shard = &mut self.shards[s];
-            shard.completer_qualities[local].push(worker_quality);
-            shard.task_qualities[local] = self.step.new_quality;
-            shard.task_completions[local] += 1;
-            let (s, local) = self.stripe.locate(wi);
-            let shard = &mut self.shards[s];
-            shard
-                .workers
-                .write_row(local, self.worker_dim, &self.step.after_feature);
-            shard.worker_completions[local] += 1;
+            let ti = task_id.index();
+            self.completer_qualities[ti].push(self.dataset.workers[wi].quality);
+            self.task_qualities[ti] = self.step.new_quality;
+            self.task_completions[ti] += 1;
+            let dim = self.worker_dim;
+            self.worker_features[wi * dim..(wi + 1) * dim]
+                .copy_from_slice(&self.step.after_feature);
+            self.worker_completions[wi] += 1;
             self.completed_total += 1;
         }
     }
 
-    /// Applies this inter-arrival window's pending task events per shard (in parallel
-    /// for large batches), then compacts `routed` if anything expired. Runs inside
-    /// `next_arrival`, so `routed` and every membership flag are fresh whenever the
-    /// caller can observe them.
-    fn drain_pending(&mut self) {
-        let stripe = self.stripe;
-        if self.pending_total > 0 {
-            let dim = self.task_dim;
-            let parallel = stripe.n_shards > 1
-                && !self.pool.is_serial()
-                && self.pending_total >= PAR_EVENT_THRESHOLD;
-            if parallel {
-                let mut work: Vec<(&mut Shard, &mut Vec<Event>)> = self
-                    .shards
-                    .iter_mut()
-                    .zip(self.pending.iter_mut())
-                    .collect();
-                self.pool.par_chunks(&mut work, 1, |_, chunk| {
-                    for (shard, events) in chunk.iter_mut() {
-                        shard.apply_events(events, stripe, dim);
-                        events.clear();
-                    }
-                });
+    /// Drops the `expired` tasks that left the pool from `routed`, keeping its order.
+    /// Each task is created once, so `routed` holds exactly `expired` entries whose
+    /// flags are clear, and they are the oldest tasks, near the front: testing stops once
+    /// all are found and the untested tail shifts down in one move.
+    fn compact_routed(&mut self, expired: usize) {
+        let routed = &mut self.routed;
+        let (mut read, mut write, mut left) = (0, 0, expired);
+        while left > 0 && read < routed.len() {
+            let t = routed[read];
+            if self.in_pool[t.index()] {
+                routed[write] = t;
+                write += 1;
             } else {
-                for (shard, events) in self.shards.iter_mut().zip(self.pending.iter_mut()) {
-                    shard.apply_events(events, stripe, dim);
-                    events.clear();
-                }
+                left -= 1;
             }
-            self.pending_total = 0;
+            read += 1;
         }
-        if self.expired > 0 {
-            // One order-preserving compaction per expiring window. Each task is created
-            // once, so `routed` holds exactly `expired` entries that left the pool, and
-            // they are the oldest tasks, near the front: testing stops once all are
-            // found and the untested tail shifts down in one move.
-            let shards = &self.shards;
-            let routed = &mut self.routed;
-            let (mut read, mut write, mut left) = (0, 0, self.expired);
-            while left > 0 && read < routed.len() {
-                let t = routed[read];
-                let (s, local) = stripe.locate(t.index());
-                if shards[s].in_pool[local] {
-                    routed[write] = t;
-                    write += 1;
-                } else {
-                    left -= 1;
-                }
-                read += 1;
-            }
-            routed.copy_within(read.., write);
-            routed.truncate(routed.len() - (read - write));
-            self.expired = 0;
-        }
-    }
-
-    /// The current worker's committed feature row, borrowed (f32 mode) or from the
-    /// per-arrival decode scratch (compact mode).
-    fn current_worker_feature(&self, worker: WorkerId) -> &[f32] {
-        if self.compact {
-            &self.decoded_worker
-        } else {
-            let (s, local) = self.stripe.locate(worker.index());
-            self.shards[s]
-                .workers
-                .row_f32(local, self.worker_dim)
-                .expect("f32 arena in non-compact mode")
-        }
+        routed.copy_within(read.., write);
+        routed.truncate(routed.len() - (read - write));
     }
 }
 
@@ -728,22 +299,21 @@ impl Env for Platform {
         self.step.valid = false;
         self.current = None;
         let mut arrived: Option<WorkerId> = None;
+        let mut expired = 0;
+        // Trailing task events at end-of-stream are applied too, so aggregate state and
+        // the fingerprint are well-defined after the replay.
         while self.next_event < self.dataset.events.len() {
             let event = self.dataset.events[self.next_event];
             self.next_event += 1;
             self.current_time = event.time;
             match event.kind {
                 EventKind::TaskCreated(id) => {
-                    // The event stream *is* the global creation order; appending here
-                    // keeps `routed` in pool order.
+                    self.in_pool[id.index()] = true;
                     self.routed.push(id);
-                    self.pending[self.stripe.locate(id.index()).0].push(event);
-                    self.pending_total += 1;
                 }
                 EventKind::TaskExpired(id) => {
-                    self.pending[self.stripe.locate(id.index()).0].push(event);
-                    self.pending_total += 1;
-                    self.expired += 1;
+                    self.in_pool[id.index()] = false;
+                    expired += 1;
                 }
                 EventKind::WorkerArrival(worker) => {
                     arrived = Some(worker);
@@ -751,19 +321,12 @@ impl Env for Platform {
                 }
             }
         }
-        // Trailing task events at end-of-stream are applied too, so aggregate state and
-        // the fingerprint are well-defined after the replay.
-        self.drain_pending();
-        let Some(worker) = arrived else { return false };
-        let (s, local) = self.stripe.locate(worker.index());
-        let shard = &mut self.shards[s];
-        let is_new_worker = !shard.worker_seen[local];
-        shard.worker_seen[local] = true;
-        if self.compact {
-            shard
-                .workers
-                .decode_row_into(local, self.worker_dim, &mut self.decoded_worker);
+        if expired > 0 {
+            self.compact_routed(expired);
         }
+        let Some(worker) = arrived else { return false };
+        let is_new_worker = !self.worker_seen[worker.index()];
+        self.worker_seen[worker.index()] = true;
         self.current = Some(CurrentArrival {
             time: self.current_time,
             worker,
@@ -779,13 +342,14 @@ impl Env for Platform {
         ArrivalView::from_platform(
             current.time,
             current.worker,
-            self.current_worker_feature(current.worker),
+            self.worker_feature(current.worker),
             self.dataset.workers[current.worker.index()].quality,
             current.is_new_worker,
             PlatformPool {
                 ids: &self.routed,
-                shards: &self.shards,
-                stripe: self.stripe,
+                features: &self.task_features,
+                qualities: &self.task_qualities,
+                completions: &self.task_completions,
                 feature_dim: self.task_dim,
                 tasks: &self.dataset.tasks,
             },
@@ -793,8 +357,7 @@ impl Env for Platform {
     }
 
     /// Filters the decision against the live pool, runs the cascade behaviour model and
-    /// stages the resulting state updates, resolving committed state through the owning
-    /// shards.
+    /// stages the resulting state updates.
     fn apply(&mut self, decision: &Decision) {
         let current = self
             .current
@@ -802,33 +365,20 @@ impl Env for Platform {
         // Applying twice for one arrival replaces the staged effects.
         self.step.pending = false;
 
-        let Platform {
-            dataset,
-            features,
-            behavior,
-            rng,
-            stripe,
-            compact,
-            task_dim,
-            worker_dim,
-            shards,
-            decoded_worker,
-            step,
-            ..
-        } = self;
-
+        let mut step = std::mem::take(&mut self.step);
         step.shown.clear();
-        for &task in decision.shown() {
-            let (s, local) = stripe.locate(task.index());
-            if shards[s].in_pool[local] {
-                step.shown.push(task);
-            }
-        }
-        let worker = &dataset.workers[current.worker.index()];
-        let completed_position = behavior.browse(
+        step.shown.extend(
+            decision
+                .shown()
+                .iter()
+                .filter(|t| self.in_pool[t.index()])
+                .copied(),
+        );
+        let worker = &self.dataset.workers[current.worker.index()];
+        let completed_position = self.behavior.browse(
             worker,
-            step.shown.iter().map(|t| &dataset.tasks[t.index()]),
-            rng,
+            step.shown.iter().map(|t| &self.dataset.tasks[t.index()]),
+            &mut self.rng,
         );
 
         step.completed = None;
@@ -836,39 +386,26 @@ impl Env for Platform {
         step.new_quality = 0.0;
         if let Some(position) = completed_position {
             let task_id = step.shown[position];
-            let (s, local) = stripe.locate(task_id.index());
-            {
-                let shard = &mut shards[s];
-                let old_quality = shard.task_qualities[local];
-                // Compute the post-completion quality without committing: push the
-                // completer, evaluate, pop (capacity is retained, so no allocation in
-                // steady state).
-                let qualities = &mut shard.completer_qualities[local];
-                qualities.push(worker.quality);
-                step.new_quality = dixit_stiglitz(qualities, dataset.quality_exponent);
-                qualities.pop();
-                step.quality_gain = step.new_quality - old_quality;
-            }
+            let ti = task_id.index();
+            // Compute the post-completion quality without committing: push the
+            // completer, evaluate, pop (capacity is retained, so no allocation in
+            // steady state).
+            let qualities = &mut self.completer_qualities[ti];
+            qualities.push(worker.quality);
+            step.new_quality = dixit_stiglitz(qualities, self.dataset.quality_exponent);
+            qualities.pop();
+            step.quality_gain = step.new_quality - self.task_qualities[ti];
 
             step.after_feature.clear();
-            if *compact {
-                // `decoded_worker` holds the current worker's committed row (decoded at
-                // arrival, after the previous commit).
-                step.after_feature.extend_from_slice(decoded_worker);
-            } else {
-                let (ws, wlocal) = stripe.locate(current.worker.index());
-                let row = shards[ws]
-                    .workers
-                    .row_f32(wlocal, *worker_dim)
-                    .expect("f32 arena in non-compact mode");
-                step.after_feature.extend_from_slice(row);
-            }
-            let task_feature = shards[s].pooled_task_feature(local, *task_dim);
-            features.update_worker_feature(&mut step.after_feature, task_feature);
+            step.after_feature
+                .extend_from_slice(self.worker_feature(current.worker));
+            self.features
+                .update_worker_feature(&mut step.after_feature, self.task_feature(ti));
             step.completed = Some((task_id, position));
         }
         step.pending = true;
         step.valid = true;
+        self.step = step;
     }
 
     fn flush(&mut self) {
@@ -884,7 +421,7 @@ impl Env for Platform {
         let current = self.current.expect("feedback() requires a pending arrival");
         // While the effects are staged, the committed worker feature still holds the
         // pre-completion value; the staged buffer holds the post-completion one.
-        let before = self.current_worker_feature(current.worker);
+        let before = self.worker_feature(current.worker);
         let after: &[f32] = if self.step.completed.is_some() && self.step.pending {
             &self.step.after_feature
         } else {
@@ -919,35 +456,29 @@ impl Env for Platform {
     }
 }
 
-/// Checkpoint format (committed dynamic state only): behaviour RNG, shard count (`u32`,
-/// validated), compact flag (validated), the routed available list (global creation
-/// order), then per shard — in shard order — the locally-indexed committed state:
-/// membership flags, qualities (f32 raw bits), completion counts, completer lists and
-/// the worker arena (precision tag + rows), seen flags and worker completion counts;
-/// finally the event cursor, current time and completed total.
+/// Checkpoint format (committed dynamic state only, every array in global id order):
+/// behaviour RNG, the routed available list (global creation order), membership flags,
+/// task qualities (f32 raw bits), completion counts and completer lists, worker feature
+/// rows, seen flags and worker completion counts, then the event cursor, current time and
+/// completed total. These bytes are also what [`Platform::canonical_fingerprint`] hashes.
 ///
-/// The immutable parts — dataset, feature space, behaviour constants, task feature
-/// arenas, the decoded slab — are **not** stored: a resumed run reconstructs the
-/// platform from the same configuration and the loader validates the snapshot's array
-/// lengths against it; the slab is rebuilt by re-admitting every routed task. The
-/// per-arrival scratch (`current`, staged step effects) is dead between steps and is
-/// reset by the load; checkpoint drivers must flush staged effects first
-/// (`Session::checkpoint` does). See `docs/CHECKPOINT_FORMAT.md`.
-impl crowd_ckpt::SaveState for Platform {
+/// The immutable parts — dataset, feature space, behaviour constants, the task feature
+/// arena — are **not** stored: a resumed run reconstructs the platform from the same
+/// configuration and the loader validates the snapshot's array lengths, pool ids and
+/// event cursor against it. The per-arrival scratch (`current`, staged step effects) is
+/// dead between steps and is reset by the load; checkpoint drivers must flush staged
+/// effects first (`Session::checkpoint` does). See `docs/CHECKPOINT_FORMAT.md`.
+impl SaveState for Platform {
     fn save_state(&self, w: &mut crowd_ckpt::StateWriter) {
         w.save(&self.rng);
-        w.put_u32(self.stripe.n_shards as u32);
-        w.put_bool(self.compact);
         w.save(&self.routed);
-        for shard in &self.shards {
-            w.save(&shard.in_pool);
-            w.put_f32_slice(&shard.task_qualities);
-            w.put_u32_slice(&shard.task_completions);
-            w.save(&shard.completer_qualities);
-            shard.workers.save_into(w);
-            w.save(&shard.worker_seen);
-            w.put_u32_slice(&shard.worker_completions);
-        }
+        w.save(&self.in_pool);
+        w.put_f32_slice(&self.task_qualities);
+        w.put_u32_slice(&self.task_completions);
+        w.save(&self.completer_qualities);
+        w.put_f32_slice(&self.worker_features);
+        w.save(&self.worker_seen);
+        w.put_u32_slice(&self.worker_completions);
         w.put_usize(self.next_event);
         w.put_u64(self.current_time);
         w.put_usize(self.completed_total);
@@ -955,102 +486,74 @@ impl crowd_ckpt::SaveState for Platform {
 }
 
 impl crowd_ckpt::LoadState for Platform {
+    /// Decodes and validates the whole section before touching `self`, so a refused
+    /// snapshot leaves the platform as it was.
     fn load_state(&mut self, r: &mut crowd_ckpt::StateReader<'_>) -> crowd_ckpt::Result<()> {
         let n_tasks = self.dataset.tasks.len();
         let n_workers = self.dataset.workers.len();
-        let stripe = self.stripe;
+        let n_events = self.dataset.events.len();
         let corrupt = |detail: String| crowd_ckpt::CkptError::Corrupt {
             what: "platform state",
             detail,
         };
-        crowd_ckpt::LoadState::load_state(&mut self.rng, r)?;
-        let n_shards = r.take_u32()? as usize;
-        if n_shards != stripe.n_shards {
-            return Err(corrupt(format!(
-                "snapshot was taken with {n_shards} shard(s), this environment has {}",
-                stripe.n_shards
-            )));
-        }
-        let compact = r.take_bool()?;
-        if compact != self.compact {
-            return Err(corrupt(format!(
-                "snapshot precision (compact={compact}) does not match this environment (compact={})",
-                self.compact
-            )));
-        }
+        let mut rng = self.rng.clone();
+        r.load(&mut rng)?;
         let routed: Vec<TaskId> = r.decode()?;
+        let in_pool: Vec<bool> = r.decode()?;
+        let task_qualities = r.take_f32_vec()?;
+        let task_completions = r.take_u32_vec()?;
+        let completer_qualities: Vec<Vec<f32>> = r.decode()?;
+        let worker_features = r.take_f32_vec()?;
+        let worker_seen: Vec<bool> = r.decode()?;
+        let worker_completions = r.take_u32_vec()?;
+        let next_event = r.take_usize()?;
+        let current_time = r.take_u64()?;
+        let completed_total = r.take_usize()?;
+
         if let Some(bad) = routed.iter().find(|t| t.index() >= n_tasks) {
             return Err(corrupt(format!("available task id {bad:?} out of range")));
         }
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let local_tasks = stripe.shard_len(n_tasks, s);
-            let local_workers = stripe.shard_len(n_workers, s);
-            let in_pool: Vec<bool> = r.decode()?;
-            let task_qualities = r.take_f32_vec()?;
-            let task_completions = r.take_u32_vec()?;
-            let completer_qualities: Vec<Vec<f32>> = r.decode()?;
-            let workers = FeatureArena::load_from(r, compact)?;
-            let worker_seen: Vec<bool> = r.decode()?;
-            let worker_completions = r.take_u32_vec()?;
-            if in_pool.len() != local_tasks
-                || task_qualities.len() != local_tasks
-                || task_completions.len() != local_tasks
-                || completer_qualities.len() != local_tasks
-            {
-                return Err(corrupt(format!(
-                    "shard {s} task-state arrays sized for {} tasks, shard owns {local_tasks}",
-                    in_pool.len()
-                )));
-            }
-            if workers.n_rows(self.worker_dim) != local_workers
-                || worker_seen.len() != local_workers
-                || worker_completions.len() != local_workers
-            {
-                return Err(corrupt(format!(
-                    "shard {s} worker-state arrays sized for {} workers, shard owns {local_workers}",
-                    worker_seen.len()
-                )));
-            }
-            shard.in_pool = in_pool;
-            shard.task_qualities = task_qualities;
-            shard.task_completions = task_completions;
-            shard.completer_qualities = completer_qualities;
-            shard.workers = workers;
-            shard.worker_seen = worker_seen;
-            shard.worker_completions = worker_completions;
-            // Reset the decoded slab; it is rebuilt from the routed list below.
-            if let TaskStore::F16 { slab, free, .. } = &mut shard.tasks {
-                slab.clear();
-                free.clear();
-            }
-        }
-        let next_event = r.take_usize()?;
-        if next_event > self.dataset.events.len() {
+        if [
+            in_pool.len(),
+            task_qualities.len(),
+            task_completions.len(),
+            completer_qualities.len(),
+        ] != [n_tasks; 4]
+        {
             return Err(corrupt(format!(
-                "event cursor {next_event} past the {}-event stream",
-                self.dataset.events.len()
+                "task-state arrays sized for {} tasks, the dataset has {n_tasks}",
+                in_pool.len()
             )));
         }
-        self.next_event = next_event;
-        self.current_time = r.take_u64()?;
-        self.completed_total = r.take_usize()?;
-        // Rebuild the pool-resident decode slab (compact mode): slot *values* are an
-        // implementation detail — views read through them, so any deterministic
-        // assignment preserves bit-identity of the continued replay.
-        for &id in &routed {
-            let (s, local) = stripe.locate(id.index());
-            self.shards[s].tasks.admit(local, self.task_dim);
+        if worker_features.len() != n_workers * self.worker_dim
+            || [worker_seen.len(), worker_completions.len()] != [n_workers; 2]
+        {
+            return Err(corrupt(format!(
+                "worker-state arrays sized for {} workers, the dataset has {n_workers}",
+                worker_seen.len()
+            )));
         }
+        if next_event > n_events {
+            return Err(corrupt(format!(
+                "event cursor {next_event} past the {n_events}-event stream"
+            )));
+        }
+
+        self.rng = rng;
         self.routed = routed;
-        for pending in &mut self.pending {
-            pending.clear();
-        }
-        self.pending_total = 0;
-        self.expired = 0;
+        self.in_pool = in_pool;
+        self.task_qualities = task_qualities;
+        self.task_completions = task_completions;
+        self.completer_qualities = completer_qualities;
+        self.worker_features = worker_features;
+        self.worker_seen = worker_seen;
+        self.worker_completions = worker_completions;
+        self.next_event = next_event;
+        self.current_time = current_time;
+        self.completed_total = completed_total;
         // Per-arrival scratch is dead between steps; start the resumed replay clean.
         self.current = None;
         self.step = StepState::default();
-        self.decoded_worker.clear();
         Ok(())
     }
 }
@@ -1116,18 +619,16 @@ mod tests {
         let view = p.arrival();
         for task in view.tasks() {
             // The borrowed feature row is exactly the arena row (pointer-identical).
-            let arena_row = p.shards[0].pooled_task_feature(task.id.index(), p.task_dim);
-            assert!(std::ptr::eq(task.feature, arena_row));
+            assert!(std::ptr::eq(task.feature, p.task_feature(task.id.index())));
             let recomputed = p
                 .feature_space()
                 .task_feature(&p.dataset().tasks[task.id.index()]);
             assert_eq!(task.feature, recomputed.as_slice());
         }
-        let worker_row = p.shards[0]
-            .workers
-            .row_f32(view.worker_id.index(), p.worker_dim)
-            .unwrap();
-        assert!(std::ptr::eq(view.worker_feature, worker_row));
+        assert!(std::ptr::eq(
+            view.worker_feature,
+            p.worker_feature(view.worker_id)
+        ));
     }
 
     #[test]
@@ -1158,7 +659,7 @@ mod tests {
             // First completion of the run, still staged: committed state is untouched...
             assert_eq!(p.task_quality(task), 0.0);
             assert_eq!(p.total_completions(), 0);
-            assert_eq!(p.worker_feature_owned(worker), before);
+            assert_eq!(p.worker_feature(worker), before);
             // ...and a cold-start worker's staged feature adopts the task feature outright.
             if before.iter().all(|&v| v == 0.0) {
                 let task_row = &p.dataset().tasks[task.index()];
@@ -1167,7 +668,7 @@ mod tests {
             // Advancing commits: quality, worker feature and counters move together.
             p.next_arrival();
             assert!((p.task_quality(task) - new_quality_staged).abs() < 1e-6);
-            assert_eq!(p.worker_feature_owned(worker), after);
+            assert_eq!(p.worker_feature(worker), after);
             assert_eq!(p.total_completions(), 1);
             assert_eq!(p.worker_completions(worker), 1);
             break;
@@ -1205,225 +706,88 @@ mod tests {
         assert!(run(5) != run(6) || run(5) != run(7));
     }
 
-    #[test]
-    fn shard_counts_and_pools_do_not_change_the_replay() {
-        let ds = SimConfig::tiny().generate();
-        let fs = Platform::default_feature_space(&ds);
-        let mut reference = Platform::new(ds.clone(), fs.clone(), 9);
-        let reference_trace = full_pool_replay_fingerprint(&mut reference);
-        for n_shards in [2, 3, 8] {
-            let spec = ShardSpec::new(n_shards).with_pool(ThreadPool::new(4));
-            let mut env = Platform::sharded(ds.clone(), fs.clone(), 9, spec);
-            assert_eq!(full_pool_replay_fingerprint(&mut env), reference_trace);
-            assert_eq!(
-                env.canonical_fingerprint(),
-                reference.canonical_fingerprint(),
-                "{n_shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_order_is_shard_count_invariant_at_every_arrival() {
-        let ds = SimConfig::tiny().generate();
-        let fs = Platform::default_feature_space(&ds);
-        let mut flat = Platform::new(ds.clone(), fs.clone(), 5);
-        let mut sharded = Platform::sharded(ds, fs, 5, ShardSpec::new(3));
+    /// The tiny platform after `arrivals` full-pool arrivals, flushed.
+    fn stepped(ds: &Dataset, fs: &FeatureSpace, seed: u64, arrivals: usize) -> Platform {
+        let mut env = Platform::new(ds.clone(), fs.clone(), seed);
         let mut decision = Decision::new();
-        loop {
-            let a = flat.next_arrival();
-            assert_eq!(a, sharded.next_arrival());
-            if !a {
-                break;
-            }
-            assert_eq!(flat.available_tasks(), sharded.available_tasks());
-            let view = flat.arrival();
+        for _ in 0..arrivals {
+            assert!(env.next_arrival());
+            let view = env.arrival();
             if view.is_empty() {
                 continue;
             }
             decision.clear();
             decision.extend((0..view.n_tasks()).map(|i| view.task_id(i)));
-            flat.apply(&decision);
-            sharded.apply(&decision);
+            env.apply(&decision);
         }
+        env.flush();
+        env
     }
 
-    #[test]
-    fn compact_mode_is_deterministic_and_close_to_f32() {
-        let ds = SimConfig::tiny().generate();
-        let fs = Platform::default_feature_space(&ds);
-        let spec = ShardSpec::new(2).compact(true);
-        // Compact cold storage costs roughly half the f32 arena bytes; measured on
-        // fresh environments because the decoded pool slab (bounded by the expiry-burst
-        // repack, but sized to the live pool) can mask the saving at tiny scale, where
-        // most tasks are pool-resident at once.
-        let fresh = Platform::sharded(ds.clone(), fs.clone(), 13, spec);
-        let f32_env = Platform::sharded(ds.clone(), fs.clone(), 13, ShardSpec::new(2));
-        assert!(fresh.feature_arena_bytes() < f32_env.feature_arena_bytes() * 3 / 4);
-        let mut a = Platform::sharded(ds.clone(), fs.clone(), 13, spec);
-        let mut b = Platform::sharded(ds, fs, 13, spec);
-        assert_eq!(
-            full_pool_replay_fingerprint(&mut a),
-            full_pool_replay_fingerprint(&mut b)
-        );
-        assert_eq!(a.canonical_fingerprint(), b.canonical_fingerprint());
-    }
-
-    #[test]
-    fn expiry_bursts_shrink_the_decoded_slab_to_a_high_watermark() {
-        use crate::event::sort_events;
-        use crate::task::{Task, TaskId};
-        use crate::worker::{Worker, WorkerId};
-        // A churn-heavy stream: one big creation burst, then almost everything expires
-        // at once while a handful of tasks survive.
-        let n_tasks = 200usize;
-        let survivors = 8usize;
-        let mut tasks = Vec::new();
-        let mut events = Vec::new();
-        for i in 0..n_tasks {
-            let id = TaskId(i as u32);
-            tasks.push(Task {
-                id,
-                requester: 0,
-                category: (i % 3) as u16,
-                domain: (i % 2) as u16,
-                award: 40.0 + i as f32,
-                created_at: 0,
-                deadline: if i < survivors { 10_000 } else { 100 },
-            });
-            events.push(Event {
-                time: 0,
-                kind: EventKind::TaskCreated(id),
-            });
-            if i >= survivors {
-                events.push(Event {
-                    time: 100,
-                    kind: EventKind::TaskExpired(id),
-                });
-            }
-        }
-        events.push(Event {
-            time: 1,
-            kind: EventKind::WorkerArrival(WorkerId(0)),
-        });
-        events.push(Event {
-            time: 101,
-            kind: EventKind::WorkerArrival(WorkerId(0)),
-        });
-        sort_events(&mut events);
-        let ds = Dataset {
-            tasks,
-            workers: vec![Worker {
-                id: WorkerId(0),
-                quality: 0.5,
-                category_affinity: vec![0.5; 3],
-                domain_affinity: vec![0.5; 2],
-                award_sensitivity: 0.5,
-                interest_threshold: 0.5,
-                attention_budget: 5,
-                activity: 1.0,
-            }],
-            events,
-            n_categories: 3,
-            n_domains: 2,
-            quality_exponent: 2.0,
-            months: 1,
-        };
-        let fs = Platform::default_feature_space(&ds);
-        let compact = |n_shards| ShardSpec::new(n_shards).compact(true);
-        let mut env = Platform::sharded(ds.clone(), fs.clone(), 7, compact(1));
-        let dim = env.task_dim;
-        let slab_len = |env: &Platform| match &env.shards[0].tasks {
-            TaskStore::F16 { slab, free, .. } => (slab.len(), free.len()),
-            TaskStore::F32(_) => unreachable!("compact spec"),
-        };
-        // First arrival drains the creation burst: every task is decoded.
-        assert!(env.next_arrival());
-        assert_eq!(slab_len(&env), (n_tasks * dim, 0));
-        // Second arrival drains the expiry burst: free slots outnumber live ones, so the
-        // slab repacks down to the survivors instead of keeping peak capacity.
-        assert!(env.next_arrival());
-        assert_eq!(slab_len(&env), (survivors * dim, 0));
-        assert_eq!(env.available_tasks().len(), survivors);
-        // Repacked rows still decode to the cold f16 bits.
-        for task in 0..survivors {
-            let row = env.shards[0].pooled_task_feature(task, dim);
-            if let TaskStore::F16 { bits, .. } = &env.shards[0].tasks {
-                let expected: Vec<f32> = bits[task * dim..(task + 1) * dim]
-                    .iter()
-                    .map(|&b| crate::compact::f16_bits_to_f32(b))
-                    .collect();
-                assert_eq!(row, expected.as_slice(), "task {task}");
-            }
-        }
-        // The repack is layout-invariant: shard counts still replay bit-identically.
-        let mut one = Platform::sharded(ds.clone(), fs.clone(), 7, compact(1));
-        let mut two = Platform::sharded(ds, fs, 7, compact(2));
-        assert_eq!(
-            full_pool_replay_fingerprint(&mut one),
-            full_pool_replay_fingerprint(&mut two)
-        );
-        assert_eq!(one.canonical_fingerprint(), two.canonical_fingerprint());
+    fn env_section(env: &Platform) -> crowd_ckpt::SnapshotFile {
+        let mut snap = crowd_ckpt::Snapshot::new();
+        snap.put("env", env);
+        crowd_ckpt::SnapshotFile::from_bytes(snap.to_bytes()).unwrap()
     }
 
     #[test]
     fn checkpoint_restores_bit_identically() {
-        use crowd_ckpt::{Snapshot, SnapshotFile};
         let ds = SimConfig::tiny().generate();
         let fs = Platform::default_feature_space(&ds);
-        for spec in [
-            ShardSpec::new(1),
-            ShardSpec::new(2),
-            ShardSpec::new(2).compact(true),
-        ] {
-            let mut original = Platform::sharded(ds.clone(), fs.clone(), 21, spec);
-            let mut decision = Decision::new();
-            for _ in 0..40 {
-                assert!(original.next_arrival());
-                let view = original.arrival();
-                if view.is_empty() {
-                    continue;
-                }
-                decision.clear();
-                decision.extend((0..view.n_tasks()).map(|i| view.task_id(i)));
-                original.apply(&decision);
-            }
-            original.flush();
-            let mut snap = Snapshot::new();
-            snap.put("env", &original);
-            let file = SnapshotFile::from_bytes(snap.to_bytes()).unwrap();
+        let mut original = stepped(&ds, &fs, 21, 40);
+        let file = env_section(&original);
 
-            // Wrong seed: the load overwrites the behaviour RNG.
-            let mut resumed = Platform::sharded(ds.clone(), fs.clone(), 0, spec);
-            file.load_into("env", &mut resumed).unwrap();
-            assert_eq!(
-                resumed.canonical_fingerprint(),
-                original.canonical_fingerprint()
-            );
-            let tail_a = full_pool_replay_fingerprint(&mut original);
-            let tail_b = full_pool_replay_fingerprint(&mut resumed);
-            assert_eq!(tail_a, tail_b, "{spec:?}");
-            assert_eq!(
-                resumed.canonical_fingerprint(),
-                original.canonical_fingerprint()
-            );
-        }
+        // Wrong seed: the load overwrites the behaviour RNG.
+        let mut resumed = Platform::new(ds.clone(), fs.clone(), 0);
+        file.load_into("env", &mut resumed).unwrap();
+        assert_eq!(
+            resumed.canonical_fingerprint(),
+            original.canonical_fingerprint()
+        );
+        let tail_a = full_pool_replay_fingerprint(&mut original);
+        let tail_b = full_pool_replay_fingerprint(&mut resumed);
+        assert_eq!(tail_a, tail_b);
+        assert_eq!(
+            resumed.canonical_fingerprint(),
+            original.canonical_fingerprint()
+        );
     }
 
     #[test]
-    fn checkpoint_rejects_shard_count_and_precision_mismatches() {
-        use crowd_ckpt::{Snapshot, SnapshotFile};
+    fn checkpoint_rejects_an_env_section_from_another_dataset() {
         let ds = SimConfig::tiny().generate();
         let fs = Platform::default_feature_space(&ds);
-        let mut env = Platform::sharded(ds.clone(), fs.clone(), 3, ShardSpec::new(2));
-        env.next_arrival();
-        env.flush();
-        let mut snap = Snapshot::new();
-        snap.put("env", &env);
-        let file = SnapshotFile::from_bytes(snap.to_bytes()).unwrap();
-        let mut wrong_shards = Platform::sharded(ds.clone(), fs.clone(), 3, ShardSpec::new(4));
-        assert!(file.load_into("env", &mut wrong_shards).is_err());
-        let mut wrong_precision = Platform::sharded(ds, fs, 3, ShardSpec::new(2).compact(true));
-        assert!(file.load_into("env", &mut wrong_precision).is_err());
+        let fresh = env_section(&Platform::new(ds.clone(), fs.clone(), 3));
+        let midway = stepped(&ds, &fs, 3, 60);
+        let max_routed = midway.available_tasks().iter().map(|t| t.index()).max();
+        let midway = env_section(&midway);
+
+        let mut fewer_tasks = ds.clone();
+        fewer_tasks
+            .tasks
+            .truncate(max_routed.expect("a non-empty pool"));
+        let mut fewer_workers = ds.clone();
+        fewer_workers.workers.pop();
+        let mut fewer_events = ds.clone();
+        fewer_events.events.truncate(10);
+
+        let cases = [
+            ("task arrays", &fresh, fewer_tasks.clone(), "sized for"),
+            ("worker arrays", &fresh, fewer_workers, "sized for"),
+            ("routed id", &midway, fewer_tasks, "out of range"),
+            ("event cursor", &midway, fewer_events, "past the"),
+        ];
+        for (case, file, dataset, expected) in cases {
+            let mut target = Platform::new(dataset, fs.clone(), 3);
+            let before = target.canonical_fingerprint();
+            match file.load_into("env", &mut target) {
+                Err(crowd_ckpt::CkptError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(expected), "{case}: {detail}");
+                }
+                other => panic!("{case}: expected a Corrupt error, got {other:?}"),
+            }
+            // A refused section leaves the target untouched.
+            assert_eq!(target.canonical_fingerprint(), before, "{case}");
+        }
     }
 }

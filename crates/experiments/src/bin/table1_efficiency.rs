@@ -30,10 +30,10 @@
 use crowd_baselines::Benefit;
 use crowd_ckpt::{CkptError, Fs, Snapshot, SnapshotFile, StateWriter};
 use crowd_experiments::{
-    experiment_dataset, experiment_scale, experiment_shards, policies_for_benefit, print_table,
-    run_policy, RunnerConfig, Scale, Session,
+    experiment_dataset, experiment_scale, policies_for_benefit, print_table, run_policy,
+    RunnerConfig, Scale, Session,
 };
-use crowd_sim::{BoxedPolicy, Env, ShardSpec};
+use crowd_sim::{BoxedPolicy, Env};
 use crowd_tensor::ThreadPool;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -191,10 +191,8 @@ fn main() {
     let pool = crowd_experiments::experiment_thread_pool();
     let opts = CkptOptions::from_args();
     let dataset = experiment_dataset();
-    // The massive tier replays through the sharded environment and skips the warm-up
-    // window: gathering owned warm-start history over a ~1M-worker pool would dwarf
-    // the replay itself.
-    let shards = experiment_shards(scale);
+    // The massive tier skips the warm-up window: gathering owned warm-start history
+    // over a ~1M-worker pool would dwarf the replay itself.
     let cfg = if scale == Scale::Massive {
         RunnerConfig {
             warmup_months: 0,
@@ -208,7 +206,7 @@ fn main() {
         pool.threads()
     );
     if scale == Scale::Massive {
-        println!("(sharded environment: {shards} shard(s), no warm-up window)");
+        println!("(no warm-up window)");
     }
     println!("(Random and Greedy CS are included for completeness; the paper omits them because they have no model to update.)");
 
@@ -248,13 +246,8 @@ fn main() {
         eprintln!("running {} ...", policy.name());
         policy.set_thread_pool(pool);
         let started = Instant::now();
-        let spec = if scale == Scale::Massive {
-            ShardSpec::new(shards).with_pool(pool)
-        } else {
-            ShardSpec::default()
-        };
         let (outcome, checkpoint_fired, resumed_mid_replay) = run_method(
-            Session::for_dataset_sharded(&dataset, &cfg, spec),
+            Session::for_dataset(&dataset, &cfg),
             &mut policy,
             &opts,
             index,
@@ -269,8 +262,8 @@ fn main() {
         // compare against, the pooled wall clock must not include snapshot bookkeeping
         // (no mid-replay snapshot fired — `--checkpoint-every` merely being set is fine),
         // and it must cover the whole replay (not a mid-replay resume's tail). The
-        // massive tier skips the twin — its replay is benchmarked (shard-count sweep,
-        // RSS) by `benches/sharded_scale.rs` instead of re-run twice here.
+        // massive tier skips the twin — its replay is benchmarked (arrivals/s, RSS) by
+        // `benches/replay_scale.rs` instead of re-run twice here.
         let comparable = !pool.is_serial()
             && !checkpoint_fired
             && !resumed_mid_replay

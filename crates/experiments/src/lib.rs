@@ -34,10 +34,10 @@ pub use runner::{run_policy, RunOutcome, RunnerConfig};
 // registry; downstream bins import them from the crate root, which keeps working.
 pub use scale::{
     collect_arrival_contexts, ddqn_config_for, ddqn_for, experiment_dataset, experiment_scale,
-    experiment_shards, experiment_thread_pool, policies_for_benefit, Scale,
+    experiment_thread_pool, policies_for_benefit, Scale,
 };
 pub use scenarios::{
     named_scenarios, resume_scenario_session, scenario_checkpoint, scenario_dataset,
-    scenario_session, scenario_session_sharded, NamedScenario,
+    scenario_session, NamedScenario,
 };
 pub use session::{run_policies_lockstep, Session, SessionBatch};

@@ -13,10 +13,9 @@ pub enum Scale {
     Small,
     /// The full CrowdSpring-replica scale of the paper (13 months, ~1700 workers).
     Replica,
-    /// The demand-scale synthetic tier (~1M workers, ~240k tasks) served by the sharded
-    /// platform; see [`SimConfig::massive`]. Binaries wired for it replay through a
-    /// [`crowd_sim::Platform`] with [`experiment_shards`] shards and skip the warm-up
-    /// window (gathering owned warm-start history at this scale would dwarf the replay).
+    /// The demand-scale synthetic tier (~1M workers, ~240k tasks); see
+    /// [`SimConfig::massive`]. Binaries wired for it skip the warm-up window (gathering
+    /// owned warm-start history at this scale would dwarf the replay).
     Massive,
 }
 
@@ -44,27 +43,6 @@ impl Scale {
             Scale::Replica => SimConfig::crowdspring_replica(),
             Scale::Massive => SimConfig::massive(),
         }
-    }
-}
-
-/// Shard count for the sharded platform at the current scale: `CROWD_SHARDS` wins, then
-/// a default of 8 at [`Scale::Massive`] (a demand-scale replay wants the parallel
-/// per-shard advance) and 1 everywhere else (the single-shard layout is the unsharded
-/// platform's, bit-identically).
-pub fn experiment_shards(scale: Scale) -> usize {
-    if let Ok(value) = std::env::var("CROWD_SHARDS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!(
-            "CROWD_SHARDS expects a positive integer (got {value:?}); using the scale default"
-        );
-    }
-    match scale {
-        Scale::Massive => 8,
-        _ => 1,
     }
 }
 
@@ -123,7 +101,7 @@ pub fn ddqn_config_for(scale: Scale) -> DdqnConfig {
             ..DdqnConfig::default()
         },
         // The massive tier keeps the paper-scale network: the scale lives in the
-        // sharded environment, not the model.
+        // environment, not the model.
         Scale::Replica | Scale::Massive => DdqnConfig::paper_scale(),
     }
 }
@@ -257,10 +235,5 @@ mod tests {
             Scale::Massive.sim_config().n_workers,
             SimConfig::massive().n_workers
         );
-        // Without CROWD_SHARDS the massive tier defaults to 8 shards, others to 1.
-        if std::env::var_os("CROWD_SHARDS").is_none() {
-            assert_eq!(experiment_shards(Scale::Massive), 8);
-            assert_eq!(experiment_shards(Scale::Small), 1);
-        }
     }
 }

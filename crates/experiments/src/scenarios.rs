@@ -6,7 +6,7 @@
 //! (horizon, worker count), so the same dataset always yields the same scenarios at any
 //! scale. `scenario_table` replays the full policy line-up across the registry, and
 //! `tests/scenario_equivalence.rs` fences every scenario's bit-identity across thread
-//! counts, shard counts and checkpoint/resume.
+//! counts and checkpoint/resume.
 //!
 //! Checkpoints of scenario replays carry the spec itself in an extra `scenario` section
 //! ([`scenario_checkpoint`]); [`resume_scenario_session`] refuses to resume a snapshot
@@ -16,9 +16,7 @@
 use crate::runner::RunnerConfig;
 use crate::session::Session;
 use crowd_ckpt::{CkptError, Snapshot, SnapshotFile};
-use crowd_sim::{
-    Dataset, DayNightCycle, Env, Platform, Policy, ScenarioSpec, ShardSpec, MINUTES_PER_MONTH,
-};
+use crowd_sim::{Dataset, DayNightCycle, Env, Platform, Policy, ScenarioSpec, MINUTES_PER_MONTH};
 
 /// Name of the snapshot section holding the [`ScenarioSpec`] (prefixed like the session
 /// sections, so batched snapshots can carry one per member).
@@ -124,19 +122,6 @@ pub fn scenario_session(
     config: &RunnerConfig,
 ) -> Session<Platform> {
     Session::for_dataset(&scenario.spec.apply(dataset), config)
-}
-
-/// A sharded [`Platform`] session replaying `scenario` over `dataset`. Because the spec
-/// is applied to the dataset *before* the environment is built, every shard count
-/// replays the identical event stream: bit-identity across shard counts is inherited
-/// from the stationary proof, and `scenario_equivalence` re-fences it per scenario.
-pub fn scenario_session_sharded(
-    dataset: &Dataset,
-    scenario: &NamedScenario,
-    config: &RunnerConfig,
-    shards: ShardSpec,
-) -> Session<Platform> {
-    Session::for_dataset_sharded(&scenario.spec.apply(dataset), config, shards)
 }
 
 /// Checkpoints a scenario session: the usual `session` / `env` / `policy` sections plus

@@ -53,7 +53,7 @@ use crowd_ckpt::{CkptError, Snapshot, SnapshotFile, StateReader, StateWriter};
 use crowd_metrics::{MetricsAccumulator, UpdateTimer};
 use crowd_sim::{
     ArrivalContext, ArrivalView, BatchedPolicy, BoxedPolicy, Dataset, Decision, Env, Platform,
-    Policy, PolicyFeedback, ShardSpec, TaskId,
+    Policy, PolicyFeedback, TaskId,
 };
 use crowd_tensor::{Rng, ThreadPool};
 use std::time::Instant;
@@ -94,17 +94,11 @@ pub struct Session<E: Env = Platform> {
 }
 
 impl Session<Platform> {
-    /// Builds a session over a one-shard [`Platform`] replay of `dataset` with the
-    /// default feature space — the standard experiment setup.
+    /// Builds a session over a [`Platform`] replay of `dataset` with the default feature
+    /// space — the standard experiment setup.
     pub fn for_dataset(dataset: &Dataset, config: &RunnerConfig) -> Self {
-        Session::for_dataset_sharded(dataset, config, ShardSpec::default())
-    }
-
-    /// [`Session::for_dataset`] over a platform with the layout `spec`. With an f32 spec
-    /// the replay is bit-identical at any shard count (`tests/shard_equivalence.rs`).
-    pub fn for_dataset_sharded(dataset: &Dataset, config: &RunnerConfig, spec: ShardSpec) -> Self {
         let features = Platform::default_feature_space(dataset);
-        let env = Platform::sharded(dataset.clone(), features, config.platform_seed, spec);
+        let env = Platform::new(dataset.clone(), features, config.platform_seed);
         Session::new(env, config)
     }
 }
@@ -611,8 +605,7 @@ impl<E: Env> SessionBatch<E> {
         self.live.clear();
         // Phase 1a: env-only advance — each session consumes its own warm-up arrivals,
         // empty pools and day boundaries, recording policy hooks instead of calling
-        // them. No shared state, so large batches shard across the pool (the sharded
-        // env's per-shard advance composes underneath when it was given its own pool).
+        // them. No shared state, so large batches shard across the pool.
         let advance_pool = if self.sessions.len() >= self.pool.threads() * 4 {
             self.pool
         } else {

@@ -26,8 +26,7 @@
 //! channel send and a wake per tail shard (single-digit microseconds), not a
 //! `thread::spawn`/join per worker (tens of microseconds). Callers still parallelise
 //! *chunky* work — a round of session stepping, one large stacked matmul, one gradient
-//! update per branch, a deep batch of per-shard platform events (a sharded
-//! `crowd-sim::Platform`), or a `SessionBatch` round's env-only advance — and the
+//! update per branch, or a `SessionBatch` round's env-only advance — and the
 //! tensor layer gates its row-sharded kernels on a minimum work size so small matrices
 //! never pay even a dispatch (see `crowd-tensor`'s `matmul_par`).
 //!

@@ -17,7 +17,7 @@
 //! The suite also covers the loader's robustness guarantees (truncation, bit flips,
 //! wrong magic, future version — typed errors, never panics or half-loads) and the
 //! byte-level format stability against the committed golden snapshot
-//! (`tests/fixtures/format_v3.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
+//! (`tests/fixtures/format_v4.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
 //! after a deliberate format-version bump).
 
 use crowd_bench::ckpt_fixtures;
@@ -493,8 +493,8 @@ fn damaged_snapshots_fail_with_typed_errors_never_panics() {
     ));
     // A future format version, and every older one, is refused, never misparsed:
     // version 1 stored the flat single-arena platform layout, version 2 stored
-    // wall-clock timings.
-    for version in [1, 2, FORMAT_VERSION + 1] {
+    // wall-clock timings, and versions 2 and 3 the sharded platform layout.
+    for version in [1, 2, 3, FORMAT_VERSION + 1] {
         match SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, version)) {
             Err(CkptError::UnsupportedVersion { found, supported }) => {
                 assert_eq!((found, supported), (version, FORMAT_VERSION));
@@ -610,10 +610,10 @@ fn mismatched_resume_targets_are_typed_errors() {
 }
 
 fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v3.ckpt")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v4.ckpt")
 }
 
-/// Format stability: the committed version-3 golden snapshot must equal what today's
+/// Format stability: the committed version-4 golden snapshot must equal what today's
 /// writer emits, byte for byte, and must load under today's reader and re-save to the
 /// same bytes. Any change to the wire format fails here until `FORMAT_VERSION` is
 /// bumped and a new golden file is committed deliberately (`UPDATE_GOLDEN=1 cargo test

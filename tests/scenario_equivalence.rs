@@ -7,12 +7,11 @@
 //!
 //! * a **no-op spec reproduces the baseline replay's canonical fingerprint exactly**
 //!   (no RNG draws, no event churn);
-//! * every **named registry scenario replays bit-identically** across shard counts
-//!   {1, 2, 8} and the CI `CROWD_THREADS` {1, 4} matrix (the pool comes from
-//!   `ThreadPool::from_env`) — for Random, LinUCB and DDQN, against replay probes frozen
-//!   from the original flat single-arena platform, so its behaviour stays pinned after
-//!   its deletion — and across mid-scenario checkpoint/resume, including the
-//!   scenario-section validation that refuses cross-scenario resumes;
+//! * every **named registry scenario replays bit-identically** to replay probes frozen
+//!   from the original flat single-arena platform — for Random, LinUCB and DDQN, so its
+//!   behaviour stays pinned through every later layout — and across mid-scenario
+//!   checkpoint/resume, including the scenario-section validation that refuses
+//!   cross-scenario resumes;
 //! * the scenario **properties hold over seeded sweeps**: no decision ever shows an
 //!   offline worker a pool, and surge thinning preserves the arrival subsequence order;
 //! * the edge cases ride the same sweeps: a worker retiring while tasks it completed
@@ -21,15 +20,15 @@
 
 use crowd_baselines::{Benefit, LinUcb, ListMode, RandomPolicy};
 use crowd_experiments::{
-    named_scenarios, resume_scenario_session, scenario_checkpoint, scenario_session,
-    scenario_session_sharded, RunnerConfig, Session,
+    named_scenarios, resume_scenario_session, scenario_checkpoint, scenario_session, RunnerConfig,
+    Session,
 };
 use crowd_rl_core::{DdqnAgent, DdqnConfig};
 use crowd_sim::{
-    Dataset, Env, Event, EventKind, Platform, Policy, ScenarioSpec, ShardSpec, SimConfig, WorkerId,
+    Dataset, Env, Event, EventKind, Platform, Policy, ScenarioSpec, SimConfig, WorkerId,
     MINUTES_PER_MONTH,
 };
-use crowd_tensor::{Rng, ThreadPool};
+use crowd_tensor::Rng;
 
 /// Everything one replay leaves behind, compared bitwise between environments.
 #[derive(Debug, PartialEq)]
@@ -98,10 +97,10 @@ const fn frozen(
     }
 }
 
-/// Replay probes of the original flat single-arena `Platform` (the implementation the
-/// sharded layout replaced), recorded at `SimConfig::tiny()` with
-/// `RunnerConfig::default()` for every registry scenario × {Random, LinUCB, DDQN}.
-/// Every shard count must reproduce them exactly.
+/// Replay probes of the original flat single-arena `Platform` (from before the sharded
+/// layout existed, which has since been deleted again), recorded at `SimConfig::tiny()`
+/// with `RunnerConfig::default()` for every registry scenario × {Random, LinUCB, DDQN}.
+/// The platform must reproduce them exactly.
 #[rustfmt::skip]
 const FROZEN: [(&str, Frozen, ReplayProbe); 15] = [
     ("stationary", Frozen::Random, frozen([0x3e989531, 0x3f0fdec0, 0x3f107958, 0x414c7eb9, 0x41c1643f, 0x41c1bb55], 151, 171, 0x4244eed8, 0xf9e70bae, 70776609)),
@@ -125,17 +124,8 @@ fn config() -> RunnerConfig {
     RunnerConfig::default()
 }
 
-/// The environment-side pool honours the CI thread matrix (`CROWD_THREADS` 1 / 4).
-fn env_pool() -> ThreadPool {
-    ThreadPool::from_env()
-}
-
 fn probe_platform(dataset: &Dataset, policy: &mut dyn Policy) -> ReplayProbe {
-    probe_sharded(dataset, policy, ShardSpec::default())
-}
-
-fn probe_sharded(dataset: &Dataset, policy: &mut dyn Policy, spec: ShardSpec) -> ReplayProbe {
-    let mut session = Session::for_dataset_sharded(dataset, &config(), spec);
+    let mut session = Session::for_dataset(dataset, &config());
     session.run(policy);
     let evaluated = session.evaluated_arrivals();
     let s = session.metrics().summary();
@@ -200,7 +190,7 @@ fn noop_scenario_reproduces_the_baseline_canonical_fingerprint() {
 }
 
 #[test]
-fn every_named_scenario_is_bit_identical_across_shard_counts() {
+fn every_named_scenario_reproduces_its_frozen_probe() {
     let dataset = SimConfig::tiny().generate();
     let scenarios = named_scenarios(&dataset);
     assert_eq!(FROZEN.len(), scenarios.len() * 3);
@@ -210,16 +200,11 @@ fn every_named_scenario_is_bit_identical_across_shard_counts() {
             .find(|s| s.name == *name)
             .unwrap_or_else(|| panic!("no registry scenario named {name}"));
         let perturbed = scenario.spec.apply(&dataset);
-        for n_shards in [1, 2, 8] {
-            let spec = ShardSpec::new(n_shards).with_pool(env_pool());
-            let probe = probe_sharded(&perturbed, policy.policy(&perturbed).as_mut(), spec);
-            assert_eq!(
-                &probe,
-                expected,
-                "{name} / {policy:?} diverged from the frozen probe at {n_shards} shard(s), {} thread(s)",
-                env_pool().threads()
-            );
-        }
+        let probe = probe_platform(&perturbed, policy.policy(&perturbed).as_mut());
+        assert_eq!(
+            &probe, expected,
+            "{name} / {policy:?} diverged from the frozen probe"
+        );
     }
 }
 
@@ -230,8 +215,7 @@ fn every_named_scenario_survives_mid_scenario_checkpoint_resume() {
     for scenario in named_scenarios(&dataset) {
         // Uninterrupted run: step partway, checkpoint (with the scenario section),
         // keep going to completion.
-        let shards = ShardSpec::new(2).with_pool(env_pool());
-        let mut original = scenario_session_sharded(&dataset, &scenario, &config(), shards);
+        let mut original = scenario_session(&dataset, &scenario, &config());
         let mut original_policy = make_policy();
         for _ in 0..20 {
             assert!(original.step(&mut original_policy), "{}", scenario.name);
@@ -242,7 +226,7 @@ fn every_named_scenario_survives_mid_scenario_checkpoint_resume() {
         original.run(&mut original_policy);
 
         // Resumed twin: fresh session + policy restored from the snapshot, run to end.
-        let mut resumed = scenario_session_sharded(&dataset, &scenario, &config(), shards);
+        let mut resumed = scenario_session(&dataset, &scenario, &config());
         let mut resumed_policy = make_policy();
         resume_scenario_session(&mut resumed, &mut resumed_policy, &file, &scenario.spec)
             .expect("same-scenario resume");
@@ -340,14 +324,6 @@ fn offline_workers_never_see_a_pool() {
                 view.time
             );
         }
-        // The perturbed replay stays shard-count invariant.
-        let reference = probe_platform(&perturbed, &mut RandomPolicy::new(ListMode::RankAll, 5));
-        let sharded = probe_sharded(
-            &perturbed,
-            &mut RandomPolicy::new(ListMode::RankAll, 5),
-            ShardSpec::new(8).with_pool(env_pool()),
-        );
-        assert_eq!(sharded, reference, "case {case}");
     }
 }
 
@@ -392,8 +368,8 @@ fn surge_thinning_preserves_arrival_subsequence_order() {
 #[test]
 fn retired_workers_completed_tasks_stay_pooled_until_expiry() {
     // Edge case: a worker completes tasks and then retires while those tasks are still
-    // pooled. The pool must keep serving them to other workers, and the replay must
-    // stay shard-count invariant. Swept over retirement months.
+    // pooled. The pool must keep serving them to other workers. Swept over retirement
+    // months.
     let dataset = SimConfig::tiny().generate();
     let mut rng = Rng::seed_from(71_007);
     let mut exercised = false;
@@ -439,13 +415,6 @@ fn retired_workers_completed_tasks_stay_pooled_until_expiry() {
         if seen_later {
             exercised = true;
         }
-        let reference = probe_platform(&perturbed, &mut RandomPolicy::new(ListMode::RankAll, 5));
-        let sharded = probe_sharded(
-            &perturbed,
-            &mut RandomPolicy::new(ListMode::RankAll, 5),
-            ShardSpec::new(2).with_pool(env_pool()),
-        );
-        assert_eq!(sharded, reference, "case {case}");
     }
     assert!(
         exercised,
@@ -518,7 +487,7 @@ fn drift_epoch_with_zero_remaining_tasks_matches_the_baseline_replay() {
 #[test]
 fn empty_availability_window_silences_a_worker_for_the_whole_replay() {
     // Edge case sweep: a worker with an empty window never arrives, every other worker
-    // is untouched, and the replay stays shard-count invariant.
+    // is untouched.
     let dataset = SimConfig::tiny().generate();
     let mut rng = Rng::seed_from(71_010);
     for case in 0..8 {
@@ -537,12 +506,5 @@ fn empty_availability_window_silences_a_worker_for_the_whole_replay() {
                 .collect::<Vec<_>>()
         };
         assert_eq!(others(&perturbed), others(&dataset), "case {case}");
-        let reference = probe_platform(&perturbed, &mut RandomPolicy::new(ListMode::RankAll, 5));
-        let sharded = probe_sharded(
-            &perturbed,
-            &mut RandomPolicy::new(ListMode::RankAll, 5),
-            ShardSpec::new(8).with_pool(env_pool()),
-        );
-        assert_eq!(sharded, reference, "case {case}");
     }
 }
