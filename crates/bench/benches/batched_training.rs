@@ -15,7 +15,7 @@ use crowd_bench::reference::SequentialLearner;
 use crowd_bench::{criterion_group, criterion_main, synthetic_state, BenchmarkId, Criterion};
 use crowd_ckpt::StateWriter;
 use crowd_rl_core::{
-    DdqnConfig, DqnLearner, FutureBranch, StateKind, StateTransformer, Transition,
+    DdqnConfig, DqnLearner, Experience, FutureBranch, StateKind, StateTransformer, Transition,
 };
 use crowd_tensor::Rng;
 use std::sync::Arc;
@@ -71,8 +71,7 @@ fn prepared_learner(batch_size: usize) -> DqnLearner {
         learner.store_transition(Transition {
             action_row: fill_rng.below(pool),
             reward: if fill_rng.unit() < 0.5 { 1.0 } else { 0.0 },
-            state,
-            branches: Arc::new(branches),
+            experience: Arc::new(Experience { state, branches }),
         });
     }
     learner

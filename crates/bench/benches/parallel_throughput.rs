@@ -19,7 +19,8 @@
 use crowd_bench::{criterion_group, criterion_main, synthetic_state, BenchmarkId, Criterion};
 use crowd_experiments::{RunnerConfig, Session, SessionBatch};
 use crowd_rl_core::{
-    DdqnAgent, DdqnConfig, DqnLearner, FutureBranch, StateKind, StateTransformer, Transition,
+    DdqnAgent, DdqnConfig, DqnLearner, Experience, FutureBranch, StateKind, StateTransformer,
+    Transition,
 };
 use crowd_sim::{BoxedPolicy, Dataset, Platform, SimConfig};
 use crowd_tensor::{Rng, ThreadPool};
@@ -136,8 +137,7 @@ fn prepared_learner(kind: StateKind, batch_size: usize, seed: u64) -> DqnLearner
         learner.store_transition(Transition {
             action_row: fill_rng.below(pool),
             reward: if fill_rng.unit() < 0.5 { 1.0 } else { 0.0 },
-            state,
-            branches: Arc::new(branches),
+            experience: Arc::new(Experience { state, branches }),
         });
     }
     learner

@@ -7,18 +7,22 @@
 //! pure integer/IEEE-exact arithmetic — so its bytes are identical on every platform
 //! and toolchain. `tests/checkpoint_equivalence.rs::format_stability_golden_snapshot`
 //! asserts `golden_snapshot().to_bytes()` equals the committed
-//! `tests/fixtures/format_v4.ckpt` byte for byte: any change to what the writer emits
+//! `tests/fixtures/format_v5.ckpt` byte for byte: any change to what the writer emits
 //! (field added/reordered/re-encoded) fails CI until the format version is bumped and a
 //! new golden file is committed consciously.
 
 use crowd_ckpt::{Snapshot, StateWriter};
 use crowd_nn::{Adam, Optimizer, ParamStore};
+use crowd_rl_core::{save_replay, Experience, FutureBranch, StateTensor, Transition};
 use crowd_rl_kit::{EpsilonGreedy, PrioritizedReplay, Schedule};
+use crowd_sim::TaskId;
 use crowd_tensor::{Matrix, Rng};
+use std::sync::Arc;
 
 /// Builds the golden snapshot: one exemplar of every layer the format
 /// covers at the kit level — RNG, parameters, Adam moments, prioritized replay (with
-/// its sum tree), an exploration schedule — all from explicit values.
+/// its sum tree), a replay of DQN transitions with its experience table, an
+/// exploration schedule — all from explicit values.
 pub fn golden_snapshot() -> Snapshot {
     let mut snap = Snapshot::new();
 
@@ -57,6 +61,46 @@ pub fn golden_snapshot() -> Snapshot {
     replay.update_priority(1, 2.5);
     replay.update_priority(3, 0.25);
     snap.put("replay", &replay);
+
+    // A replay of DQN transitions: two experiences (states and future branches from
+    // explicit rows), three transitions of which the first two share one experience.
+    let state = |rows: usize, first_id: u32, values: &[f32]| {
+        StateTensor::new(
+            Matrix::from_vec(rows, 2, values.to_vec()).unwrap(),
+            (first_id..first_id + rows as u32).map(TaskId).collect(),
+        )
+        .unwrap()
+    };
+    let shared = Arc::new(Experience {
+        state: state(2, 7, &[1.0, -0.5, 0.25, 2.0]),
+        branches: vec![
+            FutureBranch {
+                probability: 0.75,
+                state: state(1, 8, &[0.25, 2.0]),
+            },
+            FutureBranch {
+                probability: 0.125,
+                state: state(0, 0, &[]),
+            },
+        ],
+    });
+    let lone = Arc::new(Experience {
+        state: state(1, 3, &[-0.0, 4.0]),
+        branches: Vec::new(),
+    });
+    let mut transitions: PrioritizedReplay<Transition> = PrioritizedReplay::new(4).with_alpha(1.0);
+    for (experience, action_row, reward) in [(&shared, 1, 1.0), (&shared, 0, 0.0), (&lone, 0, 0.5)]
+    {
+        transitions.push(Transition {
+            experience: Arc::clone(experience),
+            action_row,
+            reward,
+        });
+    }
+    transitions.update_priority(2, 0.5);
+    let mut w = StateWriter::new();
+    save_replay(&transitions, &mut w);
+    snap.put_raw("transitions", w.into_bytes());
 
     // An exploration schedule position.
     snap.put(
@@ -125,7 +169,15 @@ mod tests {
         let file = crowd_ckpt::SnapshotFile::from_bytes(a).unwrap();
         assert_eq!(
             file.section_names().collect::<Vec<_>>(),
-            ["rng", "params", "adam", "replay", "explore", "scalars"]
+            [
+                "rng",
+                "params",
+                "adam",
+                "replay",
+                "transitions",
+                "explore",
+                "scalars"
+            ]
         );
     }
 

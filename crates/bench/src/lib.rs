@@ -118,9 +118,10 @@ mod tests {
         let tf = StateTransformer::new(StateKind::Worker, 8, 4, 3);
         let mut rng = Rng::seed_from(5);
         let st = synthetic_state(&tf, 5, 4, 3, &mut rng);
-        assert_eq!(st.real_tasks, 5);
-        assert_eq!(st.features.shape(), (8, 7));
-        assert_eq!(synthetic_state(&tf, 0, 4, 3, &mut rng).real_tasks, 0);
+        assert_eq!(st.real_tasks(), 5);
+        // Exactly the requested rows, no padding up to max_tasks = 8.
+        assert_eq!(st.features().shape(), (5, 7));
+        assert_eq!(synthetic_state(&tf, 0, 4, 3, &mut rng).real_tasks(), 0);
     }
 
     #[test]

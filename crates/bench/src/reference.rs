@@ -20,7 +20,9 @@
 use crowd_autograd::Graph;
 use crowd_ckpt::{LoadState, StateReader};
 use crowd_nn::{Adam, GraphBinding, Optimizer, ParamId, ParamStore, PoolSegment};
-use crowd_rl_core::{DdqnConfig, FutureBranch, LearnReport, SetQNetwork, StateTensor, Transition};
+use crowd_rl_core::{
+    load_replay, DdqnConfig, FutureBranch, LearnReport, SetQNetwork, StateTensor, Transition,
+};
 use crowd_rl_kit::PrioritizedReplay;
 use crowd_tensor::{Matrix, Result, Rng, TensorError};
 
@@ -334,7 +336,7 @@ impl SequentialLearner {
         store.load_state(&mut r)?;
         target_store.load_state(&mut r)?;
         optimizer.load_state(&mut r)?;
-        memory.load_state(&mut r)?;
+        load_replay(&mut memory, &mut r)?;
         r.finish("DqnLearner")?;
         Ok(SequentialLearner {
             net,
@@ -361,10 +363,10 @@ impl SequentialLearner {
     /// `<= 0`.
     fn target_for(&self, transition: &Transition) -> Result<f32> {
         let live = |b: &&FutureBranch| {
-            b.state.real_tasks > 0 && (b.probability > 0.0 || b.probability.is_nan())
+            b.state.real_tasks() > 0 && (b.probability > 0.0 || b.probability.is_nan())
         };
         let mut future = 0.0f32;
-        for branch in transition.branches.iter().filter(live) {
+        for branch in transition.branches().iter().filter(live) {
             let online = self.q_values(&self.store, &branch.state)?;
             // Greatest Q, ties to the earlier row; a NaN takes the lead, as in `learn`.
             let best_row =
@@ -412,12 +414,12 @@ impl SequentialLearner {
                 &mut graph,
                 &self.store,
                 &mut binding,
-                &[&transition.state],
+                &[transition.state()],
             )?;
             let row = transition.action_row;
             let td_error = target_value - graph.value(q_column).get(row, 0);
-            let mut mask = Matrix::zeros(transition.state.real_tasks, 1);
-            let mut target = Matrix::zeros(transition.state.real_tasks, 1);
+            let mut mask = Matrix::zeros(transition.state().real_tasks(), 1);
+            let mut target = Matrix::zeros(transition.state().real_tasks(), 1);
             mask.set(row, 0, 1.0);
             target.set(row, 0, target_value);
             let loss = graph.masked_mse(q_column, &target, &mask)?;

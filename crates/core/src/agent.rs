@@ -8,7 +8,7 @@ use crate::arrival_stats::ArrivalStats;
 use crate::config::{DdqnConfig, RecommendationMode};
 use crate::explorer::Explorer;
 use crate::learner::DqnLearner;
-use crate::memory::{FutureBranch, Transition};
+use crate::memory::{Experience, Transition};
 use crate::predictor::{requester_future_branches, worker_future_branches};
 use crate::state::{StateKind, StateTensor, StateTransformer};
 use crowd_sim::{
@@ -177,6 +177,16 @@ impl DdqnAgent {
         &self.learner_requester
     }
 
+    /// Heap bytes of each branch's replay memory, `(worker, requester)`: the slot array,
+    /// the sum tree and every stored experience once (a feedback's transitions share
+    /// one). Read-only accounting, never checkpointed.
+    pub fn replay_bytes(&self) -> (usize, usize) {
+        (
+            self.learner_worker.replay_bytes(),
+            self.learner_requester.replay_bytes(),
+        )
+    }
+
     /// Non-destructive probe of the agent's exploration/decision RNG: the next `u64` the
     /// stream *would* produce, without advancing it. Two agents that consumed their RNGs
     /// identically probe identically — the post-run check of the equivalence suites.
@@ -264,36 +274,40 @@ impl DdqnAgent {
         };
 
         if self.uses_worker_network() {
-            let state = self.transformer_worker.from_view(view);
-            let branches = Arc::new(worker_future_branches(
-                &self.transformer_worker,
-                &self.stats,
-                view,
-                feedback,
-                self.config.same_worker_horizon,
-                self.config.max_future_breakpoints,
-            ));
-            self.push_transitions(&state, &branches, feedback, negatives_end, true);
+            let experience = Arc::new(Experience {
+                state: self.transformer_worker.from_view(view),
+                branches: worker_future_branches(
+                    &self.transformer_worker,
+                    &self.stats,
+                    view,
+                    feedback,
+                    self.config.same_worker_horizon,
+                    self.config.max_future_breakpoints,
+                ),
+            });
+            self.push_transitions(&experience, feedback, negatives_end, true);
         }
         if self.uses_requester_network() {
-            let state = self.transformer_requester.from_view(view);
-            let branches = Arc::new(requester_future_branches(
-                &self.transformer_requester,
-                &self.stats,
-                view,
-                feedback,
-                self.mean_worker_quality,
-                self.config.consecutive_horizon,
-                self.config.max_future_breakpoints,
-            ));
-            self.push_transitions(&state, &branches, feedback, negatives_end, false);
+            let experience = Arc::new(Experience {
+                state: self.transformer_requester.from_view(view),
+                branches: requester_future_branches(
+                    &self.transformer_requester,
+                    &self.stats,
+                    view,
+                    feedback,
+                    self.mean_worker_quality,
+                    self.config.consecutive_horizon,
+                    self.config.max_future_breakpoints,
+                ),
+            });
+            self.push_transitions(&experience, feedback, negatives_end, false);
         }
     }
 
+    /// Stores the feedback's transitions, each holding one `Arc` to `experience`.
     fn push_transitions(
         &mut self,
-        state: &StateTensor,
-        branches: &Arc<Vec<FutureBranch>>,
+        experience: &Arc<Experience>,
         feedback: &FeedbackView<'_>,
         negatives_end: usize,
         worker_side: bool,
@@ -307,12 +321,11 @@ impl DdqnAgent {
                 }
                 return;
             }
-            if let Some(row) = state.task_ids.iter().position(|&t| t == task) {
+            if let Some(row) = experience.state.task_ids().iter().position(|&t| t == task) {
                 let transition = Transition {
-                    state: state.clone(),
+                    experience: Arc::clone(experience),
                     action_row: row,
                     reward,
-                    branches: Arc::clone(branches),
                 };
                 if worker_side {
                     self.learner_worker.store_transition(transition);
@@ -482,7 +495,7 @@ impl Policy for DdqnAgent {
 
 impl BatchedPolicy for DdqnAgent {
     /// Decides on `N` arrivals with **one Q-network forward pass per active network**: all
-    /// views' state rows are packed into a single `[Σ max_tasks, row_dim]` buffer (built
+    /// views' state rows are packed into a single `[Σ pool sizes, row_dim]` buffer (built
     /// straight from the borrowed views, no cloning of feature vectors beyond the state
     /// tensors the sequential path builds too) and evaluated through
     /// [`DqnLearner::q_values_batch`](crate::DqnLearner::q_values_batch). Exploration then
@@ -516,12 +529,7 @@ impl BatchedPolicy for DdqnAgent {
         let build_states = |transformer: &StateTransformer| {
             let mut states: Vec<StateTensor> = views
                 .iter()
-                .map(|_| StateTensor {
-                    features: crowd_tensor::Matrix::zeros(0, transformer.row_dim()),
-                    row_mask: crowd_tensor::Matrix::zeros(0, 1),
-                    task_ids: Vec::new(),
-                    real_tasks: 0,
-                })
+                .map(|_| StateTensor::empty(transformer.row_dim()))
                 .collect();
             pool.par_chunks(&mut states, 1, |offset, chunk| {
                 for (k, slot) in chunk.iter_mut().enumerate() {
@@ -568,7 +576,7 @@ impl BatchedPolicy for DdqnAgent {
             if combined.iter().any(|q| !q.is_finite()) {
                 self.nonfinite_q_decisions += 1;
             }
-            self.decide_from_q(&combined, &states[i].task_ids, view, decision);
+            self.decide_from_q(&combined, states[i].task_ids(), view, decision);
         }
     }
 }

@@ -28,19 +28,16 @@
 //! # The θ̃ branch cache
 //!
 //! θ̃ changes only at a target sync, and a transition's branch list is immutable and
-//! shared (`Arc`) by every transition generated from one feedback, which prioritized
-//! replay samples again and again. So the learner memoises θ̃'s Q-values per branch
-//! list, keyed on the identity of the transition's branch `Arc`. Each entry holds a
-//! `Weak` to that `Arc`, so the allocation — and with it the address the key is made
-//! of — cannot be reused by another list while the entry lives. The cache is cleared by
-//! [`DqnLearner::sync_target`] and on checkpoint load, and never serialised: it is
-//! derived state, and a cached value is the very bits a fresh pass computes (a packed
-//! pass gives every state the bits of a pass over that state alone).
-//!
-//! Decoding a checkpoint gives every transition its own fresh branch-list `Arc`, so a
-//! resumed learner hits the cache only when the very same transition is sampled again
-//! within a sync period; the hit rate recovers as the replay memory turns over. The bits
-//! are the same either way.
+//! shared — it lives in the [`Experience`] that every transition generated from one
+//! feedback holds one `Arc` to, and prioritized replay samples those transitions again
+//! and again. So the learner memoises θ̃'s Q-values per experience, keyed on the
+//! identity of that `Arc`. Each entry holds a `Weak` to it, so the allocation — and with
+//! it the address the key is made of — cannot be reused by another experience while the
+//! entry lives. The cache is cleared by [`DqnLearner::sync_target`] and on checkpoint
+//! load, and never serialised: it is derived state, and a cached value is the very bits
+//! a fresh pass computes (a packed pass gives every state the bits of a pass over that
+//! state alone). Decoding a checkpoint rebuilds the sharing ([`load_replay`]), so a
+//! resumed learner caches per feedback just as the uninterrupted one does.
 //!
 //! # The sequential reference
 //!
@@ -55,7 +52,7 @@
 //! association order than a per-transition accumulation loop.
 
 use crate::config::DdqnConfig;
-use crate::memory::{FutureBranch, Transition};
+use crate::memory::{load_replay, replay_bytes, save_replay, Experience, FutureBranch, Transition};
 use crate::qnetwork::{argmax_of, SetQNetwork};
 use crate::state::StateTensor;
 use crowd_autograd::Graph;
@@ -113,24 +110,25 @@ impl From<TensorError> for LearnError {
     }
 }
 
-/// θ̃ Q-values of one branch list: one vector per live branch, in branch order.
+/// θ̃ Q-values of one experience's branch list: one vector per live branch, in branch
+/// order.
 #[derive(Debug, Clone)]
 struct CachedTargets {
-    /// Pins the branch list's allocation, so its address — the cache key — cannot be
-    /// reused by another list while this entry lives.
-    _pin: Weak<Vec<FutureBranch>>,
+    /// Pins the experience's allocation, so its address — the cache key — cannot be
+    /// reused by another experience while this entry lives.
+    _pin: Weak<Experience>,
     values: Vec<Vec<f32>>,
 }
 
-/// Cache key of a transition's branch list: the address of its shared allocation.
-fn branch_key(branches: &Arc<Vec<FutureBranch>>) -> usize {
-    Arc::as_ptr(branches) as usize
+/// Cache key of a transition's branch list: the address of its shared experience.
+fn branch_key(experience: &Arc<Experience>) -> usize {
+    Arc::as_ptr(experience) as usize
 }
 
 /// Whether a future branch enters the double-DQN target: it has a task to act on and a
 /// probability that is not `<= 0` (a NaN one stays in, so the target guard sees it).
 fn is_live(branch: &FutureBranch) -> bool {
-    branch.state.real_tasks > 0 && (branch.probability > 0.0 || branch.probability.is_nan())
+    branch.state.real_tasks() > 0 && (branch.probability > 0.0 || branch.probability.is_nan())
 }
 
 /// Summary of one learning step.
@@ -178,7 +176,7 @@ pub struct DqnLearner {
     /// Every update's reported loss, in update order — the "loss stream" the parallel
     /// equivalence suite compares bit for bit across thread counts (4 bytes per update).
     losses: Vec<f32>,
-    /// θ̃ Q-values per branch list since the last target sync, keyed by
+    /// θ̃ Q-values per experience since the last target sync, keyed by
     /// [`branch_key`] (see the module docs). Derived state: never serialised.
     target_cache: HashMap<usize, CachedTargets>,
 }
@@ -273,6 +271,12 @@ impl DqnLearner {
         self.memory.len()
     }
 
+    /// Heap bytes of the replay memory: its slot array and sum tree, plus every stored
+    /// experience once however many transitions share it.
+    pub fn replay_bytes(&self) -> usize {
+        replay_bytes(&self.memory)
+    }
+
     /// Q values of the online network for `N` states in one packed forward pass
     /// ([`SetQNetwork::infer_batch_par`] on the learner's pool), one per real task row of
     /// each state; each entry is bit-identical to a batch of that state alone, at any
@@ -337,7 +341,7 @@ impl DqnLearner {
             let mut branch_probs: Vec<f32> = Vec::new();
             for (_, transition) in &sampled {
                 let span_start = branch_states.len();
-                for branch in transition.branches.iter().filter(|b| is_live(b)) {
+                for branch in transition.branches().iter().filter(|b| is_live(b)) {
                     branch_states.push(&branch.state);
                     branch_probs.push(branch.probability);
                 }
@@ -350,17 +354,17 @@ impl DqnLearner {
             // θ̃ values: every branch list this sync period has not scored yet goes into
             // one packed pass (each list once, however often the minibatch holds it).
             let cache = &mut self.target_cache;
-            let mut misses: Vec<(&Arc<Vec<FutureBranch>>, usize)> = Vec::new();
+            let mut misses: Vec<(&Arc<Experience>, usize)> = Vec::new();
             let mut miss_states: Vec<&StateTensor> = Vec::new();
             for ((_, transition), &(lo, hi)) in sampled.iter().zip(&branch_spans) {
-                let key = branch_key(&transition.branches);
+                let key = branch_key(&transition.experience);
                 if lo == hi
                     || cache.contains_key(&key)
                     || misses.iter().any(|(b, _)| branch_key(b) == key)
                 {
                     continue;
                 }
-                misses.push((&transition.branches, hi - lo));
+                misses.push((&transition.experience, hi - lo));
                 miss_states.extend_from_slice(&branch_states[lo..hi]);
             }
             if !miss_states.is_empty() {
@@ -368,12 +372,12 @@ impl DqnLearner {
                     .net
                     .infer_batch_par(&self.target_store, &miss_states, self.pool)?
                     .into_iter();
-                for (branches, live) in misses {
+                for (experience, live) in misses {
                     let values = miss_q.by_ref().take(live).collect();
                     cache.insert(
-                        branch_key(branches),
+                        branch_key(experience),
                         CachedTargets {
-                            _pin: Arc::downgrade(branches),
+                            _pin: Arc::downgrade(experience),
                             values,
                         },
                     );
@@ -384,7 +388,7 @@ impl DqnLearner {
             for ((sample, transition), &(lo, hi)) in sampled.iter().zip(&branch_spans) {
                 let mut future = 0.0f32;
                 if lo < hi {
-                    let target_q = &cache[&branch_key(&transition.branches)].values;
+                    let target_q = &cache[&branch_key(&transition.experience)].values;
                     for (b, target_row) in (lo..hi).zip(target_q) {
                         if let Some(best_row) = argmax_of(&online_q[b]) {
                             future += branch_probs[b] * target_row[best_row];
@@ -401,7 +405,7 @@ impl DqnLearner {
             // One packed graph for the whole minibatch, on the learner's pool.
             let mut graph = Graph::with_pool(self.pool);
             let mut binding = GraphBinding::new();
-            let states: Vec<&StateTensor> = sampled.iter().map(|(_, t)| &t.state).collect();
+            let states: Vec<&StateTensor> = sampled.iter().map(|(_, t)| t.state()).collect();
             let (q_column, segments) =
                 self.net
                     .forward_batch(&mut graph, &self.store, &mut binding, &states)?;
@@ -476,7 +480,8 @@ impl DqnLearner {
 
 /// Checkpoint format: sampling RNG, update counter (`u64`), the loss stream, online
 /// parameters θ, target parameters θ̃, the Adam state (moments + step), and the
-/// prioritized replay memory (transitions, priorities, sum tree, β). The θ̃ branch cache
+/// prioritized replay memory with each shared experience once ([`save_replay`]: the
+/// experience table, then transitions, priorities, sum tree, β). The θ̃ branch cache
 /// is derived state: it is not written, and loading clears it. The learn timing is a
 /// measurement: it is not written, and loading leaves it as it was.
 ///
@@ -493,7 +498,7 @@ impl crowd_ckpt::SaveState for DqnLearner {
         w.save(&self.store);
         w.save(&self.target_store);
         w.save(&self.optimizer);
-        w.save(&self.memory);
+        save_replay(&self.memory, w);
     }
 }
 
@@ -505,8 +510,8 @@ impl crowd_ckpt::LoadState for DqnLearner {
         r.load(&mut self.store)?;
         r.load(&mut self.target_store)?;
         r.load(&mut self.optimizer)?;
-        r.load(&mut self.memory)?;
-        // Derived from θ̃ and the old branch allocations; rebuilt by the next updates.
+        load_replay(&mut self.memory, r)?;
+        // Derived from θ̃ and the old experience allocations; rebuilt by the next updates.
         self.target_cache.clear();
         Ok(())
     }
@@ -515,7 +520,6 @@ impl crowd_ckpt::LoadState for DqnLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::FutureBranch;
     use crate::state::{StateKind, StateTransformer};
     use crowd_sim::{TaskId, TaskSnapshot};
     use std::sync::Arc;
@@ -555,22 +559,23 @@ mod tests {
     fn fill_memory(learner: &mut DqnLearner, tf: &StateTransformer) {
         let snaps = vec![snapshot(0, 0.9), snapshot(1, 0.1)];
         let state = tf.build(&snaps, &[0.5, 0.5], 0.5);
-        let branches = Arc::new(vec![FutureBranch {
-            probability: 1.0,
-            state: state.clone(),
-        }]);
+        let experience = Arc::new(Experience {
+            branches: vec![FutureBranch {
+                probability: 1.0,
+                state: state.clone(),
+            }],
+            state,
+        });
         for _ in 0..16 {
             learner.store_transition(Transition {
-                state: state.clone(),
+                experience: Arc::clone(&experience),
                 action_row: 0,
                 reward: 1.0,
-                branches: Arc::clone(&branches),
             });
             learner.store_transition(Transition {
-                state: state.clone(),
+                experience: Arc::clone(&experience),
                 action_row: 1,
                 reward: 0.0,
-                branches: Arc::clone(&branches),
             });
         }
     }
@@ -730,13 +735,15 @@ mod tests {
         for _ in 0..3 {
             learner.learn().unwrap().unwrap();
         }
-        let state = tf.build(&[snapshot(0, 0.4)], &[0.5, 0.5], 0.5);
+        let experience = Arc::new(Experience {
+            state: tf.build(&[snapshot(0, 0.4)], &[0.5, 0.5], 0.5),
+            branches: Vec::new(),
+        });
         for _ in 0..cfg.batch_size {
             learner.store_transition(Transition {
-                state: state.clone(),
+                experience: Arc::clone(&experience),
                 action_row: 0,
                 reward: f32::NAN,
-                branches: Arc::new(Vec::new()),
             });
         }
         let params = learner.params().clone();
@@ -775,7 +782,7 @@ mod tests {
         let tf = transformer();
         let mut rng = Rng::seed_from(9);
         let mut learner = DqnLearner::new(&cfg, 5, 0.3, &mut rng);
-        // fill_memory shares one branch list across all 32 transitions.
+        // fill_memory shares one experience across all 32 transitions.
         fill_memory(&mut learner, &tf);
         learner.learn().unwrap().unwrap();
         assert_eq!(learner.target_cache.len(), 1);
@@ -785,6 +792,9 @@ mod tests {
         let mut reader = crowd_ckpt::StateReader::new(bytes.as_bytes());
         crowd_ckpt::LoadState::load_state(&mut resumed, &mut reader).unwrap();
         assert!(resumed.target_cache.is_empty(), "load must drop the cache");
+        // Loading rebuilds the shared experience, so the resumed learner scores it once.
+        resumed.learn().unwrap().unwrap();
+        assert_eq!(resumed.target_cache.len(), 1);
         learner.sync_target();
         assert!(learner.target_cache.is_empty(), "sync must drop the cache");
     }
@@ -796,12 +806,15 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         let mut learner = DqnLearner::new(&cfg, 5, 0.9, &mut rng);
         let state = tf.build(&[snapshot(0, 0.7)], &[0.2, 0.8], 0.5);
+        let experience = Arc::new(Experience {
+            state: state.clone(),
+            branches: Vec::new(),
+        });
         for _ in 0..16 {
             learner.store_transition(Transition {
-                state: state.clone(),
+                experience: Arc::clone(&experience),
                 action_row: 0,
                 reward: 0.5,
-                branches: Arc::new(Vec::new()),
             });
         }
         for _ in 0..150 {

@@ -72,6 +72,6 @@ pub use arrival_stats::ArrivalStats;
 pub use config::{DdqnConfig, RecommendationMode};
 pub use explorer::Explorer;
 pub use learner::{DqnLearner, LearnError, LearnReport};
-pub use memory::{FutureBranch, Transition};
+pub use memory::{load_replay, save_replay, Experience, FutureBranch, Transition};
 pub use qnetwork::SetQNetwork;
 pub use state::{StateKind, StateTensor, StateTransformer};

@@ -286,7 +286,7 @@ mod tests {
         let ctx = context(&[1000 + 200, 1000 + 3000, 1_000_000]);
         let fb = feedback(&ctx, None);
         let branches = worker_future_branches(&tf, &stats(), &ctx.view(), &fb.view(), 10_080, 8);
-        let survivor_counts: Vec<usize> = branches.iter().map(|b| b.state.real_tasks).collect();
+        let survivor_counts: Vec<usize> = branches.iter().map(|b| b.state.real_tasks()).collect();
         assert!(
             survivor_counts.windows(2).all(|w| w[0] >= w[1]),
             "{survivor_counts:?}"
@@ -305,7 +305,7 @@ mod tests {
         let fb = feedback(&ctx, Some(0));
         let branches = worker_future_branches(&tf, &stats(), &ctx.view(), &fb.view(), 10_080, 4);
         // Worker part of each row is the post-completion feature [0.9, 0.1, 0.0].
-        let row = branches[0].state.features.row(0);
+        let row = branches[0].state.features().row(0);
         assert!((row[3] - 0.9).abs() < 1e-6 && (row[4] - 0.1).abs() < 1e-6);
     }
 
@@ -334,7 +334,7 @@ mod tests {
         assert!(!branches.is_empty());
         // Find task 0's row (deadline-sorted keeps it first) and check quality = 0.2 + 0.3.
         let state = &branches[0].state;
-        let row = state.features.row(0);
+        let row = state.features().row(0);
         let task_quality = row[3 + 3 + 1];
         assert!((task_quality - 0.5).abs() < 1e-5, "quality {task_quality}");
         // Requester-side future worker quality uses the supplied expectation.
@@ -348,6 +348,6 @@ mod tests {
         let fb = feedback(&ctx, None);
         let branches = worker_future_branches(&tf, &stats(), &ctx.view(), &fb.view(), 10_080, 4);
         assert!(!branches.is_empty());
-        assert_eq!(branches[0].state.real_tasks, 0);
+        assert_eq!(branches[0].state.real_tasks(), 0);
     }
 }

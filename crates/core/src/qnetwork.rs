@@ -19,7 +19,7 @@
 //!
 //! The network scores only real tasks: both passes pack the real rows of `N` states back
 //! to back into one `[Σ pool sizes, row_dim]` buffer, one [`PoolSegment`] per non-empty
-//! state, and never touch the padding of a [`StateTensor`].
+//! state. A [`StateTensor`] holds only real rows, so each state is one contiguous copy.
 //! [`SetQNetwork::forward_batch`] is the taped pass (training) and
 //! [`SetQNetwork::infer_batch`] / [`SetQNetwork::infer_batch_par`] the tape-free one
 //! (acting and double-DQN targets); a single state is a batch of one.
@@ -108,10 +108,10 @@ impl SetQNetwork {
         self.hidden_dim
     }
 
-    /// Packs the real-row prefixes of `states` back to back into one
+    /// Packs the rows of `states` back to back into one
     /// `[Σ pool sizes, row_dim]` buffer with one padding-free segment per *non-empty*
     /// state (empty pools contribute no rows and no segment). Returns `None` when every
-    /// pool is empty. State matrices are row-major, so each prefix is one contiguous copy;
+    /// pool is empty. State matrices are row-major, so each state is one contiguous copy;
     /// all states must agree on the row width, and a mismatch is reported against the
     /// first non-empty state's shape so the diagnostic names the actual disagreement.
     fn pack_states(
@@ -122,22 +122,22 @@ impl SetQNetwork {
         let mut first_shape = None;
         let mut total_rows = 0;
         for state in states {
-            if state.real_tasks == 0 {
+            if state.real_tasks() == 0 {
                 continue;
             }
-            let first = *first_shape.get_or_insert(state.features.shape());
-            if state.features.cols() != first.1 {
+            let first = *first_shape.get_or_insert(state.features().shape());
+            if state.features().cols() != first.1 {
                 return Err(crowd_tensor::TensorError::ShapeMismatch {
                     op,
                     lhs: first,
-                    rhs: state.features.shape(),
+                    rhs: state.features().shape(),
                 });
             }
             segments.push(PoolSegment {
                 start: total_rows,
-                rows: state.real_tasks,
+                rows: state.real_tasks(),
             });
-            total_rows += state.real_tasks;
+            total_rows += state.real_tasks();
         }
         let Some((_, row_dim)) = first_shape else {
             return Ok(None);
@@ -147,12 +147,12 @@ impl SetQNetwork {
             let dst = x.as_mut_slice();
             let mut seg_iter = segments.iter();
             for state in states {
-                if state.real_tasks == 0 {
+                if state.real_tasks() == 0 {
                     continue;
                 }
                 let seg = seg_iter.next().expect("one segment per non-empty state");
                 dst[seg.start * row_dim..seg.end() * row_dim]
-                    .copy_from_slice(&state.features.as_slice()[..seg.rows * row_dim]);
+                    .copy_from_slice(state.features().as_slice());
             }
         }
         Ok(Some((x, segments)))
@@ -189,7 +189,7 @@ impl SetQNetwork {
         binding: &mut GraphBinding,
         states: &[&StateTensor],
     ) -> Result<(VarId, Vec<PoolSegment>)> {
-        if states.is_empty() || states.iter().any(|s| s.real_tasks == 0) {
+        if states.is_empty() || states.iter().any(|s| s.real_tasks() == 0) {
             return Err(crowd_tensor::TensorError::EmptyInput {
                 op: "forward_batch",
             });
@@ -225,7 +225,7 @@ impl SetQNetwork {
     /// output row depends only on its own input row, and attention never leaves its
     /// segment. (See the equivalence tests below and `tests/batched_equivalence.rs` for
     /// the end-to-end proof.) Only real task rows are scored, so a pass costs what the
-    /// pools hold, not `max_tasks` rows per state.
+    /// pools hold.
     ///
     /// Empty pools are short-circuited: their entry is an empty vector and they contribute
     /// no rows to the packed buffer.
@@ -268,12 +268,12 @@ impl SetQNetwork {
         let mut out = Vec::with_capacity(states.len());
         let mut seg_iter = segments.iter();
         for state in states {
-            if state.real_tasks == 0 {
+            if state.real_tasks() == 0 {
                 out.push(Vec::new());
                 continue;
             }
             let seg = seg_iter.next().expect("one segment per non-empty state");
-            out.push(col[seg.start..seg.start + state.real_tasks].to_vec());
+            out.push(col[seg.start..seg.start + state.real_tasks()].to_vec());
         }
         Ok(out)
     }
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn padding_does_not_change_real_q_values() {
-        // Same pool represented with different maxT (more padding rows) gives the same Qs.
+        // The same pool under a larger maxT builds the same rows, so it gives the same Qs.
         let (store, net) = network(7, 4);
         let small_tf = StateTransformer::new(StateKind::Worker, 5, 4, 3);
         let large_tf = StateTransformer::new(StateKind::Worker, 12, 4, 3);
@@ -521,7 +521,7 @@ mod tests {
                 .forward_batch(&mut g_solo, &store, &mut binding_solo, &[st])
                 .unwrap();
             let solo_col = g_solo.value(q_solo).col(0);
-            for row in 0..st.real_tasks {
+            for row in 0..st.real_tasks() {
                 assert_eq!(
                     packed_col[seg.start + row].to_bits(),
                     solo_col[row].to_bits(),

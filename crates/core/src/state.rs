@@ -2,9 +2,9 @@
 //!
 //! A state is the arriving worker plus the set of available tasks. The transformer
 //! concatenates each task's feature with the worker's feature (and, for MDP(r), the worker
-//! quality and task quality) into one row per task, zero-pads to `maxT` rows and records a
-//! row mask. The Q-network reads only the first `real_tasks` rows, so padding never
-//! reaches it.
+//! quality and task quality) into one row per task. A state holds exactly one row per
+//! represented task, no padding: pools larger than `maxT` are truncated to the `maxT`
+//! tasks closest to their deadline, and smaller pools keep only their real rows.
 
 use crowd_sim::{ArrivalContext, ArrivalView, TaskId, TaskRef, TaskSnapshot};
 use crowd_tensor::Matrix;
@@ -18,51 +18,72 @@ pub enum StateKind {
     Requester,
 }
 
-/// A fixed-size state representation ready to be fed to the Q-network.
+/// A state ready to be fed to the Q-network: one row per represented task, no padding.
+///
+/// The feature matrix has exactly one row per task id — row `i` belongs to
+/// `task_ids()[i]` — so the row count has one source of truth,
+/// [`StateTensor::real_tasks`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateTensor {
-    /// `[max_tasks, row_dim]` feature matrix (zero rows beyond `real_tasks`).
-    pub features: Matrix,
-    /// `[max_tasks, 1]` column with 1.0 for real task rows and 0.0 for padding.
-    pub row_mask: Matrix,
-    /// Tasks actually represented, in row order.
-    pub task_ids: Vec<TaskId>,
-    /// Number of real (non-padded) rows.
-    pub real_tasks: usize,
+    features: Matrix,
+    task_ids: Vec<TaskId>,
 }
 
-/// Checkpoint format: feature matrix, row mask, task ids, real-row count (`u64`).
-/// State tensors appear in snapshots only inside stored transitions.
+impl StateTensor {
+    /// A state from its `[task_ids.len(), row_dim]` feature rows; `None` when the row
+    /// count and the id count differ.
+    pub fn new(features: Matrix, task_ids: Vec<TaskId>) -> Option<Self> {
+        (features.rows() == task_ids.len()).then_some(StateTensor { features, task_ids })
+    }
+
+    /// A state with no task rows (an empty pool).
+    pub fn empty(row_dim: usize) -> Self {
+        StateTensor {
+            features: Matrix::zeros(0, row_dim),
+            task_ids: Vec::new(),
+        }
+    }
+
+    /// `[real_tasks, row_dim]` feature matrix.
+    pub fn features(&self) -> &Matrix {
+        &self.features
+    }
+
+    /// Tasks represented, in row order.
+    pub fn task_ids(&self) -> &[TaskId] {
+        &self.task_ids
+    }
+
+    /// Number of task rows.
+    pub fn real_tasks(&self) -> usize {
+        self.features.rows()
+    }
+
+    /// Heap bytes owned by this state: the feature rows and the task ids.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.features.as_slice())
+            + self.task_ids.capacity() * std::mem::size_of::<TaskId>()
+    }
+}
+
+/// Checkpoint format: feature matrix (`[real_tasks, row_dim]`), then the task ids (their
+/// count must equal the matrix's rows). State tensors appear in snapshots only inside
+/// stored experiences.
 impl crowd_ckpt::SaveState for StateTensor {
     fn save_state(&self, w: &mut crowd_ckpt::StateWriter) {
         w.save(&self.features);
-        w.save(&self.row_mask);
         w.save(&self.task_ids);
-        w.put_usize(self.real_tasks);
     }
 }
 
 impl crowd_ckpt::DecodeState for StateTensor {
     fn decode_state(r: &mut crowd_ckpt::StateReader<'_>) -> crowd_ckpt::Result<Self> {
         let features: Matrix = r.decode()?;
-        let row_mask: Matrix = r.decode()?;
         let task_ids: Vec<TaskId> = r.decode()?;
-        let real_tasks = r.take_usize()?;
-        if real_tasks != task_ids.len() || real_tasks > features.rows() {
-            return Err(crowd_ckpt::CkptError::Corrupt {
-                what: "state tensor",
-                detail: format!(
-                    "{real_tasks} real rows vs {} task ids in a {}-row state",
-                    task_ids.len(),
-                    features.rows()
-                ),
-            });
-        }
-        Ok(StateTensor {
-            features,
-            row_mask,
-            task_ids,
-            real_tasks,
+        let (ids, rows) = (task_ids.len(), features.rows());
+        StateTensor::new(features, task_ids).ok_or_else(|| crowd_ckpt::CkptError::Corrupt {
+            what: "state tensor",
+            detail: format!("{ids} task ids in a {rows}-row state"),
         })
     }
 }
@@ -95,7 +116,7 @@ impl StateTransformer {
         }
     }
 
-    /// Maximum number of task rows.
+    /// Maximum number of task rows a state keeps.
     pub fn max_tasks(&self) -> usize {
         self.max_tasks
     }
@@ -154,15 +175,11 @@ impl StateTransformer {
             order.sort_by_key(|&i| task_at(i).deadline);
             order.truncate(self.max_tasks);
         }
-        let real_tasks = order.len();
-        let row_dim = self.row_dim();
-        let mut features = Matrix::zeros(self.max_tasks, row_dim);
-        let mut row_mask = Matrix::zeros(self.max_tasks, 1);
-        let mut task_ids = Vec::with_capacity(real_tasks);
+        let mut features = Matrix::zeros(order.len(), self.row_dim());
+        let mut task_ids = Vec::with_capacity(order.len());
         for (row, &idx) in order.iter().enumerate() {
             let task = task_at(idx);
             task_ids.push(task.id);
-            row_mask.set(row, 0, 1.0);
             let dst = features.row_mut(row);
             let t_len = task.feature.len().min(self.task_dim);
             dst[..t_len].copy_from_slice(&task.feature[..t_len]);
@@ -173,12 +190,7 @@ impl StateTransformer {
                 dst[self.task_dim + self.worker_dim + 1] = task.quality;
             }
         }
-        StateTensor {
-            features,
-            row_mask,
-            task_ids,
-            real_tasks,
-        }
+        StateTensor { features, task_ids }
     }
 }
 
@@ -218,14 +230,12 @@ mod tests {
         let tf = StateTransformer::new(StateKind::Worker, 4, 3, 2);
         assert_eq!(tf.row_dim(), 5);
         let st = tf.from_context(&context(2));
-        assert_eq!(st.features.shape(), (4, 5));
-        assert_eq!(st.real_tasks, 2);
+        // Exactly one row per real task, no padding up to max_tasks = 4.
+        assert_eq!(st.features.shape(), (2, 5));
+        assert_eq!(st.real_tasks(), 2);
         assert_eq!(st.task_ids, vec![TaskId(0), TaskId(1)]);
         // Row 1 = [task feature | worker feature].
         assert_eq!(st.features.row(1), &[1.0, 1.0, 0.0, 0.5, 0.25]);
-        // Padding rows are zero and masked out.
-        assert_eq!(st.features.row(3), &[0.0; 5]);
-        assert_eq!(st.row_mask.col(0), vec![1.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -245,17 +255,37 @@ mod tests {
         let tf = StateTransformer::new(StateKind::Worker, 2, 3, 2);
         let ctx = context(5); // deadlines 100..104
         let st = tf.from_context(&ctx);
-        assert_eq!(st.real_tasks, 2);
+        assert_eq!(st.features.shape(), (2, 5));
         assert_eq!(st.task_ids, vec![TaskId(0), TaskId(1)]);
     }
 
     #[test]
-    fn empty_pool_is_all_padding() {
+    fn empty_pool_has_no_rows() {
         let tf = StateTransformer::new(StateKind::Worker, 3, 3, 2);
         let st = tf.from_context(&context(0));
-        assert_eq!(st.real_tasks, 0);
+        assert_eq!(st.features.shape(), (0, 5));
+        assert_eq!(st.real_tasks(), 0);
         assert!(st.task_ids.is_empty());
-        assert_eq!(st.row_mask.col(0), vec![0.0, 0.0, 0.0]);
+        assert_eq!(st, StateTensor::empty(5));
+    }
+
+    #[test]
+    fn decoding_refuses_task_ids_that_disagree_with_the_rows() {
+        use crowd_ckpt::{CkptError, StateReader, StateWriter};
+        let tf = StateTransformer::new(StateKind::Worker, 4, 3, 2);
+        let st = tf.from_context(&context(3));
+        let mut w = StateWriter::new();
+        w.save(&st);
+        let decoded: StateTensor = StateReader::new(w.as_bytes()).decode().unwrap();
+        assert_eq!(decoded, st);
+
+        let mut w = StateWriter::new();
+        w.save(st.features());
+        w.save(&st.task_ids()[..2].to_vec());
+        let err = StateReader::new(w.as_bytes())
+            .decode::<StateTensor>()
+            .unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
     }
 
     #[test]

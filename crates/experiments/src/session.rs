@@ -230,7 +230,11 @@ impl<E: Env> Session<E> {
         for hook in hooks.drain(..) {
             match hook {
                 PendingHook::EndOfDay(day) => self.update_timer.time(|| policy.end_of_day(day)),
-                PendingHook::WarmStart => policy.warm_start(&self.warmup_history),
+                PendingHook::WarmStart => {
+                    // The history is read once, here; release it for the rest of the run.
+                    let history = std::mem::take(&mut self.warmup_history);
+                    policy.warm_start(&history);
+                }
             }
         }
         // Hand the (now empty) buffer back so its capacity is reused across steps.
@@ -307,9 +311,9 @@ impl<E: Env> Session<E> {
     }
 
     /// Serialises the session's replay-protocol progress: warm-up months configured
-    /// (validation), metric samples, the warm-up RNG and — only
-    /// while still inside the warm-up window — the accumulated warm-start history, plus
-    /// the day cursor, evaluated-arrival count and done flag.
+    /// (validation), metric samples, the warm-up RNG, the day cursor, evaluated-arrival
+    /// count and done flag, and the accumulated warm-start history — empty once it has
+    /// been handed off.
     fn save_session_state(&self, w: &mut StateWriter) {
         // Both stepping paths drain hooks before returning, so between steps — the only
         // place checkpoints are taken — there is never one pending (and the snapshot
@@ -325,12 +329,8 @@ impl<E: Env> Session<E> {
         w.save(&self.current_day.map(|d| d as u64));
         w.put_usize(self.evaluated_arrivals);
         w.put_bool(self.done);
-        if self.warm_started {
-            // After the hand-off the history is never read again; keep snapshots small.
-            w.put_usize(0);
-        } else {
-            w.save(&self.warmup_history);
-        }
+        // Empty once handed off: `drain_hooks` releases it after `warm_start`.
+        w.save(&self.warmup_history);
     }
 
     fn load_session_state(&mut self, r: &mut StateReader<'_>) -> crowd_ckpt::Result<()> {
@@ -856,4 +856,45 @@ pub fn run_policies_lockstep(
     }
     batch.run_all(&mut policies);
     batch.finish(&policies)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crowd_baselines::{ListMode, RandomPolicy};
+    use crowd_sim::SimConfig;
+
+    #[test]
+    fn warmup_history_is_released_after_the_hand_off() {
+        let dataset = SimConfig::tiny().generate();
+        let config = RunnerConfig::default();
+        let mut policy = RandomPolicy::new(ListMode::RankAll, 5);
+
+        // Up to the hand-off the warm-up month is held for `warm_start`…
+        let mut pending = Session::for_dataset(&dataset, &config);
+        assert!(pending.advance_env());
+        assert!(!pending.warmup_history.is_empty());
+
+        // …and after the first evaluated step it is gone.
+        let mut session = Session::for_dataset(&dataset, &config);
+        assert!(session.step(&mut policy));
+        assert!(session.warm_started);
+        assert!(session.warmup_history.is_empty());
+        assert_eq!(session.warmup_history.capacity(), 0);
+
+        // The checkpoint bytes are those of a writer that keeps the history and writes
+        // a zero-record one once warm-started.
+        let mut written = StateWriter::new();
+        session.save_session_state(&mut written);
+        let mut kept = StateWriter::new();
+        kept.put_usize(session.config.warmup_months);
+        kept.save(&session.metrics);
+        kept.save(&session.warmup_rng);
+        kept.put_bool(session.warm_started);
+        kept.save(&session.current_day.map(|d| d as u64));
+        kept.put_usize(session.evaluated_arrivals);
+        kept.put_bool(session.done);
+        kept.put_usize(0);
+        assert_eq!(written.as_bytes(), kept.as_bytes());
+    }
 }

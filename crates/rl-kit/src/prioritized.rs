@@ -101,6 +101,19 @@ impl<T> PrioritizedReplay<T> {
         self.items.get(slot).and_then(|o| o.as_ref())
     }
 
+    /// The stored transitions in slot order (empty slots skipped).
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.items.iter().flatten()
+    }
+
+    /// Heap bytes of the buffer: its slot array and sum tree, plus `item_bytes` of every
+    /// stored transition (return 0 for a transition whose heap is already counted).
+    pub fn heap_bytes(&self, item_bytes: impl FnMut(&T) -> usize) -> usize {
+        self.items.capacity() * std::mem::size_of::<Option<T>>()
+            + self.tree.heap_bytes()
+            + self.iter().map(item_bytes).sum::<usize>()
+    }
+
     /// Samples `batch` slots proportionally to priority, annealing β. Returns an empty vector
     /// when the buffer is empty.
     pub fn sample(&mut self, batch: usize, rng: &mut Rng) -> Vec<PrioritizedSample> {
@@ -186,13 +199,15 @@ impl<T> PrioritizedReplay<T> {
     }
 }
 
-/// Checkpoint format: capacity (`u64`, validated), ring-cursor state (`next_slot`,
-/// `len`), the α/β annealing state and ε/max-priority (f64 raw bits), the embedded
-/// [`SumTree`] (full node array — see its impl for why), then one `Option<T>` per slot
-/// in slot order. β is live state, not configuration: it anneals per sample, and the
-/// importance-sampling weights of the next minibatch depend on its exact value.
-impl<T: crowd_ckpt::SaveState> crowd_ckpt::SaveState for PrioritizedReplay<T> {
-    fn save_state(&self, w: &mut crowd_ckpt::StateWriter) {
+impl<T> PrioritizedReplay<T> {
+    /// Writes the buffer in the checkpoint layout of the `SaveState` impl below, with each
+    /// stored transition encoded by `save_item` — for transitions whose encoding needs
+    /// context from outside the buffer (a table of shared parts written before it).
+    pub fn save_state_with(
+        &self,
+        w: &mut crowd_ckpt::StateWriter,
+        mut save_item: impl FnMut(&T, &mut crowd_ckpt::StateWriter),
+    ) {
         w.put_usize(self.capacity);
         w.put_usize(self.next_slot);
         w.put_usize(self.len);
@@ -207,15 +222,19 @@ impl<T: crowd_ckpt::SaveState> crowd_ckpt::SaveState for PrioritizedReplay<T> {
                 None => w.put_bool(false),
                 Some(item) => {
                     w.put_bool(true);
-                    item.save_state(w);
+                    save_item(item, w);
                 }
             }
         }
     }
-}
 
-impl<T: crowd_ckpt::DecodeState> crowd_ckpt::LoadState for PrioritizedReplay<T> {
-    fn load_state(&mut self, r: &mut crowd_ckpt::StateReader<'_>) -> crowd_ckpt::Result<()> {
+    /// Restores the buffer from the layout [`PrioritizedReplay::save_state_with`] writes,
+    /// decoding each stored transition with `decode_item`.
+    pub fn load_state_with(
+        &mut self,
+        r: &mut crowd_ckpt::StateReader<'_>,
+        mut decode_item: impl FnMut(&mut crowd_ckpt::StateReader<'_>) -> crowd_ckpt::Result<T>,
+    ) -> crowd_ckpt::Result<()> {
         let capacity = r.take_usize()?;
         if capacity != self.capacity {
             return Err(crowd_ckpt::CkptError::Corrupt {
@@ -244,12 +263,29 @@ impl<T: crowd_ckpt::DecodeState> crowd_ckpt::LoadState for PrioritizedReplay<T> 
         crowd_ckpt::LoadState::load_state(&mut self.tree, r)?;
         for slot in &mut self.items {
             *slot = if r.take_bool()? {
-                Some(T::decode_state(r)?)
+                Some(decode_item(r)?)
             } else {
                 None
             };
         }
         Ok(())
+    }
+}
+
+/// Checkpoint format: capacity (`u64`, validated), ring-cursor state (`next_slot`,
+/// `len`), the α/β annealing state and ε/max-priority (f64 raw bits), the embedded
+/// [`SumTree`] (full node array — see its impl for why), then one `Option<T>` per slot
+/// in slot order. β is live state, not configuration: it anneals per sample, and the
+/// importance-sampling weights of the next minibatch depend on its exact value.
+impl<T: crowd_ckpt::SaveState> crowd_ckpt::SaveState for PrioritizedReplay<T> {
+    fn save_state(&self, w: &mut crowd_ckpt::StateWriter) {
+        self.save_state_with(w, |item, w| item.save_state(w));
+    }
+}
+
+impl<T: crowd_ckpt::DecodeState> crowd_ckpt::LoadState for PrioritizedReplay<T> {
+    fn load_state(&mut self, r: &mut crowd_ckpt::StateReader<'_>) -> crowd_ckpt::Result<()> {
+        self.load_state_with(r, T::decode_state)
     }
 }
 
@@ -310,6 +346,18 @@ mod tests {
         let bytes = w.into_bytes();
         let mut wrong: PrioritizedReplay<u32> = PrioritizedReplay::new(8);
         assert!(wrong.load_state(&mut StateReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn iter_walks_slots_and_heap_bytes_counts_items() {
+        let mut buf = PrioritizedReplay::new(4);
+        for i in 0..6u32 {
+            buf.push(i);
+        }
+        assert_eq!(buf.iter().copied().collect::<Vec<_>>(), vec![4, 5, 2, 3]);
+        let fixed = buf.heap_bytes(|_| 0);
+        assert!(fixed > 0);
+        assert_eq!(buf.heap_bytes(|&i| i as usize), fixed + 4 + 5 + 2 + 3);
     }
 
     #[test]

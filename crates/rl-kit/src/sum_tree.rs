@@ -30,6 +30,11 @@ impl SumTree {
         self.capacity
     }
 
+    /// Heap bytes of the node array.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Total priority mass.
     pub fn total(&self) -> f64 {
         self.nodes[1]

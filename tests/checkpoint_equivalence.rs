@@ -17,7 +17,7 @@
 //! The suite also covers the loader's robustness guarantees (truncation, bit flips,
 //! wrong magic, future version — typed errors, never panics or half-loads) and the
 //! byte-level format stability against the committed golden snapshot
-//! (`tests/fixtures/format_v4.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
+//! (`tests/fixtures/format_v5.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
 //! after a deliberate format-version bump).
 
 use crowd_bench::ckpt_fixtures;
@@ -493,8 +493,9 @@ fn damaged_snapshots_fail_with_typed_errors_never_panics() {
     ));
     // A future format version, and every older one, is refused, never misparsed:
     // version 1 stored the flat single-arena platform layout, version 2 stored
-    // wall-clock timings, and versions 2 and 3 the sharded platform layout.
-    for version in [1, 2, 3, FORMAT_VERSION + 1] {
+    // wall-clock timings, versions 2 and 3 the sharded platform layout, and versions 1
+    // to 4 padded states with one copy per transition.
+    for version in [1, 2, 3, 4, FORMAT_VERSION + 1] {
         match SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, version)) {
             Err(CkptError::UnsupportedVersion { found, supported }) => {
                 assert_eq!((found, supported), (version, FORMAT_VERSION));
@@ -610,10 +611,10 @@ fn mismatched_resume_targets_are_typed_errors() {
 }
 
 fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v4.ckpt")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v5.ckpt")
 }
 
-/// Format stability: the committed version-4 golden snapshot must equal what today's
+/// Format stability: the committed version-5 golden snapshot must equal what today's
 /// writer emits, byte for byte, and must load under today's reader and re-save to the
 /// same bytes. Any change to the wire format fails here until `FORMAT_VERSION` is
 /// bumped and a new golden file is committed deliberately (`UPDATE_GOLDEN=1 cargo test
@@ -652,6 +653,15 @@ fn format_stability_golden_snapshot() {
         crowd_rl_kit::PrioritizedReplay::new(4).with_alpha(1.0);
     file.load_into("replay", &mut replay).unwrap();
     assert_eq!(replay.len(), 4);
+    let mut transitions: crowd_rl_kit::PrioritizedReplay<crowd_rl_core::Transition> =
+        crowd_rl_kit::PrioritizedReplay::new(4).with_alpha(1.0);
+    crowd_rl_core::load_replay(&mut transitions, &mut file.reader("transitions").unwrap()).unwrap();
+    let slots: Vec<_> = transitions.iter().collect();
+    assert_eq!(slots.len(), 3);
+    assert!(std::sync::Arc::ptr_eq(
+        &slots[0].experience,
+        &slots[1].experience
+    ));
 
     // …and re-saving those objects reproduces the golden payload bytes exactly.
     let mut resaved = Snapshot::new();
@@ -659,8 +669,11 @@ fn format_stability_golden_snapshot() {
     resaved.put("params", &store);
     resaved.put("adam", &adam);
     resaved.put("replay", &replay);
+    let mut w = crowd_ckpt::StateWriter::new();
+    crowd_rl_core::save_replay(&transitions, &mut w);
+    resaved.put_raw("transitions", w.into_bytes());
     let roundtrip = SnapshotFile::from_bytes(resaved.to_bytes()).unwrap();
-    for section in ["rng", "params", "adam", "replay"] {
+    for section in ["rng", "params", "adam", "replay", "transitions"] {
         let a = file.reader(section).unwrap();
         let b = roundtrip.reader(section).unwrap();
         assert_eq!(

@@ -43,7 +43,7 @@ use crowd_bench::reference::SequentialLearner;
 use crowd_bench::synthetic_state;
 use crowd_ckpt::{LoadState, StateReader, StateWriter};
 use crowd_rl_core::{
-    DdqnConfig, DqnLearner, FutureBranch, StateKind, StateTransformer, Transition,
+    DdqnConfig, DqnLearner, Experience, FutureBranch, StateKind, StateTransformer, Transition,
 };
 use crowd_tensor::Rng;
 use std::sync::Arc;
@@ -101,25 +101,23 @@ fn random_transition(tf: &StateTransformer, rng: &mut Rng) -> Transition {
     Transition {
         action_row: rng.below(pool),
         reward: if rng.unit() < 0.5 { 1.0 } else { 0.0 },
-        state,
-        branches: Arc::new(branches),
+        experience: Arc::new(Experience { state, branches }),
     }
 }
 
 /// One feedback's transitions, stored the way the agent stores them: the chosen task's
 /// transition plus 0–2 transitions for other shown tasks (reward 0), all in the same
-/// state and sharing one branch-list `Arc`.
+/// state and sharing one `Arc` to its experience.
 fn feedback_transitions(tf: &StateTransformer, rng: &mut Rng) -> Vec<Transition> {
     let chosen = random_transition(tf, rng);
-    let pool = chosen.state.real_tasks;
+    let pool = chosen.state().real_tasks();
     let others = rng.below(3);
     let mut group = Vec::with_capacity(1 + others);
     for _ in 0..others {
         group.push(Transition {
-            state: chosen.state.clone(),
+            experience: Arc::clone(&chosen.experience),
             action_row: rng.below(pool),
             reward: 0.0,
-            branches: Arc::clone(&chosen.branches),
         });
     }
     group.insert(0, chosen);
@@ -328,8 +326,10 @@ fn packed_learning_handles_supervised_transitions() {
         learner.store_transition(Transition {
             action_row: rng.below(pool),
             reward: rng.uniform(0.0, 1.0),
-            state,
-            branches: Arc::new(Vec::new()),
+            experience: Arc::new(Experience {
+                state,
+                branches: Vec::new(),
+            }),
         });
     }
     for update in 0..10 {

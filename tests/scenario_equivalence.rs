@@ -28,7 +28,7 @@ use crowd_sim::{
     Dataset, Env, Event, EventKind, Platform, Policy, ScenarioSpec, SimConfig, WorkerId,
     MINUTES_PER_MONTH,
 };
-use crowd_tensor::Rng;
+use crowd_tensor::{Rng, ThreadPool};
 
 /// Everything one replay leaves behind, compared bitwise between environments.
 #[derive(Debug, PartialEq)]
@@ -67,11 +67,10 @@ impl Frozen {
                     buffer_size: 128,
                     ..DdqnConfig::default()
                 };
-                Box::new(DdqnAgent::new(
-                    config,
-                    features.task_dim(),
-                    features.worker_dim(),
-                ))
+                let mut agent = DdqnAgent::new(config, features.task_dim(), features.worker_dim());
+                // The pooled kernels face the probes at whatever `CROWD_THREADS` sets.
+                agent.set_thread_pool(ThreadPool::from_env());
+                Box::new(agent)
             }
         }
     }
