@@ -26,12 +26,10 @@
 //!
 //! [`Client::decide_with_retry`]: crowd_serve::Client::decide_with_retry
 
+use crowd_bench::serve_fixtures::{dataset, feedback_for, frozen_agent, live_agent};
 use crowd_bench::LatencyHistogram;
-use crowd_experiments::{collect_arrival_contexts, ddqn_config_for, ddqn_for, Scale};
-use crowd_serve::{
-    ArrivalSchedule, LogConfig, RetryPolicy, ServeConfig, ServeDecision, Server, TrafficPattern,
-};
-use crowd_sim::{ArrivalContext, PolicyFeedback, SimConfig};
+use crowd_experiments::collect_arrival_contexts;
+use crowd_serve::{ArrivalSchedule, LogConfig, RetryPolicy, ServeConfig, Server, TrafficPattern};
 use crowd_tensor::ThreadPool;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -109,32 +107,17 @@ impl Options {
     }
 }
 
-/// Synthetic outcome for a served decision, mirroring the integration tests: the worker
-/// completes the top-ranked task.
-fn feedback_for(context: &ArrivalContext, decision: &ServeDecision) -> PolicyFeedback {
-    PolicyFeedback {
-        time: context.time,
-        worker_id: context.worker_id,
-        worker_quality: context.worker_quality,
-        shown: decision.shown.clone(),
-        completed: decision.shown.first().map(|&t| (t, 0)),
-        quality_gain: 0.125,
-        worker_feature_before: context.worker_feature.clone(),
-        worker_feature_after: context.worker_feature.clone(),
-    }
-}
-
 fn main() {
     let opts = Options::from_args();
-    let dataset = SimConfig::tiny().generate();
+    let dataset = dataset();
     let contexts = collect_arrival_contexts(&dataset, 0xCAFE, 64);
     assert!(!contexts.is_empty(), "tiny dataset produced no arrivals");
 
-    let mut policy = ddqn_for(&dataset, ddqn_config_for(Scale::Tiny));
-    if !opts.learn {
-        policy.freeze_learning();
-        policy.freeze_exploration();
-    }
+    let policy = if opts.learn {
+        live_agent(&dataset)
+    } else {
+        frozen_agent(&dataset)
+    };
     let config = ServeConfig {
         pool: ThreadPool::from_env(),
         log: opts.log.clone().map(LogConfig::new),

@@ -42,6 +42,7 @@ pub mod harness;
 pub mod latency;
 pub mod reference;
 pub mod rss;
+pub mod serve_fixtures;
 
 pub use harness::{
     json_report_path, record_value, smoke_mode, write_json_report, Bencher, BenchmarkGroup,

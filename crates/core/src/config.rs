@@ -87,8 +87,13 @@ impl Default for DdqnConfig {
 
 impl DdqnConfig {
     /// The paper's full configuration (128-wide layers, batch 64, update after every
-    /// feedback). Significantly slower on CPU; the shape of all results is preserved with
-    /// [`DdqnConfig::default`].
+    /// feedback). Significantly slower on CPU.
+    ///
+    /// Nothing shows that [`DdqnConfig::default`] keeps the paper's results. One run of
+    /// Figs. 7 and 8 at the default Small scale, with the default configuration, ranked
+    /// DDQN(w) fifth of six methods on final CR and DDQN(r) third of five on final QG;
+    /// the paper ranks DDQN first on both. No run with this configuration has been
+    /// completed (ROADMAP.md, "The paper's headline result is not reproduced").
     pub fn paper_scale() -> Self {
         DdqnConfig {
             hidden_dim: 128,

@@ -380,6 +380,14 @@ impl<E: Env + crowd_ckpt::SaveState> Session<E> {
     ) -> crowd_ckpt::Result<()> {
         let mut policy_bytes = StateWriter::new();
         policy.checkpoint_state(&mut policy_bytes)?;
+        self.save_member(snapshot, prefix);
+        snapshot.put_raw(&format!("{prefix}policy"), policy_bytes.into_bytes());
+        Ok(())
+    }
+
+    /// Adds the `{prefix}session` and `{prefix}env` sections, flushing staged
+    /// environment effects first — everything of a checkpoint but the policy.
+    fn save_member(&mut self, snapshot: &mut Snapshot, prefix: &str) {
         self.env.flush();
         let mut session_bytes = StateWriter::new();
         self.save_session_state(&mut session_bytes);
@@ -387,8 +395,6 @@ impl<E: Env + crowd_ckpt::SaveState> Session<E> {
         self.env.save_state(&mut env_bytes);
         snapshot.put_raw(&format!("{prefix}session"), session_bytes.into_bytes());
         snapshot.put_raw(&format!("{prefix}env"), env_bytes.into_bytes());
-        snapshot.put_raw(&format!("{prefix}policy"), policy_bytes.into_bytes());
-        Ok(())
     }
 
     /// One-session convenience over [`Session::checkpoint_into`]: a snapshot with the
@@ -413,14 +419,18 @@ impl<E: Env + crowd_ckpt::LoadState> Session<E> {
         file: &SnapshotFile,
         prefix: &str,
     ) -> crowd_ckpt::Result<()> {
-        let session_name = format!("{prefix}session");
-        let mut r = file.reader(&session_name)?;
-        self.load_session_state(&mut r)?;
-        r.finish("session state")?;
-        file.load_into(&format!("{prefix}env"), &mut self.env)?;
+        self.load_member(file, prefix)?;
         let mut r = file.reader(&format!("{prefix}policy"))?;
         policy.restore_state(&mut r)?;
         r.finish("policy state")
+    }
+
+    /// Restores the sections [`Session::save_member`] wrote under `prefix`.
+    fn load_member(&mut self, file: &SnapshotFile, prefix: &str) -> crowd_ckpt::Result<()> {
+        let mut r = file.reader(&format!("{prefix}session"))?;
+        self.load_session_state(&mut r)?;
+        r.finish("session state")?;
+        file.load_into(&format!("{prefix}env"), &mut self.env)
     }
 
     /// One-session convenience over [`Session::resume_sections`] (unprefixed names, as
@@ -754,18 +764,7 @@ impl<E: Env> SessionBatch<E> {
             policies.len(),
             "one policy per session required"
         );
-        let mut meta = file.reader("batch.meta")?;
-        let members = meta.take_usize()?;
-        meta.finish("batch meta")?;
-        if members != self.sessions.len() {
-            return Err(CkptError::Corrupt {
-                what: "session batch",
-                detail: format!(
-                    "snapshot holds {members} members, the live batch {}",
-                    self.sessions.len()
-                ),
-            });
-        }
+        self.check_members(file)?;
         for (i, (session, policy)) in self.sessions.iter_mut().zip(policies).enumerate() {
             session.resume_sections(policy.as_mut(), file, &format!("member{i}."))?;
         }
@@ -787,13 +786,7 @@ impl<E: Env> SessionBatch<E> {
         snapshot.put_raw("batch.meta", meta.into_bytes());
         snapshot.put_raw("shared.policy", policy_bytes.into_bytes());
         for (i, session) in self.sessions.iter_mut().enumerate() {
-            session.env.flush();
-            let mut session_bytes = StateWriter::new();
-            session.save_session_state(&mut session_bytes);
-            let mut env_bytes = StateWriter::new();
-            session.env.save_state(&mut env_bytes);
-            snapshot.put_raw(&format!("member{i}.session"), session_bytes.into_bytes());
-            snapshot.put_raw(&format!("member{i}.env"), env_bytes.into_bytes());
+            session.save_member(&mut snapshot, &format!("member{i}."));
         }
         Ok(snapshot)
     }
@@ -807,6 +800,17 @@ impl<E: Env> SessionBatch<E> {
     where
         E: crowd_ckpt::LoadState,
     {
+        self.check_members(file)?;
+        for (i, session) in self.sessions.iter_mut().enumerate() {
+            session.load_member(file, &format!("member{i}."))?;
+        }
+        let mut r = file.reader("shared.policy")?;
+        policy.restore_state(&mut r)?;
+        r.finish("policy state")
+    }
+
+    /// Refuses a snapshot whose `batch.meta` member count differs from this batch's.
+    fn check_members(&self, file: &SnapshotFile) -> crowd_ckpt::Result<()> {
         let mut meta = file.reader("batch.meta")?;
         let members = meta.take_usize()?;
         meta.finish("batch meta")?;
@@ -819,15 +823,7 @@ impl<E: Env> SessionBatch<E> {
                 ),
             });
         }
-        for (i, session) in self.sessions.iter_mut().enumerate() {
-            let mut r = file.reader(&format!("member{i}.session"))?;
-            session.load_session_state(&mut r)?;
-            r.finish("session state")?;
-            file.load_into(&format!("member{i}.env"), &mut session.env)?;
-        }
-        let mut r = file.reader("shared.policy")?;
-        policy.restore_state(&mut r)?;
-        r.finish("policy state")
+        Ok(())
     }
 }
 

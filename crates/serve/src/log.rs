@@ -48,6 +48,7 @@ use crowd_ckpt::{
 };
 use crowd_sim::{ArrivalContext, PolicyFeedback, TaskId};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Record tag: a committed decision (request id, arrival context, ranking).
 const TAG_DECISION: u8 = 1;
@@ -75,8 +76,9 @@ pub enum LogRecord {
     Decision {
         /// Server-assigned id, strictly increasing in commit order.
         request_id: u64,
-        /// The owned arrival the decision was computed on.
-        context: ArrivalContext,
+        /// The arrival the decision was computed on, shared with the server's pending
+        /// entry for `request_id` (one allocation per served arrival).
+        context: Arc<ArrivalContext>,
         /// The ranked task list returned to the client.
         shown: Vec<TaskId>,
         /// True when the decision was a single assignment rather than a ranking.
@@ -143,7 +145,7 @@ impl DecodeState for LogRecord {
         match r.take_u8()? {
             TAG_DECISION => Ok(LogRecord::Decision {
                 request_id: r.take_u64()?,
-                context: ArrivalContext::decode_state(r)?,
+                context: Arc::new(ArrivalContext::decode_state(r)?),
                 shown: Vec::<TaskId>::decode_state(r)?,
                 assignment: r.take_bool()?,
             }),
@@ -223,7 +225,8 @@ pub struct BaseImage {
     /// The server's next request id at the cut.
     pub next_request_id: u64,
     /// Decisions acknowledged but not yet matched by feedback at the cut, in id order.
-    pub pending: Vec<(u64, ArrivalContext)>,
+    /// Each context is the one its decision record and pending entry share.
+    pub pending: Vec<(u64, Arc<ArrivalContext>)>,
     /// The policy's checkpoint bytes at the cut, restored via
     /// `Policy::restore_state` before the suffix is replayed.
     pub policy: Vec<u8>,
@@ -257,7 +260,7 @@ impl BaseImage {
         let mut pending = Vec::with_capacity(count);
         for _ in 0..count {
             let id = r.take_u64()?;
-            pending.push((id, ArrivalContext::decode_state(&mut r)?));
+            pending.push((id, Arc::new(ArrivalContext::decode_state(&mut r)?)));
         }
         r.finish(BASE_PENDING_SECTION)?;
         let mut policy_reader = file.reader(BASE_POLICY_SECTION)?;
@@ -602,7 +605,7 @@ impl DecisionLog {
     pub fn compact(
         &mut self,
         next_request_id: u64,
-        pending: Vec<(u64, ArrivalContext)>,
+        pending: Vec<(u64, Arc<ArrivalContext>)>,
         policy: Vec<u8>,
     ) -> Result<CompactionStats> {
         if self.dirty {
@@ -907,7 +910,7 @@ mod tests {
                 [
                     LogRecord::Decision {
                         request_id: 2 * tag as u64,
-                        context: context(tag),
+                        context: Arc::new(context(tag)),
                         shown: vec![TaskId(10 * tag + 1), TaskId(10 * tag)],
                         assignment: tag % 2 == 0,
                     },
@@ -955,6 +958,10 @@ mod tests {
         assert_eq!(records.last().unwrap().request_id(), None);
         assert_eq!(records[0].request_id(), Some(0));
         let payload = encode_batch(&records);
+        // The on-disk bytes are pinned: how a record holds its context in memory must
+        // never change what is written.
+        assert_eq!(payload.len(), 928);
+        assert_eq!(crowd_ckpt::crc32(&payload), 0x1385_09bb);
         assert_eq!(decode_batch(&payload).unwrap(), records);
         assert!(decode_batch(&payload[..payload.len() - 1]).is_err());
         let mut bad = payload.clone();
@@ -1223,7 +1230,8 @@ mod tests {
         for pair in records[..4].chunks(2) {
             log.append(pair).unwrap();
         }
-        log.compact(4, vec![(3, context(1))], vec![7]).unwrap();
+        log.compact(4, vec![(3, Arc::new(context(1)))], vec![7])
+            .unwrap();
         for pair in records[4..].chunks(2) {
             log.append(pair).unwrap(); // suffix segments 2 and 3
         }
@@ -1240,7 +1248,7 @@ mod tests {
         let base = BaseImage {
             suffix_start: 2,
             next_request_id: 4,
-            pending: vec![(3, context(1))],
+            pending: vec![(3, Arc::new(context(1)))],
             policy: vec![7],
         };
         assert_eq!(
@@ -1282,7 +1290,7 @@ mod tests {
             log.append(pair).unwrap();
         }
         assert_eq!(log.live_segments(), 4);
-        let pending = vec![(7, context(9))];
+        let pending = vec![(7, Arc::new(context(9)))];
         let stats = log
             .compact(8, pending.clone(), b"policy-bytes".to_vec())
             .unwrap();

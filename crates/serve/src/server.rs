@@ -73,6 +73,7 @@ use crowd_sim::{
 };
 use std::collections::{BTreeMap, HashSet};
 use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -199,8 +200,9 @@ pub struct RecoveryReport {
     pub pending_after_replay: usize,
     /// The request-id ⇄ context handshake: every decision that was acknowledged but
     /// never matched by feedback, in id order. Clients that held these ids across the
-    /// crash can resume feedback against the recovered server.
-    pub pending_requests: Vec<(u64, ArrivalContext)>,
+    /// crash can resume feedback against the recovered server. Each context is the
+    /// one the replayed decision record decoded, shared, not copied.
+    pub pending_requests: Vec<(u64, Arc<ArrivalContext>)>,
     /// Segment index the replay suffix started at, when recovery restored from a
     /// compaction base image instead of replaying from segment 0.
     pub compacted_suffix_start: Option<u64>,
@@ -214,8 +216,9 @@ pub struct ReplayedState {
     /// Next request id to assign (max logged id + 1).
     pub next_request_id: u64,
     /// Decisions whose feedback has not arrived yet, by request id. The map is ordered
-    /// so any future iteration over it is deterministic.
-    pending: BTreeMap<u64, ArrivalContext>,
+    /// so any future iteration over it is deterministic. Each context is shared with
+    /// its decision record.
+    pending: BTreeMap<u64, Arc<ArrivalContext>>,
     /// Decision records replayed.
     pub decisions: u64,
     /// Feedback records replayed.
@@ -288,7 +291,7 @@ pub fn replay_records_into(
                         ),
                     });
                 }
-                state.pending.insert(*request_id, context.clone());
+                state.pending.insert(*request_id, Arc::clone(context));
                 state.next_request_id = request_id + 1;
                 state.decisions += 1;
             }
@@ -338,7 +341,7 @@ fn restore_base(
 /// One message on the ingress queue.
 enum Request {
     Decide {
-        context: ArrivalContext,
+        context: Arc<ArrivalContext>,
         enqueued: Instant,
         reply: mpsc::Sender<Result<ServeDecision>>,
     },
@@ -375,7 +378,7 @@ impl Client {
         let (reply, response) = mpsc::channel();
         self.ingress
             .send(Request::Decide {
-                context,
+                context: Arc::new(context),
                 enqueued: Instant::now(),
                 reply,
             })
@@ -384,14 +387,15 @@ impl Client {
     }
 
     /// Like [`Client::decide`] (and refusing the same malformed arrivals) but fails fast
-    /// with [`ServeError::Saturated`] when the ingress queue is full instead of blocking
-    /// (clones `context` only on successful enqueue).
+    /// with [`ServeError::Saturated`] when the ingress queue is full instead of blocking.
+    /// Copies `context` once, before the enqueue attempt, so a `Saturated` answer has
+    /// paid for that copy too.
     pub fn try_decide(&self, context: &ArrivalContext) -> Result<ServeDecision> {
         check_arrival(context)?;
         let (reply, response) = mpsc::channel();
         self.ingress
             .try_send(Request::Decide {
-                context: context.clone(),
+                context: Arc::new(context.clone()),
                 enqueued: Instant::now(),
                 reply,
             })
@@ -546,11 +550,7 @@ impl Server {
             replayed_feedbacks: state.feedbacks,
             replayed_degraded: state.degraded,
             pending_after_replay: state.pending_len(),
-            pending_requests: state
-                .pending
-                .iter()
-                .map(|(id, context)| (*id, context.clone()))
-                .collect(),
+            pending_requests: state.pending.clone().into_iter().collect(),
             compacted_suffix_start: recovered.recovery.base,
             log: recovered.recovery,
         };
@@ -611,7 +611,11 @@ impl Server {
 /// One micro-batch round being assembled.
 #[derive(Default)]
 struct Round {
-    decides: Vec<(ArrivalContext, Instant, mpsc::Sender<Result<ServeDecision>>)>,
+    decides: Vec<(
+        Arc<ArrivalContext>,
+        Instant,
+        mpsc::Sender<Result<ServeDecision>>,
+    )>,
     feedbacks: Vec<(u64, PolicyFeedback)>,
     compacts: Vec<mpsc::Sender<Result<CompactionStats>>>,
 }
@@ -780,7 +784,7 @@ impl Worker {
             };
             records.push(LogRecord::Decision {
                 request_id,
-                context: context.clone(),
+                context: Arc::clone(&context),
                 shown: served.shown.clone(),
                 assignment: served.assignment,
             });
@@ -825,26 +829,29 @@ impl Worker {
     /// Attempts to end an active outage: the backlog plus a [`LogRecord::Degraded`]
     /// marker (counting everything shed while degraded) go to the log in one batch,
     /// keeping record order equal to execution order. True when the log is healthy.
+    ///
+    /// The marker is appended to the backlog in place and popped again when the append
+    /// fails, so the next attempt counts the shed work afresh and nothing is copied.
     fn try_heal(&mut self) -> bool {
-        let Some(outage) = self.outage.as_ref() else {
+        let Some(outage) = self.outage.as_mut() else {
             return true;
         };
         let Some(log) = self.log.as_mut() else {
             return true;
         };
-        let mut records = outage.backlog.clone();
-        records.push(LogRecord::Degraded {
+        outage.backlog.push(LogRecord::Degraded {
             shed_decides: outage.shed_decides,
             shed_feedbacks: outage.shed_feedbacks,
         });
-        match log.append_retrying(&records) {
+        match log.append_retrying(&outage.backlog) {
             Ok(()) => {
                 self.outage = None;
                 self.report.healed += 1;
                 true
             }
             Err(e) => {
-                self.outage.as_mut().expect("outage is active").detail = e.to_string();
+                outage.backlog.pop();
+                outage.detail = e.to_string();
                 false
             }
         }
@@ -873,12 +880,7 @@ impl Worker {
         };
         let mut w = StateWriter::new();
         self.policy.checkpoint_state(&mut w)?;
-        let pending: Vec<(u64, ArrivalContext)> = self
-            .state
-            .pending
-            .iter()
-            .map(|(id, context)| (*id, context.clone()))
-            .collect();
+        let pending = self.state.pending.clone().into_iter().collect();
         let stats = log.compact(self.state.next_request_id, pending, w.into_bytes())?;
         self.report.compactions += 1;
         Ok(stats)
@@ -987,27 +989,25 @@ mod tests {
     use crowd_sim::{ArrivalView, FeedbackView, Policy, TaskSnapshot, WorkerId};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
 
-    /// Deterministic test policy: ranks tasks by descending id, counts calls through
-    /// shared atomics (the box disappears into the worker thread).
-    struct CountingPolicy {
-        acts: Arc<AtomicU64>,
-        observes: Arc<AtomicU64>,
+    /// What a [`CountingPolicy`] did, shared with the test (the box disappears into the
+    /// worker thread). While `hold` is set, `act` waits after counting its call, pinning
+    /// the worker inside a round.
+    #[derive(Default)]
+    struct Calls {
+        acts: AtomicU64,
+        observes: AtomicU64,
+        batches: AtomicU64,
+        hold: AtomicBool,
     }
 
+    /// Deterministic test policy: ranks tasks by descending id and counts its calls.
+    struct CountingPolicy(Arc<Calls>);
+
     impl CountingPolicy {
-        fn new() -> (Self, Arc<AtomicU64>, Arc<AtomicU64>) {
-            let acts = Arc::new(AtomicU64::new(0));
-            let observes = Arc::new(AtomicU64::new(0));
-            (
-                CountingPolicy {
-                    acts: acts.clone(),
-                    observes: observes.clone(),
-                },
-                acts,
-                observes,
-            )
+        fn new() -> (Self, Arc<Calls>) {
+            let calls = Arc::new(Calls::default());
+            (CountingPolicy(calls.clone()), calls)
         }
     }
 
@@ -1016,18 +1016,28 @@ mod tests {
             "counting"
         }
         fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
-            self.acts.fetch_add(1, Ordering::SeqCst);
+            self.0.acts.fetch_add(1, Ordering::SeqCst);
             decision.clear();
             let mut ids: Vec<TaskId> = (0..view.n_tasks()).map(|i| view.task_id(i)).collect();
             ids.sort_by_key(|id| std::cmp::Reverse(id.0));
             decision.extend(ids);
+            while self.0.hold.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
         fn observe(&mut self, _view: &ArrivalView<'_>, _feedback: &FeedbackView<'_>) {
-            self.observes.fetch_add(1, Ordering::SeqCst);
+            self.0.observes.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    impl BatchedPolicy for CountingPolicy {}
+    impl BatchedPolicy for CountingPolicy {
+        fn act_batch(&mut self, views: &[ArrivalView<'_>], decisions: &mut [Decision]) {
+            self.0.batches.fetch_add(1, Ordering::SeqCst);
+            for (view, decision) in views.iter().zip(decisions.iter_mut()) {
+                self.act(view, decision);
+            }
+        }
+    }
 
     fn context(tag: u32, n_tasks: u32) -> ArrivalContext {
         ArrivalContext {
@@ -1072,7 +1082,7 @@ mod tests {
 
     #[test]
     fn decide_feedback_shutdown_roundtrip() {
-        let (policy, acts, observes) = CountingPolicy::new();
+        let (policy, calls) = CountingPolicy::new();
         let server = Server::start(Box::new(policy), ServeConfig::default()).unwrap();
         let client = server.client();
 
@@ -1094,14 +1104,14 @@ mod tests {
         assert_eq!(report.decisions, 2);
         assert_eq!(report.feedbacks, 1);
         assert_eq!(report.unknown_feedbacks, 0);
-        assert_eq!(acts.load(Ordering::SeqCst), 2);
-        assert_eq!(observes.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.acts.load(Ordering::SeqCst), 2);
+        assert_eq!(calls.observes.load(Ordering::SeqCst), 1);
         assert!(report.log_error.is_none());
     }
 
     #[test]
     fn unknown_feedback_is_counted_not_applied() {
-        let (policy, _acts, observes) = CountingPolicy::new();
+        let (policy, calls) = CountingPolicy::new();
         let server = Server::start(Box::new(policy), ServeConfig::default()).unwrap();
         let client = server.client();
         let ctx = context(1, 1);
@@ -1117,7 +1127,7 @@ mod tests {
         let (_policy, report) = server.shutdown();
         assert_eq!(report.feedbacks, 1);
         assert_eq!(report.unknown_feedbacks, 2);
-        assert_eq!(observes.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.observes.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -1178,7 +1188,7 @@ mod tests {
             .map(|(id, _)| *id)
             .collect();
         assert_eq!(pending_ids, vec![1, 3]);
-        assert_eq!(recovery.pending_requests[0].1, contexts[1]);
+        assert_eq!(*recovery.pending_requests[0].1, contexts[1]);
         assert_eq!(recovery.compacted_suffix_start, None);
         let d = server.client().decide(context(9, 1)).unwrap();
         assert_eq!(d.request_id, 4);
@@ -1216,7 +1226,7 @@ mod tests {
         let ctx = context(1, 2);
         let records = vec![LogRecord::Decision {
             request_id: 0,
-            context: ctx.clone(),
+            context: Arc::new(ctx.clone()),
             shown: vec![TaskId(100), TaskId(101)], // ascending: not what the policy does
             assignment: false,
         }];
@@ -1242,6 +1252,25 @@ mod tests {
             replay_records(&mut policy, &records),
             Err(ServeError::Recovery { .. })
         ));
+    }
+
+    #[test]
+    fn replayed_pending_entries_share_their_record_contexts() {
+        let contexts: Vec<_> = (0..3).map(|tag| Arc::new(context(tag, 2))).collect();
+        let records: Vec<_> = (0..3)
+            .map(|tag| LogRecord::Decision {
+                request_id: tag as u64,
+                context: Arc::clone(&contexts[tag as usize]),
+                shown: vec![TaskId(100 * tag + 1), TaskId(100 * tag)],
+                assignment: false,
+            })
+            .collect();
+        let (mut policy, ..) = CountingPolicy::new();
+        let state = replay_records(&mut policy, &records).unwrap();
+        assert_eq!(state.pending_len(), 3);
+        for (id, context) in contexts.iter().enumerate() {
+            assert!(Arc::ptr_eq(&state.pending[&(id as u64)], context));
+        }
     }
 
     #[test]
@@ -1378,38 +1407,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A [`CountingPolicy`] whose `act` holds until `open` is set, pinning the worker
-    /// inside a round. The call is counted before the hold.
-    struct Gated {
-        inner: CountingPolicy,
-        open: Arc<AtomicBool>,
-    }
-
-    impl Policy for Gated {
-        fn name(&self) -> &str {
-            "gated"
-        }
-        fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
-            self.inner.act(view, decision);
-            while !self.open.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        fn observe(&mut self, view: &ArrivalView<'_>, feedback: &FeedbackView<'_>) {
-            self.inner.observe(view, feedback);
-        }
-    }
-
-    impl BatchedPolicy for Gated {}
-
     #[test]
     fn staleness_bound_sheds_without_touching_the_policy() {
-        let (inner, acts, _observes) = CountingPolicy::new();
-        let open = Arc::new(AtomicBool::new(false));
-        let policy = Gated {
-            inner,
-            open: open.clone(),
-        };
+        let (policy, calls) = CountingPolicy::new();
+        calls.hold.store(true, Ordering::SeqCst);
         let config = ServeConfig {
             shed_staler_than: Some(Duration::from_millis(20)),
             ..ServeConfig::default()
@@ -1420,13 +1421,13 @@ mod tests {
             // far past the staleness bound before the gate opens.
             let first = server.client();
             let first = scope.spawn(move || first.decide(context(0, 1)));
-            while acts.load(Ordering::SeqCst) == 0 {
+            while calls.acts.load(Ordering::SeqCst) == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
             let second = server.client();
             let second = scope.spawn(move || second.decide(context(1, 1)));
             std::thread::sleep(Duration::from_millis(200));
-            open.store(true, Ordering::SeqCst);
+            calls.hold.store(false, Ordering::SeqCst);
             first.join().unwrap().unwrap();
             second.join().unwrap()
         });
@@ -1435,49 +1436,21 @@ mod tests {
         let (_policy, report) = server.shutdown();
         assert_eq!(report.shed_decides, 1);
         assert_eq!(report.decisions, 1);
-        assert_eq!(acts.load(Ordering::SeqCst), 1, "shed request never acted");
-    }
-
-    /// A [`CountingPolicy`] that also counts `act_batch` calls.
-    struct BatchCounting {
-        inner: CountingPolicy,
-        batches: Arc<AtomicU64>,
-    }
-
-    impl Policy for BatchCounting {
-        fn name(&self) -> &str {
-            "batch-counting"
-        }
-        fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
-            self.inner.act(view, decision);
-        }
-        fn observe(&mut self, view: &ArrivalView<'_>, feedback: &FeedbackView<'_>) {
-            self.inner.observe(view, feedback);
-        }
-    }
-
-    impl BatchedPolicy for BatchCounting {
-        fn act_batch(&mut self, views: &[ArrivalView<'_>], decisions: &mut [Decision]) {
-            self.batches.fetch_add(1, Ordering::SeqCst);
-            for (view, decision) in views.iter().zip(decisions.iter_mut()) {
-                self.inner.act(view, decision);
-            }
-        }
+        assert_eq!(
+            calls.acts.load(Ordering::SeqCst),
+            1,
+            "shed request never acted"
+        );
     }
 
     #[test]
     fn a_feedback_only_round_does_not_call_act_batch() {
-        let (inner, _acts, observes) = CountingPolicy::new();
-        let batches = Arc::new(AtomicU64::new(0));
-        let policy = BatchCounting {
-            inner,
-            batches: batches.clone(),
-        };
+        let (policy, calls) = CountingPolicy::new();
         let server = Server::start(Box::new(policy), ServeConfig::default()).unwrap();
         let client = server.client();
         let ctx = context(1, 2);
         let d = client.decide(ctx.clone()).unwrap();
-        assert_eq!(batches.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.batches.load(Ordering::SeqCst), 1);
         // The decide was answered, so its round is over: the feedback (and the stop
         // marker behind it) make up rounds with no decides.
         client
@@ -1485,12 +1458,12 @@ mod tests {
             .unwrap();
         let (_policy, report) = server.shutdown();
         assert_eq!(report.feedbacks, 1);
-        assert_eq!(observes.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.observes.load(Ordering::SeqCst), 1);
         assert_eq!(
             report.rounds, 2,
             "the feedback committed a round of its own"
         );
-        assert_eq!(batches.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.batches.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -1525,10 +1498,10 @@ mod tests {
         // Segment 0's decision was replayed before segment 1 was read; the torn sealed
         // segment then fails recovery typed, the partly replayed policy is gone with
         // the error, and no file changed.
-        let (policy, acts, _) = CountingPolicy::new();
+        let (policy, calls) = CountingPolicy::new();
         let err = Server::recover(Box::new(policy), config).err().unwrap();
         assert!(matches!(err, ServeError::Log { .. }), "{err}");
-        assert_eq!(acts.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.acts.load(Ordering::SeqCst), 1);
         assert_eq!(files(&dir), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }

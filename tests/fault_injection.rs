@@ -12,68 +12,19 @@
 //! the self-healing client loop that turns transient `Saturated`/`Degraded`
 //! rejections into bounded backoff.
 
+use crowd_bench::serve_fixtures::{
+    dataset, feedback_for, fingerprint, frozen_agent, live_agent, tmp_dir,
+};
 use crowd_ckpt::{CkptError, FaultKind, FaultPlan, FaultRule, Fs, OpClass, Snapshot, SnapshotFile};
-use crowd_experiments::{collect_arrival_contexts, ddqn_config_for, ddqn_for, Scale};
-use crowd_rl_core::DdqnAgent;
+use crowd_experiments::collect_arrival_contexts;
 use crowd_serve::{
     replay_records, DecisionLog, LogConfig, RetryPolicy, ServeConfig, ServeDecision, ServeError,
     Server,
 };
-use crowd_sim::{ArrivalContext, Dataset, Policy, PolicyFeedback, SimConfig};
+use crowd_sim::{ArrivalContext, Dataset};
 use crowd_tensor::ThreadPool;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
-
-fn dataset() -> Dataset {
-    SimConfig::tiny().generate()
-}
-
-/// A live agent: learning ON, exploration ON — every decision draws RNG, every
-/// feedback runs learner ticks.
-fn agent(dataset: &Dataset) -> DdqnAgent {
-    ddqn_for(dataset, ddqn_config_for(Scale::Tiny))
-}
-
-/// A frozen twin of [`agent`]: no learning, no exploration (deterministic + cheap).
-fn frozen(dataset: &Dataset) -> DdqnAgent {
-    let mut frozen = agent(dataset);
-    frozen.freeze_learning();
-    frozen.freeze_exploration();
-    frozen
-}
-
-fn feedback_for(context: &ArrivalContext, decision: &ServeDecision) -> PolicyFeedback {
-    PolicyFeedback {
-        time: context.time,
-        worker_id: context.worker_id,
-        worker_quality: context.worker_quality,
-        shown: decision.shown.clone(),
-        completed: decision.shown.first().map(|&t| (t, 0)),
-        quality_gain: 0.125,
-        worker_feature_before: context.worker_feature.clone(),
-        worker_feature_after: context.worker_feature.clone(),
-    }
-}
-
-/// The encoding of the policy's complete semantic state (checkpoints hold no
-/// wall-clock readings).
-fn fingerprint(policy: &dyn Policy) -> Vec<u8> {
-    let mut w = crowd_ckpt::StateWriter::new();
-    policy
-        .checkpoint_state(&mut w)
-        .expect("policy supports checkpointing");
-    w.into_bytes()
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "crowd-fault-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn serve_config(dir: &Path, fs: Fs) -> ServeConfig {
     let mut log = LogConfig::new(dir);
@@ -188,7 +139,7 @@ fn run_serve_workload(
     dataset: &Dataset,
     contexts: &[ArrivalContext],
 ) -> Result<WorkloadOutcome, ServeError> {
-    let server = Server::start(Box::new(agent(dataset)), serve_config(dir, fs))?;
+    let server = Server::start(Box::new(live_agent(dataset)), serve_config(dir, fs))?;
     let client = server.client();
     let retry = RetryPolicy {
         deadline: Duration::from_secs(10),
@@ -216,7 +167,7 @@ fn run_serve_workload(
 fn ops_to_start(dataset: &Dataset) -> u64 {
     let dir = tmp_dir("start-probe");
     let (fs, probe) = Fs::faulty(FaultPlan::none());
-    let server = Server::start(Box::new(frozen(dataset)), serve_config(&dir, fs)).unwrap();
+    let server = Server::start(Box::new(frozen_agent(dataset)), serve_config(&dir, fs)).unwrap();
     let ops = probe.ops();
     server.kill();
     let _ = std::fs::remove_dir_all(&dir);
@@ -260,7 +211,7 @@ fn a_fault_at_every_io_site_recovers_bit_identical_or_fails_typed() {
                     "fault at op {n}: policy state diverged from the clean run"
                 );
                 let records = DecisionLog::read(&dir).unwrap();
-                let mut replayed = agent(&dataset);
+                let mut replayed = live_agent(&dataset);
                 replay_records(&mut replayed, &records).unwrap();
                 assert_eq!(
                     fingerprint(&replayed),
@@ -276,7 +227,7 @@ fn a_fault_at_every_io_site_recovers_bit_identical_or_fails_typed() {
                 // The failure was loud and typed. Whatever the aborted start left on
                 // disk must still read-and-replay cleanly or fail typed itself.
                 if let Ok(records) = DecisionLog::read(&dir) {
-                    replay_records(&mut agent(&dataset), &records).unwrap();
+                    replay_records(&mut live_agent(&dataset), &records).unwrap();
                 }
             }
         }
@@ -316,7 +267,7 @@ fn a_sustained_log_outage_degrades_heals_and_replays_bit_identical() {
     // Log order is execution order even across the outage: replay lands exactly on
     // the live policy's state, and the degraded marker is there to prove the shed.
     let records = DecisionLog::read(&dir).unwrap();
-    let mut replayed = agent(&dataset);
+    let mut replayed = live_agent(&dataset);
     let state = replay_records(&mut replayed, &records).unwrap();
     assert_eq!(state.degraded, 1, "degraded marker missing from the log");
     assert_eq!(
@@ -342,7 +293,7 @@ fn injected_fsync_latency_slows_serving_but_changes_nothing() {
     assert_eq!(outcome.decisions.len(), 5);
     assert_eq!(outcome.degraded_rounds, 0, "latency is not an error");
     let records = DecisionLog::read(&dir).unwrap();
-    let mut replayed = agent(&dataset);
+    let mut replayed = live_agent(&dataset);
     replay_records(&mut replayed, &records).unwrap();
     assert_eq!(fingerprint(&replayed), outcome.fingerprint);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -368,7 +319,7 @@ fn retrying_clients_drain_a_saturated_server_without_loss_or_duplication() {
         max_batch: 1,
         ..serve_config(&dir, Fs::real())
     };
-    let server = Server::start(Box::new(frozen(&dataset)), config).unwrap();
+    let server = Server::start(Box::new(frozen_agent(&dataset)), config).unwrap();
 
     let mut handles = Vec::new();
     for chunk in contexts.chunks(per_thread) {
@@ -405,7 +356,7 @@ fn retrying_clients_drain_a_saturated_server_without_loss_or_duplication() {
 
     // And the log agrees: one decision record per request, ids strictly increasing.
     let records = DecisionLog::read(&dir).unwrap();
-    let mut replayed = frozen(&dataset);
+    let mut replayed = frozen_agent(&dataset);
     let state = replay_records(&mut replayed, &records).unwrap();
     assert_eq!(state.next_request_id as usize, contexts.len());
     assert_eq!(state.decisions as usize, contexts.len());
@@ -425,7 +376,7 @@ fn compacted_log_recovery_is_bit_identical_to_full_replay() {
     // Twin: the same 20 arrivals served without interruption or compaction.
     let twin_dir = tmp_dir("compact-twin");
     let server = Server::start(
-        Box::new(agent(&dataset)),
+        Box::new(live_agent(&dataset)),
         serve_config(&twin_dir, Fs::real()),
     )
     .unwrap();
@@ -447,7 +398,7 @@ fn compacted_log_recovery_is_bit_identical_to_full_replay() {
     let dir = tmp_dir("compact");
     let mut config = serve_config(&dir, Fs::real());
     config.log.as_mut().unwrap().segment_bytes = 1;
-    let server = Server::start(Box::new(agent(&dataset)), config.clone()).unwrap();
+    let server = Server::start(Box::new(live_agent(&dataset)), config.clone()).unwrap();
     let client = server.client();
     let mut decisions = Vec::new();
     let mut withheld = None;
@@ -478,7 +429,8 @@ fn compacted_log_recovery_is_bit_identical_to_full_replay() {
 
     // Recovery restores the policy from the base image and replays only the suffix.
     config.compact_after_segments = Some(4);
-    let (server, recovery) = Server::recover(Box::new(agent(&dataset)), config.clone()).unwrap();
+    let (server, recovery) =
+        Server::recover(Box::new(live_agent(&dataset)), config.clone()).unwrap();
     assert!(
         recovery.compacted_suffix_start.is_some(),
         "recovery must have used the base image"
@@ -519,7 +471,7 @@ fn compacted_log_recovery_is_bit_identical_to_full_replay() {
     );
 
     // A second recovery over the auto-compacted log still lands on the same state.
-    let (server, recovery) = Server::recover(Box::new(agent(&dataset)), config).unwrap();
+    let (server, recovery) = Server::recover(Box::new(live_agent(&dataset)), config).unwrap();
     assert!(recovery.compacted_suffix_start.is_some());
     let (policy, _report) = server.shutdown();
     assert_eq!(

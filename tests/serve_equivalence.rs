@@ -24,71 +24,16 @@
 //! `ServeConfig.pool` is taken from `CROWD_THREADS`, so the whole suite rides the
 //! same 1/4-thread CI matrix as the rest of the workspace.
 
-use crowd_experiments::{
-    collect_arrival_contexts, ddqn_config_for, ddqn_for, RunnerConfig, Scale, Session,
+use crowd_bench::serve_fixtures::{
+    dataset, feedback_for, fingerprint, frozen_agent, live_agent, tmp_dir,
 };
+use crowd_experiments::{collect_arrival_contexts, RunnerConfig, Session};
 use crowd_rl_core::DdqnAgent;
 use crowd_serve::{replay_records, DecisionLog, LogConfig, ServeConfig, ServeDecision, Server};
 use crowd_sim::{
-    ArrivalContext, ArrivalView, BatchedPolicy, Dataset, Decision, FeedbackView, Policy,
-    PolicyFeedback, SimConfig, TaskId,
+    ArrivalContext, ArrivalView, BatchedPolicy, Decision, FeedbackView, Policy, TaskId,
 };
 use crowd_tensor::ThreadPool;
-use std::path::PathBuf;
-
-fn dataset() -> Dataset {
-    SimConfig::tiny().generate()
-}
-
-/// A fully frozen agent: `act` is a pure function of the (fixed) initial parameters
-/// and consumes no RNG, so decisions are order-independent.
-fn frozen_agent(dataset: &Dataset) -> DdqnAgent {
-    let mut agent = ddqn_for(dataset, ddqn_config_for(Scale::Tiny));
-    agent.freeze_learning();
-    agent.freeze_exploration();
-    agent
-}
-
-/// A live agent: exploration draws RNG per decision, learning updates on feedback.
-fn learning_agent(dataset: &Dataset) -> DdqnAgent {
-    ddqn_for(dataset, ddqn_config_for(Scale::Tiny))
-}
-
-/// Deterministic synthetic outcome for a served decision: the worker completes the
-/// top-ranked task.
-fn feedback_for(context: &ArrivalContext, decision: &ServeDecision) -> PolicyFeedback {
-    PolicyFeedback {
-        time: context.time,
-        worker_id: context.worker_id,
-        worker_quality: context.worker_quality,
-        shown: decision.shown.clone(),
-        completed: decision.shown.first().map(|&t| (t, 0)),
-        quality_gain: 0.125,
-        worker_feature_before: context.worker_feature.clone(),
-        worker_feature_after: context.worker_feature.clone(),
-    }
-}
-
-/// The complete *semantic* state of a policy as bytes — bit-equality of fingerprints is
-/// bit-equality of parameters, optimizer moments, replay memory and RNG streams.
-/// Checkpoints hold no wall-clock readings, so the plain encoding is the fingerprint.
-fn fingerprint(policy: &dyn Policy) -> Vec<u8> {
-    let mut w = crowd_ckpt::StateWriter::new();
-    policy
-        .checkpoint_state(&mut w)
-        .expect("policy supports checkpointing");
-    w.into_bytes()
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "crowd-serve-eq-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Wraps a frozen agent inside a real [`Session`] replay and captures every
 /// (context, decision) pair the session produced — the offline reference stream.
@@ -184,7 +129,7 @@ fn learning_server_state_equals_sequential_replay_of_its_log() {
         log: Some(LogConfig::new(&dir)),
         ..ServeConfig::default()
     };
-    let server = Server::start(Box::new(learning_agent(&dataset)), config).unwrap();
+    let server = Server::start(Box::new(live_agent(&dataset)), config).unwrap();
 
     // Three concurrent clients, each submitting decisions AND the resulting feedback —
     // the server learns online while serving, in whatever commit order the threads
@@ -212,7 +157,7 @@ fn learning_server_state_equals_sequential_replay_of_its_log() {
     // replay memory and RNG stream all covered by the checkpoint fingerprint.
     let records = DecisionLog::read(&dir).unwrap();
     assert_eq!(records.len(), 2 * contexts.len());
-    let mut twin = learning_agent(&dataset);
+    let mut twin = live_agent(&dataset);
     let state = replay_records(&mut twin, &records).unwrap();
     assert_eq!(state.decisions as usize, contexts.len());
     assert_eq!(state.feedbacks as usize, contexts.len());

@@ -9,57 +9,16 @@
 //! feedback, and moves on. The kill always lands *between* an acked decide and its
 //! feedback — acknowledged work is exactly the work recovery reproduces.
 
-use crowd_experiments::{collect_arrival_contexts, ddqn_config_for, ddqn_for, Scale};
-use crowd_rl_core::DdqnAgent;
+use crowd_bench::serve_fixtures::{
+    dataset, feedback_for, fingerprint, frozen_agent, live_agent, tmp_dir,
+};
+use crowd_experiments::collect_arrival_contexts;
 use crowd_serve::{
     replay_records, DecisionLog, LogConfig, ServeConfig, ServeDecision, ServeError, Server,
 };
-use crowd_sim::{ArrivalContext, Dataset, Policy, PolicyFeedback, SimConfig};
+use crowd_sim::Dataset;
 use crowd_tensor::ThreadPool;
 use std::path::{Path, PathBuf};
-
-fn dataset() -> Dataset {
-    SimConfig::tiny().generate()
-}
-
-/// A live agent (learning ON, exploration ON): every decision draws RNG, every
-/// feedback runs learner ticks — the hardest state to reproduce bit-exactly.
-fn agent(dataset: &Dataset) -> DdqnAgent {
-    ddqn_for(dataset, ddqn_config_for(Scale::Tiny))
-}
-
-fn feedback_for(context: &ArrivalContext, decision: &ServeDecision) -> PolicyFeedback {
-    PolicyFeedback {
-        time: context.time,
-        worker_id: context.worker_id,
-        worker_quality: context.worker_quality,
-        shown: decision.shown.clone(),
-        completed: decision.shown.first().map(|&t| (t, 0)),
-        quality_gain: 0.125,
-        worker_feature_before: context.worker_feature.clone(),
-        worker_feature_after: context.worker_feature.clone(),
-    }
-}
-
-/// The encoding of the policy's complete semantic state (checkpoints hold no
-/// wall-clock readings).
-fn fingerprint(policy: &dyn Policy) -> Vec<u8> {
-    let mut w = crowd_ckpt::StateWriter::new();
-    policy
-        .checkpoint_state(&mut w)
-        .expect("policy supports checkpointing");
-    w.into_bytes()
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "crowd-serve-rec-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn serve_config(dir: &Path) -> ServeConfig {
     ServeConfig {
@@ -78,7 +37,7 @@ fn killed_server_resumes_bit_identical_to_an_uninterrupted_one() {
 
     // Run A — uninterrupted: decide + feedback for every arrival, graceful shutdown.
     let dir_a = tmp_dir("a");
-    let server = Server::start(Box::new(agent(&dataset)), serve_config(&dir_a)).unwrap();
+    let server = Server::start(Box::new(live_agent(&dataset)), serve_config(&dir_a)).unwrap();
     let client = server.client();
     let mut decisions_a = Vec::new();
     for context in &contexts {
@@ -97,7 +56,7 @@ fn killed_server_resumes_bit_identical_to_an_uninterrupted_one() {
     // before its feedback was submitted, the exact boundary the ack barrier promises
     // to preserve.
     let dir_b = tmp_dir("b");
-    let server = Server::start(Box::new(agent(&dataset)), serve_config(&dir_b)).unwrap();
+    let server = Server::start(Box::new(live_agent(&dataset)), serve_config(&dir_b)).unwrap();
     let client = server.client();
     let mut decisions_b = Vec::new();
     let mut withheld = None;
@@ -116,7 +75,7 @@ fn killed_server_resumes_bit_identical_to_an_uninterrupted_one() {
 
     // Recover over the same log with a freshly constructed agent.
     let (server, recovery) =
-        Server::recover(Box::new(agent(&dataset)), serve_config(&dir_b)).unwrap();
+        Server::recover(Box::new(live_agent(&dataset)), serve_config(&dir_b)).unwrap();
     assert_eq!(recovery.replayed_decisions as usize, kill_at);
     assert_eq!(recovery.replayed_feedbacks as usize, kill_at - 1);
     assert_eq!(
@@ -163,9 +122,9 @@ fn killed_server_resumes_bit_identical_to_an_uninterrupted_one() {
 
     // RNG probe check on concrete agents: both logs replay into agents whose RNG
     // streams sit at the same position.
-    let mut replay_a = agent(&dataset);
+    let mut replay_a = live_agent(&dataset);
     replay_records(&mut replay_a, &DecisionLog::read(&dir_a).unwrap()).unwrap();
-    let mut replay_b = agent(&dataset);
+    let mut replay_b = live_agent(&dataset);
     replay_records(&mut replay_b, &DecisionLog::read(&dir_b).unwrap()).unwrap();
     assert_eq!(replay_a.rng_probe(), replay_b.rng_probe());
     assert_eq!(fingerprint(&replay_a), fingerprint_a);
@@ -174,19 +133,10 @@ fn killed_server_resumes_bit_identical_to_an_uninterrupted_one() {
     std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
-/// A frozen agent (no learning, no exploration): the torn-log tests recover their logs
-/// with a twin of the writer, so replay re-derives the logged decisions exactly.
-fn frozen(dataset: &Dataset) -> DdqnAgent {
-    let mut frozen = agent(dataset);
-    frozen.freeze_learning();
-    frozen.freeze_exploration();
-    frozen
-}
-
 /// Serves `n` decisions (no feedback) against a frozen agent and kills the server,
 /// leaving a log of `n` single-decision batches to mutilate.
 fn build_log(dataset: &Dataset, dir: &Path, n: usize) -> Vec<ServeDecision> {
-    let frozen = frozen(dataset);
+    let frozen = frozen_agent(dataset);
     let contexts = collect_arrival_contexts(dataset, 77, n);
     assert_eq!(contexts.len(), n);
     let server = Server::start(Box::new(frozen), serve_config(dir)).unwrap();
@@ -231,7 +181,7 @@ fn torn_tail_record_is_truncated_and_serving_resumes() {
         let torn_len = clean_len - cut;
         std::fs::write(&segment, &full[..torn_len]).unwrap();
         let (server, recovery) =
-            Server::recover(Box::new(frozen(&dataset)), serve_config(&dir)).unwrap();
+            Server::recover(Box::new(frozen_agent(&dataset)), serve_config(&dir)).unwrap();
         assert_eq!(
             recovery.replayed_decisions as usize,
             n - 1,
@@ -286,7 +236,7 @@ fn torn_rotation_tmp_file_is_swept_and_recovery_proceeds() {
     .unwrap();
 
     let (server, recovery) =
-        Server::recover(Box::new(frozen(&dataset)), serve_config(&dir)).unwrap();
+        Server::recover(Box::new(frozen_agent(&dataset)), serve_config(&dir)).unwrap();
     assert_eq!(recovery.log.removed_tmp, 1, "torn rotation artefact swept");
     assert_eq!(recovery.replayed_decisions as usize, n);
     server.kill();
@@ -304,7 +254,7 @@ fn recovery_with_a_mismatched_policy_is_a_typed_error_not_a_fork() {
 
     // The log was written by a frozen agent; a live (exploring) agent recomputes
     // different rankings and must be rejected.
-    let result = Server::recover(Box::new(agent(&dataset)), serve_config(&dir));
+    let result = Server::recover(Box::new(live_agent(&dataset)), serve_config(&dir));
     match result {
         Err(ServeError::Recovery { detail }) => {
             assert!(detail.contains("diverged"), "unexpected detail: {detail}");
@@ -325,7 +275,7 @@ fn malformed_feedback_is_refused_at_the_boundary_and_the_log_replays_cleanly() {
     let contexts = collect_arrival_contexts(&dataset, 41, 16);
     let poisoned_at = contexts.len() / 2;
     let dir = tmp_dir("malformed");
-    let server = Server::start(Box::new(agent(&dataset)), serve_config(&dir)).unwrap();
+    let server = Server::start(Box::new(live_agent(&dataset)), serve_config(&dir)).unwrap();
     let client = server.client();
     for (i, context) in contexts.iter().enumerate() {
         if i == poisoned_at {
@@ -397,7 +347,7 @@ fn malformed_feedback_is_refused_at_the_boundary_and_the_log_replays_cleanly() {
 
     // The log holds only the well-formed history, and replays into the served state.
     let (server, recovery) =
-        Server::recover(Box::new(agent(&dataset)), serve_config(&dir)).unwrap();
+        Server::recover(Box::new(live_agent(&dataset)), serve_config(&dir)).unwrap();
     assert_eq!(recovery.replayed_decisions as usize, contexts.len());
     assert_eq!(recovery.replayed_feedbacks as usize, contexts.len());
     assert_eq!(recovery.pending_after_replay, 0);
