@@ -95,11 +95,6 @@ impl StateWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends raw bytes with **no** length prefix (used by the container layer).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Appends a UTF-8 string: `u64` byte length, then the bytes.
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());

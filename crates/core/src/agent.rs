@@ -43,7 +43,7 @@ pub struct DdqnAgent {
     ranked_stamps: Vec<u64>,
     ranked_stamp_gen: u64,
     /// When true, `observe` skips the gradient updates (evaluation mode). Statistics and
-    /// replay memory keep accumulating so learning can resume seamlessly.
+    /// replay memory keep accumulating.
     learning_frozen: bool,
     /// Refusals per branch (worker, requester): learner updates refused with a
     /// `LearnError` plus transitions refused at storage for a non-finite reward.
@@ -52,9 +52,9 @@ pub struct DdqnAgent {
     /// Decisions whose combined Q-values held a NaN or infinity. Telemetry: never
     /// checkpointed.
     nonfinite_q_decisions: u64,
-    /// Worker pool for the agent's internal parallelism: parallel state packing in
-    /// `act_batch` and the concurrent two-learner dispatch in `observe`. Serial by
-    /// default; set via [`DdqnAgent::set_thread_pool`] (also reachable through
+    /// Worker pool for the agent's internal parallelism: the row-sharded kernels of the
+    /// packed forward passes and the concurrent two-learner dispatch in `observe`. Serial
+    /// by default; set via [`DdqnAgent::set_thread_pool`] (also reachable through
     /// [`Policy::set_thread_pool`]). Results are bit-identical at any thread count.
     pool: ThreadPool,
 }
@@ -117,8 +117,8 @@ impl DdqnAgent {
     /// Hands the agent (and both of its learners) a worker pool. With more than one
     /// thread:
     ///
-    /// * `act_batch` builds the per-view state tensors in parallel shards and runs its
-    ///   packed forward passes on row-sharded kernels;
+    /// * `act_batch` runs its packed forward passes on row-sharded kernels (it builds the
+    ///   per-view state tensors serially);
     /// * `observe` runs the worker- and requester-branch `DqnLearner::learn` calls on two
     ///   pool workers via `par_join` (each learner owns its replay memory, parameters and
     ///   sampling RNG, so the branches share nothing);
@@ -206,11 +206,6 @@ impl DdqnAgent {
     /// ([`BatchedPolicy::act_batch`]) is bit-identical to sequential stepping.
     pub fn freeze_learning(&mut self) {
         self.learning_frozen = true;
-    }
-
-    /// Resumes gradient updates after [`DdqnAgent::freeze_learning`].
-    pub fn unfreeze_learning(&mut self) {
-        self.learning_frozen = false;
     }
 
     fn uses_worker_network(&self) -> bool {
@@ -502,12 +497,10 @@ impl BatchedPolicy for DdqnAgent {
     /// runs per view in view order, so the RNG stream matches sequential `act` calls
     /// exactly.
     ///
-    /// With a multi-thread pool ([`DdqnAgent::set_thread_pool`]) the per-view state
-    /// tensors are built in parallel shards (each state is a pure function of its own
-    /// view and the shared transformer) and the packed forward pass runs on row-sharded
-    /// kernels — the "parallel pack" stage around the single shared forward. Exploration
-    /// and decision assembly stay sequential in view order, so the decisions and the RNG
-    /// stream are bit-identical at any thread count.
+    /// With a multi-thread pool ([`DdqnAgent::set_thread_pool`]) the packed forward pass
+    /// runs on row-sharded kernels. State building, exploration and decision assembly
+    /// run in view order, so the decisions and the RNG stream are bit-identical at any
+    /// thread count.
     fn act_batch(&mut self, views: &[ArrivalView<'_>], decisions: &mut [Decision]) {
         assert_eq!(
             views.len(),
@@ -516,30 +509,18 @@ impl BatchedPolicy for DdqnAgent {
         );
         // Empty pools skip state construction just like the sequential `act` short-circuit;
         // a zero-row placeholder keeps the index alignment with `views` and contributes no
-        // rows to the packed buffer. Parallel packing only pays once there are enough
-        // views to amortise the pool dispatch (a per-view state build is microseconds;
-        // the persistent pool's warm dispatch is cheaper than a thread spawn but not
-        // free); small batches shard to nothing — bit-identical either way, so this gate
-        // is pure wall clock.
-        let pool = if views.len() >= self.pool.threads() * 4 {
-            self.pool
-        } else {
-            ThreadPool::serial()
-        };
-        let build_states = |transformer: &StateTransformer| {
-            let mut states: Vec<StateTensor> = views
+        // rows to the packed buffer.
+        let build_states = |transformer: &StateTransformer| -> Vec<StateTensor> {
+            views
                 .iter()
-                .map(|_| StateTensor::empty(transformer.row_dim()))
-                .collect();
-            pool.par_chunks(&mut states, 1, |offset, chunk| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    let view = &views[offset + k];
-                    if !view.is_empty() {
-                        *slot = transformer.from_view(view);
+                .map(|view| {
+                    if view.is_empty() {
+                        StateTensor::empty(transformer.row_dim())
+                    } else {
+                        transformer.from_view(view)
                     }
-                }
-            });
-            states
+                })
+                .collect()
         };
         let states_w = self
             .uses_worker_network()
@@ -782,8 +763,8 @@ mod tests {
     fn pooled_agent_replays_bit_identically_to_serial_agent() {
         // A *training* agent (both exploration and learning active) driven over the same
         // arrivals must end in a bit-identical state whether its internal pool has 1 or
-        // 8 threads: par_join learner dispatch, parallel act_batch packing and pooled
-        // kernels may only change wall clock.
+        // 8 threads: par_join learner dispatch and pooled kernels may only change wall
+        // clock.
         let ds = SimConfig::tiny().generate();
         let fs = Platform::default_feature_space(&ds);
         let run = |threads: usize| {

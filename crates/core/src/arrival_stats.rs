@@ -201,11 +201,6 @@ impl ArrivalStats {
         self.consecutive.mass_between(from, to)
     }
 
-    /// Mean same-worker revisit gap in minutes.
-    pub fn mean_same_worker_gap(&self) -> f64 {
-        self.same_worker.mean()
-    }
-
     /// Mean consecutive-arrival gap in minutes.
     pub fn mean_consecutive_gap(&self) -> f64 {
         self.consecutive.mean()

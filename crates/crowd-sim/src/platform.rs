@@ -17,8 +17,7 @@
 //! policy-visible pool in global creation order (the event stream *is* that order); an
 //! expiry clears the flag. If anything expired, one order-preserving pass then drops the
 //! expired ids from `routed`. The advance contains **no policy calls and no RNG draws**,
-//! which is what lets `Session::step_batched` advance many sessions' environments in
-//! parallel while keeping policy hooks sequential (see `crowd-experiments`).
+//! so where a session calls its policy's hooks around it cannot change the replay.
 //!
 //! # Determinism
 //!

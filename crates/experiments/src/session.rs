@@ -28,10 +28,8 @@
 //! step touches (environment, metrics, timers, policy, RNG streams), so sharding is
 //! deterministic by construction and the outcomes are **bit-identical** to the serial
 //! pool's sequential loop at any thread count (`tests/parallel_equivalence.rs`).
-//! [`SessionBatch::step_batched`] uses the same pool for its pack/unpack stages around
-//! the single shared `act_batch` call: environment `apply` + metric recording run per
-//! session in parallel, while the shared policy's `observe` calls stay sequential in
-//! session order (identical to the serial round).
+//! [`SessionBatch::step_batched`] is a serial round around its one shared `act_batch`
+//! call; a pooled policy still runs its own kernels on its pool.
 //!
 //! # Checkpoint / resume
 //!
@@ -58,19 +56,6 @@ use crowd_sim::{
 use crowd_tensor::{Rng, ThreadPool};
 use std::time::Instant;
 
-/// A policy hook recorded during the env-only advance ([`Session::advance_env`]) and
-/// replayed by [`Session::drain_hooks`] — the split that lets a batch advance many
-/// sessions' environments in parallel while the shared policy's hooks stay sequential.
-/// Hooks never touch the environment, so deferring them past the advance loop hands the
-/// policy the exact call sequence of the fused path.
-#[derive(Debug, Clone, Copy)]
-enum PendingHook {
-    /// `policy.end_of_day(day)` — timed as model-update time.
-    EndOfDay(usize),
-    /// `policy.warm_start(&history)` — the one-time warm-up hand-off, untimed.
-    WarmStart,
-}
-
 /// One replay of a dataset against one policy, steppable one arrival at a time.
 #[derive(Debug)]
 pub struct Session<E: Env = Platform> {
@@ -87,10 +72,6 @@ pub struct Session<E: Env = Platform> {
     current_day: Option<usize>,
     evaluated_arrivals: usize,
     done: bool,
-    /// Policy hooks recorded by [`Session::advance_env`], drained (in order) by
-    /// [`Session::drain_hooks`]. Always empty between steps — both stepping paths drain
-    /// before returning — so it never enters a checkpoint.
-    pending_hooks: Vec<PendingHook>,
 }
 
 impl Session<Platform> {
@@ -120,7 +101,6 @@ impl<E: Env> Session<E> {
             current_day: None,
             evaluated_arrivals: 0,
             done: false,
-            pending_hooks: Vec::new(),
         }
     }
 
@@ -150,13 +130,16 @@ impl<E: Env> Session<E> {
         self.done
     }
 
-    /// The **env-only** half of advancing to the next evaluated arrival: consumes
-    /// warm-up arrivals (random full-pool rankings from the session-owned warm-up RNG),
-    /// empty pools and day boundaries, recording the policy hooks they imply into
-    /// `pending_hooks` instead of calling them. Touches only this session's own state,
-    /// so a batch may run it for many sessions in parallel; the caller must follow up
-    /// with [`Session::drain_hooks`] before the policy acts.
-    fn advance_env(&mut self) -> bool {
+    /// Advances the event stream to the next *evaluated* arrival, consuming warm-up
+    /// arrivals (random full-pool rankings from the session-owned warm-up RNG), empty
+    /// pools and day boundaries on the way, and leaves the environment positioned on it.
+    /// Calls the policy's `end_of_day` (timed as model-update time) and its one-time
+    /// `warm_start` as they fall due. Returns `false` once the stream is exhausted.
+    ///
+    /// Shared by [`Session::step`] and [`SessionBatch::step_batched`]: after a `true`
+    /// return the caller produces a decision into `self.decision` and calls
+    /// [`Session::commit`].
+    fn advance(&mut self, policy: &mut (impl Policy + ?Sized)) -> bool {
         if self.done {
             return false;
         }
@@ -172,12 +155,11 @@ impl<E: Env> Session<E> {
             let month = Dataset::month_of(time);
             let day = Dataset::day_of(time);
 
-            // End-of-day hook (supervised retraining); replayed by `drain_hooks`, where
-            // it counts as model update time.
+            // End-of-day hook (supervised retraining), counted as model update time.
             if self.warm_started {
                 if let Some(prev_day) = self.current_day {
                     if day != prev_day {
-                        self.pending_hooks.push(PendingHook::EndOfDay(prev_day));
+                        self.update_timer.time(|| policy.end_of_day(prev_day));
                     }
                 }
             }
@@ -207,7 +189,9 @@ impl<E: Env> Session<E> {
             }
 
             if !self.warm_started {
-                self.pending_hooks.push(PendingHook::WarmStart);
+                // The history is read once, here; release it for the rest of the run.
+                let history = std::mem::take(&mut self.warmup_history);
+                policy.warm_start(&history);
                 self.warm_started = true;
             }
 
@@ -219,78 +203,25 @@ impl<E: Env> Session<E> {
         }
     }
 
-    /// Replays the policy hooks recorded by [`Session::advance_env`], in recording
-    /// order. For a shared policy this must run per session, in session order —
-    /// exactly how [`SessionBatch::step_batched`] sequences it.
-    fn drain_hooks(&mut self, policy: &mut (impl Policy + ?Sized)) {
-        if self.pending_hooks.is_empty() {
-            return;
-        }
-        let mut hooks = std::mem::take(&mut self.pending_hooks);
-        for hook in hooks.drain(..) {
-            match hook {
-                PendingHook::EndOfDay(day) => self.update_timer.time(|| policy.end_of_day(day)),
-                PendingHook::WarmStart => {
-                    // The history is read once, here; release it for the rest of the run.
-                    let history = std::mem::take(&mut self.warmup_history);
-                    policy.warm_start(&history);
-                }
-            }
-        }
-        // Hand the (now empty) buffer back so its capacity is reused across steps.
-        self.pending_hooks = hooks;
-    }
-
-    /// Advances the event stream to the next *evaluated* arrival, consuming warm-up
-    /// arrivals, empty pools and day boundaries on the way, and leaves the environment
-    /// positioned on it. Returns `false` once the stream is exhausted.
-    ///
-    /// Shared by sequential [`Session::step`] and [`SessionBatch::step_batched`]: after a
-    /// `true` return the caller produces a decision into `self.decision` and calls
-    /// [`Session::commit_decision`]. Composed from the env-only advance and the policy
-    /// hook replay; since hooks never touch the environment, the fused and split paths
-    /// hand the policy identical call sequences.
-    fn advance_to_arrival(&mut self, policy: &mut (impl Policy + ?Sized)) -> bool {
-        let live = self.advance_env();
-        self.drain_hooks(policy);
-        live
-    }
-
-    /// Applies `self.decision` to the pending arrival and records the metrics — the
-    /// policy-free half of committing a decision. Touches only this session's own
-    /// environment and accumulator, so a batch may run it for many sessions in parallel;
-    /// the staged-commit contract keeps the arrival and feedback views valid for the
-    /// subsequent [`Session::observe_feedback`].
-    fn apply_and_record(&mut self) {
+    /// Applies `self.decision` to the pending arrival, records the metrics and hands the
+    /// (still valid) arrival and feedback views to the policy's `observe`, timed as model
+    /// update time. Second half of [`Session::step`], called by
+    /// [`SessionBatch::step_batched`] after the batched act filled the decision buffer.
+    fn commit(&mut self, policy: &mut (impl Policy + ?Sized)) {
         let month = Dataset::month_of(self.env.arrival().time);
         self.env.apply(&self.decision);
+        let view = self.env.arrival();
         let feedback = self.env.feedback();
         self.metrics
             .record(month - self.config.warmup_months, &feedback);
         self.evaluated_arrivals += 1;
-    }
-
-    /// Hands the (still valid) arrival/feedback views to the policy's `observe`, timed —
-    /// the policy half of committing a decision. Must run after
-    /// [`Session::apply_and_record`] and, for a shared policy, in session order.
-    fn observe_feedback(&mut self, policy: &mut (impl Policy + ?Sized)) {
-        let view = self.env.arrival();
-        let feedback = self.env.feedback();
         self.update_timer.time(|| policy.observe(&view, &feedback));
-    }
-
-    /// Applies `self.decision` to the pending arrival, records the metrics and hands the
-    /// feedback to the policy's `observe`. Second half of [`Session::step`], called by
-    /// [`SessionBatch::step_batched`] after the batched act filled the decision buffer.
-    fn commit_decision(&mut self, policy: &mut (impl Policy + ?Sized)) {
-        self.apply_and_record();
-        self.observe_feedback(policy);
     }
 
     /// Advances the replay by one *evaluated* arrival (warm-up arrivals are consumed
     /// internally). Returns `false` once the event stream is exhausted.
     pub fn step(&mut self, policy: &mut (impl Policy + ?Sized)) -> bool {
-        if !self.advance_to_arrival(policy) {
+        if !self.advance(policy) {
             return false;
         }
         // The Policy contract promises an empty buffer on entry to `act`.
@@ -300,7 +231,7 @@ impl<E: Env> Session<E> {
             let decision = &mut self.decision;
             self.act_timer.time(|| policy.act(&view, decision));
         }
-        self.commit_decision(policy);
+        self.commit(policy);
         true
     }
 
@@ -315,13 +246,6 @@ impl<E: Env> Session<E> {
     /// count and done flag, and the accumulated warm-start history — empty once it has
     /// been handed off.
     fn save_session_state(&self, w: &mut StateWriter) {
-        // Both stepping paths drain hooks before returning, so between steps — the only
-        // place checkpoints are taken — there is never one pending (and the snapshot
-        // format needs no hook section).
-        debug_assert!(
-            self.pending_hooks.is_empty(),
-            "checkpoint taken with undrained policy hooks"
-        );
         w.put_usize(self.config.warmup_months);
         w.save(&self.metrics);
         w.save(&self.warmup_rng);
@@ -329,7 +253,7 @@ impl<E: Env> Session<E> {
         w.save(&self.current_day.map(|d| d as u64));
         w.put_usize(self.evaluated_arrivals);
         w.put_bool(self.done);
-        // Empty once handed off: `drain_hooks` releases it after `warm_start`.
+        // Empty once handed off: `advance` releases it after `warm_start`.
         w.save(&self.warmup_history);
     }
 
@@ -353,7 +277,6 @@ impl<E: Env> Session<E> {
         self.warmup_history = r.decode()?;
         self.decision.clear();
         self.warmup_order.clear();
-        self.pending_hooks.clear();
         Ok(())
     }
 }
@@ -475,8 +398,8 @@ pub struct SessionBatch<E: Env = Platform> {
     scratch_decisions: Vec<Decision>,
     /// Scratch list of the live sessions' indexes for the current batched round.
     live: Vec<usize>,
-    /// Pool used by [`SessionBatch::step_all`] and the pack/unpack stages of
-    /// [`SessionBatch::step_batched`]. Serial by default.
+    /// Pool [`SessionBatch::step_all`] shards its session/policy pairs over. Serial by
+    /// default; [`SessionBatch::step_batched`] does not use it.
     pool: ThreadPool,
 }
 
@@ -491,19 +414,20 @@ impl<E: Env> SessionBatch<E> {
         }
     }
 
-    /// Sets the pool used by the batch's parallel stepping paths (builder form).
+    /// Sets the pool [`SessionBatch::step_all`] shards over (builder form).
     pub fn with_pool(mut self, pool: ThreadPool) -> Self {
         self.set_pool(pool);
         self
     }
 
-    /// Sets the pool used by the batch's parallel stepping paths. Stepping results are
+    /// Sets the pool [`SessionBatch::step_all`] shards over. Stepping results are
     /// bit-identical at any thread count; only wall clock changes.
     pub fn set_pool(&mut self, pool: ThreadPool) {
         self.pool = pool;
     }
 
-    /// The batch's pool.
+    /// The pool [`SessionBatch::step_all`] shards over; the serial
+    /// [`SessionBatch::step_batched`] round ignores it.
     pub fn pool(&self) -> ThreadPool {
         self.pool
     }
@@ -580,8 +504,9 @@ impl<E: Env> SessionBatch<E> {
     ///
     /// One round runs in three phases:
     ///
-    /// 1. every session advances to its next evaluated arrival (warm-up windows, empty
-    ///    pools and end-of-day hooks are consumed per session, in session order);
+    /// 1. every session advances to its next evaluated arrival, in session order: its
+    ///    warm-up window, empty pools and day boundaries are consumed, and the policy's
+    ///    `warm_start` and `end_of_day` hooks are called as they fall due;
     /// 2. the policy decides on all live arrivals in one `act_batch` call — for the DDQN
     ///    agent a single packed Q-network forward pass;
     /// 3. each decision is applied and observed, in session order.
@@ -599,43 +524,12 @@ impl<E: Env> SessionBatch<E> {
     /// The batched act time is split evenly across the live sessions' decision timers so
     /// per-session `RunOutcome`s stay comparable with the sequential path.
     ///
-    /// With a multi-thread pool ([`SessionBatch::set_pool`]) the *unpack* stage after
-    /// `act_batch` — per-session `Env::apply` plus metric recording — runs sharded across
-    /// workers (every session owns its environment and accumulator), while the shared
-    /// policy's `observe` calls stay sequential in session order. Within each session the
-    /// apply → record → observe order is unchanged and the policy sees the exact call
-    /// sequence of the serial round, so batched stepping stays **bit-identical** at any
-    /// thread count. (The matching *pack* stage — building all views' state tensors in
-    /// parallel — lives inside the DDQN agent's `act_batch`; hand the agent the same pool
-    /// to enable it.)
-    pub fn step_batched<P: BatchedPolicy + ?Sized>(&mut self, policy: &mut P) -> usize
-    where
-        E: Send,
-    {
+    /// The round is serial: the batch's pool ([`SessionBatch::set_pool`]) is not used
+    /// here, and a pooled policy runs its own kernels on its own pool.
+    pub fn step_batched<P: BatchedPolicy + ?Sized>(&mut self, policy: &mut P) -> usize {
         self.live.clear();
-        // Phase 1a: env-only advance — each session consumes its own warm-up arrivals,
-        // empty pools and day boundaries, recording policy hooks instead of calling
-        // them. No shared state, so large batches shard across the pool.
-        let advance_pool = if self.sessions.len() >= self.pool.threads() * 4 {
-            self.pool
-        } else {
-            ThreadPool::serial()
-        };
-        let live_flags: Vec<bool> = advance_pool
-            .par_chunks(&mut self.sessions, 1, |_, shard| {
-                shard
-                    .iter_mut()
-                    .map(|session| session.advance_env())
-                    .collect::<Vec<bool>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Phase 1b: the recorded hooks replay against the shared policy sequentially,
-        // in session order — the exact call sequence of the fused sequential advance.
         for (i, session) in self.sessions.iter_mut().enumerate() {
-            session.drain_hooks(policy);
-            if live_flags[i] {
+            if session.advance(policy) {
                 self.live.push(i);
             }
         }
@@ -661,46 +555,17 @@ impl<E: Env> SessionBatch<E> {
             policy.act_batch(&views, &mut self.scratch_decisions[..n]);
         }
         let per_session = start.elapsed() / n as u32;
-        // Collect the live sessions once (`self.live` is ascending, so a single merge
-        // walk over `iter_mut` suffices) and swap their decisions in.
-        let mut live_iter = self.live.iter().copied().peekable();
-        let mut live_sessions: Vec<&mut Session<E>> = Vec::with_capacity(n);
-        for (i, session) in self.sessions.iter_mut().enumerate() {
-            if live_iter.peek() == Some(&i) {
-                live_iter.next();
-                live_sessions.push(session);
-            }
-        }
-        for (session, scratch) in live_sessions.iter_mut().zip(&mut self.scratch_decisions) {
+        for (&i, scratch) in self.live.iter().zip(&mut self.scratch_decisions) {
+            let session = &mut self.sessions[i];
             std::mem::swap(&mut session.decision, scratch);
             session.act_timer.record(per_session);
-        }
-        // Unpack: apply + record per session (parallel — no policy involved), then the
-        // shared policy observes every feedback sequentially in session order. Small
-        // rounds run the unpack serially: a per-session apply is microseconds, and even
-        // the persistent pool's warm dispatch is not free — the two paths are
-        // bit-identical anyway.
-        let unpack_pool = if n >= self.pool.threads() * 4 {
-            self.pool
-        } else {
-            ThreadPool::serial()
-        };
-        unpack_pool.par_chunks(&mut live_sessions, 1, |_, shard| {
-            for session in shard.iter_mut() {
-                session.apply_and_record();
-            }
-        });
-        for session in &mut live_sessions {
-            session.observe_feedback(policy);
+            session.commit(policy);
         }
         n
     }
 
     /// Runs batched rounds until every session is exhausted.
-    pub fn run_batched<P: BatchedPolicy + ?Sized>(&mut self, policy: &mut P)
-    where
-        E: Send,
-    {
+    pub fn run_batched<P: BatchedPolicy + ?Sized>(&mut self, policy: &mut P) {
         while self.step_batched(policy) > 0 {}
     }
 
@@ -860,20 +725,45 @@ mod tests {
     use crowd_baselines::{ListMode, RandomPolicy};
     use crowd_sim::SimConfig;
 
+    /// Records the length of the history `warm_start` hands it.
+    struct HistoryProbe {
+        inner: RandomPolicy,
+        warm_start_len: Option<usize>,
+    }
+
+    impl Policy for HistoryProbe {
+        fn name(&self) -> &str {
+            "HistoryProbe"
+        }
+
+        fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
+            self.inner.act(view, decision);
+        }
+
+        fn observe(&mut self, view: &ArrivalView<'_>, feedback: &crowd_sim::FeedbackView<'_>) {
+            self.inner.observe(view, feedback);
+        }
+
+        fn warm_start(&mut self, history: &[(ArrivalContext, PolicyFeedback)]) {
+            self.warm_start_len = Some(history.len());
+        }
+    }
+
     #[test]
     fn warmup_history_is_released_after_the_hand_off() {
         let dataset = SimConfig::tiny().generate();
         let config = RunnerConfig::default();
-        let mut policy = RandomPolicy::new(ListMode::RankAll, 5);
+        let mut policy = HistoryProbe {
+            inner: RandomPolicy::new(ListMode::RankAll, 5),
+            warm_start_len: None,
+        };
 
-        // Up to the hand-off the warm-up month is held for `warm_start`…
-        let mut pending = Session::for_dataset(&dataset, &config);
-        assert!(pending.advance_env());
-        assert!(!pending.warmup_history.is_empty());
-
-        // …and after the first evaluated step it is gone.
+        // The warm-up month was held up to the hand-off to `warm_start`…
         let mut session = Session::for_dataset(&dataset, &config);
         assert!(session.step(&mut policy));
+        assert!(policy.warm_start_len.is_some_and(|len| len > 0));
+
+        // …and after the first evaluated step it is gone.
         assert!(session.warm_started);
         assert!(session.warmup_history.is_empty());
         assert_eq!(session.warmup_history.capacity(), 0);

@@ -205,11 +205,6 @@ impl PersistentPool {
         self.state.lock().expect("pool lock").spawned
     }
 
-    /// Workers currently inside their receive loop.
-    pub fn live_workers(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
-    }
-
     /// Checks out up to `want` parked workers, lazily spawning while under
     /// `max_workers`. May return fewer (even zero) when the pool is saturated by
     /// concurrent dispatches or thread creation fails — callers must tolerate that by

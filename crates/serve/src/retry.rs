@@ -9,8 +9,9 @@
 //! error instead of a hang.
 
 use crate::error::{Result, ServeError};
-use crate::server::{Client, ServeDecision};
+use crate::server::{check_arrival, Client, ServeDecision};
 use crowd_sim::ArrivalContext;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Bounds for [`Client::decide_with_retry`].
@@ -44,16 +45,19 @@ impl Client {
     ///
     /// Each retry is a *fresh* request — the server guarantees a rejected request
     /// never touched the policy — so a successful return means exactly one decision
-    /// was made and logged for this call, however many attempts it took.
+    /// was made and logged for this call, however many attempts it took. The arrival is
+    /// checked and copied once; every attempt resends that one shared copy.
     pub fn decide_with_retry(
         &self,
         context: &ArrivalContext,
         retry: &RetryPolicy,
     ) -> Result<ServeDecision> {
+        check_arrival(context)?;
+        let context = Arc::new(context.clone());
         let started = Instant::now();
         let mut backoff = retry.initial_backoff.max(Duration::from_micros(1));
         loop {
-            let error = match self.try_decide(context) {
+            let error = match self.enqueue_decide(Arc::clone(&context), false) {
                 Ok(decision) => return Ok(decision),
                 Err(e @ (ServeError::Saturated | ServeError::Degraded { .. })) => e,
                 Err(e) => return Err(e),

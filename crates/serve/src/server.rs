@@ -375,15 +375,7 @@ impl Client {
     /// server has stopped.
     pub fn decide(&self, context: ArrivalContext) -> Result<ServeDecision> {
         check_arrival(&context)?;
-        let (reply, response) = mpsc::channel();
-        self.ingress
-            .send(Request::Decide {
-                context: Arc::new(context),
-                enqueued: Instant::now(),
-                reply,
-            })
-            .map_err(|_| ServeError::ShuttingDown)?;
-        response.recv().map_err(|_| ServeError::ShuttingDown)?
+        self.enqueue_decide(Arc::new(context), true)
     }
 
     /// Like [`Client::decide`] (and refusing the same malformed arrivals) but fails fast
@@ -392,17 +384,33 @@ impl Client {
     /// paid for that copy too.
     pub fn try_decide(&self, context: &ArrivalContext) -> Result<ServeDecision> {
         check_arrival(context)?;
+        self.enqueue_decide(Arc::new(context.clone()), false)
+    }
+
+    /// Sends an already checked arrival and waits for its decision. With `block` the
+    /// send waits for room in the ingress queue; without, a full queue fails with
+    /// [`ServeError::Saturated`].
+    pub(crate) fn enqueue_decide(
+        &self,
+        context: Arc<ArrivalContext>,
+        block: bool,
+    ) -> Result<ServeDecision> {
         let (reply, response) = mpsc::channel();
-        self.ingress
-            .try_send(Request::Decide {
-                context: Arc::new(context.clone()),
-                enqueued: Instant::now(),
-                reply,
-            })
-            .map_err(|e| match e {
+        let request = Request::Decide {
+            context,
+            enqueued: Instant::now(),
+            reply,
+        };
+        if block {
+            self.ingress
+                .send(request)
+                .map_err(|_| ServeError::ShuttingDown)?;
+        } else {
+            self.ingress.try_send(request).map_err(|e| match e {
                 mpsc::TrySendError::Full(_) => ServeError::Saturated,
                 mpsc::TrySendError::Disconnected(_) => ServeError::ShuttingDown,
             })?;
+        }
         response.recv().map_err(|_| ServeError::ShuttingDown)?
     }
 
@@ -466,7 +474,7 @@ fn check_feedback(feedback: &PolicyFeedback) -> Result<()> {
 
 /// Refuses an arrival holding a NaN or infinite number or listing a task twice. NaN
 /// features would reach the explorer's `partial_cmp` sorts, no total order on NaN.
-fn check_arrival(context: &ArrivalContext) -> Result<()> {
+pub(crate) fn check_arrival(context: &ArrivalContext) -> Result<()> {
     let worker = [
         (
             "worker_quality",

@@ -169,11 +169,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at `(r, c)` without bounds checking beyond debug assertions.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {

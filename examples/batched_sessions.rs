@@ -9,9 +9,9 @@
 //! then freeze and sweep.
 //!
 //! A worker pool (`--threads N`, `CROWD_THREADS`, or the machine default) parallelises
-//! the per-round pack stage (state tensors built in parallel shards) and the per-session
-//! unpack stage (`apply` + metric recording) around the shared forward pass — with
-//! bit-identical results at any thread count.
+//! the agent's training (the two learners and their packed kernels) and the row-sharded
+//! kernels of the shared forward pass; the batched round itself is serial. Results are
+//! bit-identical at any thread count.
 //!
 //! Run with: `cargo run --release -p crowd-experiments --example batched_sessions [-- --threads N]`
 
@@ -48,7 +48,7 @@ fn main() {
 
     // 3. Build 8 sessions over the same dataset with different behaviour seeds: the same
     //    frozen policy faces 8 different realisations of worker behaviour.
-    let mut batch = SessionBatch::new().with_pool(pool);
+    let mut batch = SessionBatch::new();
     for i in 0..N_SESSIONS {
         let config = RunnerConfig {
             platform_seed: 10_000 + i as u64,

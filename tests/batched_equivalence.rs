@@ -14,7 +14,10 @@
 use crowd_baselines::{ListMode, RandomPolicy};
 use crowd_experiments::{RunOutcome, RunnerConfig, Session, SessionBatch};
 use crowd_rl_core::{DdqnAgent, DdqnConfig};
-use crowd_sim::{BatchedPolicy, Dataset, Decision, Env, Platform, Policy, SimConfig};
+use crowd_sim::{
+    ArrivalContext, ArrivalView, BatchedPolicy, Dataset, Decision, Env, FeedbackView, Platform,
+    Policy, PolicyFeedback, SimConfig,
+};
 
 const N_SESSIONS: usize = 3;
 
@@ -200,4 +203,156 @@ fn dyn_batched_policy_objects_are_steppable() {
     let mut batch = build_batch(&dataset);
     let live = batch.step_batched(policy.as_mut());
     assert!(live > 0);
+}
+
+/// One call a [`CallLog`] received.
+#[derive(Debug, Clone, PartialEq)]
+enum Call {
+    /// `warm_start` with this many history records.
+    WarmStart(usize),
+    EndOfDay(usize),
+    Act,
+    /// `act_batch` over this many views.
+    ActBatch(usize),
+    /// `observe`, keyed by what tells the sessions' feedbacks apart.
+    Observe {
+        time: u64,
+        worker: u32,
+        completed: Option<u32>,
+        gain_bits: u32,
+    },
+}
+
+/// A policy that ranks every task in pool order and logs each call it receives.
+#[derive(Default)]
+struct CallLog {
+    calls: Vec<Call>,
+}
+
+impl CallLog {
+    fn rank(view: &ArrivalView<'_>, decision: &mut Decision) {
+        decision.clear();
+        decision.extend((0..view.n_tasks()).map(|i| view.task_id(i)));
+    }
+}
+
+impl Policy for CallLog {
+    fn name(&self) -> &str {
+        "CallLog"
+    }
+
+    fn act(&mut self, view: &ArrivalView<'_>, decision: &mut Decision) {
+        self.calls.push(Call::Act);
+        Self::rank(view, decision);
+    }
+
+    fn observe(&mut self, _view: &ArrivalView<'_>, feedback: &FeedbackView<'_>) {
+        self.calls.push(Call::Observe {
+            time: feedback.time,
+            worker: feedback.worker_id.0,
+            completed: feedback.completed.map(|(task, _)| task.0),
+            gain_bits: feedback.quality_gain.to_bits(),
+        });
+    }
+
+    fn end_of_day(&mut self, day: usize) {
+        self.calls.push(Call::EndOfDay(day));
+    }
+
+    fn warm_start(&mut self, history: &[(ArrivalContext, PolicyFeedback)]) {
+        self.calls.push(Call::WarmStart(history.len()));
+    }
+}
+
+impl BatchedPolicy for CallLog {
+    fn act_batch(&mut self, views: &[ArrivalView<'_>], decisions: &mut [Decision]) {
+        self.calls.push(Call::ActBatch(views.len()));
+        for (view, decision) in views.iter().zip(decisions.iter_mut()) {
+            Self::rank(view, decision);
+        }
+    }
+}
+
+#[test]
+fn step_batched_calls_the_shared_policy_in_the_documented_order() {
+    let dataset = dataset();
+
+    // Reference: each session stepped alone, its calls cut per `Session::step` (hooks,
+    // then `Act` and `Observe` when the step found an arrival).
+    let per_session: Vec<Vec<Vec<Call>>> = session_configs()
+        .iter()
+        .map(|config| {
+            let mut session = Session::for_dataset(&dataset, config);
+            let mut policy = CallLog::default();
+            let mut steps = Vec::new();
+            loop {
+                let live = session.step(&mut policy);
+                steps.push(std::mem::take(&mut policy.calls));
+                if !live {
+                    break steps;
+                }
+            }
+        })
+        .collect();
+
+    // The documented round: every session's hooks in session order, one `act_batch` over
+    // the live sessions, then their observes in session order.
+    let rounds = per_session.iter().map(Vec::len).max().unwrap();
+    let mut expected = Vec::new();
+    for round in 0..rounds {
+        let mut observes = Vec::new();
+        for steps in &per_session {
+            let Some(step) = steps.get(round) else {
+                continue;
+            };
+            match step.iter().position(|call| *call == Call::Act) {
+                Some(act) => {
+                    assert_eq!(act + 2, step.len(), "a step ends with act, observe");
+                    expected.extend_from_slice(&step[..act]);
+                    observes.push(step[act + 1].clone());
+                }
+                None => expected.extend_from_slice(step),
+            }
+        }
+        if !observes.is_empty() {
+            expected.push(Call::ActBatch(observes.len()));
+            expected.append(&mut observes);
+        }
+    }
+
+    let mut policy = CallLog::default();
+    let mut batch = build_batch(&dataset);
+    batch.run_batched(&mut policy);
+    assert_eq!(policy.calls, expected);
+
+    // `warm_start` once per session, with a non-empty history, before the first act; the
+    // replay spans at least two evaluated days.
+    let first_act = policy
+        .calls
+        .iter()
+        .position(|call| matches!(call, Call::ActBatch(_)))
+        .unwrap();
+    let warm_starts: Vec<usize> = policy
+        .calls
+        .iter()
+        .filter_map(|call| match call {
+            Call::WarmStart(len) => Some(*len),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(warm_starts.len(), N_SESSIONS);
+    assert!(warm_starts.iter().all(|&len| len > 0));
+    let warm_before_act = policy.calls[..first_act]
+        .iter()
+        .filter(|call| matches!(call, Call::WarmStart(_)))
+        .count();
+    assert_eq!(warm_before_act, N_SESSIONS);
+    assert!(policy
+        .calls
+        .iter()
+        .any(|call| matches!(call, Call::EndOfDay(_))));
+    assert!(policy
+        .calls
+        .iter()
+        .all(|call| !matches!(call, Call::ActBatch(n) if *n == 0 || *n > N_SESSIONS)));
 }

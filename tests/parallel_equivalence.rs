@@ -17,8 +17,9 @@
 //! * [`SessionBatch::step_all`] — N *training* DDQN agents (exploration and
 //!   learning active, including a balanced agent whose two learner branches dispatch
 //!   concurrently) plus baselines, sharded across pool workers;
-//! * [`SessionBatch::step_batched`] — one shared frozen agent with the parallel
-//!   pack/unpack stages around the single batched forward pass;
+//! * [`SessionBatch::step_batched`] — one shared frozen agent, trained on the pool, whose
+//!   single batched forward pass per round runs the pooled kernels (the round around it
+//!   is serial);
 //! * `ThreadPool::from_env()` — whatever `CROWD_THREADS` the environment picked (CI runs
 //!   this whole suite twice, at `CROWD_THREADS=1` and `CROWD_THREADS=4`, so the serial
 //!   fallback and a real multi-thread pool both stay proven).
@@ -264,8 +265,8 @@ fn full_replay_on_the_env_configured_pool_matches_serial() {
     );
 }
 
-/// Shared-agent batched stepping (`step_batched` with its parallel pack/unpack stages)
-/// at several thread counts: a trained-then-frozen agent over N behaviour seeds.
+/// Shared-agent batched stepping at several thread counts: a trained-then-frozen agent over
+/// N behaviour seeds, its training and its batched forward passes on the pooled kernels.
 #[test]
 fn batched_stepping_is_bit_identical_at_any_thread_count() {
     let dataset = dataset();
