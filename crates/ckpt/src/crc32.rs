@@ -44,8 +44,42 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 of `bytes`: eight bytes per step (slicing-by-8), then the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::default();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// CRC-32 of a byte string fed in pieces: `update` with every piece in order, then
+/// `finish` gives the bits [`crc32`] gives for the whole string. The WAL reader checks a
+/// frame's CRC this way while it streams the frame through a fixed read buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Crc32 {
+    /// The running register, before the final XOR.
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+}
+
+impl Crc32 {
+    /// Folds `bytes` into the running CRC.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        self.state = update_register(self.state, bytes);
+    }
+
+    /// The CRC-32 of everything fed so far.
+    pub(crate) fn finish(self) -> u32 {
+        self.state ^ 0xFFFF_FFFF
+    }
+}
+
+/// Folds `bytes` into the CRC register `crc`: eight bytes per step (slicing-by-8), then
+/// the tail bytewise.
+fn update_register(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -61,7 +95,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    crc ^ 0xFFFF_FFFF
+    crc
 }
 
 /// CRC-32 of any sub-range of one byte string, each in time logarithmic in the range
@@ -183,6 +217,24 @@ mod tests {
         let ranges = RangeCrc::new(&long);
         for (start, end) in [(0, 300_000), (7, 299_993), (65_536, 196_609), (1, 2)] {
             assert_eq!(ranges.crc(start..end), crc32(&long[start..end]));
+        }
+    }
+
+    #[test]
+    fn piecewise_updates_match_the_whole_string() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 29 + 3) as u8).collect();
+        for split in 0..=data.len() {
+            for second in split..=data.len() {
+                let mut crc = Crc32::default();
+                crc.update(&data[..split]);
+                crc.update(&data[split..second]);
+                crc.update(&data[second..]);
+                assert_eq!(
+                    crc.finish(),
+                    crc32(&data),
+                    "pieces split at {split}, {second}"
+                );
+            }
         }
     }
 

@@ -32,7 +32,8 @@ pub enum OpClass {
     CreateFile,
     /// Opening an existing file for read/write.
     OpenFile,
-    /// Reading a whole file into memory.
+    /// Reading bytes from a file opened for reading: a whole file ([`Fs::read`]) or one
+    /// chunk of a streamed one ([`StorageReader::read_at`]).
     Read,
     /// Listing a directory.
     ReadDir,
@@ -251,6 +252,18 @@ pub trait StorageFile: Send {
     fn seek_end(&mut self) -> io::Result<u64>;
 }
 
+/// A file opened for reading behind the [`Storage`] abstraction: positioned reads of a
+/// file whose length was fixed when it was opened. Each [`StorageReader::read_at`] is one
+/// numbered [`OpClass::Read`] op, so a reader that streams a file chunk by chunk exposes
+/// every chunk as its own fault site.
+pub trait StorageReader: Send {
+    /// Byte length of the file when it was opened.
+    fn size(&self) -> u64;
+    /// Reads into `buf` from byte `offset`, filling it unless the file ends first;
+    /// returns the number of bytes read (short only at the end of the file).
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
+}
+
 /// A filesystem backend: the real one, or an injected one counting and poisoning ops.
 pub trait Storage: Send + Sync {
     /// Short backend name for `Debug` output.
@@ -259,8 +272,9 @@ pub trait Storage: Send + Sync {
     fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>>;
     /// Opens an existing file for read/write without truncating.
     fn open_rw(&self, path: &Path) -> io::Result<Box<dyn StorageFile>>;
-    /// Reads a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Opens an existing file for reading. Opening is not a counted op; every read
+    /// through the returned handle is.
+    fn open_read(&self, path: &Path) -> io::Result<Box<dyn StorageReader>>;
     /// Renames `from` to `to` (atomic within a directory on POSIX).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Deletes a file.
@@ -305,6 +319,30 @@ impl StorageFile for RealFile {
     }
 }
 
+struct RealReader {
+    file: File,
+    size: u64,
+}
+
+impl StorageReader for RealReader {
+    fn size(&self) -> u64 {
+        self.size
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        self.file.seek(SeekFrom::Start(offset))?;
+        let mut filled = 0;
+        while filled < buf.len() {
+            match self.file.read(&mut buf[filled..]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(filled)
+    }
+}
+
 impl Storage for RealFs {
     fn label(&self) -> &'static str {
         "real"
@@ -322,10 +360,10 @@ impl Storage for RealFs {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         Ok(Box::new(RealFile(file)))
     }
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Ok(bytes)
+    fn open_read(&self, path: &Path) -> io::Result<Box<dyn StorageReader>> {
+        let file = File::open(path)?;
+        let size = file.metadata()?.len();
+        Ok(Box::new(RealReader { file, size }))
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)
@@ -414,6 +452,30 @@ impl StorageFile for FaultFile {
     }
 }
 
+struct FaultReader {
+    inner: Box<dyn StorageReader>,
+    state: Arc<Mutex<FaultState>>,
+}
+
+impl StorageReader for FaultReader {
+    fn size(&self) -> u64 {
+        self.inner.size()
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        let corrupt = matches!(
+            gate(&self.state, OpClass::Read)?,
+            Some((_, FaultKind::CorruptRead))
+        );
+        let n = self.inner.read_at(offset, buf)?;
+        if corrupt && n > 0 {
+            // Flip one byte in the middle of what was read: silent rot the CRCs must
+            // catch.
+            buf[n / 2] ^= 0x40;
+        }
+        Ok(n)
+    }
+}
+
 impl Storage for FaultFs {
     fn label(&self) -> &'static str {
         "fault"
@@ -434,18 +496,12 @@ impl Storage for FaultFs {
             state: self.state.clone(),
         }))
     }
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let corrupt = matches!(
-            gate(&self.state, OpClass::Read)?,
-            Some((_, FaultKind::CorruptRead))
-        );
-        let mut bytes = self.inner.read(path)?;
-        if corrupt && !bytes.is_empty() {
-            // Flip one mid-file byte: silent rot the CRCs must catch.
-            let at = bytes.len() / 2;
-            bytes[at] ^= 0x40;
-        }
-        Ok(bytes)
+    fn open_read(&self, path: &Path) -> io::Result<Box<dyn StorageReader>> {
+        let inner = self.inner.open_read(path)?;
+        Ok(Box::new(FaultReader {
+            inner,
+            state: self.state.clone(),
+        }))
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         gate(&self.state, OpClass::Rename)?;
@@ -552,9 +608,19 @@ impl Fs {
     pub fn open_rw(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
         self.backend.open_rw(path)
     }
-    /// See [`Storage::read`].
+    /// See [`Storage::open_read`].
+    pub fn open_read(&self, path: &Path) -> io::Result<Box<dyn StorageReader>> {
+        self.backend.open_read(path)
+    }
+    /// Reads a whole file into memory in one [`OpClass::Read`] op (the snapshot
+    /// loader's read; the WAL streams its segments through [`Fs::open_read`] instead).
     pub fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.backend.read(path)
+        let mut file = self.open_read(path)?;
+        let size = usize::try_from(file.size()).map_err(io::Error::other)?;
+        let mut bytes = vec![0u8; size];
+        let n = file.read_at(0, &mut bytes)?;
+        bytes.truncate(n);
+        Ok(bytes)
     }
     /// See [`Storage::rename`].
     pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {

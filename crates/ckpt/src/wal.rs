@@ -48,10 +48,18 @@
 //!   torn tail (it was the active one when the process died). A torn or short batch in
 //!   any earlier segment means bytes rotted *after* they were sealed, which replay-based
 //!   recovery must not paper over; readers of a whole log treat it as corruption.
+//!
+//! # Reading
+//!
+//! [`read_segment`] never holds a segment: it streams the file through one
+//! [`READ_CHUNK`]-byte buffer, once to validate every frame and once more
+//! ([`SegmentScan::next_batch`]) to hand out each payload after re-checking its CRC on
+//! the bytes handed out. Only a damaged segment's torn region is held whole, for the
+//! search behind it.
 
-use crate::crc32::{crc32, RangeCrc};
+use crate::crc32::{crc32, Crc32, RangeCrc};
 use crate::error::{CkptError, Result};
-use crate::io::{Fs, StorageFile};
+use crate::io::{Fs, StorageFile, StorageReader};
 use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -226,15 +234,102 @@ impl SegmentWriter {
     }
 }
 
-/// Everything [`read_segment`] found in one segment file. The file's bytes are held
-/// once; [`SegmentScan::batches`] hands out the payloads as slices into them.
+/// Bytes per streamed read: a segment scan reads its file through one buffer of this
+/// size, and each refill is one numbered [`OpClass::Read`](crate::io::OpClass::Read) op,
+/// so a scan's read ops grow with the segment's size, not with its batch count.
+pub const READ_CHUNK: usize = 64 * 1024;
+
+/// A file streamed front to back through one fixed [`READ_CHUNK`] buffer.
+struct ChunkReader {
+    file: Box<dyn StorageReader>,
+    /// File length when it was opened.
+    size: u64,
+    buf: Vec<u8>,
+    /// File offset of `buf[0]`.
+    start: u64,
+    /// Bytes of `buf` holding file data.
+    filled: usize,
+    /// Next unconsumed byte of `buf`.
+    pos: usize,
+}
+
+impl ChunkReader {
+    fn open(fs: &Fs, path: &Path) -> Result<ChunkReader> {
+        let file = fs.open_read(path)?;
+        Ok(ChunkReader {
+            size: file.size(),
+            file,
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            filled: 0,
+            pos: 0,
+        })
+    }
+
+    /// File offset of the next byte [`ChunkReader::stream`] hands out.
+    fn offset(&self) -> u64 {
+        self.start + self.pos as u64
+    }
+
+    /// Continues at `offset`, dropping what the buffer holds.
+    fn seek(&mut self, offset: u64) {
+        (self.start, self.filled, self.pos) = (offset, 0, 0);
+    }
+
+    /// Hands the next `len` bytes to `piece` in order, one buffer-load at a time. The
+    /// caller keeps the range inside the file; a file that ends early is an I/O error.
+    fn stream(&mut self, mut len: u64, mut piece: impl FnMut(&[u8])) -> Result<()> {
+        while len > 0 {
+            if self.pos == self.filled {
+                self.refill()?;
+            }
+            let take = (self.filled - self.pos).min(usize::try_from(len).unwrap_or(usize::MAX));
+            piece(&self.buf[self.pos..self.pos + take]);
+            self.pos += take;
+            len -= take as u64;
+        }
+        Ok(())
+    }
+
+    /// The next `N` bytes as an array.
+    fn read_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        let mut at = 0;
+        self.stream(N as u64, |piece| {
+            out[at..at + piece.len()].copy_from_slice(piece);
+            at += piece.len();
+        })?;
+        Ok(out)
+    }
+
+    fn refill(&mut self) -> Result<()> {
+        self.start += self.pos as u64;
+        let want = self.size.saturating_sub(self.start).min(READ_CHUNK as u64) as usize;
+        let read = self.file.read_at(self.start, &mut self.buf[..want])?;
+        if want == 0 || read < want {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!(
+                    "file ended at byte {} of {}",
+                    self.start + read as u64,
+                    self.size
+                ),
+            )
+            .into());
+        }
+        (self.filled, self.pos) = (read, 0);
+        Ok(())
+    }
+}
+
+/// What [`read_segment`]'s validating pass found in one segment file, and the open
+/// file its batches are then decoded from ([`SegmentScan::next_batch`]). A scan holds
+/// one read buffer of [`READ_CHUNK`] bytes and one batch payload, never the segment.
 pub struct SegmentScan {
     /// Segment index stored in the header.
     pub index: u64,
-    /// The whole file as read.
-    bytes: Vec<u8>,
-    /// Byte range of each CRC-verified record-batch payload, in append order.
-    payloads: Vec<Range<usize>>,
+    /// Number of CRC-verified record batches in the clean prefix.
+    pub batches: usize,
     /// Byte length of the clean prefix (header plus every complete batch); equals the
     /// file length when the segment is clean.
     pub clean_len: u64,
@@ -244,13 +339,16 @@ pub struct SegmentScan {
     /// it is torn, searching byte by byte (so a damaged length field cannot hide it).
     /// `Some` means the "tear" has written batches behind it.
     pub valid_frame_after: Option<u64>,
+    reader: ChunkReader,
+    /// The payload [`SegmentScan::next_batch`] last decoded.
+    frame: Vec<u8>,
 }
 
 impl fmt::Debug for SegmentScan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SegmentScan")
             .field("index", &self.index)
-            .field("batches", &self.payloads.len())
+            .field("batches", &self.batches)
             .field("clean_len", &self.clean_len)
             .field("torn_bytes", &self.torn_bytes)
             .field("valid_frame_after", &self.valid_frame_after)
@@ -264,88 +362,176 @@ impl SegmentScan {
         self.torn_bytes > 0
     }
 
-    /// The CRC-verified record-batch payloads, in append order.
-    pub fn batches(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
-        self.payloads.iter().map(|range| &self.bytes[range.clone()])
+    /// The next record-batch payload of the clean prefix, in append order; `None`
+    /// after the last. This second pass reads each frame again and checks its CRC on
+    /// the very bytes it returns, because that read can be damaged too: a frame that
+    /// fails, or whose length runs past the clean prefix the first pass validated, is a
+    /// typed error and its bytes are never handed out.
+    pub fn next_batch(&mut self) -> Result<Option<&[u8]>> {
+        let offset = self.reader.offset();
+        if offset >= self.clean_len {
+            return Ok(None);
+        }
+        let header = self.reader.read_array::<{ BATCH_HEADER_LEN as usize }>()?;
+        let (len, stored) = frame_header(&header);
+        let body = offset + BATCH_HEADER_LEN;
+        if len == 0 || len as u64 > self.clean_len.saturating_sub(body) {
+            return Err(CkptError::Corrupt {
+                what: "wal batch",
+                detail: format!(
+                    "the batch at byte {offset} reads as {len} bytes long, past the clean \
+                     prefix of {} bytes that the first pass validated",
+                    self.clean_len
+                ),
+            });
+        }
+        self.frame.clear();
+        let frame = &mut self.frame;
+        self.reader
+            .stream(len as u64, |piece| frame.extend_from_slice(piece))?;
+        let computed = crc32(&self.frame);
+        if computed != stored {
+            return Err(CkptError::CrcMismatch {
+                section: format!("wal batch at byte {offset}"),
+                stored,
+                computed,
+            });
+        }
+        Ok(Some(&self.frame))
     }
 }
 
-/// Reads one segment: validates the header strictly (a named segment always has a
-/// complete header — see the module docs on atomic creation), then finds batches
-/// until the clean end of the file or the first torn or CRC-damaged frame. When the
-/// clean prefix stops short of the end, the rest of the file is searched for a valid
-/// frame ([`SegmentScan::valid_frame_after`]); deciding what that means is the
-/// caller's.
+/// Opens one segment and validates it in a first streaming pass: the header strictly
+/// (a named segment always has a complete header — see the module docs on atomic
+/// creation), then every batch's CRC until the clean end of the file or the first
+/// torn or CRC-damaged frame. When the clean prefix stops short of the end, the rest of
+/// the file is read again and searched for a valid frame
+/// ([`SegmentScan::valid_frame_after`]); deciding what that means is the caller's. The
+/// returned scan then decodes the clean prefix's batches ([`SegmentScan::next_batch`]).
+///
+/// The first pass holds one read buffer; only the damage path holds the torn region,
+/// for the search. A re-read that finds the first damaged frame intact is an error:
+/// the storage returned different bytes on two reads, and truncating the frame as a
+/// tear would drop a batch that is whole on disk.
 pub fn read_segment(fs: &Fs, path: &Path) -> Result<SegmentScan> {
-    let bytes = fs.read(path)?;
-    if bytes.len() < SEGMENT_HEADER_LEN as usize {
+    let mut reader = ChunkReader::open(fs, path)?;
+    let size = reader.size;
+    if size < SEGMENT_HEADER_LEN {
         return Err(CkptError::Truncated {
             what: "wal segment header",
             needed: SEGMENT_HEADER_LEN as usize,
-            available: bytes.len(),
+            available: size as usize,
         });
     }
-    if bytes[0..8] != WAL_MAGIC {
+    let header = reader.read_array::<{ SEGMENT_HEADER_LEN as usize }>()?;
+    if header[0..8] != WAL_MAGIC {
         let mut found = [0u8; 8];
-        found.copy_from_slice(&bytes[0..8]);
+        found.copy_from_slice(&header[0..8]);
         return Err(CkptError::BadMagic { found });
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
     if version != WAL_VERSION {
         return Err(CkptError::UnsupportedVersion {
             found: version,
             supported: WAL_VERSION,
         });
     }
-    let index = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+    let index = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
 
-    let mut payloads = Vec::new();
-    let mut offset = SEGMENT_HEADER_LEN as usize;
-    while let Some((range, stored_crc)) = frame_at(&bytes, offset) {
-        if crc32(&bytes[range.clone()]) != stored_crc {
+    let mut batches = 0;
+    let mut offset = SEGMENT_HEADER_LEN;
+    while size - offset >= BATCH_HEADER_LEN {
+        let (len, stored) = frame_header(&reader.read_array()?);
+        let body = offset + BATCH_HEADER_LEN;
+        if len == 0 || len as u64 > size - body {
             break;
         }
-        offset = range.end;
-        payloads.push(range);
+        let mut crc = Crc32::default();
+        reader.stream(len as u64, |piece| crc.update(piece))?;
+        if crc.finish() != stored {
+            break;
+        }
+        offset = body + len as u64;
+        batches += 1;
     }
-    // Every later offset could start a frame once a length field is damaged. Lengths
-    // that overrun the file are rejected first; the CRCs of the rest come from one
-    // prefix pass over the torn region, so the search stays linear in its size.
-    let mut valid_frame_after = None;
-    if offset < bytes.len() {
-        let torn = RangeCrc::new(&bytes[offset..]);
-        valid_frame_after = (offset + 1..bytes.len())
-            .find(|&at| {
-                frame_at(&bytes, at).is_some_and(|(range, stored_crc)| {
-                    torn.crc(range.start - offset..range.end - offset) == stored_crc
-                })
-            })
-            .map(|at| at as u64);
-    }
+    let valid_frame_after = if offset < size {
+        search_torn_region(&mut reader, offset)?
+    } else {
+        None
+    };
+    reader.seek(SEGMENT_HEADER_LEN);
     Ok(SegmentScan {
         index,
-        clean_len: offset as u64,
-        torn_bytes: (bytes.len() - offset) as u64,
+        batches,
+        clean_len: offset,
+        torn_bytes: size - offset,
         valid_frame_after,
-        bytes,
-        payloads,
+        reader,
+        frame: Vec::new(),
     })
 }
 
+/// Reads the torn region `[clean_len, end of file)` into memory and returns the offset
+/// of the first complete, CRC-valid frame that starts past `clean_len`. Every later
+/// offset could start a frame once a length field is damaged. Lengths that overrun the
+/// file are rejected first; the CRCs of the rest come from one prefix pass over the
+/// region, so the search stays linear in its size.
+fn search_torn_region(reader: &mut ChunkReader, clean_len: u64) -> Result<Option<u64>> {
+    reader.seek(clean_len);
+    let mut torn = Vec::with_capacity((reader.size - clean_len) as usize);
+    reader.stream(reader.size - clean_len, |piece| {
+        torn.extend_from_slice(piece)
+    })?;
+    let crcs = RangeCrc::new(&torn);
+    let valid_at =
+        |at: usize| frame_at(&torn, at).is_some_and(|(range, stored)| crcs.crc(range) == stored);
+    if valid_at(0) {
+        return Err(CkptError::Corrupt {
+            what: "wal segment",
+            detail: format!(
+                "the batch at byte {clean_len} failed its CRC on one read and passed it on \
+                 a re-read — not a torn tail: the storage returned different bytes for it, \
+                 and truncating there would drop a batch that is whole on disk"
+            ),
+        });
+    }
+    Ok((1..torn.len())
+        .find(|&at| valid_at(at))
+        .map(|at| clean_len + at as u64))
+}
+
+/// Payload length and stored CRC of a frame header.
+fn frame_header(header: &[u8; BATCH_HEADER_LEN as usize]) -> (u32, u32) {
+    (
+        u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")),
+        u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")),
+    )
+}
+
 /// Payload byte range and stored CRC of the frame at `offset` when its header and
-/// payload are both complete; `None` at the end of the file, for a cut header or
+/// payload are both complete; `None` at the end of the bytes, for a cut header or
 /// payload, and for a zero length (zeroed preallocation) — the shapes a torn tail takes.
 fn frame_at(bytes: &[u8], offset: usize) -> Option<(Range<usize>, u32)> {
     let header = bytes.get(offset..offset + BATCH_HEADER_LEN as usize)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let (len, crc) = frame_header(header.try_into().expect("8 bytes"));
     let body = offset + BATCH_HEADER_LEN as usize;
+    let len = len as usize;
     (len > 0 && len <= bytes.len() - body).then_some((body..body + len, crc))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every batch payload of the scanned segment, decoded by the second pass.
+    fn payloads(scan: &mut SegmentScan) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        while let Some(payload) = scan.next_batch().unwrap() {
+            out.push(payload.to_vec());
+        }
+        assert_eq!(out.len(), scan.batches, "{scan:?}");
+        out
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("crowd-wal-{tag}-{}", std::process::id()));
@@ -377,12 +563,12 @@ mod tests {
         w.sync().unwrap();
         assert_eq!(w.len(), SEGMENT_HEADER_LEN + 2 * BATCH_HEADER_LEN + 5 + 300);
 
-        let scan = read_segment(&Fs::real(), w.path()).unwrap();
+        let mut scan = read_segment(&Fs::real(), w.path()).unwrap();
         assert_eq!(scan.index, 0);
         assert!(!scan.is_torn());
         assert_eq!(scan.clean_len, w.len());
         assert_eq!(
-            scan.batches().collect::<Vec<_>>(),
+            payloads(&mut scan),
             vec![b"first".to_vec(), vec![0xAB; 300]]
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -400,9 +586,9 @@ mod tests {
 
         for cut in clean_prefix..full.len() {
             std::fs::write(w.path(), &full[..cut]).unwrap();
-            let scan = read_segment(&Fs::real(), w.path()).unwrap();
+            let mut scan = read_segment(&Fs::real(), w.path()).unwrap();
             assert_eq!(
-                scan.batches().collect::<Vec<_>>(),
+                payloads(&mut scan),
                 vec![b"keep-me".to_vec()],
                 "cut at {cut}"
             );
@@ -423,8 +609,8 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(w.path(), &bytes).unwrap();
-        let scan = read_segment(&Fs::real(), w.path()).unwrap();
-        assert_eq!(scan.batches().collect::<Vec<_>>(), vec![b"good".to_vec()]);
+        let mut scan = read_segment(&Fs::real(), w.path()).unwrap();
+        assert_eq!(payloads(&mut scan), vec![b"good".to_vec()]);
         assert!(scan.is_torn());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -457,12 +643,8 @@ mod tests {
             let mut bytes = full.clone();
             bytes[at] ^= mask;
             std::fs::write(&path, &bytes).unwrap();
-            let scan = read_segment(&Fs::real(), &path).unwrap();
-            assert_eq!(
-                scan.batches().collect::<Vec<_>>(),
-                vec![b"first".to_vec()],
-                "flip at {at}"
-            );
+            let mut scan = read_segment(&Fs::real(), &path).unwrap();
+            assert_eq!(payloads(&mut scan), vec![b"first".to_vec()], "flip at {at}");
             assert_eq!(scan.clean_len, second as u64, "flip at {at}");
             assert_eq!(scan.valid_frame_after, Some(third as u64), "flip at {at}");
         }
@@ -475,12 +657,8 @@ mod tests {
                 bytes[at] ^= mask;
                 bytes.extend_from_slice(&tail);
                 std::fs::write(&path, &bytes).unwrap();
-                let scan = read_segment(&Fs::real(), &path).unwrap();
-                assert_eq!(
-                    scan.batches().collect::<Vec<_>>(),
-                    vec![b"first".to_vec()],
-                    "flip at {at}"
-                );
+                let mut scan = read_segment(&Fs::real(), &path).unwrap();
+                assert_eq!(payloads(&mut scan), vec![b"first".to_vec()], "flip at {at}");
                 assert_eq!(scan.torn_bytes, (bytes.len() - second) as u64);
                 assert_eq!(scan.valid_frame_after, None, "flip at {at}");
             }
@@ -505,9 +683,9 @@ mod tests {
         let mut w = SegmentWriter::resume(&Fs::real(), &path, 0, clean).unwrap();
         w.append(b"after-crash").unwrap();
         w.sync().unwrap();
-        let scan = read_segment(&Fs::real(), &path).unwrap();
+        let mut scan = read_segment(&Fs::real(), &path).unwrap();
         assert_eq!(
-            scan.batches().collect::<Vec<_>>(),
+            payloads(&mut scan),
             vec![b"stable".to_vec(), b"after-crash".to_vec()]
         );
         assert!(!scan.is_torn());
@@ -564,12 +742,103 @@ mod tests {
         w.truncate_to_len().unwrap();
         w.append(b"after-heal").unwrap();
         w.sync().unwrap();
-        let scan = read_segment(&Fs::real(), &path).unwrap();
+        let mut scan = read_segment(&Fs::real(), &path).unwrap();
         assert_eq!(
-            scan.batches().collect::<Vec<_>>(),
+            payloads(&mut scan),
             vec![b"durable".to_vec(), b"after-heal".to_vec()]
         );
         assert!(!scan.is_torn());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fault plan that corrupts exactly read op `op`.
+    fn corrupt_read_at(op: u64) -> crate::io::FaultPlan {
+        use crate::io::{FaultKind, FaultPlan, FaultRule, OpClass};
+        FaultPlan::none().with_rule(FaultRule {
+            from_op: op,
+            to_op: op + 1,
+            class: Some(OpClass::Read),
+            kind: FaultKind::CorruptRead,
+            once: true,
+        })
+    }
+
+    #[test]
+    fn a_segment_larger_than_the_read_buffer_streams_in_chunk_sized_reads() {
+        use crate::io::FaultPlan;
+        // Payloads of assorted sizes, some longer than a read chunk, so frame headers
+        // and payloads straddle chunk boundaries at many offsets.
+        let dir = tmp_dir("chunks");
+        let payloads_in: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| vec![i as u8; 1 + (i as usize * 7919) % (READ_CHUNK + READ_CHUNK / 3)])
+            .collect();
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
+        for payload in &payloads_in {
+            w.append(payload).unwrap();
+        }
+        w.sync().unwrap();
+        let size = w.len();
+        let path = w.path().to_path_buf();
+        drop(w);
+
+        let (fs, probe) = Fs::faulty(FaultPlan::none());
+        let mut scan = read_segment(&fs, &path).unwrap();
+        let chunks = size.div_ceil(READ_CHUNK as u64);
+        assert_eq!(probe.ops(), chunks, "the first pass reads each chunk once");
+        assert_eq!(payloads(&mut scan), payloads_in);
+        assert_eq!(probe.ops(), 2 * chunks, "so does the second");
+
+        // A tail cut inside the last frame: the clean prefix keeps every earlier one.
+        let full = std::fs::read(&path).unwrap();
+        let last = payloads_in.last().unwrap().len() as u64 + BATCH_HEADER_LEN;
+        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
+        let mut scan = read_segment(&Fs::real(), &path).unwrap();
+        assert_eq!(scan.clean_len, size - last);
+        assert_eq!(scan.valid_frame_after, None);
+        assert_eq!(
+            payloads(&mut scan),
+            payloads_in[..payloads_in.len() - 1].to_vec()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_first_pass_read_that_a_re_read_contradicts_is_refused_not_truncated() {
+        // Op 0 is the first pass's only read of this one-chunk segment; its corrupted
+        // byte lands in the middle payload, so that frame fails its CRC once and passes
+        // on the re-read. Truncating there would drop two whole batches.
+        let dir = tmp_dir("flaky-first-pass");
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
+        for payload in [vec![1u8; 100], vec![2u8; 400], vec![3u8; 100]] {
+            w.append(&payload).unwrap();
+        }
+        w.sync().unwrap();
+        let (fs, probe) = Fs::faulty(corrupt_read_at(0));
+        let err = read_segment(&fs, w.path()).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("different bytes"), "{err}");
+        assert_eq!(probe.fired().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupted_second_pass_read_is_a_crc_error_never_a_payload() {
+        let dir = tmp_dir("flaky-second-pass");
+        let payloads_in = [vec![1u8; 100], vec![2u8; 400], vec![3u8; 100]];
+        let mut w = SegmentWriter::create(&Fs::real(), &dir, 0).unwrap();
+        for payload in &payloads_in {
+            w.append(payload).unwrap();
+        }
+        w.sync().unwrap();
+        // Op 0 validates the segment; op 1, the second pass's read, flips a byte of the
+        // middle payload after the first pass found every frame intact.
+        let (fs, probe) = Fs::faulty(corrupt_read_at(1));
+        let mut scan = read_segment(&fs, w.path()).unwrap();
+        assert_eq!(scan.batches, 3);
+        assert_eq!(scan.next_batch().unwrap(), Some(&payloads_in[0][..]));
+        let err = scan.next_batch().unwrap_err();
+        assert!(matches!(err, CkptError::CrcMismatch { .. }), "{err}");
+        assert_eq!(probe.fired(), vec![(1, crate::io::OpClass::Read)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

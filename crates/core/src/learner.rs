@@ -21,8 +21,8 @@
 //! in-graph importance-weighted masked MSE
 //! (`crowd_autograd::Graph::weighted_masked_mse`), and the double-DQN targets need at
 //! most **two** packed passes: one [`SetQNetwork::infer_batch`] over every live future
-//! branch of every sampled transition for the online argmax, and one θ̃ pass over only
-//! the branch lists not yet scored since the last target sync. One `backward` then
+//! branch of every distinct sampled experience for the online argmax, and one θ̃ pass
+//! over only the branch lists not yet scored since the last target sync. One `backward` then
 //! yields every parameter's minibatch gradient.
 //!
 //! # The θ̃ branch cache
@@ -296,8 +296,9 @@ impl DqnLearner {
     /// One `learn` call runs at most three network passes regardless of the batch size or
     /// the number of future branches:
     ///
-    /// 1. one [`SetQNetwork::infer_batch`] over every live future branch of every sampled
-    ///    transition with the online parameters θ — the double-DQN action *selection*;
+    /// 1. one [`SetQNetwork::infer_batch`] with the online parameters θ over every live
+    ///    future branch of every distinct experience in the minibatch (a repeated
+    ///    experience is scored once) — the double-DQN action *selection*;
     /// 2. the action *evaluation* by the target parameters θ̃, read from the θ̃ branch
     ///    cache (module docs); the branch lists it misses are scored together in one
     ///    `infer_batch` and cached until the next target sync. The targets
@@ -333,13 +334,22 @@ impl DqnLearner {
             let sampled = self.memory.sample_refs(self.batch_size, &mut self.rng);
             let batch = sampled.len();
 
-            // Double-DQN targets: flatten every live branch of every sampled transition
+            // Double-DQN targets: flatten the live branches of every sampled experience
             // into one state list and score it once with θ, then fold the expectation per
-            // transition in branch order.
+            // transition in branch order. A transition whose experience the minibatch
+            // already holds reuses that occurrence's span: same branch list, same bits.
             let mut branch_states: Vec<&StateTensor> = Vec::new();
             let mut branch_spans: Vec<(usize, usize)> = Vec::with_capacity(batch);
             let mut branch_probs: Vec<f32> = Vec::new();
-            for (_, transition) in &sampled {
+            for (i, (_, transition)) in sampled.iter().enumerate() {
+                let key = branch_key(&transition.experience);
+                if let Some(first) = sampled[..i]
+                    .iter()
+                    .position(|(_, t)| branch_key(&t.experience) == key)
+                {
+                    branch_spans.push(branch_spans[first]);
+                    continue;
+                }
                 let span_start = branch_states.len();
                 for branch in transition.branches().iter().filter(|b| is_live(b)) {
                     branch_states.push(&branch.state);

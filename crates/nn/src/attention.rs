@@ -192,13 +192,15 @@ impl MultiHeadSelfAttention {
     /// from the session layer (`SessionBatch` → `DdqnAgent::act_batch` →
     /// `SetQNetwork::infer_batch_par`).
     ///
-    /// Every head's Q, K and V come out of **one** stacked projection (the heads' weights
-    /// side by side, each output element the same inner-dimension sum as a per-head
-    /// matmul). Each segment's score / softmax / value block then runs through the fused
-    /// kernel `crowd_tensor::segment_attention`, which writes the head's result straight
-    /// into its column block of the packed concat buffer with scratch reused across
-    /// segments and heads; the output projection is one stacked matmul again. Only the
-    /// stacked projections shard; the per-segment blocks are small (`rows × rows` with
+    /// Every head's Q, K and V come out of **one** side-by-side projection
+    /// ([`Matrix::matmul_side_by_side_par`]: each head's weights are multiplied straight
+    /// into their column window of the `qkv` buffer, so no stacked weight matrix is
+    /// copied per call, and each output element is the same inner-dimension sum as a
+    /// per-head matmul). Each segment's score / softmax / value block then runs through
+    /// the fused kernel `crowd_tensor::segment_attention`, which writes the head's result
+    /// straight into its column block of the packed concat buffer with scratch reused
+    /// across segments and heads; the output projection is one stacked matmul. Only the
+    /// two projections shard; the per-segment blocks are small (`rows × rows` with
     /// `rows` the pool size) and stay on the calling thread. Row sharding keeps every
     /// output row's f32 accumulation order unchanged, so the result is
     /// **bit-identical** to [`MultiHeadSelfAttention::infer_packed`] at any thread count.
@@ -211,7 +213,13 @@ impl MultiHeadSelfAttention {
     ) -> Result<Matrix> {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let hd = self.head_dim;
-        let qkv = x.matmul_par(&self.stacked_qkv(store), pool)?;
+        let weights: Vec<&Matrix> = self
+            .heads
+            .iter()
+            .flat_map(|head| [head.wq, head.wk, head.wv])
+            .map(|id| store.get(id))
+            .collect();
+        let qkv = x.matmul_side_by_side_par(&weights, pool)?;
         let mut concat = Matrix::zeros(x.rows(), self.model_dim);
         let mut scratch = AttentionScratch::default();
         for h in 0..self.heads.len() {
@@ -229,24 +237,6 @@ impl MultiHeadSelfAttention {
             )?;
         }
         self.output.infer_par(store, &concat, pool)
-    }
-
-    /// Every head's projection weights side by side, `[W_q0 | W_k0 | W_v0 | W_q1 | …]`
-    /// (`model_dim × 3·model_dim`), so one matmul yields every head's Q, K and V.
-    fn stacked_qkv(&self, store: &ParamStore) -> Matrix {
-        let hd = self.head_dim;
-        let width = 3 * self.model_dim;
-        let mut stacked = Matrix::zeros(self.model_dim, width);
-        for (h, head) in self.heads.iter().enumerate() {
-            for (part, id) in [head.wq, head.wk, head.wv].into_iter().enumerate() {
-                let w = store.get(id);
-                let col0 = (3 * h + part) * hd;
-                for r in 0..self.model_dim {
-                    stacked.row_mut(r)[col0..col0 + hd].copy_from_slice(w.row(r));
-                }
-            }
-        }
-        stacked
     }
 }
 

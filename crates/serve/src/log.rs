@@ -411,9 +411,11 @@ impl DecisionLog {
     }
 
     /// Opens an existing log for appending. The preferred base image and then every
-    /// committed suffix batch go to `sink` ([`RecoveryEvent`]) as each segment is read,
-    /// so recovery holds one segment's bytes at a time, however long the log is. What
-    /// was repaired comes back with the reopened log.
+    /// committed suffix batch go to `sink` ([`RecoveryEvent`]) as each segment is read.
+    /// Each segment streams through one fixed read buffer ([`wal::read_segment`]), so
+    /// recovery holds that buffer and one batch frame at a time, however large the
+    /// segments and however long the log. What was repaired comes back with the
+    /// reopened log.
     ///
     /// Nothing on disk is truncated or deleted until every suffix segment has been read,
     /// validated and handed to the sink. An error — a refusal below, or one the sink
@@ -574,13 +576,13 @@ impl DecisionLog {
         let fs = &self.config.fs;
         self.writer = if fs.exists(&path) {
             let scan = wal::read_segment(fs, &path)?;
-            if scan.index != next || scan.batches().len() > 0 {
+            if scan.index != next || scan.batches > 0 {
                 return Err(ServeError::Log {
                     detail: format!(
                         "cannot adopt {} during rotation: header index {} with {} batches",
                         path.display(),
                         scan.index,
-                        scan.batches().len()
+                        scan.batches
                     ),
                 });
             }
@@ -729,10 +731,11 @@ impl LogLayout {
         Ok(layout)
     }
 
-    /// Picks the base image and reads the live suffix, each segment once, handing the
+    /// Picks the base image and reads the live suffix, segment by segment, handing the
     /// base and then every batch to `sink` in commit order. A segment's batches reach
-    /// the sink only after the whole segment has been read and validated, and the sink
-    /// sees each batch before the next segment is read.
+    /// the sink only after a first streaming pass has validated the whole segment; a
+    /// second pass then decodes them one frame at a time, and the sink sees each batch
+    /// before the next segment is read.
     ///
     /// The newest base that validates (magic, version, section CRCs, exact decode, the
     /// suffix start its name promises) *and* whose suffix segments are present wins;
@@ -799,7 +802,7 @@ impl LogLayout {
         recovery.segments = suffix.len();
         let mut tail = None;
         for (pos, (index, path)) in suffix.iter().enumerate() {
-            let segment = wal::read_segment(fs, path)?;
+            let mut segment = wal::read_segment(fs, path)?;
             if segment.index != *index {
                 return Err(ServeError::Log {
                     detail: format!(
@@ -833,8 +836,8 @@ impl LogLayout {
                 }
                 recovery.truncated_bytes = segment.torn_bytes;
             }
-            recovery.batches += segment.batches().len();
-            for payload in segment.batches() {
+            recovery.batches += segment.batches;
+            while let Some(payload) = segment.next_batch()? {
                 sink(RecoveryEvent::Batch(decode_batch(payload)?))?;
             }
             tail = Some((*index, path.clone(), segment.clean_len));

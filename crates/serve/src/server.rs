@@ -533,7 +533,8 @@ impl Server {
     ///
     /// Replay streams: the base is restored before the first suffix batch is decoded,
     /// and each batch is replayed as soon as `DecisionLog::recover` decodes it, so
-    /// recovery holds one log segment plus the pending map, whatever the log's length.
+    /// recovery holds one batch frame (plus the log's fixed read buffer) and the
+    /// pending map, whatever the segment size or the log's length.
     /// On any error — a log refusal or a replay divergence — the files are left as
     /// they were, but `policy` may have been partly replayed; it is consumed either
     /// way, so no caller can go on with it.

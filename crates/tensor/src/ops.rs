@@ -470,6 +470,61 @@ impl Matrix {
         Ok(out)
     }
 
+    /// `self · [parts₀ | parts₁ | …]`: the product of `self` with the right operands
+    /// laid side by side, without building that side-by-side matrix — each part's
+    /// product goes straight into its column window of the result through the strided
+    /// kernel. Every element is the same sequential inner-index sum as in the product
+    /// with the stacked operand, so the result is **bit-identical** to
+    /// `self.matmul_par(&stacked, pool)`, with the same row sharding and small-product
+    /// fallback as [`Matrix::matmul_par`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless every part has `self.cols()` rows.
+    pub fn matmul_side_by_side_par(&self, parts: &[&Matrix], pool: ThreadPool) -> Result<Matrix> {
+        let (m, k) = self.shape();
+        if let Some(part) = parts.iter().find(|part| part.rows() != k) {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul_side_by_side_par",
+                lhs: self.shape(),
+                rhs: part.shape(),
+            });
+        }
+        let n: usize = parts.iter().map(|part| part.cols()).sum();
+        let mut out = Matrix::zeros(m, n);
+        let a = self.as_slice();
+        let rows = |row0: usize, out_rows: &mut [f32]| {
+            let rows = out_rows.len() / n.max(1);
+            if rows == 0 {
+                return;
+            }
+            let mut col0 = 0;
+            for part in parts {
+                let w = part.cols();
+                gemm_nn(
+                    rows,
+                    w,
+                    k,
+                    &a[row0 * k..],
+                    k,
+                    part.as_slice(),
+                    w,
+                    &mut out_rows[col0..],
+                    n,
+                );
+                col0 += w;
+            }
+        };
+        if pool.is_serial() || m < 2 || m * k * n < PAR_MATMUL_MIN_MADDS {
+            rows(0, out.as_mut_slice());
+        } else {
+            pool.par_chunks(out.as_mut_slice(), n, |offset, chunk| {
+                rows(offset / n, chunk)
+            });
+        }
+        Ok(out)
+    }
+
     /// `self * rhs^T` without materialising the transpose, through the same
     /// register-blocked kernel as [`Matrix::matmul`] (each lane group packs a transposed
     /// panel of `rhs` first, so the microkernel's loads stay contiguous).
@@ -1285,6 +1340,41 @@ mod proptests {
                 b.matmul(&w).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn side_by_side_matmul_is_bit_identical_to_the_stacked_product() {
+        // Part widths with and without lane remainders, a zero-width part, and row counts
+        // on both sides of the sharding threshold (192 x 48 @ 48 x 61 ≈ 560k madds).
+        let mut rng = Rng::seed_from(113);
+        for rows in [0, 1, 7, 192] {
+            let a = Matrix::randn(rows, 48, &mut rng);
+            let parts: Vec<Matrix> = [8, 3, 0, 16, 13, 21]
+                .iter()
+                .map(|&w| Matrix::randn(48, w, &mut rng))
+                .collect();
+            let refs: Vec<&Matrix> = parts.iter().collect();
+            let stacked = refs[1..]
+                .iter()
+                .fold(parts[0].clone(), |acc, part| acc.concat_cols(part).unwrap());
+            let expected = a.matmul(&stacked).unwrap();
+            for threads in [1, 2, 3, 4] {
+                let pool = crowd_parallel::ThreadPool::new(threads);
+                let got = a.matmul_side_by_side_par(&refs, pool).unwrap();
+                assert_eq!(got, expected, "{rows} rows at {threads} threads");
+            }
+        }
+        let a = Matrix::zeros(3, 4);
+        assert!(matches!(
+            a.matmul_side_by_side_par(
+                &[&Matrix::zeros(4, 2), &Matrix::zeros(5, 2)],
+                crowd_parallel::ThreadPool::serial()
+            ),
+            Err(TensorError::ShapeMismatch {
+                op: "matmul_side_by_side_par",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -15,15 +15,18 @@
 use crowd_bench::serve_fixtures::{
     dataset, feedback_for, fingerprint, frozen_agent, live_agent, tmp_dir,
 };
+use crowd_ckpt::wal::READ_CHUNK;
 use crowd_ckpt::{CkptError, FaultKind, FaultPlan, FaultRule, Fs, OpClass, Snapshot, SnapshotFile};
 use crowd_experiments::collect_arrival_contexts;
 use crowd_serve::{
-    replay_records, DecisionLog, LogConfig, RetryPolicy, ServeConfig, ServeDecision, ServeError,
-    Server,
+    replay_records, DecisionLog, LogConfig, LogRecord, RecoveryEvent, RetryPolicy, ServeConfig,
+    ServeDecision, ServeError, Server,
 };
 use crowd_sim::{ArrivalContext, Dataset};
 use crowd_tensor::ThreadPool;
+use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn serve_config(dir: &Path, fs: Fs) -> ServeConfig {
@@ -481,5 +484,161 @@ fn compacted_log_recovery_is_bit_identical_to_full_replay() {
     );
 
     std::fs::remove_dir_all(&twin_dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Log recovery: a fault in every streamed segment read.
+// ---------------------------------------------------------------------------
+
+/// Every file in `dir` by name, with its bytes.
+fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// Writes a decision log of two segments that each span more than one read chunk, and
+/// returns its records in commit order.
+fn write_two_segment_log(dir: &Path, contexts: &[Arc<ArrivalContext>]) -> Vec<LogRecord> {
+    let mut config = LogConfig::new(dir);
+    config.segment_bytes = (3 * READ_CHUNK / 2) as u64;
+    config.sync_every_batch = false;
+    let mut log = DecisionLog::create(config).unwrap();
+    let mut records = Vec::new();
+    let round = |log: &mut DecisionLog, records: &mut Vec<LogRecord>| {
+        let start = records.len();
+        for id in start..start + 4 {
+            let context = &contexts[id % contexts.len()];
+            records.push(LogRecord::Decision {
+                request_id: id as u64,
+                context: Arc::clone(context),
+                shown: context.available.iter().take(3).map(|t| t.id).collect(),
+                assignment: false,
+            });
+        }
+        log.append(&records[start..]).unwrap();
+    };
+    let mut first_rounds = 0;
+    while log.rotations() == 0 {
+        round(&mut log, &mut records);
+        first_rounds += 1;
+    }
+    // The round that rotated opened segment 1; three quarters of segment 0's rounds
+    // more fill it past one chunk without reaching the rotation threshold.
+    for _ in 1..first_rounds * 3 / 4 {
+        round(&mut log, &mut records);
+    }
+    assert_eq!(log.rotations(), 1);
+    log.sync().unwrap();
+    records
+}
+
+#[test]
+fn a_fault_in_every_streamed_log_read_fails_typed_or_replays_clean() {
+    let dataset = dataset();
+    let contexts: Vec<_> = collect_arrival_contexts(&dataset, 43, 16)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let dir = tmp_dir("read-sweep");
+    let records = write_two_segment_log(&dir, &contexts);
+    let files = dir_files(&dir);
+    let chunks: u64 = files
+        .values()
+        .map(|bytes| (bytes.len() as u64).div_ceil(READ_CHUNK as u64))
+        .sum();
+    assert_eq!(files.len(), 2);
+    assert!(
+        files.values().all(|bytes| bytes.len() > READ_CHUNK),
+        "each segment must span several read chunks"
+    );
+
+    // Recovers the log through `fs`; returns the records the sink saw and the outcome.
+    let recover = |fs: Fs, synced: bool| {
+        let mut config = LogConfig::new(&dir);
+        config.fs = fs;
+        config.sync_every_batch = synced;
+        let mut replayed = Vec::new();
+        let outcome = DecisionLog::recover(config, |event| {
+            if let RecoveryEvent::Batch(batch) = event {
+                replayed.extend(batch);
+            }
+            Ok(())
+        })
+        .map(|recovered| recovered.recovery);
+        (replayed, outcome)
+    };
+    let (fs, probe) = Fs::faulty(FaultPlan::none());
+    let (replayed, clean) = recover(fs, true);
+    assert_eq!(
+        replayed, records,
+        "the unfaulted recovery replays every record"
+    );
+    assert_eq!(clean.unwrap().truncated_bytes, 0);
+    let total_ops = probe.ops();
+    assert!(
+        dir_files(&dir) == files,
+        "an unfaulted recovery changed the files"
+    );
+
+    // A failed and then a corrupted read at every op, under both sync settings (without
+    // per-batch sync a damaged batch with valid ones behind it counts as a torn tail, so
+    // a read that corrupts a whole frame must still not be truncated as one). Every
+    // fired case is a typed error; the sink saw at most an intact prefix of the records
+    // and every file is byte-identical. Reads are one per chunk per pass, so the first
+    // `chunks(segment 0)` read ops validate segment 0 and the next as many decode it.
+    let segment0_chunks = (files.values().next().unwrap().len() as u64).div_ceil(READ_CHUNK as u64);
+    for kind in [FaultKind::Fail, FaultKind::CorruptRead] {
+        for synced in [true, false] {
+            let mut reads = Vec::new();
+            for n in 0..total_ops {
+                let (fs, probe) = Fs::faulty(FaultPlan::none().with_rule(FaultRule {
+                    from_op: n,
+                    to_op: n + 1,
+                    class: Some(OpClass::Read),
+                    kind,
+                    once: true,
+                }));
+                let (replayed, outcome) = recover(fs, synced);
+                assert!(
+                    dir_files(&dir) == files,
+                    "{kind:?} at op {n}: files changed"
+                );
+                if probe.fired().is_empty() {
+                    assert_eq!(replayed, records, "op {n} is not a read: clean replay");
+                    assert!(outcome.is_ok(), "op {n} is not a read: {outcome:?}");
+                    continue;
+                }
+                let error = outcome.expect_err(&format!("{kind:?} at read op {n} must fail"));
+                assert!(
+                    matches!(error, ServeError::Log { .. }),
+                    "{kind:?} at read op {n}: {error}"
+                );
+                assert!(
+                    replayed.len() < records.len() && records.starts_with(&replayed),
+                    "{kind:?} at read op {n}: the sink saw a record that is not on disk"
+                );
+                let second_pass = reads.len() as u64 >= segment0_chunks
+                    && (reads.len() as u64) < 2 * segment0_chunks;
+                if kind == FaultKind::CorruptRead && second_pass {
+                    // The first pass validated segment 0; only the decoding read of its
+                    // frames was corrupted, which the CRC re-check catches.
+                    assert!(error.to_string().contains("CRC mismatch"), "{error}");
+                }
+                reads.push(n);
+            }
+            assert_eq!(
+                reads.len() as u64,
+                2 * chunks,
+                "one read op per chunk per pass, whatever the batch count"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

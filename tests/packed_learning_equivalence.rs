@@ -348,3 +348,58 @@ fn packed_learning_handles_supervised_transitions() {
         );
     }
 }
+
+#[test]
+fn a_minibatch_repeating_one_experience_matches_sequential() {
+    // Two experiences with live branches, four transitions each, fill the memory to one
+    // batch: every minibatch of eight draws holds each experience several times, so the
+    // online θ pass scores each branch list once and reuses it for the repeats. The
+    // reported loss, mean TD error and written priorities must still be the reference's
+    // bits, which scores every transition's branches on its own.
+    let cfg = config();
+    let tf = StateTransformer::new(StateKind::Worker, MAX_TASKS, TASK_DIM, WORKER_DIM);
+    let mut rng = Rng::seed_from(202_404);
+    let mut learner = DqnLearner::new(&cfg, tf.row_dim(), 0.7, &mut rng);
+    for _ in 0..2 {
+        let pool = MAX_TASKS;
+        let experience = Arc::new(Experience {
+            state: random_state(&tf, pool, &mut rng),
+            branches: (0..3)
+                .map(|b| FutureBranch {
+                    probability: 0.2 + 0.1 * b as f32,
+                    state: random_state(&tf, 1 + b, &mut rng),
+                })
+                .collect(),
+        });
+        for action_row in 0..cfg.batch_size / 2 {
+            learner.store_transition(Transition {
+                experience: Arc::clone(&experience),
+                action_row,
+                reward: if action_row == 0 { 1.0 } else { 0.0 },
+            });
+        }
+    }
+    assert_eq!(learner.memory_len(), cfg.batch_size);
+    for update in 0..6 {
+        let mut sequential = reference(&learner, &cfg, tf.row_dim(), 0.7);
+        let packed = learner.learn().unwrap().unwrap();
+        let reference = sequential.learn().unwrap().unwrap();
+        assert_eq!(
+            packed.loss.to_bits(),
+            reference.loss.to_bits(),
+            "update {update}: loss diverged"
+        );
+        assert_eq!(
+            packed.mean_td_error.to_bits(),
+            reference.mean_td_error.to_bits(),
+            "update {update}: mean TD error diverged"
+        );
+        for slot in 0..cfg.batch_size {
+            assert_eq!(
+                learner.replay_priority(slot).to_bits(),
+                sequential.replay_priority(slot).to_bits(),
+                "update {update}: priority of slot {slot} diverged"
+            );
+        }
+    }
+}
