@@ -12,13 +12,12 @@
 //! of B, and at most two target passes instead of `2 · Σ branches`.
 
 use crowd_bench::reference::SequentialLearner;
-use crowd_bench::{criterion_group, criterion_main, synthetic_state, BenchmarkId, Criterion};
-use crowd_ckpt::StateWriter;
-use crowd_rl_core::{
-    DdqnConfig, DqnLearner, Experience, FutureBranch, StateKind, StateTransformer, Transition,
+use crowd_bench::{
+    criterion_group, criterion_main, synthetic_experience, synthetic_state, BenchmarkId, Criterion,
 };
+use crowd_ckpt::StateWriter;
+use crowd_rl_core::{DdqnConfig, DqnLearner, StateKind, StateTensor, StateTransformer, Transition};
 use crowd_tensor::Rng;
-use std::sync::Arc;
 
 const MAX_TASKS: usize = 16;
 const TASK_DIM: usize = 8;
@@ -56,22 +55,23 @@ fn prepared_learner(batch_size: usize) -> DqnLearner {
     for _ in 0..n_fill {
         let pool = 4 + fill_rng.below(MAX_TASKS - 3);
         let state = synthetic_state(&tf, pool, TASK_DIM, WORKER_DIM, &mut fill_rng);
-        let branches: Vec<FutureBranch> = (0..2)
-            .map(|_| FutureBranch {
-                probability: fill_rng.uniform(0.1, 0.5),
-                state: synthetic_state(
+        let branches: Vec<(f32, StateTensor)> = (0..2)
+            .map(|_| {
+                let probability = fill_rng.uniform(0.1, 0.5);
+                let branch = synthetic_state(
                     &tf,
                     1 + fill_rng.below(MAX_TASKS),
                     TASK_DIM,
                     WORKER_DIM,
                     &mut fill_rng,
-                ),
+                );
+                (probability, branch)
             })
             .collect();
         learner.store_transition(Transition {
             action_row: fill_rng.below(pool),
             reward: if fill_rng.unit() < 0.5 { 1.0 } else { 0.0 },
-            experience: Arc::new(Experience { state, branches }),
+            experience: synthetic_experience(state, branches),
         });
     }
     learner

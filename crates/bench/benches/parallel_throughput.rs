@@ -16,15 +16,15 @@
 //! Smoke mode (`--smoke` / `CROWD_BENCH_SMOKE=1`) shrinks the grid and the sample count
 //! so CI can build and run the bench without measuring anything meaningful.
 
-use crowd_bench::{criterion_group, criterion_main, synthetic_state, BenchmarkId, Criterion};
+use crowd_bench::{
+    criterion_group, criterion_main, synthetic_experience, synthetic_state, BenchmarkId, Criterion,
+};
 use crowd_experiments::{RunnerConfig, Session, SessionBatch};
 use crowd_rl_core::{
-    DdqnAgent, DdqnConfig, DqnLearner, Experience, FutureBranch, StateKind, StateTransformer,
-    Transition,
+    DdqnAgent, DdqnConfig, DqnLearner, StateKind, StateTensor, StateTransformer, Transition,
 };
 use crowd_sim::{BoxedPolicy, Dataset, Platform, SimConfig};
 use crowd_tensor::{Rng, ThreadPool};
-use std::sync::Arc;
 
 fn agent_config() -> DdqnConfig {
     DdqnConfig {
@@ -122,22 +122,23 @@ fn prepared_learner(kind: StateKind, batch_size: usize, seed: u64) -> DqnLearner
     for _ in 0..n_fill {
         let pool = 4 + fill_rng.below(MAX_TASKS - 3);
         let state = synthetic_state(&tf, pool, TASK_DIM, WORKER_DIM, &mut fill_rng);
-        let branches: Vec<FutureBranch> = (0..2)
-            .map(|_| FutureBranch {
-                probability: fill_rng.uniform(0.1, 0.5),
-                state: synthetic_state(
+        let branches: Vec<(f32, StateTensor)> = (0..2)
+            .map(|_| {
+                let probability = fill_rng.uniform(0.1, 0.5);
+                let branch = synthetic_state(
                     &tf,
                     1 + fill_rng.below(MAX_TASKS),
                     TASK_DIM,
                     WORKER_DIM,
                     &mut fill_rng,
-                ),
+                );
+                (probability, branch)
             })
             .collect();
         learner.store_transition(Transition {
             action_row: fill_rng.below(pool),
             reward: if fill_rng.unit() < 0.5 { 1.0 } else { 0.0 },
-            experience: Arc::new(Experience { state, branches }),
+            experience: synthetic_experience(state, branches),
         });
     }
     learner

@@ -7,7 +7,7 @@
 //! pure integer/IEEE-exact arithmetic — so its bytes are identical on every platform
 //! and toolchain. `tests/checkpoint_equivalence.rs::format_stability_golden_snapshot`
 //! asserts `golden_snapshot().to_bytes()` equals the committed
-//! `tests/fixtures/format_v5.ckpt` byte for byte: any change to what the writer emits
+//! `tests/fixtures/format_v6.ckpt` byte for byte: any change to what the writer emits
 //! (field added/reordered/re-encoded) fails CI until the format version is bumped and a
 //! new golden file is committed consciously.
 
@@ -62,8 +62,10 @@ pub fn golden_snapshot() -> Snapshot {
     replay.update_priority(3, 0.25);
     snap.put("replay", &replay);
 
-    // A replay of DQN transitions: two experiences (states and future branches from
+    // A replay of DQN transitions: two experiences (states and future tensors from
     // explicit rows), three transitions of which the first two share one experience.
+    // The shared experience's branches are two overlapping windows of its future
+    // tensor and an empty one.
     let state = |rows: usize, first_id: u32, values: &[f32]| {
         StateTensor::new(
             Matrix::from_vec(rows, 2, values.to_vec()).unwrap(),
@@ -73,19 +75,28 @@ pub fn golden_snapshot() -> Snapshot {
     };
     let shared = Arc::new(Experience {
         state: state(2, 7, &[1.0, -0.5, 0.25, 2.0]),
+        future: state(3, 8, &[0.25, 2.0, -1.5, 0.0, 8.0, -0.125]),
         branches: vec![
             FutureBranch {
-                probability: 0.75,
-                state: state(1, 8, &[0.25, 2.0]),
+                probability: 0.5,
+                first_row: 0,
+                rows: 3,
+            },
+            FutureBranch {
+                probability: 0.25,
+                first_row: 1,
+                rows: 2,
             },
             FutureBranch {
                 probability: 0.125,
-                state: state(0, 0, &[]),
+                first_row: 0,
+                rows: 0,
             },
         ],
     });
     let lone = Arc::new(Experience {
         state: state(1, 3, &[-0.0, 4.0]),
+        future: state(0, 0, &[]),
         branches: Vec::new(),
     });
     let mut transitions: PrioritizedReplay<Transition> = PrioritizedReplay::new(4).with_alpha(1.0);

@@ -33,9 +33,10 @@
 //! Every bench supports `--json <path>` / `CROWD_BENCH_JSON` for machine-readable
 //! results (see [`harness`]).
 
-use crowd_rl_core::{StateTensor, StateTransformer};
+use crowd_rl_core::{Experience, FutureBranch, StateTensor, StateTransformer};
 use crowd_sim::{ArrivalContext, TaskId, TaskSnapshot, WorkerId};
-use crowd_tensor::Rng;
+use crowd_tensor::{Matrix, Rng};
+use std::sync::Arc;
 
 pub mod ckpt_fixtures;
 pub mod harness;
@@ -109,6 +110,39 @@ pub fn synthetic_state(
     tf.build(&snaps, &worker, rng.uniform(0.0, 1.0))
 }
 
+/// An experience over `state` whose branches are `(probability, branch state)` in order,
+/// stored as disjoint windows of one future tensor: the branch states concatenated.
+/// Shared by the learner benches and `tests/packed_learning_equivalence.rs`.
+pub fn synthetic_experience(
+    state: StateTensor,
+    branch_states: Vec<(f32, StateTensor)>,
+) -> Arc<Experience> {
+    let row_dim = state.features().cols();
+    let mut features = Vec::new();
+    let mut task_ids = Vec::new();
+    let mut branches = Vec::with_capacity(branch_states.len());
+    for (probability, branch) in branch_states {
+        branches.push(FutureBranch {
+            probability,
+            first_row: task_ids.len(),
+            rows: branch.real_tasks(),
+        });
+        features.extend_from_slice(branch.features().as_slice());
+        task_ids.extend_from_slice(branch.task_ids());
+    }
+    let rows = task_ids.len();
+    let future = StateTensor::new(
+        Matrix::from_vec(rows, row_dim, features).expect("whole rows of the state's width"),
+        task_ids,
+    )
+    .expect("one task id per row");
+    Arc::new(Experience {
+        state,
+        future,
+        branches,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +157,23 @@ mod tests {
         // Exactly the requested rows, no padding up to max_tasks = 8.
         assert_eq!(st.features().shape(), (5, 7));
         assert_eq!(synthetic_state(&tf, 0, 4, 3, &mut rng).real_tasks(), 0);
+    }
+
+    #[test]
+    fn synthetic_experience_windows_its_branch_states() {
+        use crowd_rl_core::StateKind;
+        let tf = StateTransformer::new(StateKind::Worker, 8, 4, 3);
+        let mut rng = Rng::seed_from(6);
+        let state = synthetic_state(&tf, 3, 4, 3, &mut rng);
+        let branches: Vec<(f32, StateTensor)> = [2, 0, 5]
+            .iter()
+            .map(|&pool| (0.25, synthetic_state(&tf, pool, 4, 3, &mut rng)))
+            .collect();
+        let experience = synthetic_experience(state, branches.clone());
+        assert_eq!(experience.future.real_tasks(), 7);
+        for (branch, (_, expected)) in experience.branches.iter().zip(&branches) {
+            assert_eq!(experience.branch_rows(branch), expected.as_rows());
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@ use crowd_autograd::Graph;
 use crowd_ckpt::{LoadState, StateReader};
 use crowd_nn::{Adam, GraphBinding, Optimizer, ParamId, ParamStore, PoolSegment};
 use crowd_rl_core::{
-    load_replay, DdqnConfig, FutureBranch, LearnReport, SetQNetwork, StateTensor, Transition,
+    load_replay, DdqnConfig, Experience, FutureBranch, LearnReport, SetQNetwork, StateTensor,
+    Transition,
 };
 use crowd_rl_kit::PrioritizedReplay;
 use crowd_tensor::{Matrix, Result, Rng, TensorError};
@@ -278,6 +279,21 @@ pub fn leaky_relu_ref_backward(x: &Matrix, slope: f32, up: &Matrix) -> Matrix {
     dx
 }
 
+/// A standalone copy of `branch`'s state: rows `first_row..first_row + rows` of the
+/// experience's future tensor, features and task ids.
+fn branch_state(experience: &Experience, branch: &FutureBranch) -> StateTensor {
+    let future = &experience.future;
+    let (first, end) = (branch.first_row, branch.first_row + branch.rows);
+    let row_dim = future.features().cols();
+    let features = Matrix::from_vec(
+        branch.rows,
+        row_dim,
+        future.features().as_slice()[first * row_dim..end * row_dim].to_vec(),
+    )
+    .expect("a window of rows is a matrix");
+    StateTensor::new(features, future.task_ids()[first..end].to_vec()).expect("one task id per row")
+}
+
 /// The pre-packing double-DQN update loop: per sampled transition one single-state
 /// `SetQNetwork::forward_batch` graph with its own backward, per-branch single-state
 /// target passes with no cache, and the importance weight applied as `masked_mse × w`
@@ -360,14 +376,15 @@ impl SequentialLearner {
 
     /// Double-DQN target of one transition, branch by branch: the action is selected by
     /// θ and evaluated by θ̃, over the branches with a task and a probability that is not
-    /// `<= 0`.
+    /// `<= 0`. Each branch's window is first copied out of the experience's future
+    /// tensor into a standalone state.
     fn target_for(&self, transition: &Transition) -> Result<f32> {
-        let live = |b: &&FutureBranch| {
-            b.state.real_tasks() > 0 && (b.probability > 0.0 || b.probability.is_nan())
-        };
+        let live =
+            |b: &&FutureBranch| b.rows > 0 && (b.probability > 0.0 || b.probability.is_nan());
         let mut future = 0.0f32;
         for branch in transition.branches().iter().filter(live) {
-            let online = self.q_values(&self.store, &branch.state)?;
+            let state = branch_state(&transition.experience, branch);
+            let online = self.q_values(&self.store, &state)?;
             // Greatest Q, ties to the earlier row; a NaN takes the lead, as in `learn`.
             let best_row =
                 (1..online.len()).fold(
@@ -380,7 +397,7 @@ impl SequentialLearner {
                         }
                     },
                 );
-            let target_q = self.q_values(&self.target_store, &branch.state)?;
+            let target_q = self.q_values(&self.target_store, &state)?;
             future += branch.probability * target_q[best_row];
         }
         Ok(transition.reward + self.gamma * future)

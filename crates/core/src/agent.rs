@@ -9,7 +9,7 @@ use crate::config::{DdqnConfig, RecommendationMode};
 use crate::explorer::Explorer;
 use crate::learner::DqnLearner;
 use crate::memory::{Experience, Transition};
-use crate::predictor::{requester_future_branches, worker_future_branches};
+use crate::predictor::{requester_future_branches, worker_future_branches, FuturePool};
 use crate::state::{StateKind, StateTensor, StateTransformer};
 use crowd_sim::{
     ArrivalContext, ArrivalView, BatchedPolicy, Decision, FeedbackView, LearnerBranchTiming,
@@ -268,32 +268,38 @@ impl DdqnAgent {
             None => feedback.shown.len().min(MAX_NEGATIVE_TRANSITIONS),
         };
 
+        // One deadline-sorted future pool per feedback, borrowed from the view, serves
+        // both networks' predictors.
+        let pool = FuturePool::new(view, feedback);
         if self.uses_worker_network() {
+            let (future, branches) = worker_future_branches(
+                &self.transformer_worker,
+                &self.stats,
+                &pool,
+                feedback,
+                self.config.same_worker_horizon,
+                self.config.max_future_breakpoints,
+            );
             let experience = Arc::new(Experience {
                 state: self.transformer_worker.from_view(view),
-                branches: worker_future_branches(
-                    &self.transformer_worker,
-                    &self.stats,
-                    view,
-                    feedback,
-                    self.config.same_worker_horizon,
-                    self.config.max_future_breakpoints,
-                ),
+                future,
+                branches,
             });
             self.push_transitions(&experience, feedback, negatives_end, true);
         }
         if self.uses_requester_network() {
+            let (future, branches) = requester_future_branches(
+                &self.transformer_requester,
+                &self.stats,
+                &pool,
+                self.mean_worker_quality,
+                self.config.consecutive_horizon,
+                self.config.max_future_breakpoints,
+            );
             let experience = Arc::new(Experience {
                 state: self.transformer_requester.from_view(view),
-                branches: requester_future_branches(
-                    &self.transformer_requester,
-                    &self.stats,
-                    view,
-                    feedback,
-                    self.mean_worker_quality,
-                    self.config.consecutive_horizon,
-                    self.config.max_future_breakpoints,
-                ),
+                future,
+                branches,
             });
             self.push_transitions(&experience, feedback, negatives_end, false);
         }
@@ -489,6 +495,15 @@ impl Policy for DdqnAgent {
 }
 
 impl BatchedPolicy for DdqnAgent {
+    /// The widths the agent was built for: its state rows hold exactly that many task
+    /// and worker features.
+    fn feature_widths(&self) -> Option<(usize, usize)> {
+        Some((
+            self.transformer_worker.task_dim(),
+            self.transformer_worker.worker_dim(),
+        ))
+    }
+
     /// Decides on `N` arrivals with **one Q-network forward pass per active network**: all
     /// views' state rows are packed into a single `[Σ pool sizes, row_dim]` buffer (built
     /// straight from the borrowed views, no cloning of feature vectors beyond the state
@@ -952,6 +967,48 @@ mod tests {
             assert_eq!(&expected, batch_decision, "batched decision diverged");
         }
         assert!(batched[2].is_empty());
+    }
+
+    #[test]
+    fn observe_with_learning_frozen_leaves_acts_and_the_rng_untouched() {
+        // Exploration live, learning frozen: `observe` still records statistics and
+        // transitions, but no decision and no exploration draw may depend on it, so
+        // acting with or without the observes in between gives the same decisions and
+        // the same RNG stream.
+        let ds = SimConfig::tiny().generate();
+        let fs = Platform::default_feature_space(&ds);
+        let mut platform = Platform::new(ds, fs, 8);
+        let config = DdqnConfig {
+            learn_every: 1,
+            ..small_config()
+        }
+        .with_balance(0.5);
+        let mut observing = agent_for(&platform, config.clone());
+        let mut acting = agent_for(&platform, config);
+        observing.freeze_learning();
+        acting.freeze_learning();
+        let (mut decision, mut expected) = (Decision::new(), Decision::new());
+        let mut steps = 0;
+        while steps < 60 && platform.next_arrival() {
+            if platform.arrival().is_empty() {
+                continue;
+            }
+            observing.act(&platform.arrival(), &mut decision);
+            acting.act(&platform.arrival(), &mut expected);
+            assert_eq!(
+                decision, expected,
+                "step {steps}: an observe moved a decision"
+            );
+            assert_eq!(observing.rng_probe(), acting.rng_probe(), "step {steps}");
+            platform.apply(&decision);
+            observing.observe(&platform.arrival(), &platform.feedback());
+            steps += 1;
+        }
+        assert_eq!(steps, 60);
+        assert_eq!(observing.rng_probe(), acting.rng_probe());
+        assert_eq!(observing.total_updates(), 0);
+        assert!(observing.worker_learner().memory_len() > 0);
+        assert_eq!(acting.worker_learner().memory_len(), 0);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! Q column on the tape, each attention head one fused per-segment node), the loss is one
 //! in-graph importance-weighted masked MSE
 //! (`crowd_autograd::Graph::weighted_masked_mse`), and the double-DQN targets need at
-//! most **two** packed passes: one [`SetQNetwork::infer_batch`] over every live future
+//! most **two** packed passes: one [`SetQNetwork::infer_rows_par`] over every live future
 //! branch of every distinct sampled experience for the online argmax, and one θ̃ pass
 //! over only the branch lists not yet scored since the last target sync. One `backward` then
-//! yields every parameter's minibatch gradient.
+//! yields every parameter's minibatch gradient. A branch is a window of its experience's
+//! future tensor, copied into the packed buffer straight from there.
 //!
 //! # The θ̃ branch cache
 //!
@@ -54,7 +55,7 @@
 use crate::config::DdqnConfig;
 use crate::memory::{load_replay, replay_bytes, save_replay, Experience, FutureBranch, Transition};
 use crate::qnetwork::{argmax_of, SetQNetwork};
-use crate::state::StateTensor;
+use crate::state::{StateRows, StateTensor};
 use crowd_autograd::Graph;
 use crowd_nn::{Adam, GraphBinding, Optimizer, ParamStore};
 use crowd_rl_kit::PrioritizedReplay;
@@ -125,10 +126,11 @@ fn branch_key(experience: &Arc<Experience>) -> usize {
     Arc::as_ptr(experience) as usize
 }
 
-/// Whether a future branch enters the double-DQN target: it has a task to act on and a
-/// probability that is not `<= 0` (a NaN one stays in, so the target guard sees it).
+/// Whether a future branch enters the double-DQN target: its window has a task row to
+/// act on and its probability is not `<= 0` (a NaN one stays in, so the target guard
+/// sees it).
 fn is_live(branch: &FutureBranch) -> bool {
-    branch.state.real_tasks() > 0 && (branch.probability > 0.0 || branch.probability.is_nan())
+    branch.rows > 0 && (branch.probability > 0.0 || branch.probability.is_nan())
 }
 
 /// Summary of one learning step.
@@ -271,6 +273,12 @@ impl DqnLearner {
         self.memory.len()
     }
 
+    /// The stored transitions, in slot order (read-only; diagnostics and the replay
+    /// layout fence).
+    pub fn transitions(&self) -> impl Iterator<Item = &Transition> + '_ {
+        self.memory.iter()
+    }
+
     /// Heap bytes of the replay memory: its slot array and sum tree, plus every stored
     /// experience once however many transitions share it.
     pub fn replay_bytes(&self) -> usize {
@@ -296,12 +304,12 @@ impl DqnLearner {
     /// One `learn` call runs at most three network passes regardless of the batch size or
     /// the number of future branches:
     ///
-    /// 1. one [`SetQNetwork::infer_batch`] with the online parameters θ over every live
-    ///    future branch of every distinct experience in the minibatch (a repeated
-    ///    experience is scored once) — the double-DQN action *selection*;
+    /// 1. one [`SetQNetwork::infer_rows_par`] with the online parameters θ over every
+    ///    live future branch window of every distinct experience in the minibatch (a
+    ///    repeated experience is scored once) — the double-DQN action *selection*;
     /// 2. the action *evaluation* by the target parameters θ̃, read from the θ̃ branch
     ///    cache (module docs); the branch lists it misses are scored together in one
-    ///    `infer_batch` and cached until the next target sync. The targets
+    ///    `infer_rows_par` and cached until the next target sync. The targets
     ///    `y_i = r_i + γ · Σ_b Pr(b) · Q̃(s_b, argmax_a Q(s_b, a))` are then assembled
     ///    branch by branch, in branch order;
     /// 3. one [`SetQNetwork::forward_batch`] packing all sampled states' real task rows
@@ -338,7 +346,7 @@ impl DqnLearner {
             // into one state list and score it once with θ, then fold the expectation per
             // transition in branch order. A transition whose experience the minibatch
             // already holds reuses that occurrence's span: same branch list, same bits.
-            let mut branch_states: Vec<&StateTensor> = Vec::new();
+            let mut branch_states: Vec<StateRows<'_>> = Vec::new();
             let mut branch_spans: Vec<(usize, usize)> = Vec::with_capacity(batch);
             let mut branch_probs: Vec<f32> = Vec::new();
             for (i, (_, transition)) in sampled.iter().enumerate() {
@@ -351,21 +359,22 @@ impl DqnLearner {
                     continue;
                 }
                 let span_start = branch_states.len();
-                for branch in transition.branches().iter().filter(|b| is_live(b)) {
-                    branch_states.push(&branch.state);
+                let experience = &transition.experience;
+                for branch in experience.branches.iter().filter(|b| is_live(b)) {
+                    branch_states.push(experience.branch_rows(branch));
                     branch_probs.push(branch.probability);
                 }
                 branch_spans.push((span_start, branch_states.len()));
             }
             let online_q = self
                 .net
-                .infer_batch_par(&self.store, &branch_states, self.pool)?;
+                .infer_rows_par(&self.store, &branch_states, self.pool)?;
 
             // θ̃ values: every branch list this sync period has not scored yet goes into
             // one packed pass (each list once, however often the minibatch holds it).
             let cache = &mut self.target_cache;
             let mut misses: Vec<(&Arc<Experience>, usize)> = Vec::new();
-            let mut miss_states: Vec<&StateTensor> = Vec::new();
+            let mut miss_states: Vec<StateRows<'_>> = Vec::new();
             for ((_, transition), &(lo, hi)) in sampled.iter().zip(&branch_spans) {
                 let key = branch_key(&transition.experience);
                 if lo == hi
@@ -380,7 +389,7 @@ impl DqnLearner {
             if !miss_states.is_empty() {
                 let mut miss_q = self
                     .net
-                    .infer_batch_par(&self.target_store, &miss_states, self.pool)?
+                    .infer_rows_par(&self.target_store, &miss_states, self.pool)?
                     .into_iter();
                 for (experience, live) in misses {
                     let values = miss_q.by_ref().take(live).collect();
@@ -572,8 +581,10 @@ mod tests {
         let experience = Arc::new(Experience {
             branches: vec![FutureBranch {
                 probability: 1.0,
-                state: state.clone(),
+                first_row: 0,
+                rows: state.real_tasks(),
             }],
+            future: state.clone(),
             state,
         });
         for _ in 0..16 {
@@ -747,6 +758,7 @@ mod tests {
         }
         let experience = Arc::new(Experience {
             state: tf.build(&[snapshot(0, 0.4)], &[0.5, 0.5], 0.5),
+            future: StateTensor::empty(tf.row_dim()),
             branches: Vec::new(),
         });
         for _ in 0..cfg.batch_size {
@@ -818,6 +830,7 @@ mod tests {
         let state = tf.build(&[snapshot(0, 0.7)], &[0.2, 0.8], 0.5);
         let experience = Arc::new(Experience {
             state: state.clone(),
+            future: StateTensor::empty(tf.row_dim()),
             branches: Vec::new(),
         });
         for _ in 0..16 {

@@ -6,54 +6,73 @@
 //! task (if any) and the tasks ranked above it. Those transitions hold one `Arc` to the
 //! experience, so a feedback's state and branches are stored once however many
 //! transitions it produces, in memory and in a checkpoint ([`save_replay`]).
+//!
+//! The branches themselves share one tensor. A predicted future pool is the current pool
+//! minus the tasks that expire first (Sec. IV-D), so every branch is a row suffix of one
+//! deadline-sorted pool, clipped to `maxT` rows. An experience stores those rows once, as
+//! its `future` tensor, and each branch as a `(first row, row count)` window into it.
 
-use crate::state::StateTensor;
+use crate::state::{StateRows, StateTensor};
 use crowd_ckpt::{CkptError, StateReader, StateWriter};
 use crowd_rl_kit::PrioritizedReplay;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// One branch of the predicted future-state distribution: "with probability `probability`
-/// the next decision happens in a world whose state is `state`".
+/// the next decision happens in a world whose state is rows `first_row..first_row + rows`
+/// of the experience's future tensor" ([`Experience::branch_rows`]).
 ///
 /// For MDP(w) the branches enumerate which of the currently available tasks will have
 /// expired by the time the same worker returns (Sec. IV-D); for MDP(r) they do the same over
 /// the much shorter next-arrival window, with the expected next worker substituted into the
 /// state (Sec. V-D).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FutureBranch {
     /// Probability mass of this branch (branches of a transition sum to at most 1; the
     /// remainder is the ignored tail of the gap distribution, exactly as the paper ignores
     /// gaps beyond one week).
     pub probability: f32,
-    /// The predicted future state tensor.
-    pub state: StateTensor,
+    /// First row of the branch's state inside the future tensor.
+    pub first_row: usize,
+    /// Number of rows (tasks) of the branch's state; 0 for a branch with no task left.
+    pub rows: usize,
 }
 
 /// What one feedback contributes to a replay memory: the state the decision was taken in
 /// and its predicted future-state distribution. Shared (`Arc`) by every transition
 /// generated from that feedback.
+///
+/// Every branch window must lie inside `future` ([`Experience::branch_rows`] panics
+/// otherwise; a checkpoint holding such a window is refused as corrupt).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Experience {
     /// State the decision was taken in.
     pub state: StateTensor,
-    /// Predicted future-state distribution.
+    /// The rows every branch's state is a window of.
+    pub future: StateTensor,
+    /// Predicted future-state distribution, as windows into `future`.
     pub branches: Vec<FutureBranch>,
 }
 
 impl Experience {
+    /// The state of `branch`, one of this experience's branches: its window of the
+    /// future tensor.
+    ///
+    /// # Panics
+    ///
+    /// When the window reaches past the future tensor.
+    pub fn branch_rows(&self, branch: &FutureBranch) -> StateRows<'_> {
+        self.future.window(branch.first_row, branch.rows)
+    }
+
     /// Bytes of the experience's shared allocation (the `Arc` header included) and of
-    /// everything it owns: the state, the branch list and every branch state.
+    /// everything it owns: the state, the future tensor and the branch list.
     pub(crate) fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Experience>()
             + 2 * std::mem::size_of::<usize>()
             + self.state.heap_bytes()
+            + self.future.heap_bytes()
             + self.branches.capacity() * std::mem::size_of::<FutureBranch>()
-            + self
-                .branches
-                .iter()
-                .map(|b| b.state.heap_bytes())
-                .sum::<usize>()
     }
 }
 
@@ -86,36 +105,55 @@ impl Transition {
     }
 }
 
-/// Checkpoint format: branch probability (f32 raw bits), then the predicted state.
-impl crowd_ckpt::SaveState for FutureBranch {
-    fn save_state(&self, w: &mut StateWriter) {
-        w.put_f32(self.probability);
-        w.save(&self.state);
-    }
-}
-
-impl crowd_ckpt::DecodeState for FutureBranch {
-    fn decode_state(r: &mut StateReader<'_>) -> crowd_ckpt::Result<Self> {
-        Ok(FutureBranch {
-            probability: r.take_f32()?,
-            state: r.decode()?,
-        })
-    }
-}
-
-/// Checkpoint format: the state, then the future branches as a plain list.
+/// Checkpoint format: the state, the future tensor, then the branch count (`u64`) and
+/// per branch its probability (f32 raw bits), first row and row count (`u64` each).
 impl crowd_ckpt::SaveState for Experience {
     fn save_state(&self, w: &mut StateWriter) {
         w.save(&self.state);
-        w.save(&self.branches);
+        w.save(&self.future);
+        w.put_usize(self.branches.len());
+        for branch in &self.branches {
+            w.put_f32(branch.probability);
+            w.put_usize(branch.first_row);
+            w.put_usize(branch.rows);
+        }
     }
 }
 
 impl crowd_ckpt::DecodeState for Experience {
     fn decode_state(r: &mut StateReader<'_>) -> crowd_ckpt::Result<Self> {
+        let state = r.decode()?;
+        let future: StateTensor = r.decode()?;
+        // 20 bytes per branch bound the allocation by the bytes actually present.
+        let len = r.take_len("future branches", 20)?;
+        let mut branches = Vec::with_capacity(len);
+        for _ in 0..len {
+            let branch = FutureBranch {
+                probability: r.take_f32()?,
+                first_row: r.take_usize()?,
+                rows: r.take_usize()?,
+            };
+            let fits = branch
+                .first_row
+                .checked_add(branch.rows)
+                .is_some_and(|end| end <= future.real_tasks());
+            if !fits {
+                return Err(CkptError::Corrupt {
+                    what: "future branch",
+                    detail: format!(
+                        "window {}+{} past a {}-row future tensor",
+                        branch.first_row,
+                        branch.rows,
+                        future.real_tasks()
+                    ),
+                });
+            }
+            branches.push(branch);
+        }
         Ok(Experience {
-            state: r.decode()?,
-            branches: r.decode()?,
+            state,
+            future,
+            branches,
         })
     }
 }
@@ -228,23 +266,28 @@ mod tests {
         }
     }
 
-    /// One feedback's experience over a pool of `n` tasks, with two future branches.
+    /// One feedback's experience over a pool of `n` tasks, with two overlapping future
+    /// branches: all of the future tensor's rows, and all but its first.
     fn experience(n: u32) -> Arc<Experience> {
         let tf = StateTransformer::new(StateKind::Worker, 8, 2, 2);
         let snaps: Vec<TaskSnapshot> = (0..n).map(snap).collect();
         let state = tf.build(&snaps, &[0.5, 0.25], 0.5);
         let future = tf.build(&snaps[..n as usize / 2], &[0.5, 0.25], 0.5);
+        let rows = future.real_tasks();
         Arc::new(Experience {
             branches: vec![
                 FutureBranch {
                     probability: 0.6,
-                    state: future.clone(),
+                    first_row: 0,
+                    rows,
                 },
                 FutureBranch {
                     probability: 0.3,
-                    state: future,
+                    first_row: rows.min(1),
+                    rows: rows - rows.min(1),
                 },
             ],
+            future,
             state,
         })
     }
@@ -297,6 +340,16 @@ mod tests {
         assert_eq!(Arc::strong_count(&shared), 4);
         assert!(Arc::ptr_eq(&group[0].experience, &group[2].experience));
         assert_eq!(group[1].state().real_tasks(), 3);
+    }
+
+    #[test]
+    fn branch_rows_are_windows_of_the_future_tensor() {
+        let shared = experience(6);
+        let [whole, tail] = [0, 1].map(|b| shared.branch_rows(&shared.branches[b]));
+        assert_eq!(whole, shared.future.as_rows());
+        assert_eq!(tail.rows(), 2);
+        assert_eq!(tail.task_ids(), &shared.future.task_ids()[1..]);
+        assert_eq!(tail.features(), &whole.features()[whole.row_dim()..]);
     }
 
     #[test]
@@ -363,18 +416,52 @@ mod tests {
         past[0].action_row = 3;
         assert!(is_corrupt(&encode(&memory_of(past))));
 
-        // Task ids that disagree with the state's rows.
-        let mut w = StateWriter::new();
-        w.put_usize(1);
-        w.save(shared.state.features());
-        w.save(&shared.state.task_ids()[1..].to_vec());
-        w.save(&shared.branches);
-        memory.save_state_with(&mut w, |t, w| {
-            w.put_usize(0);
-            w.put_usize(t.action_row);
-            w.put_f32(t.reward);
+        // An experience table of one entry written by `write`, then the transitions.
+        let with_experience = |write: &dyn Fn(&mut StateWriter)| {
+            let mut w = StateWriter::new();
+            w.put_usize(1);
+            write(&mut w);
+            memory.save_state_with(&mut w, |t, w| {
+                w.put_usize(0);
+                w.put_usize(t.action_row);
+                w.put_f32(t.reward);
+            });
+            w.into_bytes()
+        };
+        let branches = |w: &mut StateWriter, windows: &[(usize, usize)]| {
+            w.put_usize(windows.len());
+            for &(first_row, rows) in windows {
+                w.put_f32(0.5);
+                w.put_usize(first_row);
+                w.put_usize(rows);
+            }
+        };
+        let intact = with_experience(&|w| {
+            w.save(&shared.state);
+            w.save(&shared.future);
+            branches(w, &[(0, 1), (1, 0)]);
         });
-        assert!(is_corrupt(w.as_bytes()));
+        assert!(decode(&intact).is_ok());
+
+        // Task ids that disagree with the state's rows.
+        assert!(is_corrupt(&with_experience(&|w| {
+            w.save(shared.state.features());
+            w.save(&shared.state.task_ids()[1..].to_vec());
+            w.save(&shared.future);
+            branches(w, &[(0, 1)]);
+        })));
+
+        // Windows past the one-row future tensor, or overflowing `first_row + rows`.
+        for window in [(0, 2), (1, 1), (2, 0), (usize::MAX, 2)] {
+            assert!(
+                is_corrupt(&with_experience(&|w| {
+                    w.save(&shared.state);
+                    w.save(&shared.future);
+                    branches(w, &[(0, 1), window]);
+                })),
+                "window {window:?}"
+            );
+        }
     }
 
     #[test]

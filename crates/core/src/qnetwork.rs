@@ -19,12 +19,13 @@
 //!
 //! The network scores only real tasks: both passes pack the real rows of `N` states back
 //! to back into one `[Σ pool sizes, row_dim]` buffer, one [`PoolSegment`] per non-empty
-//! state. A [`StateTensor`] holds only real rows, so each state is one contiguous copy.
+//! state. A [`StateTensor`] holds only real rows, so each state — or a window of one, a
+//! [`StateRows`] block — is one contiguous copy.
 //! [`SetQNetwork::forward_batch`] is the taped pass (training) and
 //! [`SetQNetwork::infer_batch`] / [`SetQNetwork::infer_batch_par`] the tape-free one
 //! (acting and double-DQN targets); a single state is a batch of one.
 
-use crate::state::StateTensor;
+use crate::state::{StateRows, StateTensor};
 use crowd_autograd::{Graph, VarId};
 use crowd_nn::{GraphBinding, Linear, MultiHeadSelfAttention, ParamStore, PoolSegment, RowwiseFF};
 use crowd_tensor::{Matrix, Rng};
@@ -108,36 +109,33 @@ impl SetQNetwork {
         self.hidden_dim
     }
 
-    /// Packs the rows of `states` back to back into one
-    /// `[Σ pool sizes, row_dim]` buffer with one padding-free segment per *non-empty*
-    /// state (empty pools contribute no rows and no segment). Returns `None` when every
-    /// pool is empty. State matrices are row-major, so each state is one contiguous copy;
-    /// all states must agree on the row width, and a mismatch is reported against the
-    /// first non-empty state's shape so the diagnostic names the actual disagreement.
-    fn pack_states(
+    /// Packs the row blocks back to back into one `[Σ block rows, row_dim]` buffer with
+    /// one padding-free segment per *non-empty* block (empty blocks contribute no rows
+    /// and no segment). Returns `None` when every block is empty. Each block is one
+    /// contiguous copy, borrowed from a whole state or a window of one; all blocks must
+    /// agree on the row width, and a mismatch is reported against the first non-empty
+    /// block's shape so the diagnostic names the actual disagreement.
+    fn pack_rows(
         op: &'static str,
-        states: &[&StateTensor],
+        blocks: &[StateRows<'_>],
     ) -> Result<Option<(Matrix, Vec<PoolSegment>)>> {
-        let mut segments: Vec<PoolSegment> = Vec::with_capacity(states.len());
+        let mut segments: Vec<PoolSegment> = Vec::with_capacity(blocks.len());
         let mut first_shape = None;
         let mut total_rows = 0;
-        for state in states {
-            if state.real_tasks() == 0 {
-                continue;
-            }
-            let first = *first_shape.get_or_insert(state.features().shape());
-            if state.features().cols() != first.1 {
+        for block in blocks.iter().filter(|b| b.rows() > 0) {
+            let first = *first_shape.get_or_insert((block.rows(), block.row_dim()));
+            if block.row_dim() != first.1 {
                 return Err(crowd_tensor::TensorError::ShapeMismatch {
                     op,
                     lhs: first,
-                    rhs: state.features().shape(),
+                    rhs: (block.rows(), block.row_dim()),
                 });
             }
             segments.push(PoolSegment {
                 start: total_rows,
-                rows: state.real_tasks(),
+                rows: block.rows(),
             });
-            total_rows += state.real_tasks();
+            total_rows += block.rows();
         }
         let Some((_, row_dim)) = first_shape else {
             return Ok(None);
@@ -145,14 +143,8 @@ impl SetQNetwork {
         let mut x = Matrix::zeros(total_rows, row_dim);
         {
             let dst = x.as_mut_slice();
-            let mut seg_iter = segments.iter();
-            for state in states {
-                if state.real_tasks() == 0 {
-                    continue;
-                }
-                let seg = seg_iter.next().expect("one segment per non-empty state");
-                dst[seg.start * row_dim..seg.end() * row_dim]
-                    .copy_from_slice(state.features().as_slice());
+            for (block, seg) in blocks.iter().filter(|b| b.rows() > 0).zip(&segments) {
+                dst[seg.start * row_dim..seg.end() * row_dim].copy_from_slice(block.features());
             }
         }
         Ok(Some((x, segments)))
@@ -194,7 +186,8 @@ impl SetQNetwork {
                 op: "forward_batch",
             });
         }
-        let (x, segments) = Self::pack_states("forward_batch", states)?
+        let blocks: Vec<StateRows<'_>> = states.iter().map(|s| s.as_rows()).collect();
+        let (x, segments) = Self::pack_rows("forward_batch", &blocks)?
             .expect("non-empty states always produce a packed buffer");
         let xv = graph.constant(x);
         let h1 = self.ff1.forward(graph, store, binding, xv)?;
@@ -249,8 +242,22 @@ impl SetQNetwork {
         states: &[&StateTensor],
         pool: crowd_tensor::ThreadPool,
     ) -> Result<Vec<Vec<f32>>> {
-        let Some((x, segments)) = Self::pack_states("infer_batch", states)? else {
-            return Ok(vec![Vec::new(); states.len()]);
+        let blocks: Vec<StateRows<'_>> = states.iter().map(|s| s.as_rows()).collect();
+        self.infer_rows_par(store, &blocks, pool)
+    }
+
+    /// [`SetQNetwork::infer_batch_par`] over borrowed row blocks — whole states or
+    /// windows of one ([`StateTensor::window`]), each scored as the state it holds, so a
+    /// window gives the bits of the standalone state with the same rows. The one
+    /// gradient-free pass: the state-slice entry points above delegate here.
+    pub fn infer_rows_par(
+        &self,
+        store: &ParamStore,
+        blocks: &[StateRows<'_>],
+        pool: crowd_tensor::ThreadPool,
+    ) -> Result<Vec<Vec<f32>>> {
+        let Some((x, segments)) = Self::pack_rows("infer_batch", blocks)? else {
+            return Ok(vec![Vec::new(); blocks.len()]);
         };
         let h1 = self.ff1.infer_par(store, &x, pool)?;
         let h2 = self.ff2.infer_par(store, &h1, pool)?;
@@ -265,15 +272,15 @@ impl SetQNetwork {
         let h4 = h3.add(&a2)?;
         let q = self.head.infer_par(store, &h4, pool)?;
         let col = q.col(0);
-        let mut out = Vec::with_capacity(states.len());
+        let mut out = Vec::with_capacity(blocks.len());
         let mut seg_iter = segments.iter();
-        for state in states {
-            if state.real_tasks() == 0 {
+        for block in blocks {
+            if block.rows() == 0 {
                 out.push(Vec::new());
                 continue;
             }
-            let seg = seg_iter.next().expect("one segment per non-empty state");
-            out.push(col[seg.start..seg.start + state.real_tasks()].to_vec());
+            let seg = seg_iter.next().expect("one segment per non-empty block");
+            out.push(col[seg.start..seg.end()].to_vec());
         }
         Ok(out)
     }
@@ -471,6 +478,39 @@ mod tests {
                 serial,
                 "pooled tape diverged at {threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn windows_score_like_the_standalone_states_they_hold() {
+        // Suffix windows of one state (the shape of a stored experience's branches),
+        // mixed with a whole state and an empty window, give the bits of each window
+        // copied out into a state of its own.
+        let (store, net) = network(7, 17);
+        let tf = StateTransformer::new(StateKind::Worker, 8, 4, 3);
+        let snaps: Vec<TaskSnapshot> = (0..6).map(|i| snapshot(i, i as f32 * 0.13)).collect();
+        let wf = [0.3, 0.6, 0.1];
+        let future = tf.build(&snaps, &wf, 0.5);
+        let other = state(3, 8);
+        let blocks = [
+            future.window(0, 6),
+            other.as_rows(),
+            future.window(2, 4),
+            future.window(6, 0),
+            future.window(5, 1),
+        ];
+        let packed = net
+            .infer_rows_par(&store, &blocks, crowd_tensor::ThreadPool::serial())
+            .unwrap();
+        let standalone = [
+            future.clone(),
+            other.clone(),
+            tf.build(&snaps[2..], &wf, 0.5),
+            tf.build(&[], &wf, 0.5),
+            tf.build(&snaps[5..], &wf, 0.5),
+        ];
+        for (i, (q, st)) in packed.iter().zip(&standalone).enumerate() {
+            assert_eq!(q, &infer(&net, &store, st), "block {i}");
         }
     }
 

@@ -5,6 +5,9 @@
 //! quality and task quality) into one row per task. A state holds exactly one row per
 //! represented task, no padding: pools larger than `maxT` are truncated to the `maxT`
 //! tasks closest to their deadline, and smaller pools keep only their real rows.
+//!
+//! [`StateRows`] borrows a run of consecutive rows — a whole state, or a window of one
+//! (the future-state branches of a stored experience are windows of one tensor).
 
 use crowd_sim::{ArrivalContext, ArrivalView, TaskId, TaskRef, TaskSnapshot};
 use crowd_tensor::Matrix;
@@ -63,6 +66,65 @@ impl StateTensor {
     pub(crate) fn heap_bytes(&self) -> usize {
         std::mem::size_of_val(self.features.as_slice())
             + self.task_ids.capacity() * std::mem::size_of::<TaskId>()
+    }
+
+    /// All rows of the state, borrowed.
+    pub fn as_rows(&self) -> StateRows<'_> {
+        self.window(0, self.real_tasks())
+    }
+
+    /// The `count` rows from row `first` on, borrowed.
+    ///
+    /// # Panics
+    ///
+    /// When the window reaches past the state's rows.
+    pub fn window(&self, first: usize, count: usize) -> StateRows<'_> {
+        let end = first
+            .checked_add(count)
+            .filter(|&end| end <= self.real_tasks())
+            .unwrap_or_else(|| {
+                panic!(
+                    "window {first}+{count} past a {}-row state",
+                    self.real_tasks()
+                )
+            });
+        let row_dim = self.features.cols();
+        StateRows {
+            features: &self.features.as_slice()[first * row_dim..end * row_dim],
+            task_ids: &self.task_ids[first..end],
+            row_dim,
+        }
+    }
+}
+
+/// A borrowed run of consecutive state rows: row `i` is `task_ids()[i]`'s
+/// `row_dim`-wide feature row, row-major in `features()`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StateRows<'a> {
+    features: &'a [f32],
+    task_ids: &'a [TaskId],
+    row_dim: usize,
+}
+
+impl<'a> StateRows<'a> {
+    /// The rows' features, row-major (`rows() * row_dim()` values).
+    pub fn features(&self) -> &'a [f32] {
+        self.features
+    }
+
+    /// Tasks represented, in row order.
+    pub fn task_ids(&self) -> &'a [TaskId] {
+        self.task_ids
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.task_ids.len()
+    }
+
+    /// Width of one row.
+    pub fn row_dim(&self) -> usize {
+        self.row_dim
     }
 }
 
@@ -126,6 +188,16 @@ impl StateTransformer {
         self.kind
     }
 
+    /// Width of a task feature.
+    pub fn task_dim(&self) -> usize {
+        self.task_dim
+    }
+
+    /// Width of a worker feature.
+    pub fn worker_dim(&self) -> usize {
+        self.worker_dim
+    }
+
     /// Builds the state for a borrowed arrival view — the hot path. Task features are read
     /// straight out of the platform's arena and packed into the state matrix; the only
     /// allocations are the state tensor itself.
@@ -175,16 +247,46 @@ impl StateTransformer {
             order.sort_by_key(|&i| task_at(i).deadline);
             order.truncate(self.max_tasks);
         }
-        let mut features = Matrix::zeros(order.len(), self.row_dim());
-        let mut task_ids = Vec::with_capacity(order.len());
-        for (row, &idx) in order.iter().enumerate() {
-            let task = task_at(idx);
+        self.rows_of(
+            order.iter().map(|&i| task_at(i)),
+            worker_feature,
+            worker_quality,
+        )
+    }
+
+    /// One row per task of `tasks`, in their order, with no truncation to `max_tasks`:
+    /// the rows of an already ordered pool (the predictors' deadline-sorted future
+    /// pool, whose branches are windows of these rows).
+    ///
+    /// # Panics
+    ///
+    /// When a task feature is not `task_dim` wide or the worker feature not
+    /// `worker_dim` wide: the serve boundary refuses such requests, and everything
+    /// else builds features from the platform's own feature space.
+    pub(crate) fn rows_of<'a>(
+        &self,
+        tasks: impl ExactSizeIterator<Item = TaskRef<'a>>,
+        worker_feature: &[f32],
+        worker_quality: f32,
+    ) -> StateTensor {
+        assert_eq!(
+            worker_feature.len(),
+            self.worker_dim,
+            "worker feature width differs from the transformer's"
+        );
+        let mut features = Matrix::zeros(tasks.len(), self.row_dim());
+        let mut task_ids = Vec::with_capacity(tasks.len());
+        for (row, task) in tasks.enumerate() {
+            assert_eq!(
+                task.feature.len(),
+                self.task_dim,
+                "task {} feature width differs from the transformer's",
+                task.id.0
+            );
             task_ids.push(task.id);
             let dst = features.row_mut(row);
-            let t_len = task.feature.len().min(self.task_dim);
-            dst[..t_len].copy_from_slice(&task.feature[..t_len]);
-            let w_len = worker_feature.len().min(self.worker_dim);
-            dst[self.task_dim..self.task_dim + w_len].copy_from_slice(&worker_feature[..w_len]);
+            dst[..self.task_dim].copy_from_slice(task.feature);
+            dst[self.task_dim..self.task_dim + self.worker_dim].copy_from_slice(worker_feature);
             if self.kind == StateKind::Requester {
                 dst[self.task_dim + self.worker_dim] = worker_quality;
                 dst[self.task_dim + self.worker_dim + 1] = task.quality;
@@ -289,10 +391,39 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_feature_lengths_are_truncated_not_panicking() {
+    #[should_panic(expected = "feature width differs")]
+    fn mismatched_feature_lengths_panic() {
         let tf = StateTransformer::new(StateKind::Worker, 2, 2, 2);
-        // Task features are length 3 but task_dim is 2: extra entries are dropped.
-        let st = tf.build(&[snapshot(0, 10, 0.0)], &[0.1], 0.5);
-        assert_eq!(st.features.row(0), &[0.0, 1.0, 0.1, 0.0]);
+        // Task features are length 3 but task_dim is 2: a caller bug, refused loudly
+        // rather than silently truncated.
+        tf.build(&[snapshot(0, 10, 0.0)], &[0.1, 0.2], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker feature width differs")]
+    fn a_short_worker_feature_panics() {
+        let tf = StateTransformer::new(StateKind::Worker, 2, 3, 2);
+        tf.build(&[snapshot(0, 10, 0.0)], &[0.1], 0.5);
+    }
+
+    #[test]
+    fn windows_borrow_consecutive_rows() {
+        let tf = StateTransformer::new(StateKind::Worker, 8, 3, 2);
+        let st = tf.from_context(&context(4));
+        assert_eq!(st.as_rows().rows(), 4);
+        assert_eq!(st.as_rows().features(), st.features().as_slice());
+        let window = st.window(1, 2);
+        assert_eq!(window.rows(), 2);
+        assert_eq!(window.row_dim(), 5);
+        assert_eq!(window.task_ids(), &[TaskId(1), TaskId(2)]);
+        assert_eq!(&window.features()[..5], st.features().row(1));
+        assert_eq!(st.window(4, 0).rows(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "past a 4-row state")]
+    fn a_window_past_the_rows_panics() {
+        let tf = StateTransformer::new(StateKind::Worker, 8, 3, 2);
+        tf.from_context(&context(4)).window(3, 2);
     }
 }

@@ -428,6 +428,13 @@ pub type BoxedBatchedPolicy = Box<dyn BatchedPolicy + Send>;
 /// entry parameters. With learning paused (e.g. `DdqnAgent::freeze_learning`) the two are
 /// bit-identical — `tests/batched_equivalence.rs` proves it end to end.
 pub trait BatchedPolicy: Policy {
+    /// The `(task, worker)` feature widths this policy's arrivals and feedbacks must
+    /// have, for a policy built for fixed widths; a serving front end refuses requests of
+    /// other widths before they reach the policy. `None` (the default) accepts any width.
+    fn feature_widths(&self) -> Option<(usize, usize)> {
+        None
+    }
+
     /// Decides on every view in one call, writing into the aligned `decisions` buffers.
     ///
     /// # Panics

@@ -49,7 +49,9 @@ pub enum ServeError {
     /// A request was refused at the client boundary because its content is unusable:
     /// a NaN or infinite number in a feedback (worker quality, quality gain, a
     /// worker-feature entry) or an arrival (worker quality, a worker-feature entry, a
-    /// task's feature, quality or award), or an arrival listing one task twice. Nothing
+    /// task's feature, quality or award), an arrival listing one task twice, or a
+    /// worker or task feature (an arrival's, or a feedback's `worker_feature_after`)
+    /// whose width differs from the policy's (`BatchedPolicy::feature_widths`). Nothing
     /// was sent, logged, decided or observed.
     Malformed {
         /// Which field is malformed.

@@ -9,7 +9,7 @@
 //! error instead of a hang.
 
 use crate::error::{Result, ServeError};
-use crate::server::{check_arrival, Client, ServeDecision};
+use crate::server::{Client, ServeDecision};
 use crowd_sim::ArrivalContext;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,7 +52,7 @@ impl Client {
         context: &ArrivalContext,
         retry: &RetryPolicy,
     ) -> Result<ServeDecision> {
-        check_arrival(context)?;
+        self.check_arrival(context)?;
         let context = Arc::new(context.clone());
         let started = Instant::now();
         let mut backoff = retry.initial_backoff.max(Duration::from_micros(1));

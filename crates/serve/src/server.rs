@@ -361,6 +361,9 @@ enum Request {
 #[derive(Clone)]
 pub struct Client {
     ingress: SyncSender<Request>,
+    /// The policy's `(task, worker)` feature widths, when it has fixed ones
+    /// (`BatchedPolicy::feature_widths`, read once at start).
+    widths: Option<(usize, usize)>,
 }
 
 impl Client {
@@ -370,11 +373,12 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError::Malformed`] before anything is sent when the worker quality, a
-    /// worker-feature entry or a task's feature, quality or award is NaN or infinite, or
-    /// when two available tasks share an id; [`ServeError::ShuttingDown`] when the
+    /// worker-feature entry or a task's feature, quality or award is NaN or infinite,
+    /// when two available tasks share an id, or when the worker feature or a task
+    /// feature is not as wide as the policy takes; [`ServeError::ShuttingDown`] when the
     /// server has stopped.
     pub fn decide(&self, context: ArrivalContext) -> Result<ServeDecision> {
-        check_arrival(&context)?;
+        self.check_arrival(&context)?;
         self.enqueue_decide(Arc::new(context), true)
     }
 
@@ -383,7 +387,7 @@ impl Client {
     /// Copies `context` once, before the enqueue attempt, so a `Saturated` answer has
     /// paid for that copy too.
     pub fn try_decide(&self, context: &ArrivalContext) -> Result<ServeDecision> {
-        check_arrival(context)?;
+        self.check_arrival(context)?;
         self.enqueue_decide(Arc::new(context.clone()), false)
     }
 
@@ -422,16 +426,45 @@ impl Client {
     ///
     /// [`ServeError::Malformed`] when the worker quality, the quality gain or any
     /// worker-feature entry is NaN or infinite — such a feedback would become a
-    /// non-finite reward the learner refuses — before anything is sent; and
+    /// non-finite reward the learner refuses — or when `worker_feature_after` is not as
+    /// wide as the policy takes, before anything is sent; and
     /// [`ServeError::ShuttingDown`] when the server has stopped.
     pub fn feedback(&self, request_id: u64, feedback: PolicyFeedback) -> Result<()> {
         check_feedback(&feedback)?;
+        if let Some((_, worker_dim)) = self.widths {
+            check_width(
+                format_args!("feedback worker_feature_after"),
+                &feedback.worker_feature_after,
+                worker_dim,
+            )?;
+        }
         self.ingress
             .send(Request::Feedback {
                 request_id,
                 feedback,
             })
             .map_err(|_| ServeError::ShuttingDown)
+    }
+
+    /// Refuses an arrival [`Client::decide`] refuses: a non-finite number, a task
+    /// listed twice, or a feature width other than the policy's.
+    pub(crate) fn check_arrival(&self, context: &ArrivalContext) -> Result<()> {
+        check_arrival(context)?;
+        if let Some((task_dim, worker_dim)) = self.widths {
+            check_width(
+                format_args!("arrival worker_feature"),
+                &context.worker_feature,
+                worker_dim,
+            )?;
+            for task in &context.available {
+                check_width(
+                    format_args!("arrival task {} feature", task.id.0),
+                    &task.feature,
+                    task_dim,
+                )?;
+            }
+        }
+        Ok(())
     }
 
     /// Asks the worker to compact the decision log at the next round boundary and
@@ -472,9 +505,20 @@ fn check_feedback(feedback: &PolicyFeedback) -> Result<()> {
     check_finite(format_args!("feedback"), &fields)
 }
 
+/// Refuses a feature vector `what` that is not `width` entries wide (`what` is formatted
+/// only then): the policy's state rows hold exactly that many.
+fn check_width(what: std::fmt::Arguments<'_>, feature: &[f32], width: usize) -> Result<()> {
+    if feature.len() == width {
+        return Ok(());
+    }
+    Err(ServeError::Malformed {
+        detail: format!("{what} is {} wide, the policy takes {width}", feature.len()),
+    })
+}
+
 /// Refuses an arrival holding a NaN or infinite number or listing a task twice. NaN
 /// features would reach the explorer's `partial_cmp` sorts, no total order on NaN.
-pub(crate) fn check_arrival(context: &ArrivalContext) -> Result<()> {
+fn check_arrival(context: &ArrivalContext) -> Result<()> {
     let worker = [
         (
             "worker_quality",
@@ -505,6 +549,8 @@ pub(crate) fn check_arrival(context: &ArrivalContext) -> Result<()> {
 pub struct Server {
     ingress: SyncSender<Request>,
     worker: JoinHandle<(BoxedBatchedPolicy, ServeReport)>,
+    /// The policy's feature widths, handed to every [`Client`].
+    widths: Option<(usize, usize)>,
 }
 
 impl Server {
@@ -574,16 +620,22 @@ impl Server {
         state: ReplayedState,
     ) -> Result<Server> {
         let (ingress, queue) = mpsc::sync_channel(config.queue_capacity.max(1));
+        let widths = policy.feature_widths();
         let worker = spawn_dedicated("serve-batch", move || {
             event_loop(policy, config, log, state, queue)
         })?;
-        Ok(Server { ingress, worker })
+        Ok(Server {
+            ingress,
+            worker,
+            widths,
+        })
     }
 
     /// A new submission handle; clone one per client thread.
     pub fn client(&self) -> Client {
         Client {
             ingress: self.ingress.clone(),
+            widths: self.widths,
         }
     }
 

@@ -17,7 +17,7 @@
 //! The suite also covers the loader's robustness guarantees (truncation, bit flips,
 //! wrong magic, future version — typed errors, never panics or half-loads) and the
 //! byte-level format stability against the committed golden snapshot
-//! (`tests/fixtures/format_v5.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
+//! (`tests/fixtures/format_v6.ckpt`; regenerate consciously with `UPDATE_GOLDEN=1`
 //! after a deliberate format-version bump).
 
 use crowd_bench::ckpt_fixtures;
@@ -493,9 +493,10 @@ fn damaged_snapshots_fail_with_typed_errors_never_panics() {
     ));
     // A future format version, and every older one, is refused, never misparsed:
     // version 1 stored the flat single-arena platform layout, version 2 stored
-    // wall-clock timings, versions 2 and 3 the sharded platform layout, and versions 1
-    // to 4 padded states with one copy per transition.
-    for version in [1, 2, 3, 4, FORMAT_VERSION + 1] {
+    // wall-clock timings, versions 2 and 3 the sharded platform layout, versions 1
+    // to 4 padded states with one copy per transition, and versions 1 to 5 stored each
+    // future branch as its own state tensor.
+    for version in [1, 2, 3, 4, 5, FORMAT_VERSION + 1] {
         match SnapshotFile::from_bytes(ckpt_fixtures::with_version(&clean, version)) {
             Err(CkptError::UnsupportedVersion { found, supported }) => {
                 assert_eq!((found, supported), (version, FORMAT_VERSION));
@@ -611,10 +612,10 @@ fn mismatched_resume_targets_are_typed_errors() {
 }
 
 fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v5.ckpt")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format_v6.ckpt")
 }
 
-/// Format stability: the committed version-5 golden snapshot must equal what today's
+/// Format stability: the committed version-6 golden snapshot must equal what today's
 /// writer emits, byte for byte, and must load under today's reader and re-save to the
 /// same bytes. Any change to the wire format fails here until `FORMAT_VERSION` is
 /// bumped and a new golden file is committed deliberately (`UPDATE_GOLDEN=1 cargo test
@@ -639,7 +640,7 @@ fn format_stability_golden_snapshot() {
         "the writer's byte stream changed: bump FORMAT_VERSION and regenerate the golden file deliberately"
     );
 
-    // Save-under-v3 / load-under-v3: the committed file loads into live objects…
+    // The committed file loads into live objects…
     let file = SnapshotFile::from_bytes(committed).unwrap();
     let mut rng = crowd_tensor::Rng::seed_from(0);
     file.load_into("rng", &mut rng).unwrap();
@@ -662,6 +663,19 @@ fn format_stability_golden_snapshot() {
         &slots[0].experience,
         &slots[1].experience
     ));
+    // The shared experience's first two branches are overlapping windows of its
+    // three-row future tensor.
+    let shared = &slots[0].experience;
+    let windows: Vec<(usize, usize)> = shared
+        .branches
+        .iter()
+        .map(|b| (b.first_row, b.rows))
+        .collect();
+    assert_eq!(windows, [(0, 3), (1, 2), (0, 0)]);
+    assert_eq!(
+        shared.branch_rows(&shared.branches[1]).task_ids(),
+        &shared.future.task_ids()[1..]
+    );
 
     // …and re-saving those objects reproduces the golden payload bytes exactly.
     let mut resaved = Snapshot::new();

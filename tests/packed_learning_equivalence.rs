@@ -40,11 +40,9 @@
 //! stay exact.
 
 use crowd_bench::reference::SequentialLearner;
-use crowd_bench::synthetic_state;
+use crowd_bench::{synthetic_experience, synthetic_state};
 use crowd_ckpt::{LoadState, StateReader, StateWriter};
-use crowd_rl_core::{
-    DdqnConfig, DqnLearner, Experience, FutureBranch, StateKind, StateTransformer, Transition,
-};
+use crowd_rl_core::{DdqnConfig, DqnLearner, StateKind, StateTensor, StateTransformer, Transition};
 use crowd_tensor::Rng;
 use std::sync::Arc;
 
@@ -74,7 +72,7 @@ fn config() -> DdqnConfig {
 /// action row real; branch states additionally use pool = 0 for expired-pool branches).
 /// Rides on the shared `crowd_bench::synthetic_state` fixture so this suite and
 /// `benches/batched_training.rs` generate from one definition.
-fn random_state(tf: &StateTransformer, pool: usize, rng: &mut Rng) -> crowd_rl_core::StateTensor {
+fn random_state(tf: &StateTransformer, pool: usize, rng: &mut Rng) -> StateTensor {
     synthetic_state(tf, pool, TASK_DIM, WORKER_DIM, rng)
 }
 
@@ -85,23 +83,21 @@ fn random_transition(tf: &StateTransformer, rng: &mut Rng) -> Transition {
     let pool = 1 + rng.below(MAX_TASKS);
     let state = random_state(tf, pool, rng);
     let n_branches = rng.below(4);
-    let branches: Vec<FutureBranch> = (0..n_branches)
+    let branches: Vec<(f32, StateTensor)> = (0..n_branches)
         .map(|_| {
             let branch_pool = rng.below(MAX_TASKS + 1); // may be 0 (empty future pool)
-            FutureBranch {
-                probability: if rng.unit() < 0.2 {
-                    0.0 // dead branch: must contribute nothing in either path
-                } else {
-                    rng.uniform(0.05, 0.5)
-                },
-                state: random_state(tf, branch_pool, rng),
-            }
+            let probability = if rng.unit() < 0.2 {
+                0.0 // dead branch: must contribute nothing in either path
+            } else {
+                rng.uniform(0.05, 0.5)
+            };
+            (probability, random_state(tf, branch_pool, rng))
         })
         .collect();
     Transition {
         action_row: rng.below(pool),
         reward: if rng.unit() < 0.5 { 1.0 } else { 0.0 },
-        experience: Arc::new(Experience { state, branches }),
+        experience: synthetic_experience(state, branches),
     }
 }
 
@@ -326,10 +322,7 @@ fn packed_learning_handles_supervised_transitions() {
         learner.store_transition(Transition {
             action_row: rng.below(pool),
             reward: rng.uniform(0.0, 1.0),
-            experience: Arc::new(Experience {
-                state,
-                branches: Vec::new(),
-            }),
+            experience: synthetic_experience(state, Vec::new()),
         });
     }
     for update in 0..10 {
@@ -362,15 +355,11 @@ fn a_minibatch_repeating_one_experience_matches_sequential() {
     let mut learner = DqnLearner::new(&cfg, tf.row_dim(), 0.7, &mut rng);
     for _ in 0..2 {
         let pool = MAX_TASKS;
-        let experience = Arc::new(Experience {
-            state: random_state(&tf, pool, &mut rng),
-            branches: (0..3)
-                .map(|b| FutureBranch {
-                    probability: 0.2 + 0.1 * b as f32,
-                    state: random_state(&tf, 1 + b, &mut rng),
-                })
-                .collect(),
-        });
+        let state = random_state(&tf, pool, &mut rng);
+        let branches = (0..3)
+            .map(|b| (0.2 + 0.1 * b as f32, random_state(&tf, 1 + b, &mut rng)))
+            .collect();
+        let experience = synthetic_experience(state, branches);
         for action_row in 0..cfg.batch_size / 2 {
             learner.store_transition(Transition {
                 experience: Arc::clone(&experience),

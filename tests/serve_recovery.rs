@@ -359,3 +359,93 @@ fn malformed_feedback_is_refused_at_the_boundary_and_the_log_replays_cleanly() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Starts a log-free server over the live agent, runs `refuse` against its client and
+/// the first usable arrival, then serves that arrival well-formed: the refused requests
+/// must have reached neither the policy nor the queue, so the server reports only the
+/// `accepted` decide-and-feedback pairs `refuse` made plus the final one.
+fn refuses_wrong_widths(
+    accepted: u64,
+    refuse: impl Fn(&crowd_serve::Client, &crowd_sim::ArrivalContext),
+) {
+    let dataset = dataset();
+    let context = collect_arrival_contexts(&dataset, 43, 1).remove(0);
+    let config = ServeConfig {
+        pool: ThreadPool::from_env(),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(Box::new(live_agent(&dataset)), config).unwrap();
+    let client = server.client();
+    refuse(&client, &context);
+    let served = client.decide(context.clone()).unwrap();
+    client
+        .feedback(served.request_id, feedback_for(&context, &served))
+        .unwrap();
+    let (_, report) = server.shutdown();
+    let served = accepted + 1;
+    assert_eq!((report.decisions, report.feedbacks), (served, served));
+}
+
+fn assert_malformed<T: std::fmt::Debug>(result: Result<T, ServeError>, field: &str) {
+    match result {
+        Err(ServeError::Malformed { detail }) => assert!(
+            detail.contains(field) && detail.contains("wide"),
+            "unexpected detail: {detail}"
+        ),
+        other => panic!("{field}: expected a typed Malformed error, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_arrival_with_a_worker_feature_of_the_wrong_width_is_refused() {
+    refuses_wrong_widths(0, |client, context| {
+        let width = context.worker_feature.len();
+        for delta in [-1, 1] {
+            let mut bad = context.clone();
+            bad.worker_feature
+                .resize((width as i64 + delta) as usize, 0.5);
+            assert_malformed(client.decide(bad.clone()), "arrival worker_feature");
+            assert_malformed(client.try_decide(&bad), "arrival worker_feature");
+            assert_malformed(
+                client.decide_with_retry(&bad, &crowd_serve::RetryPolicy::default()),
+                "arrival worker_feature",
+            );
+        }
+    });
+}
+
+#[test]
+fn an_arrival_with_a_task_feature_of_the_wrong_width_is_refused() {
+    refuses_wrong_widths(0, |client, context| {
+        let last = context.available.len() - 1;
+        let mut long = context.clone();
+        long.available[last].feature.push(0.25);
+        let field = format!("task {} feature", context.available[last].id.0);
+        assert_malformed(client.decide(long.clone()), &field);
+        assert_malformed(client.try_decide(&long), &field);
+        let mut short = context.clone();
+        short.available[0].feature.pop();
+        let field = format!("task {} feature", context.available[0].id.0);
+        assert_malformed(client.decide(short), &field);
+    });
+}
+
+#[test]
+fn a_feedback_with_a_worker_feature_after_of_the_wrong_width_is_refused() {
+    refuses_wrong_widths(1, |client, context| {
+        // A feedback for an earlier, answered decision of the same arrival.
+        let served = client.decide(context.clone()).unwrap();
+        let feedback = feedback_for(context, &served);
+        let mut long = feedback.clone();
+        long.worker_feature_after.push(0.0);
+        let mut short = feedback.clone();
+        short.worker_feature_after.pop();
+        for bad in [long, short] {
+            assert_malformed(
+                client.feedback(served.request_id, bad),
+                "feedback worker_feature_after",
+            );
+        }
+        client.feedback(served.request_id, feedback).unwrap();
+    });
+}
